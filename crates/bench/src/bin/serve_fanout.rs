@@ -14,6 +14,12 @@
 //! engines) and cross-engine store sharing (the triangle relation
 //! resident once, not once per engine).
 //!
+//! Three of every four subscribers hold a bounded channel
+//! ([`ServeNode::subscribe_bounded`]) drained after every epoch, the
+//! fourth a callback — so the notify and ingest figures cover the queue
+//! path, and the fabric's clock runs until the last subscriber holds
+//! its delta.
+//!
 //! Reported per N: ingest throughput for both sides, the fabric's
 //! per-delivery fan-out latency (p50/p99 pooled over every subscriber's
 //! `ivm.serve.sub{id}.notify_ns` series) and per-epoch ingest latency,
@@ -30,7 +36,7 @@ use ivm_core::Maintainer;
 use ivm_data::{sym, tup, vars, Database, FxHashSet, Relation, Sym, Update};
 use ivm_obs::{HistogramSnapshot, MetricsRegistry};
 use ivm_query::{Atom, Query};
-use ivm_serve::ServeNode;
+use ivm_serve::{ServeNode, Subscription, ViewDelta};
 use ivm_session::Session;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -95,6 +101,10 @@ fn catalog(i: usize) -> Query {
         }
     }
 }
+
+/// Queue bound of the channel subscribers: they drain every epoch, so
+/// any bound holds; a full queue would evict and fail the run.
+const CHANNEL_CAPACITY: usize = 4;
 
 /// Deterministic splitmix-style generator so every row sees the
 /// identical stream.
@@ -191,18 +201,30 @@ fn run(n: usize, batches: &[Vec<Update<i64>>]) -> Row {
     let registry = MetricsRegistry::new();
     let mut node = ServeNode::<i64>::new();
     node.observe(&registry);
-    // Each callback subscriber tallies deliveries and a payload
-    // checksum — the cheapest realistic consumer.
+    // Each subscriber tallies deliveries and a payload checksum — the
+    // cheapest realistic consumer. Three in four receive through a
+    // bounded channel, the fourth through a callback.
     let tallies: Vec<Rc<Cell<(u64, i64)>>> = (0..n).map(|_| Rc::default()).collect();
+    let tally_up = |tally: &Cell<(u64, i64)>, vd: &ViewDelta<i64>| {
+        let (deliveries, sum) = tally.get();
+        let d: i64 = vd.delta.iter().map(|(_, p)| *p).sum();
+        tally.set((deliveries + 1, sum + d));
+    };
+    let mut channels: Vec<(usize, Subscription<i64>)> = Vec::new();
     let ids: Vec<u64> = (0..n)
         .map(|i| {
-            let tally = Rc::clone(&tallies[i]);
-            node.subscribe_with(catalog(i), move |vd| {
-                let (deliveries, sum) = tally.get();
-                let d: i64 = vd.delta.iter().map(|(_, p)| *p).sum();
-                tally.set((deliveries + 1, sum + d));
-            })
-            .expect("catalog queries build")
+            if i % 4 == 3 {
+                let tally = Rc::clone(&tallies[i]);
+                node.subscribe_with(catalog(i), move |vd| tally_up(&tally, vd))
+                    .expect("catalog queries build")
+            } else {
+                let sub = node
+                    .subscribe_bounded(catalog(i), CHANNEL_CAPACITY)
+                    .expect("catalog queries build");
+                let id = sub.id();
+                channels.push((i, sub));
+                id
+            }
         })
         .collect();
 
@@ -224,6 +246,10 @@ fn run(n: usize, batches: &[Vec<Update<i64>>]) -> Row {
     let t0 = Instant::now();
     for b in &filtered {
         node.apply_batch(b).expect("declared relations only");
+        for (i, sub) in &mut channels {
+            let vd = sub.try_next().expect("one delivery per epoch");
+            tally_up(&tallies[*i], &vd);
+        }
     }
     let fabric_elapsed = t0.elapsed();
     for (i, tally) in tallies.iter().enumerate() {
@@ -304,38 +330,41 @@ fn run(n: usize, batches: &[Vec<Update<i64>>]) -> Row {
 }
 
 fn emit_json(rows: &[Row]) {
-    let doc = bench_doc("serve_fanout").field(
-        "rows",
-        Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj()
-                        .field("subscribers", Json::num(r.subscribers as f64))
-                        .field("groups", Json::num(r.groups as f64))
-                        .field("fabric_tuples_per_sec", Json::num(r.fabric_tps))
-                        .field("baseline_tuples_per_sec", Json::num(r.baseline_tps))
-                        .field(
-                            "speedup_vs_n_sessions",
-                            Json::num(ratio(r.fabric_tps, r.baseline_tps)),
-                        )
-                        .field("notify_p50_ns", Json::num(r.notify_p50_ns as f64))
-                        .field("notify_p99_ns", Json::num(r.notify_p99_ns as f64))
-                        .field("ingest_p50_ns", Json::num(r.ingest_p50_ns as f64))
-                        .field("ingest_p99_ns", Json::num(r.ingest_p99_ns as f64))
-                        .field(
-                            "fabric_resident_tuples",
-                            Json::num(r.fabric_resident as f64),
-                        )
-                        .field(
-                            "baseline_resident_tuples",
-                            Json::num(r.baseline_resident as f64),
-                        )
-                        .field("dedup_hits", Json::num(r.dedup_hits as f64))
-                        .field("store_dedup_hits", Json::num(r.store_dedup_hits as f64))
-                })
-                .collect(),
-        ),
-    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let doc = bench_doc("serve_fanout")
+        .field("cores", Json::num(cores as f64))
+        .field(
+            "rows",
+            Json::Arr(
+                rows.iter()
+                    .map(|r| {
+                        Json::obj()
+                            .field("subscribers", Json::num(r.subscribers as f64))
+                            .field("groups", Json::num(r.groups as f64))
+                            .field("fabric_tuples_per_sec", Json::num(r.fabric_tps))
+                            .field("baseline_tuples_per_sec", Json::num(r.baseline_tps))
+                            .field(
+                                "speedup_vs_n_sessions",
+                                Json::num(ratio(r.fabric_tps, r.baseline_tps)),
+                            )
+                            .field("notify_p50_ns", Json::num(r.notify_p50_ns as f64))
+                            .field("notify_p99_ns", Json::num(r.notify_p99_ns as f64))
+                            .field("ingest_p50_ns", Json::num(r.ingest_p50_ns as f64))
+                            .field("ingest_p99_ns", Json::num(r.ingest_p99_ns as f64))
+                            .field(
+                                "fabric_resident_tuples",
+                                Json::num(r.fabric_resident as f64),
+                            )
+                            .field(
+                                "baseline_resident_tuples",
+                                Json::num(r.baseline_resident as f64),
+                            )
+                            .field("dedup_hits", Json::num(r.dedup_hits as f64))
+                            .field("store_dedup_hits", Json::num(r.store_dedup_hits as f64))
+                    })
+                    .collect(),
+            ),
+        );
     ivm_bench::write_bench_json("BENCH_SERVE_JSON", "BENCH_serve.json", &doc);
 }
 

@@ -19,9 +19,15 @@
 //!   [`ivm_dataflow::StoreHub`]: the relation is resident once
 //!   node-wide, and the node advances the hub exactly once per batch
 //!   after every member engine has processed it.
-//! - **Fan-out delivery** — each [`ServeNode::apply_batch`] pushes
-//!   exactly one [`ViewDelta`] (possibly empty) to every live
-//!   subscriber, through a callback or a channel.
+//! - **Fan-out delivery, by reference** — each
+//!   [`ServeNode::apply_batch`] pushes exactly one [`ViewDelta`]
+//!   (possibly empty) to every live subscriber, through a callback or a
+//!   channel. A group's delta is built once per epoch and shared: the
+//!   `ViewDelta` is an immutable handle (`Arc`) to it, so delivering,
+//!   cloning or forwarding one is O(1), receipt is a refcount drop, and
+//!   an epoch costs O(|batch| + Σ_groups |delta| + subscribers) — the
+//!   batch is routed to the groups in one pass, and a group it does not
+//!   touch still delivers its (empty) delta.
 //!
 //! # Delivery and ordering guarantees
 //!
@@ -59,9 +65,14 @@
 //! | `ivm.serve.sub{id}.notify_ns` | histogram | per-subscriber delivery latency |
 //! | `ivm.serve.sub{id}.queue_depth` | gauge | per-subscriber undrained deliveries |
 //!
-//! Per-subscriber series use the stable subscription id, not the
-//! position, so identities survive churn; handles allocated before
-//! `observe` are backfilled with their history intact. When a
+//! Timing is taken only while a registry is attached: a detached node
+//! never reads the clock, an observed one reads it once per delivery
+//! (the end of one delivery is the start of the next, so `notify_ns`
+//! and the `serve.notify` spans tile the fan-out loop, bookkeeping
+//! included). Per-subscriber series use the stable subscription id, not
+//! the position, so identities survive churn; handles allocated before
+//! `observe` are published by it — `queue_depth` with its current
+//! value, `notify_ns` recording from then on. When a
 //! subscriber leaves — unsubscribed or evicted — its `sub{id}.*`
 //! series are **pruned** from the registry (an eviction first dumps a
 //! flight-recorder post-mortem with the final snapshot and the recent

@@ -15,7 +15,7 @@ use ivm_session::Session;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// Stable identifier of one subscription, assigned at
@@ -26,6 +26,12 @@ pub type SubId = u64;
 /// subscriber: the consolidated output delta of the batch. An empty
 /// delta is still delivered (exactly one `ViewDelta` per live
 /// subscriber per epoch), so receivers can track epochs without gaps.
+///
+/// The delta is a shared immutable handle: the engine's output relation
+/// is wrapped once per group per epoch and every subscriber of the group
+/// — callback or channel — sees that one allocation. Cloning, forwarding
+/// or holding a `ViewDelta` is O(1) (a refcount bump) and never copies
+/// tuples; later epochs never change a delta already handed out.
 #[derive(Clone)]
 pub struct ViewDelta<R> {
     /// The epoch (0-based [`ServeNode::apply_batch`] index) this delta
@@ -35,8 +41,9 @@ pub struct ViewDelta<R> {
     /// registered query.
     pub view: Sym,
     /// The output delta: tuples over the query's free variables with
-    /// their payload changes.
-    pub delta: Relation<R>,
+    /// their payload changes. Reads go through `Deref` (`delta.iter()`,
+    /// `delta.len()`, `delta.get(t)`, `&delta` as `&Relation<R>`).
+    pub delta: Arc<Relation<R>>,
 }
 
 impl<R: Semiring> ViewDelta<R> {
@@ -74,38 +81,31 @@ enum Sink<R> {
 struct Tap<R> {
     id: SubId,
     sink: Sink<R>,
-    /// Always allocated (an `Arc`'d atomic) so history survives a later
-    /// [`ServeNode::observe`] backfill.
+    /// Always allocated (an `Arc`'d atomic) so a later
+    /// [`ServeNode::observe`] can publish it; recorded only while a
+    /// registry is attached.
     notify_ns: Histogram,
     queue_depth: Gauge,
 }
 
 impl<R: Semiring> Tap<R> {
-    /// Deliver one epoch's delta. `false` means the subscriber is dead
-    /// (callback panicked or receiver dropped) and must be evicted.
+    /// Deliver one epoch's delta: callbacks borrow it, queues get a
+    /// handle to the same allocation. `false` means the subscriber is
+    /// dead (callback panicked, receiver dropped, bounded queue full)
+    /// and must be evicted.
     fn deliver(&mut self, vd: &ViewDelta<R>) -> bool {
-        match &mut self.sink {
-            Sink::Callback(cb) => catch_unwind(AssertUnwindSafe(|| cb(vd))).is_ok(),
-            Sink::Channel(tx) => {
-                if tx.send(vd.clone()).is_ok() {
-                    self.queue_depth.inc();
-                    true
-                } else {
-                    false
-                }
-            }
+        let queued = match &mut self.sink {
+            Sink::Callback(cb) => return catch_unwind(AssertUnwindSafe(|| cb(vd))).is_ok(),
+            Sink::Channel(tx) => tx.send(vd.clone()).is_ok(),
             // Never blocks: a full queue (Err(Full)) reports the
             // subscriber dead the same way a dropped receiver does, and
             // the shared eviction path handles both.
-            Sink::Bounded(tx) => {
-                if tx.try_send(vd.clone()).is_ok() {
-                    self.queue_depth.inc();
-                    true
-                } else {
-                    false
-                }
-            }
+            Sink::Bounded(tx) => tx.try_send(vd.clone()).is_ok(),
+        };
+        if queued {
+            self.queue_depth.inc();
         }
+        queued
     }
 }
 
@@ -116,8 +116,8 @@ struct Group<R: Semiring> {
     session: Session<R>,
     /// The view name deliveries carry (first-registered query's name).
     view: Sym,
-    /// Dynamic relations the engine consumes — the per-group stream
-    /// filter.
+    /// Dynamic relations the engine consumes — which parts of the
+    /// routed batch it is fed.
     rels: FxHashSet<Sym>,
     taps: Vec<Tap<R>>,
 }
@@ -256,8 +256,9 @@ impl<R: Semiring> ServeNode<R> {
 
     /// Attach a metrics registry. Node-level gauges snap to the current
     /// truth immediately; per-subscriber handles allocated before this
-    /// call are backfilled with their history intact (they are shared
-    /// atomics, not new series).
+    /// call are published as they stand (they are shared atomics, not
+    /// new series): `queue_depth` reads its live value, `notify_ns`
+    /// starts recording now — a detached node takes no timings.
     pub fn observe(&mut self, registry: &MetricsRegistry) {
         let ns = Namespace::new("ivm").child("serve");
         let tracer = registry.tracer().clone();
@@ -293,14 +294,11 @@ impl<R: Semiring> ServeNode<R> {
     /// the subscriber at its next delivery.
     pub fn subscribe(&mut self, query: Query) -> Result<Subscription<R>, EngineError> {
         let (tx, rx) = mpsc::channel();
-        let id = self.add_tap(query, Sink::Channel(tx))?;
-        let gid = self.sub_group[&id];
-        let group = &self.groups[&gid];
-        let tap = group.taps.iter().find(|t| t.id == id).expect("just added");
+        let (id, queue_depth) = self.add_tap(query, Sink::Channel(tx))?;
         Ok(Subscription {
             id,
             rx,
-            queue_depth: tap.queue_depth.clone(),
+            queue_depth,
         })
     }
 
@@ -318,14 +316,11 @@ impl<R: Semiring> ServeNode<R> {
         capacity: usize,
     ) -> Result<Subscription<R>, EngineError> {
         let (tx, rx) = mpsc::sync_channel(capacity.max(1));
-        let id = self.add_tap(query, Sink::Bounded(tx))?;
-        let gid = self.sub_group[&id];
-        let group = &self.groups[&gid];
-        let tap = group.taps.iter().find(|t| t.id == id).expect("just added");
+        let (id, queue_depth) = self.add_tap(query, Sink::Bounded(tx))?;
         Ok(Subscription {
             id,
             rx,
-            queue_depth: tap.queue_depth.clone(),
+            queue_depth,
         })
     }
 
@@ -337,18 +332,22 @@ impl<R: Semiring> ServeNode<R> {
         query: Query,
         callback: impl FnMut(&ViewDelta<R>) + 'static,
     ) -> Result<SubId, EngineError> {
-        self.add_tap(query, Sink::Callback(Box::new(callback)))
+        let (id, _) = self.add_tap(query, Sink::Callback(Box::new(callback)))?;
+        Ok(id)
     }
 
-    fn add_tap(&mut self, query: Query, sink: Sink<R>) -> Result<SubId, EngineError> {
+    /// Attach a tap to `query`'s group; returns its id and a handle to
+    /// its queue-depth gauge (the receiving end decrements it).
+    fn add_tap(&mut self, query: Query, sink: Sink<R>) -> Result<(SubId, Gauge), EngineError> {
         let gid = self.group_for(query)?;
         let id = self.next_sub;
         self.next_sub += 1;
+        let queue_depth = Gauge::default();
         let tap = Tap {
             id,
             sink,
             notify_ns: Histogram::default(),
-            queue_depth: Gauge::default(),
+            queue_depth: queue_depth.clone(),
         };
         if let Some(o) = &self.obs {
             o.register_tap(&tap);
@@ -360,7 +359,7 @@ impl<R: Semiring> ServeNode<R> {
             .taps
             .push(tap);
         self.sub_group.insert(id, gid);
-        Ok(id)
+        Ok((id, queue_depth))
     }
 
     /// Find or build the engine group maintaining `query`'s view.
@@ -442,13 +441,27 @@ impl<R: Semiring> ServeNode<R> {
     /// store hub — exactly once, after all members (the coordinator
     /// half of the [`StoreHub`] protocol).
     ///
+    /// The cost is O(|batch| + Σ_groups |delta| + subscribers): the
+    /// batch is routed to the groups in one pass, each group's delta is
+    /// built once, and every tap gets a handle to it.
+    ///
     /// Rejection is atomic: every update must target a relation some
-    /// subscriber's query has declared, or the whole batch is refused
-    /// with [`EngineError::UnknownRelation`] before anything advances.
+    /// subscriber's query has declared, with a tuple of that relation's
+    /// arity, or the whole batch is refused before anything advances —
+    /// [`EngineError::UnknownRelation`] for the former,
+    /// [`EngineError::NotSupported`] naming the mismatch for the latter.
     pub fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
         for u in batch {
-            if self.base.get(u.relation).is_none() {
+            let Some(rel) = self.base.get(u.relation) else {
                 return Err(EngineError::UnknownRelation(u.relation));
+            };
+            let (got, declared) = (u.tuple.arity(), rel.schema().arity());
+            if got != declared {
+                return Err(EngineError::NotSupported(format!(
+                    "update to {} carries a tuple of arity {got}, but the relation \
+                     is declared with arity {declared}",
+                    u.relation
+                )));
             }
         }
         let t0 = self.obs.as_ref().map(|_| Instant::now());
@@ -459,36 +472,64 @@ impl<R: Semiring> ServeNode<R> {
             .obs
             .as_ref()
             .map(|o| o.tracer.enter(o.root_label, self.epoch));
+        // Route the batch once: its positions split by relation (each
+        // group below picks its relations' parts), and the consolidated
+        // changeset the hub advances by.
+        let mut by_rel: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
+        let mut hub_delta = DeltaBatch::new();
+        for (i, u) in batch.iter().enumerate() {
+            by_rel.entry(u.relation).or_default().push(i);
+            hub_delta.push(u);
+        }
         self.base.apply_batch(batch);
         let epoch = self.epoch;
         let mut evicted: Vec<SubId> = Vec::new();
         for group in self.groups.values_mut() {
-            let sub_batch: Vec<Update<R>> = batch
+            // The group's share of the batch, in batch order — exactly
+            // what an independent session over this view would ingest.
+            // A group the batch does not touch gets an empty slice and
+            // still delivers its one (empty) delta.
+            let mut picks: Vec<usize> = group
+                .rels
                 .iter()
-                .filter(|u| group.rels.contains(&u.relation))
-                .cloned()
+                .filter_map(|r| by_rel.get(r))
+                .flatten()
+                .copied()
                 .collect();
+            picks.sort_unstable();
+            let sub_batch: Vec<Update<R>> = picks.into_iter().map(|i| batch[i].clone()).collect();
             let apply_span = self
                 .obs
                 .as_ref()
                 .and_then(|o| o.tracer.child_span(o.group_label));
-            // Filtered to the query's own dynamic relations, this cannot
-            // be rejected; a propagation error would still surface here.
+            // Restricted to the query's own dynamic relations, this
+            // cannot be rejected; a propagation error would still
+            // surface here.
             let delta = group.session.apply_batch(&sub_batch)?;
             drop(apply_span);
+            // Wrapped once; every tap below shares this allocation.
             let vd = ViewDelta {
                 epoch,
                 view: group.view,
-                delta,
+                delta: Arc::new(delta),
             };
+            // A detached node never reads the clock. An observed one
+            // reads it once per tap: the end of one delivery is the
+            // start of the next.
+            let mut timing = self
+                .obs
+                .as_ref()
+                .zip(root.as_ref())
+                .map(|(o, r)| (o, r, Instant::now()));
             group.taps.retain_mut(|tap| {
-                let t_notify = Instant::now();
                 let alive = tap.deliver(&vd);
-                let el = t_notify.elapsed();
-                tap.notify_ns.record_duration(el);
-                if let (Some(o), Some(r)) = (&self.obs, &root) {
+                if let Some((o, r, start)) = &mut timing {
+                    let end = Instant::now();
+                    let el = end.duration_since(*start);
+                    tap.notify_ns.record_duration(el);
                     o.tracer
-                        .record_at(o.notify_label, Some(r.id()), r.epoch(), t_notify, el);
+                        .record_at(o.notify_label, Some(r.id()), r.epoch(), *start, el);
+                    *start = end;
                 }
                 if !alive {
                     // The endpoint is gone, and with it its queue: the
@@ -524,7 +565,7 @@ impl<R: Semiring> ServeNode<R> {
             .obs
             .as_ref()
             .and_then(|o| o.tracer.child_span(o.advance_label));
-        self.hub.advance_batch(&DeltaBatch::from_updates(batch));
+        self.hub.advance_batch(&hub_delta);
         drop(advance_span);
         self.epoch += 1;
         if let (Some(o), Some(t0)) = (&self.obs, t0) {

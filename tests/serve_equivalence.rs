@@ -24,6 +24,10 @@
 //! sessions are built *without* shared stores, so the comparison is
 //! precisely "fabric vs N independent engines".
 //!
+//! Every other batch is cut down to one catalog query's relations, so the
+//! other groups are provably untouched that epoch: they must still hear
+//! exactly one — empty — delta with the right epoch stamp.
+//!
 //! Shapes, stream strategies, and the comparison helper live in
 //! `tests/common`.
 
@@ -36,6 +40,8 @@ use ivm_query::{Atom, Query};
 use ivm_serve::{ServeNode, Subscription};
 use ivm_session::Session;
 use proptest::prelude::*;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// An α-renamed, atom-rotated triangle over the *same* relation as
 /// `triangle("sv_")` — canonically equal, so it must share that engine.
@@ -127,8 +133,10 @@ fn check_fabric(
     mid_pick: usize,
     mid_at: usize,
     unsub_at: usize,
+    focus: usize,
 ) -> Result<(), TestCaseError> {
     let rels = all_relations();
+    let focus_rels: Vec<Sym> = catalog(focus).atoms.iter().map(|a| a.name).collect();
     let updates: Vec<Update<i64>> = ops
         .iter()
         .filter(|(_, _, m)| *m != 0)
@@ -178,9 +186,12 @@ fn check_fabric(
             prop_assert_eq!(node.group_count(), expected_groups(&pairs));
         }
 
+        // Odd batches feed only the focus query's relations: every group
+        // over other relations is untouched that epoch.
         let batch: Vec<Update<i64>> = raw_batch
             .iter()
             .filter(|u| known.contains(&u.relation))
+            .filter(|u| batch_no % 2 == 0 || focus_rels.contains(&u.relation))
             .cloned()
             .collect();
         node.apply_batch(&batch).unwrap();
@@ -208,6 +219,13 @@ fn check_fabric(
                 p.sub.try_next().is_none(),
                 "more than one delivery in one epoch"
             );
+            if filtered.is_empty() {
+                prop_assert!(
+                    vd.delta.is_empty(),
+                    "subscriber {} of an untouched group heard a non-empty delta",
+                    p.sub.id()
+                );
+            }
             outputs_match(
                 &vd.delta,
                 &expect_delta,
@@ -238,11 +256,13 @@ proptest! {
         subs in proptest::collection::vec(0usize..4, 1..5),
         ops in edge_ops(8, 4, 0..48),
         chunk in 1usize..9,
-        mid_pick in 0usize..4,
+        // (mid-stream pick, focus query of the one-group batches)
+        picks in (0usize..4, 0usize..4),
         mid_at in 0usize..4,
         unsub_at in 0usize..6,
     ) {
-        check_fabric(&subs, &ops, chunk, mid_pick, mid_at, unsub_at)?;
+        let (mid_pick, focus) = picks;
+        check_fabric(&subs, &ops, chunk, mid_pick, mid_at, unsub_at, focus)?;
     }
 }
 
@@ -311,4 +331,64 @@ fn two_views_one_relation_share_state_and_stay_correct() {
         node.resident_tuples(),
         independent
     );
+}
+
+/// Rejection is atomic for malformed tuples too: an update whose arity
+/// differs from the relation's declared schema refuses the whole batch
+/// — well-formed updates ahead of it included — before the base, any
+/// engine, any subscriber's queue or the epoch moves.
+#[test]
+fn malformed_tuple_refuses_the_whole_batch_and_touches_nothing() {
+    let tri = triangle("svm_");
+    let cyc = four_cycle("svm_");
+    let (e, r4) = (sym("svm_E"), sym("svm_4R"));
+
+    let mut node = ServeNode::<i64>::new();
+    let mut tri_sub = node.subscribe(tri).unwrap();
+    let mut cyc_sub = node.subscribe_bounded(cyc.clone(), 4).unwrap();
+    let calls = Rc::new(Cell::new(0u32));
+    let seen = Rc::clone(&calls);
+    let cb = node
+        .subscribe_with(cyc, move |_| seen.set(seen.get() + 1))
+        .unwrap();
+
+    let good = [
+        Update::insert(e, tup![1i64, 2i64]),
+        Update::insert(e, tup![2i64, 3i64]),
+        Update::insert(e, tup![3i64, 1i64]),
+        Update::insert(r4, tup![1i64, 2i64]),
+    ];
+    node.apply_batch(&good).unwrap();
+    assert!(tri_sub.try_next().is_some() && cyc_sub.try_next().is_some());
+    let ids = [tri_sub.id(), cyc_sub.id(), cb];
+    let views: Vec<_> = ids.iter().map(|&id| node.view(id).unwrap()).collect();
+    let resident = node.resident_tuples();
+
+    for bad in [tup![4i64, 5i64, 6i64], tup![4i64]] {
+        let batch = [
+            Update::insert(e, tup![3i64, 4i64]),
+            Update::insert(r4, bad),
+            Update::insert(e, tup![4i64, 1i64]),
+        ];
+        let err = node.apply_batch(&batch).unwrap_err();
+        assert!(
+            matches!(&err, ivm_core::EngineError::NotSupported(m) if m.contains("arity")),
+            "{err}"
+        );
+        assert_eq!(node.epoch(), 1, "a refused batch is not an epoch");
+        assert!(tri_sub.try_next().is_none() && cyc_sub.try_next().is_none());
+        assert_eq!(calls.get(), 1, "no callback ran for the refused batch");
+        assert_eq!(node.resident_tuples(), resident);
+        for (&id, before) in ids.iter().zip(&views) {
+            let after = node.view(id).unwrap();
+            outputs_match(&after, before, "view after a refused batch").unwrap();
+        }
+    }
+
+    // The node carries on: the next well-formed batch is epoch 1.
+    node.apply_batch(&[Update::insert(e, tup![3i64, 4i64])])
+        .unwrap();
+    assert_eq!(tri_sub.try_next().map(|vd| vd.epoch), Some(1));
+    assert_eq!(cyc_sub.try_next().map(|vd| vd.epoch), Some(1));
+    assert_eq!(calls.get(), 2);
 }
