@@ -216,7 +216,9 @@ impl<R: Semiring> FactorizedJoin<R> {
     /// Materialize the output (test helper).
     pub fn output(&self) -> Relation<R> {
         let mut out = Relation::new(self.query.free.clone());
-        self.for_each(&mut |t, r| out.apply(t.clone(), r));
+        self.for_each(&mut |t, r| {
+            out.apply(t.clone(), r);
+        });
         out
     }
 }
@@ -327,7 +329,9 @@ impl<R: Semiring> InsertOnlyEngine<R> {
     /// Materialize the output (test helper).
     pub fn output(&mut self) -> Result<Relation<R>, EngineError> {
         let mut out = Relation::new(self.query.free.clone());
-        self.for_each_output(&mut |t, r| out.apply(t.clone(), r))?;
+        self.for_each_output(&mut |t, r| {
+            out.apply(t.clone(), r);
+        })?;
         Ok(out)
     }
 }

@@ -173,14 +173,18 @@ impl<R: Ring> CascadeEngine<R> {
     /// Materialized `Q1` output (test helper).
     pub fn q1_output(&mut self) -> Result<Relation<R>, EngineError> {
         let mut out = Relation::new(self.q1.free.clone());
-        self.enumerate_q1(&mut |t, r| out.apply(t.clone(), r))?;
+        self.enumerate_q1(&mut |t, r| {
+            out.apply(t.clone(), r);
+        })?;
         Ok(out)
     }
 
     /// Materialized `Q2` output (test helper; refreshes).
     pub fn q2_output(&mut self) -> Result<Relation<R>, EngineError> {
         let mut out = Relation::new(self.q2().free.clone());
-        self.enumerate_q2(&mut |t, r| out.apply(t.clone(), r))?;
+        self.enumerate_q2(&mut |t, r| {
+            out.apply(t.clone(), r);
+        })?;
         Ok(out)
     }
 }

@@ -242,7 +242,9 @@ impl<R: Semiring> CqapEngine<R> {
     /// Materialize all answers for an access (test helper).
     pub fn access_output(&self, input: &Tuple) -> Relation<R> {
         let mut out = Relation::new(self.query.output());
-        self.access(input, &mut |t, r| out.apply(t.clone(), r));
+        self.access(input, &mut |t, r| {
+            out.apply(t.clone(), r);
+        });
         out
     }
 

@@ -72,7 +72,9 @@ pub trait Maintainer<R: Semiring> {
     fn output(&mut self) -> Relation<R> {
         let free = self.query().free.clone();
         let mut out = Relation::new(free);
-        self.for_each_output(&mut |t, r| out.apply(t.clone(), r));
+        self.for_each_output(&mut |t, r| {
+            out.apply(t.clone(), r);
+        });
         out
     }
 }

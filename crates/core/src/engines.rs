@@ -98,8 +98,9 @@ impl<R: Semiring> Maintainer<R> for EagerListEngine<R> {
     fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
         // Delta-enumerate against the pre-update state, then maintain.
         let output = &mut self.output;
-        self.tree
-            .delta_for_each(upd, &mut |t, d| output.apply(t.clone(), d))?;
+        self.tree.delta_for_each(upd, &mut |t, d| {
+            output.apply(t.clone(), d);
+        })?;
         self.tree.apply(upd)
     }
 

@@ -713,7 +713,9 @@ impl<R: Semiring> ViewTree<R> {
     /// Materialize the current output (test/oracle helper; O(|output|)).
     pub fn output(&self) -> Relation<R> {
         let mut out = Relation::new(self.query.free.clone());
-        self.for_each_output(&mut |t, r| out.apply(t.clone(), r));
+        self.for_each_output(&mut |t, r| {
+            out.apply(t.clone(), r);
+        });
         out
     }
 }
@@ -977,8 +979,10 @@ mod tests {
         let before = tree.output();
         let upd = Update::insert(r, tup![1i64, 11i64]);
         let mut delta = Relation::<i64>::new(q.free.clone());
-        tree.delta_for_each(&upd, &mut |t, m| delta.apply(t.clone(), m))
-            .unwrap();
+        tree.delta_for_each(&upd, &mut |t, m| {
+            delta.apply(t.clone(), m);
+        })
+        .unwrap();
         tree.apply(&upd).unwrap();
         let after = tree.output();
 

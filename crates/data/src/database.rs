@@ -1,7 +1,7 @@
 //! A database: a set of named relations over a common ring.
 
 use crate::hash::FxHashMap;
-use crate::relation::Relation;
+use crate::relation::{Presence, Relation};
 use crate::schema::{Schema, Sym};
 use crate::update::Update;
 use ivm_ring::Semiring;
@@ -65,15 +65,16 @@ impl<R: Semiring> Database<R> {
         self.relations.get_mut(&name)
     }
 
-    /// Apply a single-tuple update to its relation.
+    /// Apply a single-tuple update to its relation, reporting what it
+    /// did to the tuple's presence.
     ///
     /// # Panics
     /// Panics when the relation does not exist.
-    pub fn apply(&mut self, upd: &Update<R>) {
+    pub fn apply(&mut self, upd: &Update<R>) -> Presence {
         self.relations
             .get_mut(&upd.relation)
             .unwrap_or_else(|| panic!("unknown relation {}", upd.relation))
-            .apply(upd.tuple.clone(), &upd.payload);
+            .apply(upd.tuple.clone(), &upd.payload)
     }
 
     /// Apply a batch in order.

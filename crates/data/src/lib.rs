@@ -24,7 +24,7 @@ pub mod value;
 pub use codec::Persist;
 pub use database::Database;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use relation::{GroupedIndex, Relation};
+pub use relation::{GroupedIndex, Presence, Relation};
 pub use schema::{sym, vars, Schema, Sym};
 pub use tuple::Tuple;
 pub use update::{

@@ -6,6 +6,20 @@ use crate::tuple::Tuple;
 use ivm_ring::Semiring;
 use std::fmt;
 
+/// What a single-tuple update did to its tuple's *presence* — the
+/// transition degree counts and relation sizes are maintained from
+/// ([`Relation::apply`] reports it; a payload change that leaves the tuple
+/// present, or absent, is [`Presence::Unchanged`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Presence {
+    /// The tuple was absent and is now present: `|R|` grew by one.
+    Appeared,
+    /// The tuple's payload cancelled to zero: `|R|` shrank by one.
+    Vanished,
+    /// Present before and after, or absent before and after.
+    Unchanged,
+}
+
 /// A relation over a schema and a ring: a finite map from tuples to
 /// non-zero payloads (Sec. 2 of the paper).
 ///
@@ -68,21 +82,26 @@ impl<R: Semiring> Relation<R> {
 
     /// Apply a single-tuple update: add `delta` to `t`'s payload, pruning
     /// on cancellation to zero. This is the `R := R ⊎ δR` of the paper for a
-    /// singleton delta. Amortized O(1).
-    pub fn apply(&mut self, t: Tuple, delta: &R) {
+    /// singleton delta. Amortized O(1). Returns what the update did to
+    /// `t`'s presence.
+    pub fn apply(&mut self, t: Tuple, delta: &R) -> Presence {
         debug_assert_eq!(t.arity(), self.schema.arity(), "tuple arity mismatch");
         if delta.is_zero() {
-            return;
+            return Presence::Unchanged;
         }
         match self.data.entry(t) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 e.get_mut().add_assign(delta);
                 if e.get().is_zero() {
                     e.remove();
+                    Presence::Vanished
+                } else {
+                    Presence::Unchanged
                 }
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(delta.clone());
+                Presence::Appeared
             }
         }
     }

@@ -10,9 +10,9 @@
 //! strategy to *observed* relation sizes and skew. This module supplies
 //! the two pieces a caller needs to do the same:
 //!
-//! * [`LearnedCardinalities`] — live per-relation counts, refreshed from
-//!   the mirrored base state the caller already owns (relation sizes are
-//!   O(1) reads, so a refresh is O(#atoms) per batch);
+//! * [`LearnedCardinalities`] — live per-relation sizes and per-key
+//!   degrees, counted from the presence transitions the owner of the base
+//!   state reports as it applies each update (O(1) per update);
 //! * [`ReplanPolicy`] — decides *when* a re-lowering pays for itself, by
 //!   comparing the orders the running plan was lowered from against what
 //!   [`cost::atom_order`]/[`cost::variable_order`] would derive from the
@@ -28,83 +28,80 @@
 use crate::cost::{self, Cardinalities};
 use crate::graph::DataflowStats;
 use crate::planner::{resolve_strategy, JoinStrategy};
-use ivm_data::{Database, FxHashMap, FxHashSet, Sym, Update, Value};
+use ivm_data::{Database, FxHashMap, Presence, Sym, Tuple, Value};
 use ivm_query::Query;
 use ivm_ring::Semiring;
 
-/// Exact per-key degree tracking for one binary relation: which distinct
-/// partners each first-column key currently has. This is the statistic
-/// the heavy-light family thresholds on (a key is *heavy* when its degree
-/// reaches N^ε), so the adaptive layer tracks it the same way it tracks
-/// relation sizes — from the mirrored base state it already owns.
+/// Exact per-key degree counts for one binary relation: how many distinct
+/// partners each first-column key currently has — the statistic the
+/// heavy-light family thresholds on (a key is *heavy* at degree ≥ N^ε).
+/// A count, not a partner set: the base relation already knows which
+/// pairs are present, so its owner feeds each pair's [`Presence`]
+/// transition in and the sketch only adds or subtracts one.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DegreeSketch {
-    rows: FxHashMap<Value, FxHashSet<Value>>,
+    degrees: FxHashMap<Value, u64>,
 }
 
 impl DegreeSketch {
-    /// Record the post-update presence of pair `(x, y)`.
-    pub fn set_present(&mut self, x: &Value, y: &Value, present: bool) {
-        if present {
-            self.rows.entry(x.clone()).or_default().insert(y.clone());
-        } else if let Some(row) = self.rows.get_mut(x) {
-            row.remove(y);
-            if row.is_empty() {
-                self.rows.remove(x);
+    /// Count a pair with first column `x` appearing in, or vanishing
+    /// from, the relation. Keys whose degree returns to zero are dropped.
+    pub fn note(&mut self, x: &Value, change: Presence) {
+        match change {
+            Presence::Appeared => *self.degrees.entry(x.clone()).or_default() += 1,
+            Presence::Vanished => {
+                if let Some(d) = self.degrees.get_mut(x) {
+                    *d -= 1;
+                    if *d == 0 {
+                        self.degrees.remove(x);
+                    }
+                }
             }
+            Presence::Unchanged => {}
         }
     }
 
     /// The current degree (distinct present partners) of `x`.
     pub fn degree(&self, x: &Value) -> u64 {
-        self.rows.get(x).map_or(0, |r| r.len() as u64)
+        self.degrees.get(x).copied().unwrap_or(0)
     }
 
     /// The largest degree of any key — the skew statistic the family
     /// policy compares against the N^ε sublinear bound.
     pub fn max_degree(&self) -> u64 {
-        self.rows
-            .values()
-            .map(|r| r.len() as u64)
-            .max()
-            .unwrap_or(0)
+        self.degrees.values().copied().max().unwrap_or(0)
     }
 
     /// How many keys have degree ≥ `threshold` (the would-be heavy set).
     pub fn keys_at_least(&self, threshold: u64) -> usize {
-        self.rows
-            .values()
-            .filter(|r| r.len() as u64 >= threshold)
-            .count()
+        self.degrees.values().filter(|&&d| d >= threshold).count()
     }
 
     /// Per-key degrees sorted by key, for persistence: identical sketches
     /// export identical byte streams.
     pub fn export(&self) -> Vec<(Value, u64)> {
-        let mut out: Vec<(Value, u64)> = self
-            .rows
-            .iter()
-            .map(|(k, r)| (k.clone(), r.len() as u64))
-            .collect();
+        let mut out: Vec<(Value, u64)> =
+            self.degrees.iter().map(|(k, &d)| (k.clone(), d)).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
     fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.degrees.is_empty()
     }
 }
 
-/// Live per-relation cardinalities, learned from the update stream.
+/// Live per-relation sizes and per-key degrees, counted from the update
+/// stream.
 ///
-/// The tracker does not second-guess the base state: the caller that owns
-/// the ground truth (e.g. the session's mirrored database) calls
-/// [`LearnedCardinalities::refresh`] after each applied batch, which
-/// snapshots every query relation's *live* size — exact, and O(#atoms)
-/// per batch because relation sizes are O(1) reads.
-/// Degree sketches are only kept for binary relations — the shape the
-/// heavy-light family partitions — so the per-batch tracking cost stays
-/// proportional to the updates that could actually shift the family.
+/// The tracker belongs to whoever owns the base relations (the session's
+/// one base store): seed it from that base with [`refresh`](Self::refresh)
+/// — and [`rebuild_degrees`](Self::rebuild_degrees) when the skew
+/// statistic is wanted — then feed every applied update's [`Presence`]
+/// transition through [`observe`](Self::observe). Counts stay exact at
+/// O(1) per update with no second look at the base; degrees are kept only
+/// for the binary relations `rebuild_degrees` seeded (the shape the
+/// heavy-light family partitions).
 #[derive(Clone, Debug, Default)]
 pub struct LearnedCardinalities {
     sizes: FxHashMap<Sym, usize>,
@@ -123,6 +120,22 @@ impl LearnedCardinalities {
         for atom in &q.atoms {
             self.sizes
                 .insert(atom.name, db.get(atom.name).map_or(0, |r| r.len()));
+        }
+    }
+
+    /// Count one applied update: `change` is what it did to `tuple`'s
+    /// presence in `relation`, as [`Database::apply`] reports it. Moves
+    /// the relation's size and, where degrees are tracked, the degree of
+    /// the tuple's first column. The tracker must have been seeded from
+    /// the base the update hit, or a tuple it never counted underflows.
+    pub fn observe(&mut self, relation: Sym, tuple: &Tuple, change: Presence) {
+        match change {
+            Presence::Unchanged => return,
+            Presence::Appeared => *self.sizes.entry(relation).or_default() += 1,
+            Presence::Vanished => *self.sizes.entry(relation).or_default() -= 1,
+        }
+        if let Some(sketch) = self.degrees.get_mut(&relation) {
+            sketch.note(tuple.at(0), change);
         }
     }
 
@@ -152,62 +165,14 @@ impl LearnedCardinalities {
         cards
     }
 
-    /// Export the learned counts for persistence, sorted by relation name
-    /// so identical trackers export identical byte streams.
-    pub fn export(&self) -> Vec<(Sym, u64)> {
-        let mut out: Vec<(Sym, u64)> = self
-            .sizes
-            .iter()
-            .map(|(&rel, &n)| (rel, n as u64))
-            .collect();
-        out.sort_by_key(|(rel, _)| rel.name());
-        out
-    }
-
-    /// Rebuild a tracker from previously [`export`](Self::export)ed
-    /// counts — the warm-restart path: a recovered session resumes with
-    /// the cardinalities it had learned before the kill instead of
-    /// starting blind.
-    pub fn import(counts: impl IntoIterator<Item = (Sym, u64)>) -> Self {
-        LearnedCardinalities {
-            sizes: counts
-                .into_iter()
-                .map(|(rel, n)| (rel, n as usize))
-                .collect(),
-            degrees: FxHashMap::default(),
-        }
-    }
-
-    /// Track per-key degrees through a batch that has already been
-    /// applied to `db`: each touched pair's sketch entry is set to its
-    /// *post-state* presence, so replaying the same update twice (or a
-    /// whole consolidated batch out of order) converges to the same
-    /// sketch. Only binary atoms of `q` are tracked.
-    pub fn observe_batch<R: Semiring>(&mut self, db: &Database<R>, q: &Query, batch: &[Update<R>]) {
-        for upd in batch {
-            if upd.tuple.arity() != 2 {
-                continue;
-            }
-            if !q.atoms.iter().any(|a| a.name == upd.relation) {
-                continue;
-            }
-            let present = db.get(upd.relation).is_some_and(|r| r.contains(&upd.tuple));
-            self.degrees.entry(upd.relation).or_default().set_present(
-                upd.tuple.at(0),
-                upd.tuple.at(1),
-                present,
-            );
-        }
-    }
-
-    /// Rebuild every binary relation's degree sketch from the base state
-    /// in one scan — the recovery path: a restored session gets its exact
-    /// heavy-hitter picture back without replaying the stream that
-    /// produced it.
+    /// Count every binary relation's per-key degrees from the base state
+    /// in one scan, and track them from here on — the seed over a
+    /// populated base, and the reference maintained counts must equal.
     pub fn rebuild_degrees<R: Semiring>(&mut self, db: &Database<R>, q: &Query) {
         self.degrees.clear();
         for atom in &q.atoms {
-            if atom.schema.arity() != 2 {
+            // A self-join names one relation in several atoms: count it once.
+            if atom.schema.arity() != 2 || self.degrees.contains_key(&atom.name) {
                 continue;
             }
             let Some(rel) = db.get(atom.name) else {
@@ -215,7 +180,7 @@ impl LearnedCardinalities {
             };
             let sketch = self.degrees.entry(atom.name).or_default();
             for (t, _) in rel.iter() {
-                sketch.set_present(t.at(0), t.at(1), true);
+                sketch.note(t.at(0), Presence::Appeared);
             }
         }
     }
@@ -283,7 +248,7 @@ impl ReplanTrigger {
 /// The two backend *families* the adaptive layer can re-select between
 /// mid-stream. Strategy replans re-lower orders within the dataflow
 /// family; a family shift tears the backend down and rebuilds the other
-/// kind from the mirrored base, carrying the learned statistics across.
+/// kind from the session's base, carrying the learned statistics across.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineFamily {
     /// Delta-dataflow (left-deep or worst-case-optimal multiway).
@@ -801,41 +766,79 @@ mod tests {
             .is_none());
     }
 
+    /// Apply `batch` to `db` and feed each presence transition to
+    /// `learned` — what the owner of a base store does per update.
+    fn apply_observed(
+        db: &mut Database<i64>,
+        learned: &mut LearnedCardinalities,
+        batch: &[Update<i64>],
+    ) {
+        for u in batch {
+            let change = db.apply(u);
+            learned.observe(u.relation, &u.tuple, change);
+        }
+    }
+
     #[test]
-    fn degree_sketch_tracks_post_state_presence() {
+    fn degree_counts_follow_presence_transitions() {
         let q = chain();
         let r = sym("ad_R");
         let mut db: Database<i64> = Database::new();
         db.create(r, q.atoms[0].schema.clone());
         let mut learned = LearnedCardinalities::new();
+        learned.rebuild_degrees(&db, &q);
         let mut batch = vec![
             Update::insert(r, tup![0i64, 1i64]),
             Update::insert(r, tup![0i64, 2i64]),
             Update::insert(r, tup![5i64, 1i64]),
         ];
-        db.apply_batch(&batch);
-        learned.observe_batch(&db, &q, &batch);
+        apply_observed(&mut db, &mut learned, &batch);
         let sketch = learned.degree_sketch(r).unwrap();
         assert_eq!(sketch.degree(&Value::from(0i64)), 2);
         assert_eq!(sketch.max_degree(), 2);
         assert_eq!(learned.max_degree_any(), 2);
         assert_eq!(sketch.keys_at_least(2), 1);
+        assert_eq!(learned.get(r), 3);
         // A delete drops the pair; multiplicity bumps don't change degree.
         batch = vec![
             Update::delete(r, tup![0i64, 2i64]),
             Update::insert(r, tup![5i64, 1i64]),
         ];
-        db.apply_batch(&batch);
-        learned.observe_batch(&db, &q, &batch);
+        apply_observed(&mut db, &mut learned, &batch);
         let sketch = learned.degree_sketch(r).unwrap();
         assert_eq!(sketch.degree(&Value::from(0i64)), 1);
         assert_eq!(sketch.degree(&Value::from(5i64)), 1);
-        // Rebuilding from the base gives the identical sketch (and the
-        // identical sorted export), so recovery re-learns nothing.
+        assert_eq!(learned.get(r), 2);
+        // Counting the base from scratch gives the identical sketch (and
+        // the identical sorted export), so recovery re-learns nothing.
         let observed = learned.export_degrees();
         let mut rebuilt = LearnedCardinalities::new();
         rebuilt.rebuild_degrees(&db, &q);
         assert_eq!(rebuilt.export_degrees(), observed);
+    }
+
+    /// A self-join names one relation in three atoms; the counting scan
+    /// must visit it once, not once per atom.
+    #[test]
+    fn rebuild_counts_a_self_joined_relation_once() {
+        let [a, b, c] = vars(["ad_sa", "ad_sb", "ad_sc"]);
+        let e = sym("ad_E");
+        let q = Query::new(
+            "ad_self",
+            [],
+            vec![
+                Atom::new(e, [a, b]),
+                Atom::new(e, [b, c]),
+                Atom::new(e, [c, a]),
+            ],
+        );
+        let mut db: Database<i64> = Database::new();
+        db.create(e, q.atoms[0].schema.clone());
+        db.apply(&Update::insert(e, tup![0i64, 1i64]));
+        db.apply(&Update::insert(e, tup![0i64, 2i64]));
+        let mut learned = LearnedCardinalities::new();
+        learned.rebuild_degrees(&db, &q);
+        assert_eq!(learned.max_degree_any(), 2);
     }
 
     #[test]
@@ -854,10 +857,9 @@ mod tests {
         let batch: Vec<Update<i64>> = (0..100i64)
             .map(|i| Update::insert(r, tup![0i64, i]))
             .collect();
-        db.apply_batch(&batch);
         let mut learned = LearnedCardinalities::new();
-        learned.refresh(&db, &q);
-        learned.observe_batch(&db, &q, &batch);
+        learned.rebuild_degrees(&db, &q);
+        apply_observed(&mut db, &mut learned, &batch);
 
         // Ineligible queries never shift family.
         assert!(policy
@@ -890,10 +892,9 @@ mod tests {
         let flat: Vec<Update<i64>> = (0..100i64)
             .map(|i| Update::insert(r, tup![i, i + 1]))
             .collect();
-        flat_db.apply_batch(&flat);
         let mut calm = LearnedCardinalities::new();
-        calm.refresh(&flat_db, &q);
-        calm.observe_batch(&flat_db, &q, &flat);
+        calm.rebuild_degrees(&flat_db, &q);
+        apply_observed(&mut flat_db, &mut calm, &flat);
         assert_eq!(calm.max_degree_any(), 1);
         let back = policy
             .decide_family(EngineFamily::HeavyLight, true, &calm, 100, 100)

@@ -243,18 +243,18 @@ impl<R: Semiring> DataflowEngine<R> {
     }
 
     /// Join this engine's multiway stores (slots fed directly by base
-    /// relations) onto a [`StoreHub`] shared with other engines, so
-    /// overlapping relations are stored once fleet-wide. Returns the
+    /// relations) onto a [`crate::StoreHub`] shared with other engines,
+    /// so overlapping relations are stored once fleet-wide. Returns the
     /// number of dedup hits. Shared slots stop advancing in-engine; the
-    /// hub owner must call [`StoreHub::advance_batch`] once per batch
-    /// after every member engine has processed it.
+    /// hub owner must call [`crate::StoreHub::advance_batch`] once per
+    /// batch after every member engine has processed it.
     pub fn share_stores(&mut self, hub: &crate::StoreHub<R>) -> usize {
         self.dataflow.share_multiway_stores(hub)
     }
 
     /// Tuples resident in engine-owned state (output view, join
     /// indexes, non-hub multiway stores). Hub-shared stores are counted
-    /// by [`StoreHub::stored_tuples`], not here.
+    /// by [`crate::StoreHub::stored_tuples`], not here.
     pub fn resident_tuples(&self) -> usize {
         self.dataflow.resident_tuples()
     }

@@ -14,8 +14,8 @@
 //!
 //! # Index structure
 //!
-//! Each distinct dataflow input (≈ base relation) owns one [`Store`]: the
-//! tuple→payload map plus a pool of [`PatternIndex`]es, the hash-trie
+//! Each distinct dataflow input (≈ base relation) owns one `Store`: the
+//! tuple→payload map plus a pool of `PatternIndex`es, the hash-trie
 //! analogue of leapfrog's sorted tries. A pattern `(key_pos, val_pos)`
 //! maps an assignment of the key columns to the set of values the `val`
 //! column can take (with support counts, so deletions retract candidates).
@@ -217,7 +217,7 @@ struct SeedPlan {
     steps: Vec<Step>,
 }
 
-/// A registry of multiway [`Store`]s shared *across* engines, keyed by
+/// A registry of multiway `Store`s shared *across* engines, keyed by
 /// base relation. A serving layer maintaining many views over one ingest
 /// stream hands the same hub to every member engine's builder: the first
 /// engine to join a relation donates its store, later engines adopt it,
@@ -230,7 +230,7 @@ struct SeedPlan {
 /// until every member has run its inclusion–exclusion search for the
 /// epoch — the `R_i^old` factors of the delta expansion. Member engines
 /// therefore never advance shared slots inside
-/// [`MultiwayState::apply`]; the coordinator calls
+/// `MultiwayState::apply`; the coordinator calls
 /// [`StoreHub::advance_batch`] once per epoch, after all members, with
 /// the same consolidated batch it fed them. Owned (non-shared) slots
 /// keep the original in-engine advance.

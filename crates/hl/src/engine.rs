@@ -42,7 +42,7 @@ pub(crate) fn rotation(q: &Query) -> Option<([Sym; 3], [Sym; 3])> {
 }
 
 /// Whether `q` is a query the heavy-light engine maintains (see
-/// [`rotation`]). The session layer consults this during classification
+/// `rotation`). The session layer consults this during classification
 /// so auto-selection only routes eligible cyclic queries here.
 pub fn admits(q: &Query) -> bool {
     rotation(q).is_some()

@@ -5,7 +5,7 @@
 //! complexity an engine can achieve, before a single tuple flows. This
 //! module runs every analysis `ivm_query` provides and condenses them
 //! into the [`QueryClass`] that drives engine selection in
-//! [`crate::select`].
+//! [`mod@crate::select`].
 
 use ivm_query::acyclic::{is_acyclic, is_free_connex};
 use ivm_query::{is_hierarchical, is_q_hierarchical, is_tractable_cqap, Query};

@@ -28,10 +28,10 @@
 //!
 //! Four modules, one pipeline:
 //!
-//! * [`classify`] — run every dichotomy analysis (`is_q_hierarchical`,
+//! * [`mod@classify`] — run every dichotomy analysis (`is_q_hierarchical`,
 //!   `is_tractable_cqap`, GYO acyclicity, free-connexity, self-join
 //!   freedom) and condense them into a [`QueryClass`];
-//! * [`select`] — map the class (plus the builder's `.shards(n)` /
+//! * [`mod@select`] — map the class (plus the builder's `.shards(n)` /
 //!   `.engine(kind)` requests) to an [`EngineKind`];
 //! * [`session`] — build the engine and wrap it in the uniform
 //!   [`Session`] handle, itself an `ivm_core::Maintainer`;

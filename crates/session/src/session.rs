@@ -21,6 +21,7 @@ use ivm_query::Query;
 use ivm_ring::Semiring;
 use ivm_shard::{ShardedEngine, ShardedStats};
 use ivm_store::{record_recovery_failure, Recovered, SnapshotDoc, Store};
+use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -181,36 +182,27 @@ impl<R: Semiring> SessionBuilder<R> {
         self
     }
 
-    /// Make the session durable: start a **new** journal (and snapshot
-    /// slot) in the directory at `path`, created if missing — any
-    /// previous history there is discarded (resume one with
-    /// [`SessionBuilder::recover`] instead).
-    ///
-    /// Every ingestion call is then journaled *write-ahead*: the batch is
-    /// appended and fsynced under a fresh epoch before the backend sees
-    /// it, so a crash mid-apply loses nothing that was acknowledged.
-    /// [`Session::snapshot`] consolidates the history into one atomic
-    /// snapshot file and truncates the journal behind it, bounding
-    /// recovery time by the tail since the last snapshot rather than
-    /// total history. With [`SessionBuilder::observe`] attached, the
-    /// store publishes `ivm.store.*` series (append/fsync latency,
     /// Arm adaptive replanning under `policy`.
     ///
-    /// The session then mirrors the base state it feeds the engine,
-    /// learns live relation cardinalities from every applied batch, and —
-    /// when the policy decides a re-lowering pays for itself (first data
-    /// after an empty-database build, observed binary-join blowup, or a
-    /// predicted cost ratio from the learned counts; all with hysteresis)
-    /// — re-derives the plan's atom/variable orders via
-    /// `DataflowEngine::replan_with_cards`, broadcast fleet-wide for
-    /// sharded sessions. Every replan is recorded in
-    /// [`Explain::replans`], and [`Explain::engine`]/[`Explain::cost`]
-    /// track the plan actually running.
+    /// The session then keeps its own base store — the one copy of the
+    /// base relations outside the engine, shared with
+    /// [`SessionBuilder::durable`] — which counts live relation sizes
+    /// (and, for triangle-class queries, per-key degrees) as it applies
+    /// every accepted batch. When the policy decides a re-lowering pays
+    /// for itself (first data after an empty-database build, observed
+    /// binary-join blowup, or a predicted cost ratio from the learned
+    /// counts; all with hysteresis) the session re-derives the plan's
+    /// atom/variable orders via `DataflowEngine::replan_with_cards`,
+    /// replaying that base — broadcast fleet-wide for sharded sessions.
+    /// Every replan is recorded in [`Explain::replans`], and
+    /// [`Explain::engine`]/[`Explain::cost`] track the plan actually
+    /// running.
     ///
-    /// Only the generic dataflow and sharded backends can replan; for a
-    /// specialized engine (whose per-class guarantees leave nothing to
-    /// re-derive) the policy is recorded as inert in `explain()` and the
-    /// session behaves as if it were absent — no mirror is kept.
+    /// Only the generic dataflow, heavy-light and sharded backends can
+    /// replan; for any other specialized engine (whose per-class
+    /// guarantees leave nothing to re-derive) the policy is recorded as
+    /// inert in `explain()` and the session behaves as if it were absent
+    /// — no base is kept on its account.
     pub fn adaptive(mut self, policy: ReplanPolicy) -> Self {
         self.adaptive = Some(policy);
         self
@@ -225,6 +217,17 @@ impl<R: Semiring> SessionBuilder<R> {
     /// propagates its build error unchanged — forcing is how callers ask
     /// the dichotomy to be enforced rather than routed around.
     pub fn build(self, db: &Database<R>) -> Result<Session<R>, EngineError> {
+        self.build_over(Cow::Borrowed(db), None)
+    }
+
+    /// [`SessionBuilder::build`] over a borrowed database, or — from
+    /// [`SessionBuilder::recover`] — over a snapshot's base the session
+    /// takes as its own, journaling on into the `recovered` store.
+    fn build_over(
+        self,
+        db: Cow<'_, Database<R>>,
+        recovered: Option<(Store, u64)>,
+    ) -> Result<Session<R>, EngineError> {
         // The adaptive window clock starts *here*, not after the backend
         // stands up: the first window then spans classification, build,
         // and preprocessing, so a replan firing on the very first batch
@@ -295,7 +298,7 @@ impl<R: Semiring> SessionBuilder<R> {
         }
         let mut fallback = None;
         let mut backend =
-            match Self::build_backend(selection.kind, &self.query, db, self.lift, self.shards) {
+            match Self::build_backend(selection.kind, &self.query, &db, self.lift, self.shards) {
                 Ok(b) => b,
                 Err(e) if !forced && selection.kind.is_specialized() => {
                     // Safety net: the analyses admit the class but the
@@ -308,7 +311,7 @@ impl<R: Semiring> SessionBuilder<R> {
                     ));
                     Backend::Dataflow(DataflowEngine::new_with_strategy(
                         self.query.clone(),
-                        db,
+                        &db,
                         self.lift,
                         JoinStrategy::Auto,
                     )?)
@@ -338,12 +341,7 @@ impl<R: Semiring> SessionBuilder<R> {
         let obs = match &self.observe {
             None => None,
             Some(registry) => {
-                match &mut backend {
-                    Backend::Dataflow(e) => e.observe(registry, "ivm.dataflow"),
-                    Backend::Sharded(s) => s.observe(registry, "ivm.fleet")?,
-                    Backend::HeavyLight(e) => e.observe(registry, "ivm.hl"),
-                    _ => {}
-                }
+                backend.observe(registry)?;
                 Some(SessionObs {
                     registry: registry.clone(),
                     tracer: registry.tracer().clone(),
@@ -390,7 +388,7 @@ impl<R: Semiring> SessionBuilder<R> {
             }
         }
         // Arm adaptive replanning only where a re-lowering exists to
-        // trigger; the mirror is only paid for when it can be used.
+        // trigger; an inert policy keeps no base on its account.
         let (adaptive_note, adaptive) = match self.adaptive {
             None => (None, None),
             Some(policy) => {
@@ -402,8 +400,6 @@ impl<R: Semiring> SessionBuilder<R> {
                         Some(format!("armed ({policy:?}); replans are recorded below")),
                         Some(AdaptiveState {
                             policy,
-                            learned: LearnedCardinalities::new(),
-                            mirror: mirror_db(&self.query, db),
                             query: self.query.clone(),
                             lift: self.lift,
                             // Cross-family re-selection needs both the
@@ -430,7 +426,8 @@ impl<R: Semiring> SessionBuilder<R> {
         };
         // Stand up the durable store last: once it exists, every epoch the
         // session acknowledges is journaled, so nothing built above may
-        // still fail. `durable()` starts a fresh history by contract.
+        // still fail. `durable()` starts a fresh history by contract; a
+        // recovery hands in the history it reopened.
         if self.auto_snapshot.is_some() && self.durable.is_none() {
             return Err(EngineError::NotSupported(
                 ".auto_snapshot() consolidates the durable journal, but the \
@@ -442,20 +439,34 @@ impl<R: Semiring> SessionBuilder<R> {
         let durable = match &self.durable {
             None => None,
             Some((path, append, snap)) => {
-                let mut store =
-                    Store::create(path).map_err(|e| EngineError::Store(e.to_string()))?;
+                let (mut store, epoch) = match recovered {
+                    Some(reopened) => reopened,
+                    None => (
+                        Store::create(path).map_err(|e| EngineError::Store(e.to_string()))?,
+                        0,
+                    ),
+                };
                 if let Some(registry) = &self.observe {
                     store.observe(registry);
                 }
                 Some(DurableState {
                     store,
-                    epoch: 0,
-                    mirror: mirror_db(&self.query, db),
+                    epoch,
                     append: *append,
                     auto_snapshot: self.auto_snapshot.map(|bytes| (bytes, *snap)),
                 })
             }
         };
+        // One base for both readers; degrees are only counted where a
+        // family shift could ever read them.
+        let base = (adaptive.is_some() || durable.is_some()).then(|| {
+            let track_degrees = adaptive.as_ref().is_some_and(|st| st.hl_eligible);
+            let owned = match db {
+                Cow::Owned(base) => base,
+                Cow::Borrowed(db) => mirror_db(&self.query, db),
+            };
+            SessionBase::new(owned, &self.query, track_degrees)
+        });
         let explain = Explain {
             query: format!("{:?}", self.query),
             classification: cls.clone(),
@@ -472,6 +483,7 @@ impl<R: Semiring> SessionBuilder<R> {
         let mut session = Session {
             backend,
             explain,
+            base,
             adaptive,
             obs,
             metrics_server,
@@ -632,43 +644,46 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
             }
         }
         let snap_epoch = snapshot.as_ref().map_or(0, |s| s.epoch);
-        let strategy_tag = snapshot.as_ref().map_or(0, |s| s.strategy_tag);
-        let persisted_cards = snapshot
-            .as_ref()
-            .map(|s| s.cards.clone())
-            .unwrap_or_default();
-        let persisted_degrees = snapshot
-            .as_ref()
-            .map(|s| s.degrees.clone())
-            .unwrap_or_default();
-        let (mut base, recorded_view) = match snapshot {
-            Some(s) => (s.base, Some(s.view)),
-            None => (mirror_db(&self.query, db), None),
+        let last_epoch = tail
+            .iter()
+            .fold(snap_epoch, |last, (epoch, _)| last.max(*epoch));
+        let (strategy_tag, persisted_cards, persisted_degrees, base, recorded_view) = match snapshot
+        {
+            Some(s) => (
+                s.strategy_tag,
+                s.cards,
+                s.degrees,
+                Cow::Owned(s.base),
+                Some(s.view),
+            ),
+            // Never snapshotted: replay the whole journal over `db`.
+            None => (0, Vec::new(), Vec::new(), Cow::Borrowed(db), None),
         };
         // Build fresh over the snapshot base — informed lowering, since
-        // the base holds the exact pre-kill contents. The builder's own
-        // durable arm must not run (it would truncate the history we are
-        // recovering); the recovered store is installed below instead.
-        self.durable = None;
-        let auto_snapshot = self.auto_snapshot.take();
+        // it holds the exact pre-kill contents — and move it into the
+        // session as its base; the session journals on into the recovered
+        // store, so nothing is truncated.
+        self.durable = Some((path, journal_append::<R>, snapshot_hook::<R>));
         let lift = self.lift;
         let query = self.query.clone();
-        let mut session = self.build(&base)?;
+        let mut session = self.build_over(base, Some((store, last_epoch)))?;
+        let base = &session
+            .base
+            .as_ref()
+            .expect("a durable session keeps a base")
+            .db;
         // Family reconciliation before plan re-lowering: the persisted
         // tag names the engine *family* the dead session was running. A
         // pre-kill cross-family replan can leave the fresh build on the
         // other family; rebuild from the snapshot base so the recovered
         // session re-lowers to exactly the pre-kill family.
         let reconciled = match (strategy_tag == HL_STRATEGY_TAG, &session.backend) {
-            (true, Backend::HeavyLight(_)) | (false, Backend::Dataflow(_)) => false,
-            (true, _) => {
-                session.backend = Backend::HeavyLight(
-                    HeavyLightEngine::new(query.clone(), &base, lift).map_err(|e| {
-                        fail(format!("re-lowering the persisted heavy-light family: {e}"))
-                    })?,
-                );
-                true
-            }
+            (true, Backend::HeavyLight(_)) | (false, Backend::Dataflow(_)) => None,
+            (true, _) => Some(Backend::HeavyLight(
+                HeavyLightEngine::new(query.clone(), base, lift).map_err(|e| {
+                    fail(format!("re-lowering the persisted heavy-light family: {e}"))
+                })?,
+            )),
             (false, Backend::HeavyLight(_)) => {
                 // Tag 0 (no strategy persisted) defaults to the multiway
                 // plan auto-selection lowers for this query class.
@@ -676,38 +691,23 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
                     Some(s) if s != JoinStrategy::Auto => s,
                     _ => JoinStrategy::Multiway,
                 };
-                session.backend = Backend::Dataflow(DataflowEngine::new_with_strategy(
+                Some(Backend::Dataflow(DataflowEngine::new_with_strategy(
                     query.clone(),
-                    &base,
+                    base,
                     lift,
                     strategy,
-                )?);
-                true
+                )?))
             }
-            (false, _) => false,
+            (false, _) => None,
         };
-        if reconciled {
-            if let Some(registry) = &observe {
-                match &mut session.backend {
-                    Backend::Dataflow(e) => e.observe(registry, "ivm.dataflow"),
-                    Backend::HeavyLight(e) => e.observe(registry, "ivm.hl"),
-                    _ => {}
-                }
-            }
-            let kind = session.backend.kind();
-            session.explain.engine = kind;
-            session.explain.cost = cost_profile(session.explain.classification.class, kind);
-            session.refresh_hl_note();
-        }
-        // The persisted per-key degree sketch plays the same role for the
+        // The persisted per-key degrees play the same role for the
         // learned statistics that the recorded view plays for the engine
-        // state: rebuilt from the same base, the sketch must agree — and
-        // importing it warm means an adaptive recovered session sees the
-        // exact skew evidence the dead one had learned, so the tail
-        // replay performs zero family re-selection.
+        // state: counted from the same base, they must agree. (An armed
+        // policy's live counts were seeded from this base at build, so the
+        // tail replay performs zero family re-selection.)
         if !persisted_degrees.is_empty() {
             let mut fresh = LearnedCardinalities::new();
-            fresh.rebuild_degrees(&base, &query);
+            fresh.rebuild_degrees(base, &query);
             if fresh.export_degrees() != persisted_degrees {
                 return Err(fail(
                     "rebuilt per-key degree sketch disagrees with the \
@@ -716,9 +716,8 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
                 ));
             }
         }
-        if let Some(st) = session.adaptive.as_mut() {
-            st.learned.refresh(&base, &st.query);
-            st.learned.rebuild_degrees(&base, &st.query);
+        if let Some(fresh) = reconciled {
+            session.install_backend(Some(fresh), None)?;
         }
         // A pre-kill adaptive replan may have switched the resolved
         // strategy away from what selection lowers; the persisted tag
@@ -730,18 +729,17 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
                 for (rel, n) in &persisted_cards {
                     cards.set(*rel, *n as usize);
                 }
+                let base = &session.base.as_ref().expect("checked above").db;
                 match &mut session.backend {
                     Backend::Dataflow(e) if e.resolved_strategy() != strategy => {
-                        e.replan_with_cards(&base, strategy, cards)?;
+                        e.replan_with_cards(base, strategy, cards)?;
                     }
                     Backend::Sharded(e) if e.resolved_strategy() != strategy => {
-                        e.replan_with_cards(&base, strategy, &cards)?;
+                        e.replan_with_cards(base, strategy, &cards)?;
                     }
                     _ => {}
                 }
-                let kind = session.backend.kind();
-                session.explain.engine = kind;
-                session.explain.cost = cost_profile(session.explain.classification.class, kind);
+                session.install_backend(None, None)?;
             }
         }
         // Cross-check before any tail replays: rebuilt from the same base,
@@ -760,26 +758,21 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
                 )));
             }
         }
-        // Replay the tail through the ordinary batch path — recovery is
-        // just another update stream. A batch the backend rejected
-        // pre-kill fails identically on replay (validation is
-        // deterministic) and is skipped, exactly as the live path did.
-        let mut replayed_epochs = 0u64;
+        // Replay the tail through the ordinary maintenance path, minus
+        // the journaling — recovery is just another update stream. A
+        // batch the backend rejected pre-kill fails identically on replay
+        // (validation is deterministic) and is skipped, exactly as the
+        // live path did.
+        let replayed_epochs = tail.len() as u64;
         let mut replayed_updates = 0u64;
-        let mut last_epoch = snap_epoch;
-        for (epoch, batch) in &tail {
-            last_epoch = (*epoch).max(last_epoch);
-            replayed_epochs += 1;
+        for (_, batch) in &tail {
             if session.backend.maintainer().apply_batch(batch).is_ok() {
                 session.after_ingest(batch)?;
-                base.apply_batch(batch);
                 replayed_updates += batch.len() as u64;
             }
         }
         session.drain()?;
-        let mut store = store;
         if let Some(registry) = &observe {
-            store.observe(registry);
             registry.counter("ivm.store.recoveries").inc();
             registry
                 .counter("ivm.store.replayed_epochs")
@@ -788,13 +781,6 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
                 .counter("ivm.store.replayed_updates")
                 .add(replayed_updates);
         }
-        session.durable = Some(DurableState {
-            store,
-            epoch: last_epoch,
-            mirror: base,
-            append: journal_append::<R>,
-            auto_snapshot: auto_snapshot.map(|bytes| (bytes, snapshot_hook::<R> as SnapshotFn<R>)),
-        });
         let torn_note = torn
             .map(|t| format!("; journal tail torn ({t})"))
             .unwrap_or_default();
@@ -826,25 +812,56 @@ impl EngineKind {
     }
 }
 
-/// The bookkeeping behind an armed [`SessionBuilder::adaptive`] request.
-///
-/// The session owns the ground truth the engine deliberately does not
-/// materialize: a mirror of the base relations, applied in lockstep with
-/// every accepted batch. Live sizes are snapshotted from the mirror into
-/// [`LearnedCardinalities`] (O(#atoms) per batch — relation sizes are
-/// O(1) reads), and the mirror doubles as the replay source when a replan
-/// fires.
+/// The session's one copy of the base relations — the ground truth of
+/// everything the backend accepted, which engines deliberately do not
+/// materialize. Kept iff something reads it: an armed policy (replans
+/// replay it and weigh its counts) or a durable store (snapshots
+/// serialize it).
+struct SessionBase<R: Semiring> {
+    db: Database<R>,
+    /// Sizes and (when seeded) per-key degrees, counted from the presence
+    /// transitions `db` reports — never re-read from it.
+    learned: LearnedCardinalities,
+}
+
+impl<R: Semiring> SessionBase<R> {
+    /// Own `db`, seeding the counts from what it already holds (degrees,
+    /// one scan, only when `track_degrees`): preloaded relations must show
+    /// their skew from the first batch, and deleting a preloaded pair must
+    /// decrement, not underflow.
+    fn new(db: Database<R>, query: &Query, track_degrees: bool) -> Self {
+        let mut learned = LearnedCardinalities::new();
+        learned.refresh(&db, query);
+        if track_degrees {
+            learned.rebuild_degrees(&db, query);
+        }
+        SessionBase { db, learned }
+    }
+
+    /// Apply a batch the backend accepted (so `db` holds every relation
+    /// it names).
+    fn apply_batch(&mut self, batch: &[Update<R>]) {
+        for upd in batch {
+            let change = self.db.apply(upd);
+            self.learned.observe(upd.relation, &upd.tuple, change);
+        }
+    }
+}
+
+/// The bookkeeping behind an armed [`SessionBuilder::adaptive`] request:
+/// the policy, what a cross-family rebuild needs, and the hysteresis
+/// window. The counts it weighs and the base a replan replays are the
+/// session's [`SessionBase`].
 struct AdaptiveState<R: Semiring> {
     policy: ReplanPolicy,
-    learned: LearnedCardinalities,
-    mirror: Database<R>,
     query: Query,
     /// The builder's payload lifting, kept so a cross-family replan can
-    /// rebuild the new backend from the mirror mid-stream.
+    /// rebuild the new backend from the base mid-stream.
     lift: Lift<R>,
     /// Whether the query (a triangle-class cycle) *and* the payload (a
     /// ring — the heavy-light views subtract) admit the heavy-light
-    /// family; gates [`ReplanPolicy::decide_family`] entirely.
+    /// family; gates [`ReplanPolicy::decide_family`] entirely, and the
+    /// base's degree counting with it.
     hl_eligible: bool,
     /// Accepted ingestion calls since the session was built — single
     /// updates count as one-update batches (the index recorded in replan
@@ -866,22 +883,16 @@ struct AdaptiveState<R: Semiring> {
 }
 
 /// The persistence bookkeeping behind [`SessionBuilder::durable`] /
-/// [`SessionBuilder::recover`].
-///
-/// The session owns the store; every acknowledged ingestion call advances
-/// `epoch` and journals write-ahead through `append`. The mirror tracks
-/// the base relations the backend accepted — it becomes the snapshot's
-/// base (kept separately from the adaptive mirror, which only exists when
-/// a policy is armed).
+/// [`SessionBuilder::recover`]: the session owns the store, and every
+/// ingestion call that passes validation advances `epoch` and journals
+/// write-ahead through `append`. What a snapshot serializes is the
+/// session's [`SessionBase`].
 struct DurableState<R: Semiring> {
     store: Store,
-    /// The last journaled epoch — one per acknowledged ingestion call,
-    /// advancing even for batches the backend then rejects (replay hits
-    /// the same deterministic rejection and skips them).
+    /// The last journaled epoch — one per ingestion call that reached the
+    /// journal (see [`Session::journal_ingest`] for which rejected batches
+    /// still do).
     epoch: u64,
-    /// The base relations as of the last *accepted* batch — the snapshot's
-    /// replay source.
-    mirror: Database<R>,
     append: JournalAppend<R>,
     /// `(journal-bytes threshold, monomorphized snapshot hook)` — when
     /// the journal grows past the threshold, the next acknowledged
@@ -911,7 +922,7 @@ struct SessionObs {
     replans: Counter,
 }
 
-/// Mirror every distinct atom relation of `query` out of `db` (statics
+/// Copy every distinct atom relation of `query` out of `db` (statics
 /// included — a replan replays them too), creating missing ones empty.
 fn mirror_db<R: Semiring>(query: &Query, db: &Database<R>) -> Database<R> {
     let mut mirror = Database::new();
@@ -959,6 +970,19 @@ impl<R: Semiring> Backend<R> {
         }
     }
 
+    /// Publish the backend's own series under its fixed prefix (engines
+    /// backfill from the registry, so counters stay cumulative when a
+    /// fresh backend re-attaches).
+    fn observe(&mut self, registry: &MetricsRegistry) -> Result<(), EngineError> {
+        match self {
+            Backend::Dataflow(e) => e.observe(registry, "ivm.dataflow"),
+            Backend::Sharded(s) => s.observe(registry, "ivm.fleet")?,
+            Backend::HeavyLight(e) => e.observe(registry, "ivm.hl"),
+            _ => {}
+        }
+        Ok(())
+    }
+
     fn maintainer(&mut self) -> &mut dyn Maintainer<R> {
         match self {
             Backend::EagerFact(e) => e,
@@ -999,6 +1023,9 @@ impl<R: Semiring> Backend<R> {
 pub struct Session<R: Semiring> {
     backend: Backend<R>,
     explain: Explain,
+    /// The base relations outside the engine — present iff a replan
+    /// policy is armed or the session is durable.
+    base: Option<SessionBase<R>>,
     adaptive: Option<AdaptiveState<R>>,
     obs: Option<SessionObs>,
     /// The live scrape endpoint from [`SessionBuilder::serve_metrics`];
@@ -1060,18 +1087,10 @@ impl<R: Semiring> Session<R> {
     /// synchronously and discards the delta, so the calling code stays
     /// engine-agnostic.
     pub fn enqueue_batch(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
-        let started = self.obs_begin();
-        self.journal_ingest(batch)?;
-        match &mut self.backend {
-            Backend::Sharded(e) => e.enqueue_batch(batch).map(|_| ())?,
-            other => other.maintainer().apply_batch(batch).map(|_| ())?,
-        }
-        self.durable_accepted(batch);
-        self.after_ingest(batch)?;
-        self.refresh_hl_note();
-        self.obs_ingest(batch.len(), started);
-        self.maybe_auto_snapshot()?;
-        Ok(())
+        self.ingest(batch, |backend| match backend {
+            Backend::Sharded(e) => e.enqueue_batch(batch).map(|_| ()),
+            other => other.maintainer().apply_batch(batch).map(|_| ()),
+        })
     }
 
     /// Settle all enqueued batches into the maintained view. A no-op for
@@ -1209,13 +1228,58 @@ impl<R: Semiring> Session<R> {
         }
     }
 
+    /// The one ingestion body behind [`Maintainer::apply`],
+    /// [`Maintainer::apply_batch`] and [`Session::enqueue_batch`], which
+    /// differ only in the backend call `run` makes; everything after it
+    /// is for a batch the backend accepted.
+    fn ingest<T>(
+        &mut self,
+        batch: &[Update<R>],
+        run: impl FnOnce(&mut Backend<R>) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let started = self.obs_begin();
+        self.check_arity(batch)?;
+        self.journal_ingest(batch)?;
+        let out = run(&mut self.backend)?;
+        self.after_ingest(batch)?;
+        self.refresh_hl_note();
+        self.obs_ingest(batch.len(), started);
+        self.maybe_auto_snapshot()?;
+        Ok(out)
+    }
+
+    /// Refuse the whole batch — before the journal, so no epoch is
+    /// consumed — when a tuple does not have its relation's declared
+    /// arity. The generic engines check only that the relation is known
+    /// and dynamic and [`Relation::apply`] only `debug_assert`s arity, so
+    /// a release build would otherwise journal, store and join the tuple.
+    /// Unknown relations are left for the backend to name.
+    fn check_arity(&self, batch: &[Update<R>]) -> Result<(), EngineError> {
+        let atoms = &self.backend.maintainer_ref().query().atoms;
+        for u in batch {
+            let Some(atom) = atoms.iter().find(|a| a.name == u.relation) else {
+                continue;
+            };
+            let (got, declared) = (u.tuple.arity(), atom.schema.arity());
+            if got != declared {
+                return Err(EngineError::NotSupported(format!(
+                    "update to {} carries a tuple of arity {got}, but the relation \
+                     is declared with arity {declared}",
+                    u.relation
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Write-ahead journaling for one ingestion call: append the batch
     /// under a fresh epoch and fsync it *before* the backend sees it, so
-    /// an acknowledged epoch can never be lost to a crash mid-apply. The
-    /// epoch advances even when the backend later rejects the batch —
-    /// replay hits the same deterministic rejection and skips it, keeping
-    /// epoch numbering identical across lives. A no-op for in-memory
-    /// sessions.
+    /// an acknowledged epoch can never be lost to a crash mid-apply. A
+    /// batch [`Session::check_arity`] refuses never gets here; one the
+    /// backend then rejects anyway (unknown or static relation) keeps its
+    /// epoch — replay hits the same deterministic rejection and skips it,
+    /// so epoch numbering is identical across lives. A no-op for
+    /// in-memory sessions.
     fn journal_ingest(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
@@ -1225,13 +1289,6 @@ impl<R: Semiring> Session<R> {
         d.store
             .commit()
             .map_err(|e| EngineError::Store(e.to_string()))
-    }
-
-    /// Durable mirror bookkeeping after a batch the backend accepted.
-    fn durable_accepted(&mut self, batch: &[Update<R>]) {
-        if let Some(d) = self.durable.as_mut() {
-            d.mirror.apply_batch(batch);
-        }
     }
 
     /// Keep [`Explain::heavy_light`] describing the live partition — the
@@ -1259,23 +1316,17 @@ impl<R: Semiring> Session<R> {
         Ok(())
     }
 
-    /// Adaptive bookkeeping after a batch the backend *accepted*: apply
-    /// it to the mirror, refresh the learned cardinalities, and consult
-    /// the policy — re-lowering the plan (and recording the event in
-    /// `explain()`) when it fires. A no-op without an armed policy.
+    /// Bookkeeping after a batch the backend *accepted*: the base applies
+    /// it (counting sizes and degrees as it goes), then an armed policy is
+    /// consulted — re-lowering the plan, or swapping the engine family,
+    /// and recording the event in `explain()` when it fires.
     fn after_ingest(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
-        let Some(st) = self.adaptive.as_mut() else {
+        if let Some(base) = self.base.as_mut() {
+            base.apply_batch(batch);
+        }
+        let (Some(st), Some(base)) = (self.adaptive.as_mut(), self.base.as_ref()) else {
             return Ok(());
         };
-        // The backend validated the batch before applying it, so every
-        // update targets a known dynamic relation the mirror holds.
-        st.mirror.apply_batch(batch);
-        st.learned.refresh(&st.mirror, &st.query);
-        if st.hl_eligible {
-            // Per-key degrees feed the family comparison only; skip the
-            // sketch upkeep entirely when no family shift can ever fire.
-            st.learned.observe_batch(&st.mirror, &st.query, batch);
-        }
         st.batch_index += 1;
         st.batches_since_replan += 1;
         st.window_updates += batch.len() as u64;
@@ -1310,73 +1361,43 @@ impl<R: Semiring> Session<R> {
             if let Some(decision) = st.policy.decide_family(
                 current,
                 st.hl_eligible,
-                &st.learned,
+                &base.learned,
                 st.window_updates,
                 st.batches_since_replan,
             ) {
                 let FamilyDecision { to, cards, reason } = decision;
-                let from = plan_label(&self.backend);
-                // Rebuild the new family's backend from the mirror — the
+                // Rebuild the new family's backend from the base — the
                 // ground truth of everything the old backend accepted —
                 // so the swap is a replay, not a guess. Lowering (and the
                 // heavy-light partition threshold) comes out informed:
-                // the mirror holds the live sizes the stats learned.
-                self.backend = match to {
+                // the base holds the live sizes the counts track.
+                let fresh = match to {
                     EngineFamily::HeavyLight => {
                         Backend::HeavyLight(HeavyLightEngine::new_with_eps(
                             st.query.clone(),
-                            &st.mirror,
+                            &base.db,
                             st.lift,
                             st.policy.eps,
                         )?)
                     }
                     EngineFamily::Dataflow => Backend::Dataflow(DataflowEngine::new_with_cards(
                         st.query.clone(),
-                        &st.mirror,
+                        &base.db,
                         st.lift,
                         JoinStrategy::Multiway,
                         cards,
                     )?),
                 };
-                if let Some(o) = &self.obs {
-                    // Re-attach the fresh backend under the same prefixes;
-                    // both engines backfill from the registry so counters
-                    // stay cumulative across the family swap.
-                    match &mut self.backend {
-                        Backend::Dataflow(e) => e.observe(&o.registry, "ivm.dataflow"),
-                        Backend::HeavyLight(e) => e.observe(&o.registry, "ivm.hl"),
-                        _ => {}
-                    }
-                    o.replans.inc();
-                }
-                let kind = self.backend.kind();
-                self.explain.replans.push(ReplanEvent {
-                    batch_index: st.batch_index,
-                    from,
-                    to: plan_label(&self.backend),
-                    trigger: ReplanTrigger::FamilyShift,
-                    reason,
-                    before_tps: window_tps,
-                    after_tps: None,
-                });
-                self.explain.engine = kind;
-                self.explain.cost = cost_profile(self.explain.classification.class, kind);
-                self.explain.heavy_light = hl_note(&self.backend);
-                st.batches_since_replan = 0;
-                st.window_base = match &self.backend {
-                    Backend::Dataflow(e) => e.stats(),
-                    _ => DataflowStats::default(),
-                };
-                st.window_started = Instant::now();
-                st.window_updates = 0;
-                return Ok(());
+                let from = plan_label(&self.backend);
+                let event = (from, ReplanTrigger::FamilyShift, reason, window_tps);
+                return self.install_backend(Some(fresh), Some(event));
             }
         }
 
         let (resolved, lowered, stats) = match &self.backend {
             Backend::Dataflow(e) => (e.resolved_strategy(), e.lowered_cards().clone(), e.stats()),
             Backend::Sharded(e) => (e.resolved_strategy(), e.lowered_cards().clone(), e.stats()),
-            // Adaptive state is only armed for the two backends above.
+            // Heavy-light has a family to leave but no plan to re-derive.
             _ => return Ok(()),
         };
         let window = stats.since(&st.window_base);
@@ -1384,7 +1405,7 @@ impl<R: Semiring> Session<R> {
             &st.query,
             resolved,
             &lowered,
-            &st.learned,
+            &base.learned,
             &window,
             st.batches_since_replan,
         ) else {
@@ -1399,34 +1420,55 @@ impl<R: Semiring> Session<R> {
 
         let from = plan_label(&self.backend);
         match &mut self.backend {
-            Backend::Dataflow(e) => e.replan_with_cards(&st.mirror, strategy, cards)?,
-            Backend::Sharded(e) => e.replan_with_cards(&st.mirror, strategy, &cards)?,
-            _ => unreachable!("adaptive state armed for a specialized engine"),
+            Backend::Dataflow(e) => e.replan_with_cards(&base.db, strategy, cards)?,
+            Backend::Sharded(e) => e.replan_with_cards(&base.db, strategy, &cards)?,
+            _ => unreachable!("only the two backends matched above re-lower in place"),
+        }
+        self.install_backend(None, Some((from, trigger, reason, window_tps)))
+    }
+
+    /// The bookkeeping every change of plan shares: swap `fresh` in (a
+    /// family shift, or recovery reconciling the persisted family) and
+    /// re-attach observability — or, with `None`, accept the current
+    /// backend as re-lowered in place — then record `event` (`(plan
+    /// before, trigger, reason, throughput of the window it closes)`),
+    /// keep `explain()` naming the engine running, and open a new window.
+    fn install_backend(
+        &mut self,
+        fresh: Option<Backend<R>>,
+        event: Option<(String, ReplanTrigger, String, f64)>,
+    ) -> Result<(), EngineError> {
+        if let Some(fresh) = fresh {
+            self.backend = fresh;
+            if let Some(o) = &self.obs {
+                self.backend.observe(&o.registry)?;
+            }
         }
         let kind = self.backend.kind();
-        self.explain.replans.push(ReplanEvent {
-            batch_index: st.batch_index,
-            from,
-            to: plan_label(&self.backend),
-            trigger,
-            reason,
-            before_tps: window_tps,
-            after_tps: None,
-        });
-        if let Some(o) = &self.obs {
-            o.replans.inc();
-        }
-        // Keep the report describing the plan actually running.
         self.explain.engine = kind;
         self.explain.cost = cost_profile(self.explain.classification.class, kind);
-        st.batches_since_replan = 0;
-        st.window_base = match &self.backend {
-            Backend::Dataflow(e) => e.stats(),
-            Backend::Sharded(e) => e.stats(),
-            _ => DataflowStats::default(),
-        };
-        st.window_started = Instant::now();
-        st.window_updates = 0;
+        self.refresh_hl_note();
+        if let Some((from, trigger, reason, before_tps)) = event {
+            if let Some(o) = &self.obs {
+                o.replans.inc();
+            }
+            self.explain.replans.push(ReplanEvent {
+                batch_index: self.adaptive.as_ref().map_or(0, |st| st.batch_index),
+                from,
+                to: plan_label(&self.backend),
+                trigger,
+                reason,
+                before_tps,
+                after_tps: None,
+            });
+        }
+        let window_base = self.stats().unwrap_or_default();
+        if let Some(st) = self.adaptive.as_mut() {
+            st.batches_since_replan = 0;
+            st.window_base = window_base;
+            st.window_started = Instant::now();
+            st.window_updates = 0;
+        }
         Ok(())
     }
 }
@@ -1453,36 +1495,36 @@ impl<R: Semiring + Persist> Session<R> {
             Backend::HeavyLight(_) => HL_STRATEGY_TAG,
             _ => 0,
         };
-        let query = self.backend.maintainer_ref().query().clone();
-        let query_name = query.name.name();
         let view = self.output();
-        let d = self.durable.as_mut().expect("checked above");
+        let query = self.backend.maintainer_ref().query();
+        let (Some(d), Some(base)) = (self.durable.as_mut(), self.base.as_mut()) else {
+            unreachable!("checked above, and a durable session keeps a base");
+        };
         let mut cards: Vec<(Sym, u64)> =
-            d.mirror.iter().map(|(s, r)| (*s, r.len() as u64)).collect();
+            base.db.iter().map(|(s, r)| (*s, r.len() as u64)).collect();
         cards.sort_by_key(|(s, _)| s.name());
-        // Persist the per-key degree sketches alongside the sizes —
-        // recovery imports them so a recovered adaptive session sees the
-        // same skew evidence the dead one had learned, and performs zero
-        // family re-selection. Recomputed fresh from the durable mirror
-        // (one scan) so the snapshot never depends on whether a policy
-        // was armed.
+        // Per-key degrees, for recovery to cross-check: counted fresh (one
+        // scan), never taken from the live counts, so a snapshot's bytes
+        // do not depend on whether a policy was armed.
         let degrees = {
             let mut fresh = LearnedCardinalities::new();
-            fresh.rebuild_degrees(&d.mirror, &query);
+            fresh.rebuild_degrees(&base.db, query);
             fresh.export_degrees()
         };
+        // The document owns its base: lend it the session's for the write
+        // instead of cloning, and take it back whatever the store says.
         let doc = SnapshotDoc {
             epoch: d.epoch,
-            query_name,
+            query_name: query.name.name(),
             strategy_tag,
             cards,
             degrees,
-            base: d.mirror.clone(),
+            base: std::mem::take(&mut base.db),
             view,
         };
-        d.store
-            .snapshot(&doc)
-            .map_err(|e| EngineError::Store(e.to_string()))?;
+        let written = d.store.snapshot(&doc);
+        base.db = doc.base;
+        written.map_err(|e| EngineError::Store(e.to_string()))?;
         Ok(doc.epoch)
     }
 
@@ -1537,30 +1579,16 @@ impl<R: Semiring> Maintainer<R> for Session<R> {
     }
 
     fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        let started = self.obs_begin();
-        self.journal_ingest(std::slice::from_ref(upd))?;
-        self.backend.maintainer().apply(upd)?;
-        self.durable_accepted(std::slice::from_ref(upd));
-        self.after_ingest(std::slice::from_ref(upd))?;
-        self.refresh_hl_note();
-        self.obs_ingest(1, started);
-        self.maybe_auto_snapshot()?;
-        Ok(())
+        self.ingest(std::slice::from_ref(upd), |backend| {
+            backend.maintainer().apply(upd)
+        })
     }
 
     /// Delegates to the backend's native batch path — the session never
     /// re-implements ingestion, it only routes to the one trait surface
-    /// (plus the adaptive bookkeeping when a policy is armed).
+    /// (plus the journaling, base and policy bookkeeping around it).
     fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        let started = self.obs_begin();
-        self.journal_ingest(batch)?;
-        let delta = self.backend.maintainer().apply_batch(batch)?;
-        self.durable_accepted(batch);
-        self.after_ingest(batch)?;
-        self.refresh_hl_note();
-        self.obs_ingest(batch.len(), started);
-        self.maybe_auto_snapshot()?;
-        Ok(delta)
+        self.ingest(batch, |backend| backend.maintainer().apply_batch(batch))
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {
@@ -2320,6 +2348,173 @@ mod tests {
             .replans
             .iter()
             .all(|ev| ev.trigger != ReplanTrigger::FamilyShift));
+    }
+
+    /// A fresh scratch directory per durable test session.
+    fn scratch(tag: &str) -> PathBuf {
+        static N: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ivm-session-{}-{tag}-{}",
+            std::process::id(),
+            N.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// What a from-scratch count of `base`'s own relations says its
+    /// degrees and sizes are — the reference the maintained counts must
+    /// equal at every step.
+    fn recounted(base: &SessionBase<i64>, q: &Query) -> LearnedCardinalities {
+        let mut fresh = LearnedCardinalities::new();
+        fresh.refresh(&base.db, q);
+        fresh.rebuild_degrees(&base.db, q);
+        fresh
+    }
+
+    /// The degree counts must not start empty over a populated database:
+    /// a session built over preloaded relations and one built empty and
+    /// fed the same tuples hold the same skew evidence — and deleting a
+    /// preloaded pair decrements instead of underflowing.
+    #[test]
+    fn preloaded_base_seeds_the_degree_counts() {
+        let (q, rn, sn, tn) = tri3("pre_");
+        let tuples: Vec<Update<i64>> = (1..=20i64)
+            .flat_map(|v| {
+                [
+                    Update::insert(rn, tup![0i64, v]),
+                    Update::insert(sn, tup![v, v % 3]),
+                ]
+            })
+            .chain([Update::insert(tn, tup![1i64, 0i64])])
+            .collect();
+        let mut db: Database<i64> = Database::new();
+        for atom in &q.atoms {
+            db.create(atom.name, atom.schema.clone());
+        }
+        db.apply_batch(&tuples);
+
+        let mut preloaded = Session::<i64>::builder(q.clone())
+            .adaptive(ReplanPolicy::default())
+            .build(&db)
+            .unwrap();
+        let mut streamed = Session::<i64>::builder(q.clone())
+            .adaptive(ReplanPolicy::default())
+            .build(&Database::new())
+            .unwrap();
+        streamed.apply_batch(&tuples).unwrap();
+        let degrees = |s: &Session<i64>| s.base.as_ref().unwrap().learned.export_degrees();
+        assert_eq!(degrees(&preloaded), degrees(&streamed));
+        assert_eq!(
+            preloaded.base.as_ref().unwrap().learned.max_degree_any(),
+            20,
+            "the hub's degree is visible before any churn"
+        );
+
+        let gone = [Update::delete(rn, tup![0i64, 7i64])];
+        preloaded.apply_batch(&gone).unwrap();
+        streamed.apply_batch(&gone).unwrap();
+        assert_eq!(degrees(&preloaded), degrees(&streamed));
+        let base = preloaded.base.as_ref().unwrap();
+        assert_eq!(base.learned.max_degree_any(), 19);
+        assert_eq!(
+            base.learned.export_degrees(),
+            recounted(base, &q).export_degrees()
+        );
+    }
+
+    /// Only sessions something reads the base of keep one: a bare session
+    /// and one whose policy is inert hold no copy of the database.
+    #[test]
+    fn base_exists_iff_adaptive_or_durable() {
+        let (q, ..) = tri3("bex_");
+        let db = Database::new();
+        let bare = Session::<i64>::builder(q.clone()).build(&db).unwrap();
+        assert!(bare.base.is_none());
+        let inert = Session::<i64>::builder(examples::fig3_query())
+            .adaptive(ReplanPolicy::default())
+            .build(&db)
+            .unwrap();
+        assert!(inert.base.is_none());
+        let adaptive = Session::<i64>::builder(q.clone())
+            .adaptive(ReplanPolicy::default())
+            .build(&db)
+            .unwrap();
+        assert!(adaptive.base.is_some());
+        let dir = scratch("bex");
+        let durable = Session::<i64>::builder(q).durable(&dir).build(&db).unwrap();
+        let base = durable.base.as_ref().unwrap();
+        assert!(
+            base.learned.export_degrees().is_empty()
+                && base.learned.degree_sketch(sym("bex_R")).is_none(),
+            "no policy armed: degrees are not counted"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Maintained counts ≡ recounted counts under mixed-sign churn:
+        /// inserts, duplicate inserts (payload 2), partial deletes (−1,
+        /// unclamped, so multiplicities also go negative) and full deletes
+        /// (−current) on the three triangle relations through an adaptive
+        /// durable session. After every batch the base's live degrees
+        /// equal a fresh count over its own database and its sizes equal
+        /// `len()`; a kill-and-recover then comes back with the same.
+        #[test]
+        fn maintained_counts_equal_recounted_counts_under_churn(
+            ops in proptest::collection::vec((0usize..3, (0i64..4, 0i64..5), 0usize..4), 0..64),
+            chunk in 1usize..9,
+        ) {
+            use proptest::prelude::*;
+            let (q, rn, sn, tn) = tri3("mcc_");
+            let rels = [rn, sn, tn];
+            let mut held: ivm_data::FxHashMap<(Sym, Tuple), i64> = Default::default();
+            let updates: Vec<Update<i64>> = ops
+                .iter()
+                .filter_map(|&(ri, (x, y), kind)| {
+                    let (rel, t) = (rels[ri], tup![x, y]);
+                    let cur = held.entry((rel, t.clone())).or_insert(0);
+                    let m = match kind {
+                        0 => 1,
+                        1 => 2,
+                        2 => -1,
+                        _ => -*cur,
+                    };
+                    *cur += m;
+                    (m != 0).then(|| Update::with_payload(rel, t, m))
+                })
+                .collect();
+            let policy = eager_family_policy();
+            let dir = scratch("mcc");
+            let mut s = Session::<i64>::builder(q.clone())
+                .adaptive(policy)
+                .durable(&dir)
+                .build(&Database::new())
+                .unwrap();
+            for batch in updates.chunks(chunk) {
+                s.apply_batch(batch).unwrap();
+                let base = s.base.as_ref().unwrap();
+                let fresh = recounted(base, &q);
+                prop_assert_eq!(base.learned.export_degrees(), fresh.export_degrees());
+                for rel in rels {
+                    prop_assert_eq!(base.learned.get(rel), base.db.relation(rel).len());
+                }
+            }
+            let before = s.base.as_ref().unwrap().learned.export_degrees();
+            drop(s);
+            let r = Session::<i64>::builder(q.clone())
+                .adaptive(policy)
+                .recover(&dir, &Database::new())
+                .unwrap();
+            let base = r.base.as_ref().unwrap();
+            prop_assert_eq!(base.learned.export_degrees(), before);
+            for rel in rels {
+                prop_assert_eq!(base.learned.get(rel), base.db.relation(rel).len());
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

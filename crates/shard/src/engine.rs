@@ -260,7 +260,7 @@ impl<R: Semiring> ShardedEngine<R> {
     ///   timings;
     /// * worker side — each shard's dataflow attaches under
     ///   `{prefix}.shard{i}.dataflow.*` (per-operator apply time and
-    ///   tuple counts), via a broadcast [`Job::Observe`] that FIFO
+    ///   tuple counts), via a broadcast `Job::Observe` that FIFO
     ///   ordering lands between batches.
     ///
     /// Counter mirrors are *stored* cumulative values (report-driven),
@@ -746,10 +746,12 @@ fn split_database<R: Semiring>(
         if let Some(rel) = db.get(atom.name) {
             for (t, payload) in rel.iter() {
                 match router.shard_for(atom.name, t) {
-                    Some(s) => out[s]
-                        .get_mut(atom.name)
-                        .expect("relation created above")
-                        .apply(t.clone(), payload),
+                    Some(s) => {
+                        out[s]
+                            .get_mut(atom.name)
+                            .expect("relation created above")
+                            .apply(t.clone(), payload);
+                    }
                     None => {
                         for shard_db in &mut out {
                             shard_db

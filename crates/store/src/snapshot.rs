@@ -28,6 +28,9 @@ use std::path::Path;
 /// unreadable instead of silently misdecoded.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"IVMSNAP2";
 
+/// Magic, `u64` payload length, `u32` payload CRC.
+const HEADER_LEN: usize = 20;
+
 /// The snapshot file's name inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.ivm";
 
@@ -89,13 +92,15 @@ pub fn write_snapshot<R: Semiring + Persist>(
     dir: &Path,
     doc: &SnapshotDoc<R>,
 ) -> Result<u64, StoreError> {
-    let mut payload = Vec::new();
-    doc.encode(&mut payload);
-    let mut bytes = Vec::with_capacity(payload.len() + 20);
-    bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    (payload.len() as u64).encode(&mut bytes);
-    crc32(&payload).encode(&mut bytes);
-    bytes.extend_from_slice(&payload);
+    // One buffer: the header's length and CRC slots are patched in once
+    // the payload behind them is encoded.
+    let mut bytes = SNAPSHOT_MAGIC.to_vec();
+    bytes.resize(HEADER_LEN, 0);
+    doc.encode(&mut bytes);
+    let payload_len = (bytes.len() - HEADER_LEN) as u64;
+    let crc = crc32(&bytes[HEADER_LEN..]);
+    bytes[8..16].copy_from_slice(&payload_len.to_le_bytes());
+    bytes[16..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 
     let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
     let final_path = dir.join(SNAPSHOT_FILE);
@@ -132,13 +137,13 @@ pub fn read_snapshot<R: Semiring + Persist>(
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
     let corrupt = |m: &str| StoreError::Corrupt(format!("{}: {m}", path.display()));
-    if bytes.len() < 20 || &bytes[..8] != SNAPSHOT_MAGIC {
+    if bytes.len() < HEADER_LEN || &bytes[..8] != SNAPSHOT_MAGIC {
         return Err(corrupt("missing snapshot magic"));
     }
     let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
+    let crc = u32::from_le_bytes(bytes[16..HEADER_LEN].try_into().unwrap());
     let payload = bytes
-        .get(20..20 + len)
+        .get(HEADER_LEN..HEADER_LEN + len)
         .ok_or_else(|| corrupt("payload length runs past the file"))?;
     if crc32(payload) != crc {
         return Err(corrupt("payload crc mismatch"));

@@ -289,3 +289,72 @@ fn one_apply_batch_surface_across_all_engines() {
     .unwrap();
     assert_eq!(s.output().get(&ivm_data::tup![10i64, 1i64]), 1);
 }
+
+/// A bare `Session` refuses an arity-mismatched tuple — in release builds
+/// too, where `Relation::apply`'s `debug_assert` is compiled out and the
+/// generic engines only check that the relation is known. The refusal is
+/// atomic and happens before the journal: same error as `ServeNode`, no
+/// epoch consumed, nothing journaled, base and view untouched — on all
+/// three ingestion entry points.
+#[test]
+fn arity_mismatch_is_refused_before_the_journal_on_every_generic_backend() {
+    let q = common::triangle3("sam_");
+    let (rn, sn, tn) = (sym("sam_3R"), sym("sam_3S"), sym("sam_3T"));
+    let good = [
+        Update::<i64>::insert(rn, ivm_data::tup![1i64, 2i64]),
+        Update::insert(sn, ivm_data::tup![2i64, 3i64]),
+        Update::insert(tn, ivm_data::tup![3i64, 1i64]),
+    ];
+    // A well-formed update rides in front of each malformed one: refusal
+    // must cover the whole batch, not stop at the bad tuple.
+    let too_wide = [
+        Update::<i64>::insert(rn, ivm_data::tup![4i64, 5i64]),
+        Update::insert(sn, ivm_data::tup![5i64, 6i64, 7i64]),
+    ];
+    let too_narrow = Update::<i64>::insert(tn, ivm_data::tup![9i64]);
+    for kind in [
+        EngineKind::DataflowMultiway,
+        EngineKind::Sharded,
+        EngineKind::HeavyLight,
+    ] {
+        let dir = std::env::temp_dir().join(format!("ivm-sam-{}-{kind:?}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = Session::<i64>::builder(q.clone())
+            .engine(kind)
+            .durable(&dir)
+            .build(&Database::new())
+            .unwrap();
+        assert_eq!(s.engine_kind(), kind);
+        s.apply_batch(&good).unwrap();
+        let journaled = s.journal_bytes();
+        let refused = [
+            s.apply_batch(&too_wide).map(|_| ()),
+            s.enqueue_batch(&too_wide),
+            s.apply(&too_narrow),
+        ];
+        for r in refused {
+            let err = r.expect_err("a malformed tuple must be refused");
+            assert!(
+                matches!(&err, ivm_core::EngineError::NotSupported(m) if m.contains("arity")),
+                "{kind:?}: {err}"
+            );
+        }
+        assert_eq!(s.journal_epoch(), Some(1), "{kind:?}: no epoch consumed");
+        assert_eq!(s.journal_bytes(), journaled, "{kind:?}: nothing journaled");
+        assert_eq!(s.output().get(&ivm_data::Tuple::empty()), 1, "{kind:?}");
+        // The session keeps serving, and a restart replays only what was
+        // acknowledged.
+        s.apply_batch(&[Update::insert(rn, ivm_data::tup![1i64, 2i64])])
+            .unwrap();
+        assert_eq!(s.journal_epoch(), Some(2));
+        assert_eq!(s.output().get(&ivm_data::Tuple::empty()), 2, "{kind:?}");
+        drop(s);
+        let mut back = Session::<i64>::builder(q.clone())
+            .engine(kind)
+            .recover(&dir, &Database::new())
+            .unwrap();
+        assert_eq!(back.journal_epoch(), Some(2));
+        assert_eq!(back.output().get(&ivm_data::Tuple::empty()), 2, "{kind:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

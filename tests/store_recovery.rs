@@ -594,11 +594,14 @@ fn heavy_light_recovery_is_warm_with_zero_family_reselection() {
 /// The opposite direction: a session whose adaptive policy had shifted
 /// *away* from heavy-light to the dataflow family pre-kill must recover
 /// on the dataflow family — auto-selection would lower heavy-light for
-/// the query, and the persisted tag overrides it.
+/// the query, and the persisted tag overrides it. Durable × adaptive ×
+/// family-shifted, with a journaled tail beyond the snapshot: the
+/// recovered session's one base, its degree counts and its view all equal
+/// the pre-kill session's, and replaying the tail re-selects nothing.
 #[test]
 fn family_shifted_session_recovers_on_the_dataflow_family() {
     let q = triangle3("srfs_");
-    let rn = sym("srfs_3R");
+    let (rn, sn) = (sym("srfs_3R"), sym("srfs_3S"));
     let policy = ReplanPolicy {
         min_batches_between: 2,
         min_replay_fraction: 0.01,
@@ -606,6 +609,7 @@ fn family_shifted_session_recovers_on_the_dataflow_family() {
         ..ReplanPolicy::default()
     };
     let empty = mirror_db(&q);
+    let mut mirror = mirror_db(&q);
     let dir = scratch("hl-shifted");
     let mut first = Session::<i64>::builder(q.clone())
         .adaptive(policy)
@@ -615,11 +619,14 @@ fn family_shifted_session_recovers_on_the_dataflow_family() {
     assert_eq!(first.engine_kind(), EngineKind::HeavyLight);
     // Flat, wide streams: max degree stays 1 while N grows, so the
     // auxiliary views stop paying for themselves.
-    for round in 0..4i64 {
-        let batch: Vec<Update<i64>> = (0..30i64)
+    let flat = |round: i64| -> Vec<Update<i64>> {
+        (0..30i64)
             .map(|i| Update::insert(rn, tup![round * 30 + i, round * 30 + i]))
-            .collect();
-        first.apply_batch(&batch).unwrap();
+            .collect()
+    };
+    for round in 0..4i64 {
+        first.apply_batch(&flat(round)).unwrap();
+        mirror.apply_batch(&flat(round));
     }
     assert_eq!(
         first.engine_kind(),
@@ -633,9 +640,24 @@ fn family_shifted_session_recovers_on_the_dataflow_family() {
         .iter()
         .any(|ev| ev.trigger == ReplanTrigger::FamilyShift));
     first.snapshot().unwrap();
+    // Two journaled epochs beyond the snapshot — the replayed tail; the
+    // second retracts part of the first, so counts move both ways.
+    let tail = [
+        flat(4),
+        vec![
+            Update::delete(rn, tup![120i64, 120i64]),
+            Update::insert(sn, tup![121i64, 7i64]),
+        ],
+    ];
+    for batch in &tail {
+        first.apply_batch(batch).unwrap();
+        mirror.apply_batch(batch);
+    }
+    let pre_kill_replans = first.explain().replans.len();
+    let pre_kill_view = first.output();
     drop(first);
 
-    let second = Session::<i64>::builder(q.clone())
+    let mut second = Session::<i64>::builder(q.clone())
         .adaptive(policy)
         .recover(&dir, &empty)
         .unwrap();
@@ -645,7 +667,33 @@ fn family_shifted_session_recovers_on_the_dataflow_family() {
         "the persisted family overrides auto-selection: {}",
         second.explain()
     );
-    assert!(second.explain().replans.is_empty(), "{}", second.explain());
+    assert!(
+        second.explain().replans.is_empty(),
+        "replaying the tail must re-select nothing: {}",
+        second.explain()
+    );
+    assert!(pre_kill_replans > 0);
+    assert_eq!(second.journal_epoch(), Some(6));
+    outputs_match(&second.output(), &pre_kill_view, "recovered vs pre-kill").unwrap();
+    outputs_match(
+        &second.output(),
+        &oracle_db(&q, &mirror),
+        "recovered vs oracle",
+    )
+    .unwrap();
+    // What the recovered session would persist next is what the pre-kill
+    // session held: the same base, the same sizes, the same degrees.
+    second.snapshot().unwrap();
+    let doc = ivm_store::snapshot::read_snapshot::<i64>(&dir)
+        .unwrap()
+        .expect("just written");
+    for (name, rel) in mirror.iter() {
+        outputs_match(doc.base.relation(*name), rel, "recovered base").unwrap();
+    }
+    let mut expected = ivm_dataflow::LearnedCardinalities::new();
+    expected.rebuild_degrees(&mirror, &q);
+    assert_eq!(doc.degrees, expected.export_degrees());
+    assert!(doc.cards.contains(&(rn, 149)), "{:?}", doc.cards);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
