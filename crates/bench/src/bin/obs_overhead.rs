@@ -1,6 +1,7 @@
 //! Observability overhead guard: the `tri_scaling` dataflow workload run
 //! metrics-attached vs detached, measured back to back on the **same
-//! engine instance**, best-of-3 pairs.
+//! engine instance**, best-of-5 pairs (three left the 5 % gate inside the
+//! run-to-run spread once the multiway epoch under test got shorter).
 //!
 //! The telemetry layer promises near-zero hot-path cost: relaxed atomic
 //! adds on registered handles, nothing at all when detached. This bin
@@ -192,13 +193,13 @@ fn main() {
     println!(
         "# Observability overhead guard — {n}-edge graph, {probe} hub \
          insert/delete probe pairs (tri_scaling's measured phase), \
-         detached-then-attached on one engine, best of 3 pairs\n"
+         detached-then-attached on one engine, best of 5 pairs\n"
     );
 
     let mut best_detached = 0.0f64;
     let mut best_attached = 0.0f64;
     let mut best_traced = 0.0f64;
-    for _ in 0..3 {
+    for _ in 0..5 {
         let (d, a, t) = run_pair(&stream.edges, probe);
         best_detached = best_detached.max(d);
         best_attached = best_attached.max(a);

@@ -54,6 +54,16 @@ impl Tuple {
     }
 }
 
+/// Lets a `HashMap<Tuple, _>` be probed with a borrowed `&[Value]` key —
+/// no boxed tuple per lookup. Sound because the derived `Hash`/`Eq` of the
+/// newtype delegate to the boxed slice's, i.e. agree with `[Value]`'s; a
+/// manual `Hash` impl on `Tuple` must keep that (see the contract test).
+impl std::borrow::Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl<V: Into<Value>, const N: usize> From<[V; N]> for Tuple {
     fn from(values: [V; N]) -> Self {
         Tuple(values.into_iter().map(Into::into).collect())
@@ -138,5 +148,50 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(tup![1i64, 2i64].project(&[0]));
         assert!(set.contains(&tup![1i64]));
+    }
+
+    /// The `Borrow<[Value]>` contract the multiway join's borrowed-key
+    /// probes rest on: a tuple and its value slice hash and compare alike,
+    /// so a `&[Value]` finds the entry its `Tuple` was inserted under.
+    #[test]
+    fn borrow_slice_contract() {
+        use crate::hash::{FxBuildHasher, FxHashMap};
+        use std::borrow::Borrow;
+        use std::collections::hash_map::RandomState;
+        use std::hash::BuildHasher;
+
+        let pool = [
+            Value::from(7i64),
+            Value::str("x"),
+            Value::from(-1i64),
+            Value::str(""),
+        ];
+        let default_hasher = RandomState::new();
+        let mut map: FxHashMap<Tuple, usize> = FxHashMap::default();
+        // Every arity 0..=4, every rotation of the mixed Int/Str pool.
+        let tuples: Vec<Tuple> = (0..=4)
+            .flat_map(|n| (0..4).map(move |r| (n, r)))
+            .map(|(n, r)| Tuple::new((0..n).map(|i| pool[(i + r) % 4].clone())))
+            .collect();
+        for (i, t) in tuples.iter().enumerate() {
+            let slice: &[Value] = t.borrow();
+            assert_eq!(slice, t.values());
+            assert_eq!(
+                FxBuildHasher::default().hash_one(t),
+                FxBuildHasher::default().hash_one(t.values()),
+                "Fx hash of {t:?} differs from its slice's"
+            );
+            assert_eq!(
+                default_hasher.hash_one(t),
+                default_hasher.hash_one(t.values()),
+                "default hash of {t:?} differs from its slice's"
+            );
+            map.entry(t.clone()).or_insert(i);
+        }
+        for t in &tuples {
+            let key: Vec<Value> = t.values().to_vec();
+            assert_eq!(map.get(&key[..]), map.get(t), "slice probe missed {t:?}");
+            assert!(map.contains_key(&key[..]));
+        }
     }
 }

@@ -118,8 +118,16 @@ pub struct DataflowStats {
     pub binary_join_tuples: u64,
     /// Delta tuples that seeded a multiway variable-elimination search.
     pub multiway_seeds: u64,
-    /// Index and membership probes performed by multiway searches — the
-    /// machine-independent work measure of the WCOJ path.
+    /// Probes performed by multiway searches — the machine-independent
+    /// work measure of the WCOJ path. One probe is one lookup under a
+    /// borrowed key: a step constraint's candidate set in a pattern index,
+    /// a candidate value's membership in another constraint's set, or a
+    /// fully bound atom's payload. A step probes its constraints smallest
+    /// index first and stops at the first absent key, so in the mixed
+    /// terms of the delta expansion the batch-sized delta index usually
+    /// ends the branch after one probe; the count per update is therefore
+    /// lower than under the atom-order search this replaced (22.7 → 20.8
+    /// on the `tri-wcoj` pipeline row) for the same seeds and outputs.
     pub multiway_probes: u64,
     /// Candidate values enumerated by multiway intersection steps (the
     /// width of the leapfrog-style search frontier; each candidate then

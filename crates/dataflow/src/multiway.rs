@@ -8,21 +8,26 @@
 //! implements the attribute-at-a-time alternative: fix a global variable
 //! order, then extend a partial binding one variable at a time by
 //! *intersecting* the candidate values of every atom containing that
-//! variable — iterate the smallest candidate set, hash-probe the rest. No
+//! variable — iterate the smallest candidate set, probe the rest. No
 //! intermediate relation is ever materialized; only final join outputs are
 //! emitted.
 //!
 //! # Index structure
 //!
 //! Each distinct dataflow input (≈ base relation) owns one `Store`: the
-//! tuple→payload map plus a pool of `PatternIndex`es, the hash-trie
+//! tuple→payload map plus a vector of `PatternIndex`es, the hash-trie
 //! analogue of leapfrog's sorted tries. A pattern `(key_pos, val_pos)`
 //! maps an assignment of the key columns to the set of values the `val`
-//! column can take (with support counts, so deletions retract candidates).
-//! Patterns are built lazily on first use and maintained incrementally
-//! afterwards; because the pool lives on the *store*, atoms over the same
-//! relation — the three occurrences of `E` in the self-join triangle —
-//! share physical indexes instead of keeping three copies.
+//! column can take (with support counts, so deletions retract candidates);
+//! a set is a sorted `Vec` under binary search until it outgrows
+//! `FLAT_MAX`, a hash set after. Every pattern a seed plan can probe is
+//! known when the node is built, so it gets its *slot* in the store then
+//! and each `Constraint` carries the slot: no batch looks a pattern up,
+//! let alone builds one. Because the slots live on the *store*, atoms over
+//! the same relation — the three occurrences of `E` in the self-join
+//! triangle — share physical indexes instead of keeping three copies, and
+//! an engine adopting a [`StoreHub`] store registers its patterns on it
+//! once, at adoption.
 //!
 //! # Delta maintenance
 //!
@@ -36,9 +41,19 @@
 //! Every term *seeds* the search from changed tuples: the first atom of `S`
 //! iterates its (small) delta, binding all its variables at once, and the
 //! remaining variables are solved by the intersection search — atoms in `S`
-//! probe per-batch delta stores, the rest probe the old shared stores.
-//! Old stores advance only after all terms, so the old/new discipline needs
-//! no sequencing and self-joins need no per-occurrence state.
+//! probe their input's *delta store*, the rest the old shared stores. A
+//! delta store is a `Store` with the old store's patterns that lives as
+//! long as the node: a batch fills it through the same `Store::apply` that
+//! maintains the old indexes and empties it after the search, keeping its
+//! batch-sized tables. A step probes its constraints smallest index first,
+//! so an `S`-atom's delta index — where the key is almost always absent —
+//! ends the branch before the resident store is touched, and a term reading
+//! an *empty* old store is zero and skipped outright: a preload costs one
+//! term, not `2^k − 1`. Probe keys are borrowed from the binding
+//! (`Tuple: Borrow<[Value]>`), so a batch allocates per delta tuple and per
+//! output tuple, never per seed or probe. Old stores advance only after
+//! all terms, so the old/new discipline needs no sequencing and self-joins
+//! need no per-occurrence state.
 
 use crate::batch::DeltaBatch;
 use crate::graph::DataflowStats;
@@ -53,133 +68,218 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// `src` projected onto `pos` as a borrowed hash key: a single column is
+/// borrowed in place, anything else is assembled in `buf`.
+fn gather<'a>(src: &'a [Value], pos: &[usize], buf: &'a mut Vec<Value>) -> &'a [Value] {
+    if let [p] = pos {
+        return std::slice::from_ref(&src[*p]);
+    }
+    buf.clear();
+    buf.extend(pos.iter().map(|&p| src[p].clone()));
+    buf
+}
+
+/// Longest candidate set kept as a sorted `Vec`. Up to here an insert
+/// moves at most 1 KiB and membership is five comparisons; a hub key's
+/// set beyond it becomes a hash set, whose inserts do not move its
+/// members (and which stays one even if it shrinks again).
+const FLAT_MAX: usize = 32;
+
+/// The values one key can be extended by, each with the number of tuples
+/// supporting it.
+enum Candidates {
+    /// Sorted by value.
+    Flat(Vec<(Value, u32)>),
+    Hashed(FxHashMap<Value, u32>),
+}
+
+impl Candidates {
+    fn len(&self) -> usize {
+        match self {
+            Candidates::Flat(v) => v.len(),
+            Candidates::Hashed(m) => m.len(),
+        }
+    }
+
+    fn contains(&self, val: &Value) -> bool {
+        match self {
+            Candidates::Flat(v) => v.binary_search_by(|e| e.0.cmp(val)).is_ok(),
+            Candidates::Hashed(m) => m.contains_key(val),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Value> {
+        let (flat, hashed) = match self {
+            Candidates::Flat(v) => (Some(v), None),
+            Candidates::Hashed(m) => (None, Some(m)),
+        };
+        let flat = flat.into_iter().flatten().map(|e| &e.0);
+        flat.chain(hashed.into_iter().flat_map(|m| m.keys()))
+    }
+
+    /// Count one more tuple supporting `val`.
+    fn add(&mut self, val: &Value) {
+        match self {
+            Candidates::Flat(v) => match v.binary_search_by(|e| e.0.cmp(val)) {
+                Ok(i) => v[i].1 += 1,
+                Err(i) if v.len() < FLAT_MAX => v.insert(i, (val.clone(), 1)),
+                Err(_) => {
+                    let mut m: FxHashMap<Value, u32> = v.drain(..).collect();
+                    m.insert(val.clone(), 1);
+                    *self = Candidates::Hashed(m);
+                }
+            },
+            Candidates::Hashed(m) => *m.entry(val.clone()).or_insert(0) += 1,
+        }
+    }
+
+    /// Count one tuple supporting `val` less; `true` once the set is empty.
+    fn remove(&mut self, val: &Value) -> bool {
+        match self {
+            Candidates::Flat(v) => {
+                if let Ok(i) = v.binary_search_by(|e| e.0.cmp(val)) {
+                    v[i].1 -= 1;
+                    if v[i].1 == 0 {
+                        v.remove(i);
+                    }
+                }
+            }
+            Candidates::Hashed(m) => {
+                if let Some(n) = m.get_mut(val) {
+                    *n -= 1;
+                    if *n == 0 {
+                        m.remove(val);
+                    }
+                }
+            }
+        }
+        self.len() == 0
+    }
+}
+
 /// A hash-trie level: for one access pattern `(key columns → value
-/// column)`, the values reachable under each key assignment, with the
-/// number of supporting tuples so cancellations retract candidates.
+/// column)`, the values reachable under each key assignment.
 struct PatternIndex {
     key_pos: Box<[usize]>,
     val_pos: usize,
-    map: FxHashMap<Tuple, FxHashMap<Value, u32>>,
+    map: FxHashMap<Tuple, Candidates>,
 }
 
 impl PatternIndex {
-    fn new(key_pos: Box<[usize]>, val_pos: usize) -> Self {
-        PatternIndex {
-            key_pos,
-            val_pos,
-            map: FxHashMap::default(),
+    /// Record one present tuple. Only a key seen for the first time is
+    /// cloned into the map.
+    fn add(&mut self, t: &Tuple, buf: &mut Vec<Value>) {
+        let key = gather(t.values(), &self.key_pos, buf);
+        let val = t.at(self.val_pos);
+        match self.map.get_mut(key) {
+            Some(c) => c.add(val),
+            None => {
+                let first = Candidates::Flat(vec![(val.clone(), 1)]);
+                self.map.insert(key.iter().cloned().collect(), first);
+            }
         }
-    }
-
-    /// Record one present tuple.
-    fn add(&mut self, t: &Tuple) {
-        let key = t.project(&self.key_pos);
-        *self
-            .map
-            .entry(key)
-            .or_default()
-            .entry(t.at(self.val_pos).clone())
-            .or_insert(0) += 1;
     }
 
     /// Retract one no-longer-present tuple.
-    fn remove(&mut self, t: &Tuple) {
-        let key = t.project(&self.key_pos);
-        let Some(vals) = self.map.get_mut(&key) else {
-            return;
-        };
-        if let Some(c) = vals.get_mut(t.at(self.val_pos)) {
-            *c -= 1;
-            if *c == 0 {
-                vals.remove(t.at(self.val_pos));
+    fn remove(&mut self, t: &Tuple, buf: &mut Vec<Value>) {
+        let key = gather(t.values(), &self.key_pos, buf);
+        if let Some(c) = self.map.get_mut(key) {
+            if c.remove(t.at(self.val_pos)) {
+                self.map.remove(key);
             }
         }
-        if vals.is_empty() {
-            self.map.remove(&key);
-        }
-    }
-
-    /// The candidate values under `key`, if any.
-    fn candidates(&self, key: &Tuple) -> Option<&FxHashMap<Value, u32>> {
-        self.map.get(key)
     }
 }
 
-/// One input's shared state: payloads plus the lazily grown index pool.
+/// One input's state: payloads plus one index per registered pattern.
 struct Store<R> {
     tuples: FxHashMap<Tuple, R>,
-    indexes: FxHashMap<(Box<[usize]>, usize), PatternIndex>,
+    indexes: Vec<PatternIndex>,
+    /// Scratch for multi-column index keys.
+    key_buf: Vec<Value>,
 }
 
 impl<R: Semiring> Store<R> {
     fn new() -> Self {
         Store {
             tuples: FxHashMap::default(),
-            indexes: FxHashMap::default(),
+            indexes: Vec::new(),
+            key_buf: Vec::new(),
         }
     }
 
-    /// Build a per-batch store over a consolidated delta relation.
-    fn from_delta(delta: &Relation<R>) -> Self {
-        let mut s = Store::new();
-        for (t, r) in delta.iter() {
-            s.tuples.insert(t.clone(), r.clone());
+    /// The slot of pattern `(key_pos → val_pos)`, registered — and built
+    /// over the resident tuples, O(|R|) — if no plan asked for it before.
+    /// Called while a node is built or adopts a hub store, never per batch.
+    fn slot(&mut self, key_pos: &[usize], val_pos: usize) -> usize {
+        let known = |idx: &PatternIndex| *idx.key_pos == *key_pos && idx.val_pos == val_pos;
+        if let Some(slot) = self.indexes.iter().position(known) {
+            return slot;
         }
-        s
+        let mut idx = PatternIndex {
+            key_pos: key_pos.into(),
+            val_pos,
+            map: FxHashMap::default(),
+        };
+        for t in self.tuples.keys() {
+            idx.add(t, &mut self.key_buf);
+        }
+        self.indexes.push(idx);
+        self.indexes.len() - 1
     }
 
-    /// Apply one delta tuple, keeping every built index in sync with the
-    /// present (non-zero payload) tuple set.
+    /// Apply one delta tuple, keeping every index in sync with the present
+    /// (non-zero payload) tuple set. The tuple is cloned only when it
+    /// becomes present.
     fn apply(&mut self, t: &Tuple, delta: &R) {
         if delta.is_zero() {
             return;
         }
-        match self.tuples.entry(t.clone()) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().add_assign(delta);
-                if e.get().is_zero() {
-                    e.remove();
-                    for idx in self.indexes.values_mut() {
-                        idx.remove(t);
+        match self.tuples.get_mut(t) {
+            Some(p) => {
+                p.add_assign(delta);
+                if p.is_zero() {
+                    self.tuples.remove(t);
+                    for idx in &mut self.indexes {
+                        idx.remove(t, &mut self.key_buf);
                     }
                 }
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(delta.clone());
-                for idx in self.indexes.values_mut() {
-                    idx.add(t);
+            None => {
+                self.tuples.insert(t.clone(), delta.clone());
+                for idx in &mut self.indexes {
+                    idx.add(t, &mut self.key_buf);
                 }
             }
         }
     }
 
-    /// Make sure the pattern `(key_pos → val_pos)` exists, building it from
-    /// the current tuples on first request (O(|R|), amortized across the
-    /// store's lifetime).
-    fn ensure_index(&mut self, key_pos: &[usize], val_pos: usize) {
-        let key = (Box::from(key_pos), val_pos);
-        if self.indexes.contains_key(&key) {
-            return;
+    /// Fill this (empty) delta store with `delta`. Tables left over from a
+    /// much larger batch — the preload — are given back first: an oversized
+    /// table makes every later `clear` and seed scan O(capacity).
+    fn refill(&mut self, delta: &Relation<R>) {
+        self.tuples.shrink_to(2 * delta.len());
+        for idx in &mut self.indexes {
+            idx.map.shrink_to(2 * delta.len());
         }
-        let mut idx = PatternIndex::new(Box::from(key_pos), val_pos);
-        for t in self.tuples.keys() {
-            idx.add(t);
+        for (t, r) in delta.iter() {
+            self.apply(t, r);
         }
-        self.indexes.insert(key, idx);
     }
 
-    /// The pattern index (must have been [`Self::ensure_index`]'d).
-    fn index(&self, key_pos: &[usize], val_pos: usize) -> &PatternIndex {
-        self.indexes
-            .get(&(Box::from(key_pos), val_pos))
-            .expect("pattern index must be ensured before the search")
+    /// Drop every tuple and candidate set, keeping the tables.
+    fn clear(&mut self) {
+        self.tuples.clear();
+        for idx in &mut self.indexes {
+            idx.map.clear();
+        }
     }
 }
 
 /// One atom occurrence: which input it reads and how its columns map onto
 /// the global variable order.
 struct AtomSpec {
-    /// Index into the node's inputs (and the store pool).
+    /// Index into the node's inputs (and the store vectors).
     input: usize,
     /// For each atom column, the position of its variable in `var_order`.
     gpos: Vec<usize>,
@@ -194,6 +294,11 @@ struct Constraint {
     val_pos: usize,
     /// `var_order` positions aligned with `key_pos` (binding lookups).
     key_g: Box<[usize]>,
+    /// Slot of `(key_pos → val_pos)` in the input's old store; re-resolved
+    /// when the input adopts a hub store.
+    slot: usize,
+    /// Its slot in the node's own delta store.
+    delta_slot: usize,
 }
 
 /// One variable of a seed plan's elimination order.
@@ -205,6 +310,8 @@ struct Step {
     /// Atoms that become fully bound once this step's variable binds;
     /// their payload folds into the accumulator here.
     completed: Vec<usize>,
+    /// Constraints in the plan's earlier steps (offset into `Search::order`).
+    order_base: usize,
 }
 
 /// The search plan for delta terms seeded from one atom: bind the seed
@@ -329,6 +436,13 @@ pub struct MultiwayState<R> {
     /// coordinator, not by [`Self::apply`].
     shared: Vec<bool>,
     plans: Vec<SeedPlan>,
+    /// Per-input delta stores: the batch's `δ_i` under the input's
+    /// patterns while [`Self::apply`] searches, empty between batches.
+    delta: Vec<Store<R>>,
+    /// Search scratch kept across batches (see [`Search`]).
+    binding: Vec<Value>,
+    key_buf: Vec<Value>,
+    order: Vec<usize>,
 }
 
 impl<R: Semiring> MultiwayState<R> {
@@ -337,6 +451,9 @@ impl<R: Semiring> MultiwayState<R> {
     /// `var_order` must cover every atom variable.
     pub(crate) fn new(atoms: &[(usize, Schema)], n_inputs: usize, var_order: Schema) -> Self {
         assert!(!atoms.is_empty(), "multiway join needs at least one atom");
+        // Terms are subsets of atoms held in a u64 mask (and exponential
+        // in their number regardless), mirroring `Query::atoms_of`'s cap.
+        assert!(atoms.len() <= 64, "at most 64 atom occurrences");
         let specs: Vec<AtomSpec> = atoms
             .iter()
             .map(|(input, schema)| {
@@ -356,32 +473,62 @@ impl<R: Semiring> MultiwayState<R> {
                 }
             })
             .collect();
+        // Planning registers every pattern a search can probe on the
+        // delta stores; the old stores then get the same slots.
+        let mut delta: Vec<Store<R>> = (0..n_inputs).map(|_| Store::new()).collect();
         let plans = (0..specs.len())
-            .map(|s| Self::build_plan(&specs, &var_order, s))
+            .map(|s| Self::build_plan(&specs, &var_order, s, &mut delta))
+            .collect();
+        let stores = delta
+            .iter()
+            .map(|d| {
+                let mut old = Store::new();
+                for idx in &d.indexes {
+                    old.slot(&idx.key_pos, idx.val_pos);
+                }
+                Arc::new(Mutex::new(old))
+            })
             .collect();
         MultiwayState {
             atoms: specs,
+            binding: vec![Value::Int(0); var_order.arity()],
             var_order,
-            stores: (0..n_inputs)
-                .map(|_| Arc::new(Mutex::new(Store::new())))
-                .collect(),
+            stores,
             shared: vec![false; n_inputs],
             plans,
+            delta,
+            key_buf: Vec::new(),
+            order: Vec::new(),
         }
     }
 
     /// Swap input `slot`'s store for the hub's shared store of
     /// `relation` (donating ours if the hub has none yet), and mark the
     /// slot coordinator-advanced. Returns `true` on a dedup hit — an
-    /// earlier engine's store was adopted.
+    /// earlier engine's store was adopted; this node's patterns are then
+    /// registered on it and its constraints re-pointed at those slots.
     pub(crate) fn share_slot(&mut self, slot: usize, relation: Sym, hub: &StoreHub<R>) -> bool {
         let (store, existing) = hub.join(relation, Arc::clone(&self.stores[slot]));
+        if existing {
+            let mut adopted = relock(&store);
+            let steps = self.plans.iter_mut().flat_map(|p| &mut p.steps);
+            for c in steps.flat_map(|s| &mut s.constraints) {
+                if self.atoms[c.atom].input == slot {
+                    c.slot = adopted.slot(&c.key_pos, c.val_pos);
+                }
+            }
+        }
         self.stores[slot] = store;
         self.shared[slot] = true;
         existing
     }
 
-    fn build_plan(specs: &[AtomSpec], var_order: &Schema, seed: usize) -> SeedPlan {
+    fn build_plan(
+        specs: &[AtomSpec],
+        var_order: &Schema,
+        seed: usize,
+        stores: &mut [Store<R>],
+    ) -> SeedPlan {
         let n_g = var_order.arity();
         let mut bound = vec![false; n_g];
         for &g in &specs[seed].gpos {
@@ -396,6 +543,7 @@ impl<R: Semiring> MultiwayState<R> {
         let at_seed = (0..specs.len()).filter(|&j| j != seed && done[j]).collect();
 
         let mut steps = Vec::new();
+        let mut order_base = 0;
         for g in 0..n_g {
             if bound[g] {
                 continue;
@@ -413,11 +561,14 @@ impl<R: Semiring> MultiwayState<R> {
                         key_g.push(cg);
                     }
                 }
+                let slot = stores[spec.input].slot(&key_pos, val_pos);
                 constraints.push(Constraint {
                     atom: j,
                     key_pos: key_pos.into(),
                     val_pos,
                     key_g: key_g.into(),
+                    slot,
+                    delta_slot: slot,
                 });
             }
             assert!(
@@ -432,11 +583,14 @@ impl<R: Semiring> MultiwayState<R> {
                     completed.push(j);
                 }
             }
+            let n = constraints.len();
             steps.push(Step {
                 var_g: g,
                 constraints,
                 completed,
+                order_base,
             });
+            order_base += n;
         }
         SeedPlan { at_seed, steps }
     }
@@ -446,9 +600,9 @@ impl<R: Semiring> MultiwayState<R> {
         self.atoms.len()
     }
 
-    /// Number of pattern indexes currently built on each input's store —
-    /// exposed so tests can assert that self-join occurrences share
-    /// indexes instead of duplicating them.
+    /// Number of pattern indexes on each input's store — exposed so tests
+    /// can assert that self-join occurrences share indexes instead of
+    /// duplicating them.
     pub fn index_counts(&self) -> Vec<usize> {
         self.stores
             .iter()
@@ -486,80 +640,48 @@ impl<R: Semiring> MultiwayState<R> {
         if input_deltas.iter().all(|d| d.is_none()) {
             return None;
         }
-        let delta_stores: Vec<Option<Store<R>>> = input_deltas
-            .iter()
-            .map(|d| d.map(Store::from_delta))
-            .collect();
-        // Atoms whose input changed this batch, in atom order. The term
-        // enumeration below is a u64 subset mask (and exponential in this
-        // count regardless), mirroring `Query::atoms_of`'s 64-atom cap.
-        let d_atoms: Vec<usize> = (0..self.atoms.len())
-            .filter(|&j| delta_stores[self.atoms[j].input].is_some())
-            .collect();
-        assert!(
-            d_atoms.len() < 64,
-            "more than 63 simultaneously updated atom occurrences unsupported"
-        );
+        for (store, d) in self.delta.iter_mut().zip(input_deltas) {
+            if let Some(d) = d {
+                store.refill(d);
+            }
+        }
+        // Atoms whose input changed this batch, as a mask over atoms.
+        let changed = (0..self.atoms.len())
+            .filter(|&j| input_deltas[self.atoms[j].input].is_some())
+            .fold(0u64, |mask, j| mask | 1 << j);
 
-        // Lock every input slot once for the whole batch. With no hub
-        // the locks are uncontended; with a hub this serializes member
-        // engines per store, which the coordinator drives sequentially
-        // anyway.
+        // Lock every input slot once for the whole batch. With no hub the
+        // locks are uncontended; with a hub this serializes member engines
+        // per store, which the coordinator drives sequentially anyway.
         let mut guards: Vec<MutexGuard<'_, Store<R>>> =
             self.stores.iter().map(|s| relock(s)).collect();
 
-        // Ensure every pattern any term can probe, old and delta side,
-        // before the search holds shared references into the stores.
-        let mut delta_stores = delta_stores;
-        for &seed in &d_atoms {
-            for step in &self.plans[seed].steps {
-                for c in &step.constraints {
-                    let input = self.atoms[c.atom].input;
-                    guards[input].ensure_index(&c.key_pos, c.val_pos);
-                    if let Some(ds) = delta_stores[input].as_mut() {
-                        ds.ensure_index(&c.key_pos, c.val_pos);
-                    }
-                }
-            }
-        }
-
         let mut out = Relation::new(self.var_order.clone());
-        let mut binding: Vec<Option<Value>> = vec![None; self.var_order.arity()];
-        {
-            let old: Vec<&Store<R>> = guards.iter().map(|g| &**g).collect();
-            for mask in 1u64..(1 << d_atoms.len()) {
-                let in_s: Vec<usize> = (0..d_atoms.len())
-                    .filter(|&k| mask & (1 << k) != 0)
-                    .map(|k| d_atoms[k])
-                    .collect();
-                // Per-term store selection: S-atoms read the batch delta,
-                // everyone else reads the old shared store.
-                let sel: Vec<&Store<R>> = self
-                    .atoms
-                    .iter()
-                    .enumerate()
-                    .map(|(j, spec)| {
-                        if in_s.contains(&j) {
-                            delta_stores[spec.input]
-                                .as_ref()
-                                .expect("S-atoms have a delta")
-                        } else {
-                            old[spec.input]
-                        }
-                    })
-                    .collect();
-                run_term(
-                    &self.atoms,
-                    &self.plans,
-                    &in_s,
-                    &sel,
-                    &mut binding,
-                    &mut out,
-                    stats,
-                );
-            }
+        let mut search = Search {
+            atoms: &self.atoms,
+            old: &guards,
+            delta: &self.delta,
+            plans: &self.plans,
+            in_s: 0,
+            order: &mut self.order,
+            binding: &mut self.binding,
+            key_buf: &mut self.key_buf,
+            // A step stacks at most one set per atom.
+            cands: Vec::with_capacity(self.atoms.len() * self.var_order.arity()),
+            out: &mut out,
+            stats,
+        };
+        // One term per non-empty S ⊆ changed.
+        let mut in_s = changed;
+        while in_s != 0 {
+            search.run_term(in_s);
+            in_s = (in_s - 1) & changed;
         }
 
+        // The deltas' indexed copies go before the old stores grow.
+        for store in &mut self.delta {
+            store.clear();
+        }
         for (slot, d) in input_deltas.iter().enumerate() {
             if self.shared[slot] {
                 continue; // the hub coordinator advances this store
@@ -574,144 +696,133 @@ impl<R: Semiring> MultiwayState<R> {
     }
 }
 
-/// Assemble an atom's full tuple from the (fully covering) binding.
-fn atom_tuple(spec: &AtomSpec, binding: &[Option<Value>]) -> Tuple {
-    spec.gpos
-        .iter()
-        .map(|&g| binding[g].clone().expect("atom variable bound"))
-        .collect()
+/// The search of one batch: what it reads, its scratch, where it emits.
+/// `binding` is the partial assignment over `var_order`, `key_buf` the one
+/// buffer multi-column probe keys are assembled in.
+struct Search<'a, R> {
+    atoms: &'a [AtomSpec],
+    old: &'a [MutexGuard<'a, Store<R>>],
+    delta: &'a [Store<R>],
+    plans: &'a [SeedPlan],
+    /// The current term's `S`, a mask over atoms: these read `delta`, and
+    /// the first of them seeds the term.
+    in_s: u64,
+    /// Per step of `plan` (from `Step::order_base`), its constraints by
+    /// ascending size of the index the current term probes them in.
+    order: &'a mut Vec<usize>,
+    binding: &'a mut Vec<Value>,
+    key_buf: &'a mut Vec<Value>,
+    /// Candidate sets of the steps on the search path, innermost last.
+    cands: Vec<&'a Candidates>,
+    out: &'a mut Relation<R>,
+    stats: &'a mut DataflowStats,
 }
 
-/// One inclusion–exclusion term: seed from the first S-atom's delta
-/// tuples, then run the intersection search over the remaining variables.
-fn run_term<R: Semiring>(
-    atoms: &[AtomSpec],
-    plans: &[SeedPlan],
-    in_s: &[usize],
-    sel: &[&Store<R>],
-    binding: &mut [Option<Value>],
-    out: &mut Relation<R>,
-    stats: &mut DataflowStats,
-) {
-    let seed = in_s[0];
-    let plan = &plans[seed];
-    // Resolve every step's pattern indexes once per term — the stores are
-    // immutable for the whole search, so the inner loops skip the pool
-    // lookup (and its boxed-key allocation) entirely.
-    let step_indexes: Vec<Vec<&PatternIndex>> = plan
-        .steps
-        .iter()
-        .map(|step| {
-            step.constraints
-                .iter()
-                .map(|c| sel[c.atom].index(&c.key_pos, c.val_pos))
-                .collect()
-        })
-        .collect();
-    for (t, r) in sel[seed].tuples.iter() {
-        stats.multiway_seeds += 1;
-        for (c, &g) in atoms[seed].gpos.iter().enumerate() {
-            binding[g] = Some(t.at(c).clone());
+impl<'a, R: Semiring> Search<'a, R> {
+    /// The store `atom` reads in the current term.
+    fn store(&self, atom: usize) -> &'a Store<R> {
+        let input = self.atoms[atom].input;
+        if self.in_s >> atom & 1 == 1 {
+            &self.delta[input]
+        } else {
+            &self.old[input]
         }
-        let mut acc = r.clone();
-        let mut alive = true;
-        for &j in &plan.at_seed {
-            stats.multiway_probes += 1;
-            match sel[j].tuples.get(&atom_tuple(&atoms[j], binding)) {
-                Some(p) => acc = acc.times(p),
+    }
+
+    /// The index constraint `c` probes in the current term.
+    fn index(&self, c: &Constraint) -> &'a PatternIndex {
+        let in_s = self.in_s >> c.atom & 1 == 1;
+        &self.store(c.atom).indexes[if in_s { c.delta_slot } else { c.slot }]
+    }
+
+    /// One inclusion–exclusion term: seed from the first S-atom's delta
+    /// tuples, then search the remaining variables.
+    fn run_term(&mut self, in_s: u64) {
+        let atoms = self.atoms;
+        // A factor read from an empty old store makes the term zero —
+        // six of a triangle preload's seven terms, none in steady state.
+        let reads_empty =
+            |j: usize| in_s >> j & 1 == 0 && self.old[atoms[j].input].tuples.is_empty();
+        if (0..atoms.len()).any(reads_empty) {
+            return;
+        }
+        self.in_s = in_s;
+        let seed = in_s.trailing_zeros() as usize;
+        let plan = &self.plans[seed];
+        let mut order = std::mem::take(self.order);
+        order.clear();
+        for step in &plan.steps {
+            order.extend(0..step.constraints.len());
+            order[step.order_base..]
+                .sort_unstable_by_key(|&i| (self.index(&step.constraints[i]).map.len(), i));
+        }
+        *self.order = order;
+        for (t, r) in self.store(seed).tuples.iter() {
+            self.stats.multiway_seeds += 1;
+            for (c, &g) in atoms[seed].gpos.iter().enumerate() {
+                self.binding[g].clone_from(t.at(c));
+            }
+            if let Some(acc) = self.fold(&plan.at_seed, r) {
+                self.search(0, acc);
+            }
+        }
+    }
+
+    /// `acc` times the payloads of the atoms `done`, which the binding now
+    /// covers; `None` if one of them is absent or the product is zero.
+    fn fold(&mut self, done: &[usize], acc: &R) -> Option<R> {
+        let mut acc = acc.clone();
+        for &j in done {
+            self.stats.multiway_probes += 1;
+            let tuples = &self.store(j).tuples;
+            let key = gather(self.binding, &self.atoms[j].gpos, self.key_buf);
+            acc = acc.times(tuples.get(key)?);
+        }
+        (!acc.is_zero()).then_some(acc)
+    }
+
+    /// Extend the binding by the variable of step `step_i`: intersect the
+    /// candidate sets of every constraining atom (iterate the smallest,
+    /// probe the rest), fold completed atoms' payloads, recurse.
+    fn search(&mut self, step_i: usize, acc: R) {
+        let plan = &self.plans[self.in_s.trailing_zeros() as usize];
+        let Some(step) = plan.steps.get(step_i) else {
+            self.out.apply(self.binding.iter().cloned().collect(), &acc);
+            return;
+        };
+        let base = self.cands.len();
+        let n = step.constraints.len();
+        for k in 0..n {
+            let c = &step.constraints[self.order[step.order_base + k]];
+            self.stats.multiway_probes += 1;
+            let index = self.index(c);
+            let key = gather(self.binding, &c.key_g, self.key_buf);
+            match index.map.get(key) {
+                Some(set) => self.cands.push(set),
                 None => {
-                    alive = false;
-                    break;
+                    self.cands.truncate(base);
+                    return;
                 }
             }
         }
-        if alive && !acc.is_zero() {
-            search(atoms, plan, &step_indexes, 0, sel, binding, acc, out, stats);
-        }
-    }
-}
-
-/// Extend the binding by the variable of step `step_i`: intersect the
-/// candidate sets of every constraining atom (iterate the smallest, probe
-/// the rest), fold completed atoms' payloads, recurse.
-#[allow(clippy::too_many_arguments)]
-fn search<R: Semiring>(
-    atoms: &[AtomSpec],
-    plan: &SeedPlan,
-    step_indexes: &[Vec<&PatternIndex>],
-    step_i: usize,
-    sel: &[&Store<R>],
-    binding: &mut [Option<Value>],
-    acc: R,
-    out: &mut Relation<R>,
-    stats: &mut DataflowStats,
-) {
-    let Some(step) = plan.steps.get(step_i) else {
-        let tuple: Tuple = binding
-            .iter()
-            .map(|v| v.clone().expect("all variables bound at a leaf"))
-            .collect();
-        out.apply(tuple, &acc);
-        return;
-    };
-    let mut maps: Vec<&FxHashMap<Value, u32>> = Vec::with_capacity(step.constraints.len());
-    for (c, idx) in step.constraints.iter().zip(&step_indexes[step_i]) {
-        stats.multiway_probes += 1;
-        let key: Tuple = c
-            .key_g
-            .iter()
-            .map(|&g| binding[g].clone().expect("key variable bound"))
-            .collect();
-        match idx.candidates(&key) {
-            Some(m) => maps.push(m),
-            None => return,
-        }
-    }
-    let smallest = maps
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, m)| m.len())
-        .map(|(i, _)| i)
-        .expect("at least one constraint per step");
-    'vals: for val in maps[smallest].keys() {
-        stats.multiway_intersections += 1;
-        for (i, m) in maps.iter().enumerate() {
-            if i == smallest {
-                continue;
-            }
-            stats.multiway_probes += 1;
-            if !m.contains_key(val) {
-                continue 'vals;
-            }
-        }
-        binding[step.var_g] = Some(val.clone());
-        let mut acc2 = acc.clone();
-        let mut alive = true;
-        for &j in &step.completed {
-            stats.multiway_probes += 1;
-            match sel[j].tuples.get(&atom_tuple(&atoms[j], binding)) {
-                Some(p) => acc2 = acc2.times(p),
-                None => {
-                    alive = false;
-                    break;
+        let smallest = (base..base + n)
+            .min_by_key(|&i| self.cands[i].len())
+            .expect("at least one constraint per step");
+        'vals: for val in self.cands[smallest].iter() {
+            self.stats.multiway_intersections += 1;
+            for i in (base..base + n).filter(|&i| i != smallest) {
+                self.stats.multiway_probes += 1;
+                if !self.cands[i].contains(val) {
+                    continue 'vals;
                 }
             }
+            self.binding[step.var_g].clone_from(val);
+            if let Some(acc) = self.fold(&step.completed, &acc) {
+                self.search(step_i + 1, acc);
+            }
         }
-        if alive && !acc2.is_zero() {
-            search(
-                atoms,
-                plan,
-                step_indexes,
-                step_i + 1,
-                sel,
-                binding,
-                acc2,
-                out,
-                stats,
-            );
-        }
+        self.cands.truncate(base);
     }
-    binding[step.var_g] = None;
 }
 
 #[cfg(test)]
@@ -865,6 +976,109 @@ mod tests {
         assert_eq!(hub.stored_tuples(), 5);
         assert_eq!(st1.stored_tuples(), 5);
         assert_eq!(st2.stored_tuples(), 5);
+    }
+
+    /// A fixed 40-update stream over 7 nodes: 16 inserts, then six batches
+    /// of three inserts and one delete. Returns the counters of the six
+    /// steady-state batches and the summed output payloads.
+    fn pinned_stream_counters() -> (DataflowStats, i64) {
+        let (mut st, _) = triangle_state();
+        let mut stats = DataflowStats::default();
+        let mut x = 12345u64;
+        let mut edges: Vec<(i64, i64)> = Vec::new();
+        while edges.len() < 34 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let e = (((x >> 33) % 7) as i64, ((x >> 13) % 7) as i64);
+            if !edges.contains(&e) {
+                edges.push(e);
+            }
+        }
+        let first: Vec<(i64, i64, i64)> = edges[..16].iter().map(|&(a, b)| (a, b, 1)).collect();
+        st.apply(&[Some(&edge_delta(&first))], &mut stats).unwrap();
+        let after_first = stats;
+        let mut total = 0;
+        for k in 0..6 {
+            let mut batch: Vec<(i64, i64, i64)> = edges[16 + 3 * k..19 + 3 * k]
+                .iter()
+                .map(|&(a, b)| (a, b, 1))
+                .collect();
+            batch.push((edges[k].0, edges[k].1, -1));
+            total += st
+                .apply(&[Some(&edge_delta(&batch))], &mut stats)
+                .unwrap()
+                .total();
+        }
+        (stats.since(&after_first), total)
+    }
+
+    /// Smallest-index-first probing may only *remove* probes: in steady
+    /// state (every old store non-empty, so no term is skipped) the seeds
+    /// and the outputs of a stream are those of the atom-order search this
+    /// operator replaced, whose counters on the same stream are recorded
+    /// here.
+    #[test]
+    fn steady_state_counters_pinned() {
+        const PARENT_SEEDS: u64 = 168;
+        const PARENT_PROBES: u64 = 764;
+        const PROBES: u64 = 736;
+        let (d, total) = pinned_stream_counters();
+        assert_eq!(
+            d.multiway_seeds, PARENT_SEEDS,
+            "6 batches x 4 tuples x 7 terms"
+        );
+        assert_eq!(d.multiway_probes, PROBES);
+        const { assert!(PROBES <= PARENT_PROBES) };
+        assert_eq!(d.multiway_intersections, 226);
+        assert_eq!(total, 68);
+    }
+
+    #[test]
+    fn poisoned_hub_store_keeps_members_correct() {
+        // A peer panicking while it holds a shared store's lock poisons
+        // the mutex for every other member. Stores change tuple-at-a-time,
+        // so `relock` may carry on: the members must keep agreeing with a
+        // state that never shared anything.
+        let e_sym = sym("mw_poisonE");
+        let (mut m1, _) = triangle_state();
+        let (mut m2, _) = triangle_state();
+        let (mut alone, _) = triangle_state();
+        let hub: StoreHub<i64> = StoreHub::new();
+        m1.share_slot(0, e_sym, &hub);
+        m2.share_slot(0, e_sym, &hub);
+        let mut stats = DataflowStats::default();
+        let batches: [&[(i64, i64, i64)]; 3] = [
+            &[(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1)],
+            &[(4, 1, 1), (2, 3, 1), (1, 2, -1)],
+            &[(1, 2, 1), (3, 4, -1), (2, 3, -1)],
+        ];
+        for (i, edges) in batches.iter().enumerate() {
+            if i == 1 {
+                let store = Arc::clone(&m1.stores[0]);
+                let peer = std::thread::spawn(move || {
+                    let _held = store.lock().unwrap();
+                    panic!("peer engine dies holding the shared store");
+                });
+                assert!(peer.join().is_err());
+                assert!(m1.stores[0].is_poisoned());
+            }
+            let d = edge_delta(edges);
+            let expect = alone.apply(&[Some(&d)], &mut stats).unwrap();
+            for member in [&mut m1, &mut m2] {
+                let got = member.apply(&[Some(&d)], &mut stats).unwrap();
+                assert_eq!(got.len(), expect.len(), "batch {i}");
+                for (t, r) in expect.iter() {
+                    assert_eq!(&got.get(t), r, "batch {i} at {t:?}");
+                }
+            }
+            let mut batch = DeltaBatch::new();
+            for (t, r) in d.iter() {
+                batch.push(&ivm_data::Update::with_payload(e_sym, t.clone(), *r));
+            }
+            hub.advance_batch(&batch);
+            assert_eq!(hub.stored_tuples(), alone.stored_tuples(), "batch {i}");
+        }
     }
 
     #[test]

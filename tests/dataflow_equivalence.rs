@@ -7,7 +7,7 @@
 use ivm_core::Maintainer;
 use ivm_data::ops::{eval_join_aggregate, lift_one};
 use ivm_data::{sym, Database, Relation, Tuple, Update, Value};
-use ivm_dataflow::DataflowEngine;
+use ivm_dataflow::{DataflowEngine, DeltaBatch, JoinStrategy, StoreHub};
 use ivm_query::{Atom, Query};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -180,6 +180,122 @@ proptest! {
             // Consolidation means the batch propagates at most once per
             // distinct (relation, tuple) key, usually far fewer deltas.
             prop_assert!(batched.stats().deltas_in <= singles.stats().deltas_in);
+        }
+    }
+}
+
+/// `Q(a,b,c,d) = R(a,b,c)·S(b,c,d)·T(d,a)`: a cycle through two ternary
+/// atoms, so the multiway search probes two-column keys (`R` by `(a,b)`,
+/// `S` by `(b,c)`, …), with `b` string-valued; plus `Q2(a,b,c) =
+/// R(a,b,c)·T(c,a)` over the same relations, which probes `R` by the
+/// non-adjacent pair `(a,c)` — a pattern `Q` never registers.
+fn ternary_cycle_queries() -> (Query, Query) {
+    let [a, b, c, d] = ivm_data::vars(["dfq_TA", "dfq_TB", "dfq_TC", "dfq_TD"]);
+    let (r, s, t) = (sym("dfq_TR"), sym("dfq_TS"), sym("dfq_TT"));
+    let q = Query::new(
+        "dfq_ternary",
+        [a, b, c, d],
+        vec![
+            Atom::new(r, [a, b, c]),
+            Atom::new(s, [b, c, d]),
+            Atom::new(t, [d, a]),
+        ],
+    );
+    let q2 = Query::new(
+        "dfq_ternary_chord",
+        [a, b, c],
+        vec![Atom::new(r, [a, b, c]), Atom::new(t, [c, a])],
+    );
+    (q, q2)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The multiway path under everything a batch can hold — multi-column
+    /// and string keys, payload-2 duplicates, negative payloads, a tuple
+    /// inserted and deleted within one batch: after every batch the view
+    /// equals the from-scratch oracle, equals the same updates applied one
+    /// at a time, and two engines on one coordinator-advanced `StoreHub`
+    /// (the second built mid-stream, so it adopts *resident* stores and
+    /// registers a pattern of its own on them) equal two independent ones.
+    #[test]
+    fn multiway_ternary_cycle_batches_match_oracle_singles_and_hub(
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..3, (0i64..3, 0i64..3, 0i64..3), 0usize..3), 1..7),
+            1..9,
+        ),
+    ) {
+        let (q, q2) = ternary_cycle_queries();
+        let b_pos = |ai: usize| [1, 0, 3][ai]; // column of the string-valued `b`, if any
+        let engine = |q: &Query, db: &Database<i64>| {
+            DataflowEngine::<i64>::new_with_strategy(q.clone(), db, lift_one, JoinStrategy::Multiway)
+                .unwrap()
+        };
+        let mut db = Database::<i64>::new();
+        for atom in &q.atoms {
+            db.create(atom.name, atom.schema.clone());
+        }
+        let hub = StoreHub::new();
+        let mut batched = engine(&q, &db);
+        let mut singles = engine(&q, &db);
+        let mut member = engine(&q, &db);
+        member.share_stores(&hub);
+        // (hub member, independent twin) of `q2`, built after the first batch.
+        let mut late: Option<(DataflowEngine<i64>, DataflowEngine<i64>)> = None;
+
+        for (bi, ops) in batches.iter().enumerate() {
+            let mut batch: Vec<Update<i64>> = ops
+                .iter()
+                .map(|&(ai, (x, y, z), m)| {
+                    let atom = &q.atoms[ai];
+                    let vals = [x, y, z];
+                    let t: Tuple = (0..atom.schema.arity())
+                        .map(|c| match c == b_pos(ai) {
+                            true => Value::str(format!("s{}", vals[c])),
+                            false => Value::from(vals[c]),
+                        })
+                        .collect();
+                    Update::with_payload(atom.name, t, [-1, 1, 2][m])
+                })
+                .collect();
+            // The first tuple again, inserted and deleted within the batch.
+            let again = batch[0].clone();
+            batch.push(Update::with_payload(again.relation, again.tuple.clone(), 1));
+            batch.push(Update::with_payload(again.relation, again.tuple, -1));
+
+            for u in &batch {
+                singles.apply(u).unwrap();
+            }
+            batched.apply_batch(&batch).unwrap();
+            member.apply_batch(&batch).unwrap();
+            if let Some((late_member, late_twin)) = &mut late {
+                let on_q2: Vec<Update<i64>> =
+                    batch.iter().filter(|u| u.relation != q.atoms[1].name).cloned().collect();
+                late_member.apply_batch(&on_q2).unwrap();
+                late_twin.apply_batch(&on_q2).unwrap();
+            }
+            hub.advance_batch(&DeltaBatch::from_updates(&batch));
+            db.apply_batch(&batch);
+
+            let ctx = format!("batch {bi}");
+            let base: Vec<Relation<i64>> =
+                q.atoms.iter().map(|a| db.relation(a.name).clone()).collect();
+            assert_outputs_match(batched.output_relation(), &oracle(&q, &base), &ctx)?;
+            assert_outputs_match(singles.output_relation(), batched.output_relation(), &ctx)?;
+            assert_outputs_match(member.output_relation(), batched.output_relation(), &ctx)?;
+            match &late {
+                Some((late_member, late_twin)) => {
+                    let base2 = [base[0].clone(), base[2].clone()];
+                    assert_outputs_match(late_twin.output_relation(), &oracle(&q2, &base2), &ctx)?;
+                    assert_outputs_match(late_member.output_relation(), late_twin.output_relation(), &ctx)?;
+                }
+                None => {
+                    let mut late_member = engine(&q2, &db);
+                    prop_assert_eq!(late_member.share_stores(&hub), 2, "R and T adopted");
+                    late = Some((late_member, engine(&q2, &db)));
+                }
+            }
         }
     }
 }
