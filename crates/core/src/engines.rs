@@ -167,10 +167,9 @@ impl<R: Semiring> Maintainer<R> for LazyFactEngine<R> {
     }
 
     fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        // Validate the target eagerly so errors surface at apply time.
-        if self.tree.relation(upd.relation).is_none() {
-            return Err(EngineError::UnknownRelation(upd.relation));
-        }
+        // Validate the target eagerly — unknown, static or mis-sized — so
+        // errors surface here and `refresh` only ever sees valid updates.
+        self.tree.dynamic_atom(upd)?;
         self.pending.push(upd.clone());
         Ok(())
     }
@@ -351,6 +350,51 @@ mod tests {
         assert_eq!(lf.pending_len(), 1);
         let _ = lf.output();
         assert_eq!(lf.pending_len(), 0);
+    }
+
+    /// An update to a static relation is refused when it is queued, as the
+    /// eager engines refuse it, instead of passing `apply` and panicking at
+    /// the next enumeration's refresh.
+    #[test]
+    fn lazy_fact_refuses_static_updates_at_apply() {
+        let [a, b] = ivm_data::vars(["lfs_A", "lfs_B"]);
+        let (r, s) = (sym("lfs_R"), sym("lfs_S"));
+        let q = Query::new(
+            "lfs_Q",
+            [a, b],
+            vec![
+                ivm_query::Atom::new(r, [a, b]),
+                ivm_query::Atom::new_static(s, [a]),
+            ],
+        );
+        let mut db: Database<i64> = Database::new();
+        db.create(s, q.atoms[1].schema.clone());
+        db.apply(&Update::insert(s, tup![1i64]));
+        let mut lf = LazyFactEngine::new(q.clone(), &db, lift_one).unwrap();
+        let err = lf.apply(&Update::insert(s, tup![2i64])).unwrap_err();
+        assert_eq!(err, EngineError::StaticRelation(s));
+        assert_eq!(lf.pending_len(), 0);
+        lf.apply(&Update::insert(r, tup![1i64, 7i64])).unwrap();
+        assert_eq!(lf.output().get(&tup![1i64, 7i64]), 1);
+        let mut ef = EagerFactEngine::new(q, &db, lift_one).unwrap();
+        assert_eq!(ef.apply(&Update::insert(s, tup![2i64])), Err(err));
+    }
+
+    /// A caller-supplied database whose relation does not have the atom's
+    /// schema is an error naming the relation, not a panic.
+    #[test]
+    fn mismatched_initial_schema_is_an_error() {
+        let q = fig3();
+        let r = q.atoms[0].name;
+        let mut db: Database<i64> = Database::new();
+        db.create(r, q.atoms[1].schema.clone());
+        db.apply(&Update::insert(r, tup![1i64, 10i64]));
+        let err = EagerFactEngine::new(q.clone(), &db, lift_one).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::NotSupported(m) if m.contains("f3_R")),
+            "{err}"
+        );
+        assert!(LazyFactEngine::new(q, &db, lift_one).is_err());
     }
 
     /// Unknown relations are rejected by every engine.

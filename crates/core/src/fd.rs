@@ -106,6 +106,12 @@ impl<R: Semiring> FdEngine<R> {
     pub fn tree(&self) -> &ViewTree<R> {
         &self.tree
     }
+
+    /// The reduct view tree, for tests that drive it directly.
+    #[cfg(test)]
+    pub(crate) fn into_tree(self) -> ViewTree<R> {
+        self.tree
+    }
 }
 
 impl<R: Semiring> Maintainer<R> for FdEngine<R> {

@@ -20,6 +20,32 @@
 //! again) and, with *FD fetchers* attached, the Σ-reduct trees of Sec. 4.4
 //! (missing FD-implied values are fetched from sibling relations).
 //!
+//! # Slots and bound factors
+//!
+//! Every variable gets a *slot* when the tree is built — free variables
+//! first, in output order — and each atom's leaf-to-root update path and
+//! the enumeration plans are compiled against the slots: per step the
+//! node, its variable's slot, its view key's slots, the sibling probes and
+//! whether each child is *bound* (no free variable below it; atom leaves
+//! are bound). An update writes its tuple into one reused slot row, every
+//! lookup borrows a key gathered into one reused buffer (cloned into a
+//! [`Tuple`] only when a group is created), and enumeration binds the free
+//! variables straight into one reused output row.
+//!
+//! Per entry of a free node, enumeration needs only its *factor*: `Π` over
+//! the bound children — the payload itself when every child is bound, `1`
+//! when none is. A **mixed** node (bound and free children) stores the
+//! factor per entry under the invariant `factor(x) = Π_{bound c}
+//! iface_c(x)`, kept by the update walk from the sibling lookups it makes
+//! anyway. Arriving from bound child `c₀`, an existing entry's factor grows
+//! by `Δiface(c₀) · Π` of the bound siblings and a created entry's is
+//! `iface(c₀)` after the update (the walk carries it: the leaf's payload,
+//! then each group's new total) `· Π` of the bound siblings; arriving from
+//! a free child, a created entry's factor is the bound siblings' product
+//! and an existing one's is unchanged; a factor goes with its entry. So
+//! enumeration reads `(x, factor)` straight off a group and never probes a
+//! base relation.
+//!
 //! # Validity assumption
 //!
 //! Like the paper (Sec. 2), enumeration assumes the database is *valid* at
@@ -36,14 +62,17 @@
 use crate::bindings::Bindings;
 use crate::error::EngineError;
 use ivm_data::ops::Lift;
-use ivm_data::{Database, FxHashMap, GroupedIndex, Relation, Schema, Sym, Tuple, Value};
+use ivm_data::{
+    Database, FxHashMap, GroupedIndex, Presence, Relation, Schema, Sym, Tuple, Update, Value,
+};
 use ivm_query::varorder::Node;
 use ivm_query::{Query, VarOrder};
 use ivm_ring::Semiring;
+use std::borrow::Borrow;
+use std::hash::Hash;
 
 /// One group of a grouped view: the `X`-values compatible with a `dep(X)`
 /// key, plus their lifted total.
-#[derive(Clone, Debug)]
 struct VGroup<R> {
     /// `Σ_x g_X(x) · entries[x]` (or `Σ_x entries[x]` for free `X`).
     total: R,
@@ -52,9 +81,11 @@ struct VGroup<R> {
 }
 
 /// The grouped view of one variable node.
-#[derive(Clone, Debug, Default)]
 struct View<R> {
     groups: FxHashMap<Tuple, VGroup<R>>,
+    /// Mixed nodes only: per group, per-`X`-value `Π_bound children
+    /// interface`, on exactly the keys of `groups` and their entries.
+    factors: FxHashMap<Tuple, FxHashMap<Value, R>>,
 }
 
 /// An FD *fetcher* (Sec. 4.4): completes update bindings with the value of
@@ -71,14 +102,90 @@ pub struct Fetcher {
     pub provider: usize,
 }
 
+/// A compiled fetcher: the slot it fills from its determinant's slots,
+/// and the fetched column's position in its index's residual tuples.
+struct Fetch {
+    slot: usize,
+    lhs: Box<[usize]>,
+    provider: usize,
+    residual_pos: usize,
+}
+
+/// A compiled interface lookup: an atom's stored payload (`leaf`) or a
+/// variable node's group total, keyed by slots.
+struct Probe {
+    leaf: Option<usize>,
+    node: usize,
+    key: Box<[usize]>,
+}
+
+/// One step of an atom's compiled leaf-to-root update path.
+struct UpStep {
+    node: usize,
+    var: Sym,
+    slot: usize,
+    key: Box<[usize]>,
+    /// `X` is bound: its total is lifted by `g_X(x)`.
+    lift: bool,
+    /// The node stores bound factors.
+    mixed: bool,
+    /// The child the walk arrives from is bound.
+    from_bound: bool,
+    /// The other children, each with whether it is bound.
+    siblings: Vec<(Probe, bool)>,
+    /// Slots the step reads; an FD fetch miss stops the walk before it.
+    needs: u64,
+}
+
+/// Where an enumeration step reads each entry's factor.
+#[derive(PartialEq)]
+enum Factor {
+    /// No bound child: `1`.
+    One,
+    /// Only bound children: the entry payload.
+    Payload,
+    /// A mixed node: the stored factor.
+    Stored,
+}
+
+/// One loop of an enumeration: the entries of `node`'s group under the key
+/// earlier loops fixed, bound into `slot`.
+struct EnumStep {
+    node: usize,
+    slot: usize,
+    key: Box<[usize]>,
+    factor: Factor,
+}
+
+/// A compiled enumeration: scalar probes and lifts multiplied in once,
+/// then nested loops over free variable nodes, parents first.
+#[derive(Default)]
+struct Plan {
+    scalars: Vec<Probe>,
+    lifts: Vec<(Sym, usize)>,
+    steps: Vec<EnumStep>,
+    /// Slots the scalars, lifts and loop keys read.
+    needs: u64,
+}
+
+/// An atom's compiled update path, and its delta enumeration: bound
+/// siblings and other bound roots as scalars, bound path variables as
+/// lifts, free sibling subtrees and other free roots as loops.
+struct Path {
+    /// Slot of each stored column.
+    cols: Box<[usize]>,
+    steps: Vec<UpStep>,
+    delta: Plan,
+}
+
 /// A factorized view tree over a query and a variable order.
 pub struct ViewTree<R> {
     query: Query,
     vo: VarOrder,
-    /// Grouped views, indexed by node id (`None` for atom leaves).
-    views: Vec<Option<View<R>>>,
+    /// Grouped views, indexed by node id (atom leaves keep an empty one).
+    views: Vec<View<R>>,
     /// Leaf storage, per atom index, over `storage_schema`.
-    relations: Vec<Relation<R>>,
+    leaves: Vec<FxHashMap<Tuple, R>>,
     /// Schema of the stored tuples per atom (the original schema for FD
     /// engines; the atom schema otherwise).
     storage_schema: Vec<Schema>,
@@ -87,28 +194,15 @@ pub struct ViewTree<R> {
     /// Lifting applied when marginalizing bound variables.
     lift: Lift<R>,
     /// FD fetchers and their provider indexes.
-    fetchers: Vec<Fetcher>,
+    fetches: Vec<Fetch>,
     fetch_indexes: Vec<GroupedIndex<R>>,
-    /// Per node: whether its subtree contains only static atoms.
-    static_complete: Vec<bool>,
-    /// Per node: whether its subtree contains a free variable.
-    subtree_free: Vec<bool>,
-    parents: Vec<Option<usize>>,
-    /// Flattened enumeration plan (see `build_plan`).
-    plan: Vec<PlanStep>,
-    /// Scratch bindings buffer reused across updates.
-    scratch: Bindings,
-}
-
-/// A step of the flattened enumeration plan: nested loops over free
-/// variable nodes, with scalar factors folded in from bound subtrees.
-#[derive(Clone, Debug)]
-enum PlanStep {
-    /// Iterate the entries of this free variable node (its dep set is
-    /// bound by earlier steps).
-    Free(usize),
-    /// Multiply in the total of a bound root.
-    ScalarRoot(usize),
+    /// Per atom: the compiled update path.
+    paths: Vec<Path>,
+    /// The full enumeration.
+    plan: Plan,
+    /// Scratch reused by every update: the slot row and a gathered key.
+    row: Vec<Value>,
+    key: Vec<Value>,
 }
 
 impl<R: Semiring> ViewTree<R> {
@@ -153,83 +247,78 @@ impl<R: Semiring> ViewTree<R> {
             )));
         }
 
-        let parents = vo.parents();
-        let static_complete = compute_static_complete(&query, &vo);
-        let subtree_free = compute_subtree_free(&query, &vo);
-
-        // Constant-update validation per atom: along the leaf-to-root path
-        // (stopping where static propagation stops), every view key
-        // dep(X) ∪ {X} must be derivable from the stored tuple, possibly
-        // through FD fetchers.
-        for (i, atom) in query.atoms.iter().enumerate() {
-            let mut known = storage_schema[i].clone();
-            // FD closure over the fetchers.
-            loop {
-                let mut grown = false;
-                for f in &fetchers {
-                    if f.lhs.subset_of(&known) && !known.contains(f.var) {
-                        known = known.union(&Schema::from([f.var]));
-                        grown = true;
-                    }
-                }
-                if !grown {
-                    break;
-                }
-            }
-            let leaf = vo.atom_leaf(i).expect("validated order");
-            for node in vo.path_to_root(leaf).into_iter().skip(1) {
-                if !atom.dynamic && !static_complete[node] {
-                    break; // static propagation stops here (Sec. 4.5)
-                }
-                if let Node::Var { var, dep, .. } = &vo.nodes[node] {
-                    let needed = dep.union(&Schema::from([*var]));
-                    if !needed.subset_of(&known) {
-                        return Err(EngineError::NonConstantUpdate {
-                            relation: atom.name,
-                            detail: format!(
-                                "view key {needed:?} at {var} not covered by \
-                                 {known:?}"
-                            ),
-                        });
-                    }
-                }
+        // Slots: free variables first (a free slot is its output column),
+        // then the rest of what the query, the storage and the fetchers name.
+        let (mut slots, named) = (query.free.vars().to_vec(), query.variables());
+        let fetched = fetchers
+            .iter()
+            .flat_map(|f| f.lhs.vars().iter().chain([&f.var]));
+        let stored = storage_schema.iter().flat_map(|s| s.vars());
+        for &v in named.vars().iter().chain(stored).chain(fetched) {
+            if !slots.contains(&v) {
+                slots.push(v);
             }
         }
-
-        let views = vo
-            .nodes
-            .iter()
-            .map(|n| match n {
-                Node::Var { .. } => Some(View {
-                    groups: FxHashMap::default(),
-                }),
-                Node::Atom { .. } => None,
-            })
-            .collect();
-        let relations = storage_schema
-            .iter()
-            .map(|s| Relation::new(s.clone()))
-            .collect();
-        let fetch_indexes = fetchers
-            .iter()
-            .map(|f| GroupedIndex::new(storage_schema[f.provider].clone(), f.lhs.clone()))
-            .collect();
-        let plan = build_plan(&query, &vo, &subtree_free);
+        if slots.len() > 64 {
+            return Err(EngineError::NotSupported(format!(
+                "{} names {} variables; a view tree slots at most 64",
+                query.name,
+                slots.len()
+            )));
+        }
+        let c = Compiler {
+            query: &query,
+            vo: &vo,
+            storage: &storage_schema,
+            slots: &slots,
+        };
+        let (mut fetches, mut fetch_indexes) = (Vec::new(), Vec::new());
+        for f in &fetchers {
+            let schema = storage_schema
+                .get(f.provider)
+                .filter(|s| f.lhs.subset_of(s));
+            let residual = schema.and_then(|s| s.difference(&f.lhs).position(f.var));
+            let (Some(schema), Some(residual_pos)) = (schema, residual) else {
+                return Err(EngineError::NotSupported(format!(
+                    "atom #{} does not provide the fetcher {:?} → {}",
+                    f.provider, f.lhs, f.var
+                )));
+            };
+            let (slot, lhs) = (c.slot(f.var), c.slots_of(&f.lhs));
+            fetches.push(Fetch {
+                slot,
+                lhs,
+                provider: f.provider,
+                residual_pos,
+            });
+            fetch_indexes.push(GroupedIndex::new(schema.clone(), f.lhs.clone()));
+        }
+        let paths = (0..query.atoms.len())
+            .map(|i| c.path(i, &fetches))
+            .collect::<Result<_, _>>()?;
+        let mut plan = Plan::default();
+        c.roots(None, &mut plan);
         Ok(ViewTree {
+            views: vo
+                .nodes
+                .iter()
+                .map(|_| View {
+                    groups: FxHashMap::default(),
+                    factors: FxHashMap::default(),
+                })
+                .collect(),
+            leaves: vec![FxHashMap::default(); storage_schema.len()],
+            row: vec![Value::Int(0); slots.len()],
+            key: Vec::new(),
             query,
             vo,
-            views,
-            relations,
             storage_schema,
             rel_atom,
             lift,
-            fetchers,
+            fetches,
             fetch_indexes,
-            static_complete,
-            subtree_free,
-            parents,
+            paths,
             plan,
-            scratch: Bindings::new(),
         })
     }
 
@@ -243,208 +332,174 @@ impl<R: Semiring> ViewTree<R> {
         &self.vo
     }
 
-    /// The stored relation of an atom (by relation name).
-    pub fn relation(&self, name: Sym) -> Option<&Relation<R>> {
-        self.rel_atom.get(&name).map(|&i| &self.relations[i])
-    }
-
     /// Total number of view entries across all nodes (space accounting).
     pub fn view_entries(&self) -> usize {
         self.views
             .iter()
-            .flatten()
             .map(|v| v.groups.values().map(|g| g.entries.len()).sum::<usize>())
             .sum()
     }
 
     /// Load an initial database: static relations first (their propagation
     /// stops at the static-region boundary), then dynamic ones. O(|D|) for
-    /// constant-update trees.
+    /// constant-update trees. A relation whose schema is not the stored one
+    /// is refused before anything is loaded.
     pub fn preprocess(&mut self, db: &Database<R>) -> Result<(), EngineError> {
-        let mut phases: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        for (i, a) in self.query.atoms.iter().enumerate() {
-            phases[usize::from(a.dynamic)].push(i);
-        }
-        for phase in phases {
-            for atom_idx in phase {
-                let name = self.query.atoms[atom_idx].name;
-                let Some(rel) = db.get(name) else { continue };
-                assert_eq!(
+        let mut order: Vec<usize> = (0..self.query.atoms.len()).collect();
+        for (atom, stored) in self.query.atoms.iter().zip(&self.storage_schema) {
+            if let Some(rel) = db.get(atom.name).filter(|r| r.schema() != stored) {
+                return Err(EngineError::NotSupported(format!(
+                    "initial relation {} has schema {:?}, but the tree stores {:?}",
+                    atom.name,
                     rel.schema(),
-                    &self.storage_schema[atom_idx],
-                    "initial relation {name} schema mismatch"
-                );
-                let rows: Vec<(Tuple, R)> =
-                    rel.iter().map(|(t, r)| (t.clone(), r.clone())).collect();
-                for (t, r) in rows {
-                    self.apply_internal(atom_idx, &t, &r);
-                }
+                    stored
+                )));
+            }
+        }
+        order.sort_by_key(|&i| self.query.atoms[i].dynamic);
+        for i in order {
+            for (t, r) in db
+                .get(self.query.atoms[i].name)
+                .into_iter()
+                .flat_map(|r| r.iter())
+            {
+                self.apply_internal(i, t, r);
             }
         }
         Ok(())
+    }
+
+    /// The atom an update targets: a dynamic relation of the tree, with a
+    /// tuple of the stored arity.
+    pub(crate) fn dynamic_atom(&self, upd: &Update<R>) -> Result<usize, EngineError> {
+        let &atom = self
+            .rel_atom
+            .get(&upd.relation)
+            .ok_or(EngineError::UnknownRelation(upd.relation))?;
+        if !self.query.atoms[atom].dynamic {
+            return Err(EngineError::StaticRelation(upd.relation));
+        }
+        let (got, arity) = (upd.tuple.arity(), self.storage_schema[atom].arity());
+        if got != arity {
+            return Err(EngineError::NotSupported(format!(
+                "update to {} carries a tuple of arity {got}, but the relation \
+                 is stored with arity {arity}",
+                upd.relation
+            )));
+        }
+        Ok(atom)
     }
 
     /// Apply a single-tuple update to a dynamic relation. O(1) for
     /// constant-update trees.
-    pub fn apply(&mut self, upd: &ivm_data::Update<R>) -> Result<(), EngineError> {
-        let &atom_idx = self
-            .rel_atom
-            .get(&upd.relation)
-            .ok_or(EngineError::UnknownRelation(upd.relation))?;
-        if !self.query.atoms[atom_idx].dynamic {
-            return Err(EngineError::StaticRelation(upd.relation));
-        }
-        self.apply_internal(atom_idx, &upd.tuple, &upd.payload);
+    pub fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
+        let atom = self.dynamic_atom(upd)?;
+        self.apply_internal(atom, &upd.tuple, &upd.payload);
         Ok(())
     }
 
     /// Shared update path (also used for static tuples at preprocessing).
-    fn apply_internal(&mut self, atom_idx: usize, tuple: &Tuple, payload: &R) {
+    fn apply_internal(&mut self, atom: usize, tuple: &Tuple, payload: &R) {
         if payload.is_zero() {
             return;
         }
-        // 1. Update leaf storage and any fetch indexes on this relation.
-        self.relations[atom_idx].apply(tuple.clone(), payload);
-        for (f, idx) in self.fetchers.iter().zip(self.fetch_indexes.iter_mut()) {
-            if f.provider == atom_idx {
+        // 1. Leaf storage and the fetch indexes on this relation. `cur` is
+        //    the interface value, after the update, of the node the walk
+        //    arrives from.
+        let (mut cur, _) = add_at(&mut self.leaves[atom], tuple, payload);
+        for (f, idx) in self.fetches.iter().zip(&mut self.fetch_indexes) {
+            if f.provider == atom {
                 idx.apply(tuple, payload);
             }
         }
 
-        // 2. Bindings from the stored tuple, completed through fetchers.
-        let mut bindings = std::mem::take(&mut self.scratch);
-        bindings.clear();
-        bindings.bind_tuple(&self.storage_schema[atom_idx], tuple);
-        self.complete_bindings(&mut bindings);
+        // 2. Slots from the stored tuple, completed through fetchers.
+        let (path, row, key) = (&self.paths[atom], &mut self.row, &mut self.key);
+        for (&s, v) in path.cols.iter().zip(tuple.values()) {
+            row[s].clone_from(v);
+        }
+        let filled = complete(&self.fetches, &self.fetch_indexes, row, mask(&path.cols));
 
-        // 3. Propagate the delta along the leaf-to-root path.
-        let is_static = !self.query.atoms[atom_idx].dynamic;
+        // 3. Propagate the delta along the compiled leaf-to-root path.
         let mut delta = payload.clone();
-        let mut node = self.vo.atom_leaf(atom_idx).expect("validated");
-        while let Some(parent) = self.parents[node] {
-            if is_static && !self.static_complete[parent] {
-                break; // dynamic views above are driven by dynamic deltas
-            }
-            let Node::Var { var, dep, children } = &self.vo.nodes[parent] else {
-                unreachable!("parents are variable nodes")
-            };
-            let (var, dep) = (*var, dep.clone());
-            // Sibling lookups: all keys are covered by the (completed)
-            // bindings for validated trees; a fetch miss (FD case) stops
-            // the propagation — the missing tuple's own insertion will
-            // carry the contribution later.
-            let mut ok = true;
-            for &c in &children.clone() {
-                if c == node {
-                    continue;
-                }
-                match self.interface(c, &bindings) {
-                    Some(m) => {
-                        delta = delta.times(&m);
-                        if delta.is_zero() {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
+        'walk: for step in &path.steps {
+            // A fetch miss (FD case) stops the propagation: the missing
+            // tuple's own insertion carries the contribution later.
+            if step.needs & !filled != 0 {
                 break;
             }
-            let (Some(key), Some(x)) = (bindings.project(&dep), bindings.get(var).cloned()) else {
-                break; // FD fetch miss on the view key
-            };
-            // Lift when marginalizing a bound variable.
-            let total_delta = if self.query.is_free(var) {
-                delta.clone()
+            // Sibling lookups, bound and free apart: the bound product is
+            // also what a mixed node's factors move by.
+            let (mut bound, mut free) = (R::one(), R::one());
+            for (probe, is_bound) in &step.siblings {
+                match lookup(&self.views, &self.leaves, probe, row, key) {
+                    Some(v) if *is_bound => bound = bound.times(v),
+                    Some(v) => free = free.times(v),
+                    None => break 'walk,
+                }
+            }
+            let fdelta = delta.times(&bound);
+            let edelta = fdelta.times(&free);
+            if edelta.is_zero() {
+                break;
+            }
+            let x = &row[step.slot];
+            let total_delta = if step.lift {
+                edelta.times(&(self.lift)(step.var, x))
             } else {
-                delta.times(&(self.lift)(var, &x))
+                edelta.clone()
             };
-            let view = self.views[parent].as_mut().expect("var node");
-            let group = view.groups.entry(key.clone()).or_insert_with(|| VGroup {
-                total: R::zero(),
-                entries: FxHashMap::default(),
-            });
-            group.total.add_assign(&total_delta);
-            match group.entries.entry(x) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().add_assign(&delta);
-                    if e.get().is_zero() {
-                        e.remove();
+            // A created entry's factor (see the module docs).
+            let created = |cur: &R| match step.from_bound {
+                true => cur.times(&bound),
+                false => bound.clone(),
+            };
+            let view = &mut self.views[step.node];
+            let k = gather(row, &step.key, key);
+            let (presence, now) = match view.groups.get_mut(k) {
+                None => {
+                    let group = VGroup {
+                        total: total_delta.clone(),
+                        entries: [(x.clone(), edelta)].into_iter().collect(),
+                    };
+                    view.groups.insert(k.iter().cloned().collect(), group);
+                    (Presence::Appeared, total_delta.clone())
+                }
+                Some(group) => {
+                    group.total.add_assign(&total_delta);
+                    let (_, presence) = add_at(&mut group.entries, x, &edelta);
+                    let now = group.total.clone();
+                    if group.entries.is_empty() {
+                        view.groups.remove(k);
                     }
+                    (presence, now)
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(delta.clone());
+            };
+            if step.mixed {
+                match (presence, view.factors.get_mut(k)) {
+                    (Presence::Appeared, Some(m)) => {
+                        m.insert(x.clone(), created(&cur));
+                    }
+                    (Presence::Appeared, None) => {
+                        let m = [(x.clone(), created(&cur))].into_iter().collect();
+                        view.factors.insert(k.iter().cloned().collect(), m);
+                    }
+                    (Presence::Vanished, Some(m)) => {
+                        m.remove(x);
+                        if m.is_empty() {
+                            view.factors.remove(k);
+                        }
+                    }
+                    (Presence::Unchanged, Some(m)) if step.from_bound => {
+                        add_at(m, x, &fdelta);
+                    }
+                    _ => {}
                 }
             }
-            if group.entries.is_empty() {
-                view.groups.remove(&key);
-            }
+            cur = now;
             delta = total_delta;
             if delta.is_zero() {
                 break;
-            }
-            node = parent;
-        }
-        self.scratch = bindings;
-    }
-
-    /// Complete bindings with FD-implied values (Sec. 4.4): fetch the
-    /// unique `var` value paired with the bound `lhs` values in the
-    /// provider relation. Loops to a fixpoint so FD chains (X→Y, Y→Z)
-    /// resolve.
-    fn complete_bindings(&self, bindings: &mut Bindings) {
-        if self.fetchers.is_empty() {
-            return;
-        }
-        loop {
-            let mut grown = false;
-            for (f, idx) in self.fetchers.iter().zip(self.fetch_indexes.iter()) {
-                if bindings.get(f.var).is_some() || !bindings.covers(&f.lhs) {
-                    continue;
-                }
-                let key = bindings.project(&f.lhs).expect("covered");
-                if let Some(group) = idx.group(&key) {
-                    let residual_schema = idx.residual_schema();
-                    let pos = residual_schema
-                        .position(f.var)
-                        .expect("fetcher var in provider residual");
-                    if let Some((res, _)) = group.iter().next() {
-                        bindings.set(f.var, res.at(pos).clone());
-                        grown = true;
-                    }
-                }
-            }
-            if !grown {
-                return;
-            }
-        }
-    }
-
-    /// The interface value of a child node under the current bindings:
-    /// leaf payload for atoms, group total for variable nodes. `None` when
-    /// a key variable is unbound (possible only on FD fetch misses).
-    fn interface(&self, node: usize, bindings: &Bindings) -> Option<R> {
-        match &self.vo.nodes[node] {
-            Node::Atom { atom } => {
-                let key = bindings.project(&self.storage_schema[*atom])?;
-                Some(self.relations[*atom].get(&key))
-            }
-            Node::Var { dep, .. } => {
-                let key = bindings.project(dep)?;
-                Some(
-                    self.views[node]
-                        .as_ref()
-                        .expect("var node")
-                        .groups
-                        .get(&key)
-                        .map(|g| g.total.clone())
-                        .unwrap_or_else(R::zero),
-                )
             }
         }
     }
@@ -452,86 +507,73 @@ impl<R: Semiring> ViewTree<R> {
     /// Enumerate the query output with constant delay, calling `f` for
     /// each `(tuple over query.free, payload)`.
     pub fn for_each_output(&self, f: &mut dyn FnMut(&Tuple, &R)) {
-        let mut bindings = Bindings::new();
-        self.enumerate_plan(0, &mut bindings, R::one(), &None, f);
+        self.enumerate(&[], f);
     }
 
     /// Enumerate with some free variables pre-bound (CQAP access requests,
     /// Sec. 4.3): only outputs agreeing with `prebound` are produced.
     pub fn for_each_output_bound(&self, prebound: &Bindings, f: &mut dyn FnMut(&Tuple, &R)) {
-        let mut bindings = prebound.clone();
-        self.enumerate_plan(0, &mut bindings, R::one(), &Some(prebound.clone()), f);
+        let free = self.query.free.vars();
+        let fixed: Vec<Option<Value>> = free.iter().map(|&v| prebound.get(v).cloned()).collect();
+        self.enumerate(&fixed, f);
     }
 
-    fn enumerate_plan(
+    fn enumerate(&self, fixed: &[Option<Value>], f: &mut dyn FnMut(&Tuple, &R)) {
+        let mut row = Tuple::new((0..self.query.free.arity()).map(|_| Value::Int(0)));
+        let mut key = Vec::new();
+        let acc = self.times_probes(&self.plan.scalars, row.values(), &mut key, R::one());
+        if !acc.is_zero() {
+            self.descend(&self.plan.steps, &mut row, &mut key, fixed, &acc, f);
+        }
+    }
+
+    /// `acc ·` the interfaces `probes` read under `row` (zero on a miss).
+    fn times_probes(&self, probes: &[Probe], row: &[Value], key: &mut Vec<Value>, acc: R) -> R {
+        probes.iter().fold(acc, |acc, p| {
+            lookup(&self.views, &self.leaves, p, row, key).map_or_else(R::zero, |v| acc.times(v))
+        })
+    }
+
+    /// The one enumeration routine (full, prebound and delta): nested
+    /// loops over `steps`, each binding its slot of `row` to the entries
+    /// of its group under the key earlier loops fixed — only the pinned
+    /// value where `fixed` has one — times the entry's factor.
+    fn descend(
         &self,
-        step: usize,
-        bindings: &mut Bindings,
-        acc: R,
-        prebound: &Option<Bindings>,
+        steps: &[EnumStep],
+        row: &mut Tuple,
+        key: &mut Vec<Value>,
+        fixed: &[Option<Value>],
+        acc: &R,
         f: &mut dyn FnMut(&Tuple, &R),
     ) {
-        if acc.is_zero() {
+        let Some((step, rest)) = steps.split_first() else {
+            return f(row, acc);
+        };
+        let (view, k) = (&self.views[step.node], gather(row.values(), &step.key, key));
+        let map = match step.factor {
+            Factor::Stored => view.factors.get(k),
+            _ => view.groups.get(k).map(|g| &g.entries),
+        };
+        let Some(map) = map else {
             return;
-        }
-        if step == self.plan.len() {
-            let t = bindings
-                .project(&self.query.free)
-                .expect("all free vars bound by plan");
-            f(&t, &acc);
-            return;
-        }
-        match &self.plan[step] {
-            PlanStep::ScalarRoot(node) => {
-                if let Some(m) = self.interface(*node, bindings) {
-                    self.enumerate_plan(step + 1, bindings, acc.times(&m), prebound, f);
-                }
+        };
+        let mut visit = |x: &Value, m: &R| {
+            row.values_mut()[step.slot].clone_from(x);
+            if step.factor == Factor::One {
+                return self.descend(rest, row, key, fixed, acc, f);
             }
-            PlanStep::Free(node) => {
-                let Node::Var { var, dep, children } = &self.vo.nodes[*node] else {
-                    unreachable!()
-                };
-                let key = bindings.project(dep).expect("deps bound by plan order");
-                let Some(group) = self.views[*node]
-                    .as_ref()
-                    .expect("var node")
-                    .groups
-                    .get(&key)
-                else {
-                    return;
-                };
-                let fixed = prebound.as_ref().and_then(|p| p.get(*var)).cloned();
-                let visit = |x: &Value, bindings: &mut Bindings, f: &mut dyn FnMut(&Tuple, &R)| {
-                    bindings.set(*var, x.clone());
-                    // Scalar contributions of bound children.
-                    let mut m = acc.clone();
-                    for &c in children {
-                        if !self.subtree_free[c] {
-                            match self.interface(c, bindings) {
-                                Some(v) => m = m.times(&v),
-                                None => m = R::zero(),
-                            }
-                            if m.is_zero() {
-                                break;
-                            }
-                        }
-                    }
-                    self.enumerate_plan(step + 1, bindings, m, prebound, f);
-                    bindings.unset(*var);
-                };
-                match fixed {
-                    Some(x) => {
-                        if group.entries.contains_key(&x) {
-                            visit(&x, bindings, f);
-                        }
-                    }
-                    None => {
-                        for x in group.entries.keys() {
-                            visit(x, bindings, f);
-                        }
-                    }
-                }
+            let m = acc.times(m);
+            if !m.is_zero() {
+                self.descend(rest, row, key, fixed, &m, f);
             }
+        };
+        match fixed.get(step.slot).and_then(Option::as_ref) {
+            Some(x) => map
+                .get_key_value(x)
+                .into_iter()
+                .for_each(|(x, m)| visit(x, m)),
+            None => map.iter().for_each(|(x, m)| visit(x, m)),
         }
     }
 
@@ -541,173 +583,40 @@ impl<R: Semiring> ViewTree<R> {
     /// maintain a materialized output; costs O(|δQ|).
     pub fn delta_for_each(
         &self,
-        upd: &ivm_data::Update<R>,
+        upd: &Update<R>,
         f: &mut dyn FnMut(&Tuple, &R),
     ) -> Result<(), EngineError> {
-        let &atom_idx = self
-            .rel_atom
-            .get(&upd.relation)
-            .ok_or(EngineError::UnknownRelation(upd.relation))?;
-        let mut bindings = Bindings::new();
-        bindings.bind_tuple(&self.storage_schema[atom_idx], &upd.tuple);
-        self.complete_bindings(&mut bindings);
-
-        // Walk the path: accumulate scalar sibling contributions, collect
-        // free sibling subtrees for expansion.
-        let mut scalar = upd.payload.clone();
-        let mut expansions: Vec<usize> = Vec::new();
-        let mut node = self.vo.atom_leaf(atom_idx).expect("validated");
-        let mut path_nodes = vec![node];
-        while let Some(parent) = self.parents[node] {
-            let Node::Var { var, children, .. } = &self.vo.nodes[parent] else {
-                unreachable!()
-            };
-            for &c in children {
-                if c == node {
-                    continue;
-                }
-                if self.subtree_free[c] {
-                    expansions.push(c);
-                } else {
-                    match self.interface(c, &bindings) {
-                        Some(m) => scalar = scalar.times(&m),
-                        None => scalar = R::zero(),
-                    }
-                }
-            }
-            // Lift bound path variables into the delta.
-            if !self.query.is_free(*var) {
-                let x = bindings
-                    .get(*var)
-                    .ok_or_else(|| EngineError::NonConstantUpdate {
-                        relation: upd.relation,
-                        detail: format!("unbound path variable {var}"),
-                    })?;
-                scalar = scalar.times(&(self.lift)(*var, x));
-            }
-            node = parent;
-            path_nodes.push(node);
+        let path = &self.paths[self.dynamic_atom(upd)?];
+        let (mut row, mut key) = (self.row.clone(), Vec::new());
+        for (&s, v) in path.cols.iter().zip(upd.tuple.values()) {
+            row[s].clone_from(v);
         }
-        // Other roots (disconnected components) multiply in too.
-        for &r in &self.vo.roots {
-            if r == node || path_nodes.contains(&r) {
-                continue;
-            }
-            if self.subtree_free[r] {
-                expansions.push(r);
-            } else if let Some(m) = self.interface(r, &bindings) {
-                scalar = scalar.times(&m);
-            } else {
-                scalar = R::zero();
-            }
+        let filled = complete(
+            &self.fetches,
+            &self.fetch_indexes,
+            &mut row,
+            mask(&path.cols),
+        );
+        if path.delta.needs & !filled != 0 {
+            return Ok(()); // a fetch miss: the update changes no output yet
         }
-        if scalar.is_zero() {
-            return Ok(());
+        let scalar = upd.payload.clone();
+        let mut acc = self.times_probes(&path.delta.scalars, &row, &mut key, scalar);
+        for &(var, s) in &path.delta.lifts {
+            acc = acc.times(&(self.lift)(var, &row[s]));
         }
-        self.expand_delta(&expansions, 0, &mut bindings, scalar, f);
+        if !acc.is_zero() {
+            row.truncate(self.query.free.arity());
+            self.descend(
+                &path.delta.steps,
+                &mut Tuple::new(row),
+                &mut key,
+                &[],
+                &acc,
+                f,
+            );
+        }
         Ok(())
-    }
-
-    /// Nested enumeration over free sibling subtrees of a delta.
-    fn expand_delta(
-        &self,
-        expansions: &[usize],
-        i: usize,
-        bindings: &mut Bindings,
-        acc: R,
-        f: &mut dyn FnMut(&Tuple, &R),
-    ) {
-        if acc.is_zero() {
-            return;
-        }
-        if i == expansions.len() {
-            if let Some(t) = bindings.project(&self.query.free) {
-                f(&t, &acc);
-            }
-            return;
-        }
-        self.for_each_subtree(
-            expansions[i],
-            bindings,
-            acc,
-            &mut |bs, m, f2| self.expand_delta(expansions, i + 1, bs, m, f2),
-            f,
-        );
-    }
-
-    /// Enumerate the free assignments within one subtree, threading the
-    /// multiplied payload through `k`.
-    #[allow(clippy::type_complexity)]
-    fn for_each_subtree(
-        &self,
-        node: usize,
-        bindings: &mut Bindings,
-        acc: R,
-        k: &mut dyn FnMut(&mut Bindings, R, &mut dyn FnMut(&Tuple, &R)),
-        f: &mut dyn FnMut(&Tuple, &R),
-    ) {
-        debug_assert!(self.subtree_free[node]);
-        let Node::Var { var, dep, children } = &self.vo.nodes[node] else {
-            unreachable!("free subtrees are rooted at variable nodes")
-        };
-        let Some(key) = bindings.project(dep) else {
-            return;
-        };
-        let Some(group) = self.views[node]
-            .as_ref()
-            .expect("var node")
-            .groups
-            .get(&key)
-        else {
-            return;
-        };
-        let free_children: Vec<usize> = children
-            .iter()
-            .copied()
-            .filter(|&c| self.subtree_free[c])
-            .collect();
-        for x in group.entries.keys() {
-            bindings.set(*var, x.clone());
-            let mut m = acc.clone();
-            for &c in children {
-                if !self.subtree_free[c] {
-                    match self.interface(c, bindings) {
-                        Some(v) => m = m.times(&v),
-                        None => m = R::zero(),
-                    }
-                    if m.is_zero() {
-                        break;
-                    }
-                }
-            }
-            if !m.is_zero() {
-                self.chain_children(&free_children, 0, bindings, m, k, f);
-            }
-            bindings.unset(*var);
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn chain_children(
-        &self,
-        free_children: &[usize],
-        i: usize,
-        bindings: &mut Bindings,
-        acc: R,
-        k: &mut dyn FnMut(&mut Bindings, R, &mut dyn FnMut(&Tuple, &R)),
-        f: &mut dyn FnMut(&Tuple, &R),
-    ) {
-        if i == free_children.len() {
-            k(bindings, acc, f);
-            return;
-        }
-        self.for_each_subtree(
-            free_children[i],
-            bindings,
-            acc,
-            &mut |bs, m, f2| self.chain_children(free_children, i + 1, bs, m, k, f2),
-            f,
-        );
     }
 
     /// Materialize the current output (test/oracle helper; O(|output|)).
@@ -729,76 +638,243 @@ impl<R: Semiring> std::fmt::Debug for ViewTree<R> {
     }
 }
 
-/// Per node: subtree contains only static atoms.
-fn compute_static_complete(q: &Query, vo: &VarOrder) -> Vec<bool> {
-    let mut out = vec![true; vo.nodes.len()];
-    fn rec(q: &Query, vo: &VarOrder, id: usize, out: &mut Vec<bool>) -> bool {
-        let v = match &vo.nodes[id] {
-            Node::Atom { atom } => !q.atoms[*atom].dynamic,
-            Node::Var { children, .. } => {
-                let mut all = true;
-                for &c in children.clone().iter() {
-                    all &= rec(q, vo, c, out);
-                }
-                all
-            }
-        };
-        out[id] = v;
-        v
-    }
-    for &r in &vo.roots {
-        rec(q, vo, r, &mut out);
-    }
-    out
+/// Plan-time compilation of update paths and enumerations onto slots.
+struct Compiler<'a> {
+    query: &'a Query,
+    vo: &'a VarOrder,
+    storage: &'a [Schema],
+    slots: &'a [Sym],
 }
 
-/// Per node: subtree contains a free variable node.
-fn compute_subtree_free(q: &Query, vo: &VarOrder) -> Vec<bool> {
-    let mut out = vec![false; vo.nodes.len()];
-    fn rec(q: &Query, vo: &VarOrder, id: usize, out: &mut Vec<bool>) -> bool {
-        let v = match &vo.nodes[id] {
-            Node::Atom { .. } => false,
-            Node::Var { var, children, .. } => {
-                let mut any = q.is_free(*var);
-                for &c in children.clone().iter() {
-                    any |= rec(q, vo, c, out);
-                }
-                any
-            }
+impl Compiler<'_> {
+    fn slot(&self, v: Sym) -> usize {
+        self.slots
+            .iter()
+            .position(|&s| s == v)
+            .expect("every variable has a slot")
+    }
+
+    fn slots_of(&self, schema: &Schema) -> Box<[usize]> {
+        schema.vars().iter().map(|&v| self.slot(v)).collect()
+    }
+
+    /// Free variables at and below `node`; zero for a bound child.
+    fn free_vars(&self, node: usize) -> usize {
+        let own = self.vo.var_of(node).is_some_and(|v| self.query.is_free(v));
+        let below = self.vo.children_of(node).iter().map(|&c| self.free_vars(c));
+        usize::from(own) + below.sum::<usize>()
+    }
+
+    /// Whether every atom under `node` is static.
+    fn all_static(&self, node: usize) -> bool {
+        match &self.vo.nodes[node] {
+            Node::Atom { atom } => !self.query.atoms[*atom].dynamic,
+            Node::Var { children, .. } => children.iter().all(|&c| self.all_static(c)),
+        }
+    }
+
+    /// The interface lookup of a child node.
+    fn probe(&self, node: usize) -> Probe {
+        let (leaf, key) = match &self.vo.nodes[node] {
+            Node::Atom { atom } => (Some(*atom), &self.storage[*atom]),
+            Node::Var { dep, .. } => (None, dep),
         };
-        out[id] = v;
-        v
+        let key = self.slots_of(key);
+        Probe { leaf, node, key }
     }
-    for &r in &vo.roots {
-        rec(q, vo, r, &mut out);
+
+    fn factor(&self, node: usize) -> Factor {
+        let children = self.vo.children_of(node);
+        let free = children.iter().filter(|&&c| self.free_vars(c) > 0).count();
+        match (free, children.len() - free) {
+            (_, 0) => Factor::One,
+            (0, _) => Factor::Payload,
+            _ => Factor::Stored,
+        }
     }
-    out
+
+    /// Parents-first linearization of the free region under `node`, so
+    /// each loop's key is bound by earlier loops; bound subtrees fold into
+    /// their parent's factors. Siblings go narrowest first: a loop's group
+    /// lookup repeats once per iteration of every loop outside it.
+    fn linearize(&self, node: usize, out: &mut Vec<EnumStep>) {
+        let Node::Var { var, dep, children } = &self.vo.nodes[node] else {
+            return;
+        };
+        if self.free_vars(node) > 0 {
+            let (slot, key, factor) = (self.slot(*var), self.slots_of(dep), self.factor(node));
+            out.push(EnumStep {
+                node,
+                slot,
+                key,
+                factor,
+            });
+            let mut children = children.clone();
+            children.sort_by_key(|&c| self.free_vars(c));
+            children.iter().for_each(|&c| self.linearize(c, out));
+        }
+    }
+
+    /// Free roots (but `skip`) become loops, bound roots scalars.
+    fn roots(&self, skip: Option<usize>, plan: &mut Plan) {
+        for &r in self.vo.roots.iter().filter(|&&r| Some(r) != skip) {
+            if self.free_vars(r) > 0 {
+                self.linearize(r, &mut plan.steps);
+            } else {
+                plan.scalars.push(self.probe(r));
+            }
+        }
+    }
+
+    /// An atom's update path (cut where static propagation stops, Sec.
+    /// 4.5) and delta enumeration. Refuses a path step whose view key the
+    /// stored tuple does not determine, even through the fetchers.
+    fn path(&self, atom: usize, fetches: &[Fetch]) -> Result<Path, EngineError> {
+        let (cols, dynamic) = (
+            self.slots_of(&self.storage[atom]),
+            self.query.atoms[atom].dynamic,
+        );
+        let mut known = mask(&cols);
+        while let Some(f) = fetches
+            .iter()
+            .find(|f| known & 1 << f.slot == 0 && mask(&f.lhs) & !known == 0)
+        {
+            known |= 1 << f.slot;
+        }
+        let mut node = self.vo.atom_leaf(atom).expect("validated order");
+        let (mut steps, mut delta) = (Vec::new(), Plan::default());
+        let parents = self.vo.parents();
+        while let Some(p) = parents[node] {
+            let Node::Var { var, dep, children } = &self.vo.nodes[p] else {
+                unreachable!("parents are variable nodes")
+            };
+            let mut siblings = Vec::new();
+            for &c in children.iter().filter(|&&c| c != node) {
+                let bound = self.free_vars(c) == 0;
+                if bound {
+                    delta.scalars.push(self.probe(c));
+                } else {
+                    self.linearize(c, &mut delta.steps);
+                }
+                siblings.push((self.probe(c), bound));
+            }
+            let (var, slot, key, lift) = (
+                *var,
+                self.slot(*var),
+                self.slots_of(dep),
+                !self.query.is_free(*var),
+            );
+            if lift {
+                delta.lifts.push((var, slot));
+            }
+            let needs = siblings
+                .iter()
+                .fold(mask(&key) | 1 << slot, |m, (p, _)| m | mask(&p.key));
+            delta.needs |= needs;
+            if dynamic || self.all_static(p) {
+                if (mask(&key) | 1 << slot) & !known != 0 {
+                    return Err(EngineError::NonConstantUpdate {
+                        relation: self.query.atoms[atom].name,
+                        detail: format!(
+                            "view key {dep:?} ∪ {{{var}}} is not covered by the stored \
+                             {:?} and its fetches",
+                            self.storage[atom]
+                        ),
+                    });
+                }
+                let (mixed, from_bound) =
+                    (self.factor(p) == Factor::Stored, self.free_vars(node) == 0);
+                steps.push(UpStep {
+                    node: p,
+                    var,
+                    slot,
+                    key,
+                    lift,
+                    mixed,
+                    from_bound,
+                    siblings,
+                    needs,
+                });
+            }
+            node = p;
+        }
+        self.roots(Some(node), &mut delta);
+        Ok(Path { cols, steps, delta })
+    }
 }
 
-/// DFS linearization of the free region: parents before children, so each
-/// step's dep set is bound by earlier steps; bound roots become scalar
-/// steps.
-fn build_plan(_q: &Query, vo: &VarOrder, subtree_free: &[bool]) -> Vec<PlanStep> {
-    let mut plan = Vec::new();
-    fn rec(vo: &VarOrder, id: usize, subtree_free: &[bool], plan: &mut Vec<PlanStep>) {
-        if !subtree_free[id] {
-            return; // handled as a scalar factor by the parent step
-        }
-        if let Node::Var { children, .. } = &vo.nodes[id] {
-            plan.push(PlanStep::Free(id));
-            for &c in children {
-                rec(vo, c, subtree_free, plan);
+/// The bit set of `slots`.
+fn mask(slots: &[usize]) -> u64 {
+    slots.iter().fold(0, |m, &s| m | 1 << s)
+}
+
+/// Gather `slots` of `row` into `key` (cleared first) and lend it out.
+fn gather<'k>(row: &[Value], slots: &[usize], key: &'k mut Vec<Value>) -> &'k [Value] {
+    key.clear();
+    key.extend(slots.iter().map(|&s| row[s].clone()));
+    key
+}
+
+/// `map[key] += delta`, pruning a cancelled entry and cloning `key` only
+/// when it is new: the entry's value after the update, and what happened.
+fn add_at<K, Q, R>(map: &mut FxHashMap<K, R>, key: &Q, delta: &R) -> (R, Presence)
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: ToOwned<Owned = K> + Hash + Eq + ?Sized,
+    R: Semiring,
+{
+    let Some(p) = map.get_mut(key) else {
+        map.insert(key.to_owned(), delta.clone());
+        return (delta.clone(), Presence::Appeared);
+    };
+    p.add_assign(delta);
+    if !p.is_zero() {
+        return (p.clone(), Presence::Unchanged);
+    }
+    map.remove(key);
+    (R::zero(), Presence::Vanished)
+}
+
+/// A child's interface under `row` (`None`: zero).
+fn lookup<'a, R>(
+    views: &'a [View<R>],
+    leaves: &'a [FxHashMap<Tuple, R>],
+    probe: &Probe,
+    row: &[Value],
+    key: &mut Vec<Value>,
+) -> Option<&'a R> {
+    let key = gather(row, &probe.key, key);
+    match probe.leaf {
+        Some(atom) => leaves[atom].get(key),
+        None => views[probe.node].groups.get(key).map(|g| &g.total),
+    }
+}
+
+/// Complete `row` with FD-implied values (Sec. 4.4): fetch the unique
+/// value paired with the filled determinant in the provider relation, to a
+/// fixpoint so FD chains (X→Y, Y→Z) resolve. Returns the filled slots.
+fn complete<R: Semiring>(
+    fetches: &[Fetch],
+    indexes: &[GroupedIndex<R>],
+    row: &mut [Value],
+    mut filled: u64,
+) -> u64 {
+    loop {
+        let before = filled;
+        for (f, idx) in fetches.iter().zip(indexes) {
+            if filled & 1 << f.slot != 0 || mask(&f.lhs) & !filled != 0 {
+                continue;
+            }
+            let key: Tuple = f.lhs.iter().map(|&s| row[s].clone()).collect();
+            if let Some((residual, _)) = idx.group(&key).and_then(|g| g.iter().next()) {
+                row[f.slot] = residual.at(f.residual_pos).clone();
+                filled |= 1 << f.slot;
             }
         }
-    }
-    for &r in &vo.roots {
-        if subtree_free[r] {
-            rec(vo, r, subtree_free, &mut plan);
-        } else {
-            plan.push(PlanStep::ScalarRoot(r));
+        if filled == before {
+            return filled;
         }
     }
-    plan
 }
 
 #[cfg(test)]
@@ -1075,5 +1151,346 @@ mod tests {
         tree.apply(&Update::insert(rn, tup![1i64, 20i64])).unwrap();
         let out = tree.output();
         assert_eq!(out.get(&tup![1i64]), 30);
+    }
+
+    #[test]
+    fn preprocess_refuses_a_mismatched_schema_before_loading() {
+        // `R` is fine and comes first; `S` has its columns swapped.
+        let (q, mut tree) = fig3_setup();
+        let mut db: Database<i64> = Database::new();
+        let r = Relation::from_rows(q.atoms[0].schema.clone(), [(tup![1i64, 10i64], 1)]);
+        let swapped = Schema::new(q.atoms[1].schema.vars().iter().rev().copied());
+        db.add(q.atoms[0].name, r);
+        db.add(q.atoms[1].name, Relation::new(swapped));
+        let err = tree.preprocess(&db).unwrap_err();
+        assert!(err.to_string().contains("f3_S"), "{err}");
+        assert_eq!(tree.view_entries(), 0, "nothing is loaded");
+    }
+
+    #[test]
+    fn direct_updates_of_the_wrong_arity_are_refused() {
+        let (_, mut tree) = fig3_setup();
+        let short = Update::insert(sym("f3_R"), tup![1i64]);
+        assert!(matches!(
+            tree.apply(&short),
+            Err(EngineError::NotSupported(_))
+        ));
+        assert!(tree.delta_for_each(&short, &mut |_, _| {}).is_err());
+    }
+
+    // -----------------------------------------------------------------
+    // Factors, enumeration, bound enumeration and delta enumeration
+    // against a from-scratch oracle, over every kind of tree.
+    // -----------------------------------------------------------------
+
+    use crate::engines::EagerListEngine;
+    use crate::Maintainer;
+    use proptest::prelude::*;
+
+    /// Whether the subtree under `node` holds a free variable.
+    fn has_free(tree: &ViewTree<i64>, node: usize) -> bool {
+        let own = tree.vo.var_of(node).is_some_and(|v| tree.query.is_free(v));
+        own || tree.vo.children_of(node).iter().any(|&c| has_free(tree, c))
+    }
+
+    /// Every stored factor equals `Π` of its node's bound children,
+    /// recomputed from the stored leaves and group totals; factors are
+    /// stored on exactly the mixed nodes, on exactly their entries' keys.
+    fn check_factors(tree: &ViewTree<i64>) -> Result<(), String> {
+        for (node, view) in tree.views.iter().enumerate() {
+            let Node::Var { var, dep, children } = &tree.vo.nodes[node] else {
+                continue;
+            };
+            let bound: Vec<usize> = children
+                .iter()
+                .copied()
+                .filter(|&c| !has_free(tree, c))
+                .collect();
+            let mixed =
+                tree.query.is_free(*var) && !bound.is_empty() && bound.len() < children.len();
+            let stored = view.factors.len();
+            if stored != if mixed { view.groups.len() } else { 0 } {
+                return Err(format!("{var}: mixed {mixed}, {stored} factor groups"));
+            }
+            for (key, group) in view.groups.iter().filter(|_| mixed) {
+                let Some(factors) = view.factors.get(key) else {
+                    return Err(format!("{var} {key:?}: no factors"));
+                };
+                if factors.len() != group.entries.len() {
+                    return Err(format!("{var} {key:?}: {factors:?} vs {:?}", group.entries));
+                }
+                for (x, &factor) in factors {
+                    if !group.entries.contains_key(x) {
+                        return Err(format!("{var} {key:?}: factor for absent {x:?}"));
+                    }
+                    let val = |v: Sym| match dep.position(v) {
+                        Some(i) => key.at(i).clone(),
+                        None => x.clone(),
+                    };
+                    let iface = |c: usize| match &tree.vo.nodes[c] {
+                        Node::Atom { atom } => {
+                            let t: Tuple = tree.storage_schema[*atom]
+                                .vars()
+                                .iter()
+                                .map(|&v| val(v))
+                                .collect();
+                            tree.leaves[*atom].get(&t).copied().unwrap_or(0)
+                        }
+                        Node::Var { dep, .. } => {
+                            let t: Tuple = dep.vars().iter().map(|&v| val(v)).collect();
+                            tree.views[c].groups.get(&t).map_or(0, |g| g.total)
+                        }
+                    };
+                    let expect: i64 = bound.iter().map(|&c| iface(c)).product();
+                    if factor != expect {
+                        return Err(format!(
+                            "{var} {key:?} {x:?}: factor {factor}, bound Π {expect}"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Exact equality of two output relations.
+    fn same(got: &Relation<i64>, expect: &Relation<i64>, what: &str) -> Result<(), String> {
+        let mismatch = expect.iter().find(|(t, p)| got.get(t) != **p);
+        if got.len() != expect.len() || mismatch.is_some() {
+            return Err(format!("{what}: got {got:?}, expected {expect:?}"));
+        }
+        Ok(())
+    }
+
+    /// One scenario: a tree, the relations it mirrors (per atom), how a
+    /// generated op becomes a tuple of an atom, and — for canonical trees
+    /// — an eager-list engine fed the same batches.
+    struct Scenario {
+        tree: ViewTree<i64>,
+        lift: Lift<i64>,
+        base: Vec<Relation<i64>>,
+        make: fn(&Schema, usize, [u64; 4]) -> Tuple,
+        list: Option<EagerListEngine<i64>>,
+    }
+
+    /// A tuple over a domain of three values per column.
+    fn small(schema: &Schema, _atom: usize, raw: [u64; 4]) -> Tuple {
+        (0..schema.arity())
+            .map(|i| Value::from((raw[i] % 3) as i64))
+            .collect()
+    }
+
+    /// Ex 4.12 tuples that satisfy Σ = {X → Y, Y → Z} by construction.
+    fn fd_valid(schema: &Schema, atom: usize, raw: [u64; 4]) -> Tuple {
+        let x = (raw[0] % 3) as i64;
+        match atom {
+            1 => tup![x, x * 10 + 1],
+            2 => tup![x * 10 + 1, x * 100 + 13],
+            _ => small(schema, atom, raw),
+        }
+    }
+
+    fn lift_plus(_: Sym, v: &Value) -> i64 {
+        v.as_int().unwrap_or(0) + 1
+    }
+
+    fn scenario(tree: ViewTree<i64>, lift: Lift<i64>, listed: bool) -> Scenario {
+        let q = tree.query().clone();
+        let list = listed.then(|| EagerListEngine::new(q.clone(), &Database::new(), lift).unwrap());
+        let base = q
+            .atoms
+            .iter()
+            .map(|a| Relation::new(a.schema.clone()))
+            .collect();
+        Scenario {
+            tree,
+            lift,
+            base,
+            make: small,
+            list,
+        }
+    }
+
+    /// fig3; retailer; ex414 (static `T` preloaded); an FD reduct; a mixed
+    /// node over a lifted bound variable; a Boolean query; a disconnected
+    /// query with a bound root.
+    fn scenarios() -> Vec<(&'static str, Scenario)> {
+        let canonical = |q: Query, lift| scenario(ViewTree::new(q, lift).unwrap(), lift, true);
+        let [a, b, c, d, x, y] = vars(["vp_A", "vp_B", "vp_C", "vp_D", "vp_X", "vp_Y"]);
+        let (r, s, t) = (sym("vp_R"), sym("vp_S"), sym("vp_T"));
+        let lifted = Query::new(
+            "vp_lift",
+            [a, b],
+            vec![Atom::new(r, [a, c]), Atom::new(s, [a, b])],
+        );
+        let boolean = Query::new("vp_bool", [], vec![Atom::new(r, [x, y]), Atom::new(s, [y])]);
+        let atoms = vec![Atom::new(r, [a, c]), Atom::new(s, [b]), Atom::new(t, [d])];
+        let disconnected = Query::new("vp_disc", [a, b], atoms);
+
+        let q414 = ivm_query::examples::ex414_query();
+        let vo = ivm_query::varorder::find_tractable_order(&q414).unwrap();
+        let mut ex414 = scenario(
+            ViewTree::with_order(q414.clone(), vo, lift_one).unwrap(),
+            lift_one,
+            false,
+        );
+        let static_t = Relation::from_rows(
+            q414.atoms[2].schema.clone(),
+            [
+                (tup![0i64, 0i64], 1),
+                (tup![0i64, 1i64], 2),
+                (tup![2i64, 1i64], 1),
+            ],
+        );
+        let mut db = Database::new();
+        db.add(q414.atoms[2].name, static_t.clone());
+        ex414.tree.preprocess(&db).unwrap();
+        ex414.base[2] = static_t;
+
+        let (q412, sigma) = ivm_query::examples::ex412_query();
+        let fd = crate::fd::FdEngine::new(q412, &sigma, &Database::new(), lift_one).unwrap();
+        let mut fd = scenario(fd.into_tree(), lift_one, false);
+        fd.make = fd_valid;
+
+        vec![
+            (
+                "fig3",
+                canonical(ivm_query::examples::fig3_query(), lift_one),
+            ),
+            (
+                "retailer",
+                canonical(ivm_query::examples::retailer_query().0, lift_one),
+            ),
+            ("ex414", ex414),
+            ("fd", fd),
+            ("lifted", canonical(lifted, lift_plus)),
+            ("boolean", canonical(boolean, lift_one)),
+            ("disconnected", canonical(disconnected, lift_one)),
+        ]
+    }
+
+    type Op = (usize, (u64, u64, u64, u64), i64);
+
+    /// Feed `ops` in batches that stay valid (no multiplicity below zero)
+    /// while mixing ±1/±2 payloads, an insert+delete of one tuple in every
+    /// batch, and every third batch deleting a whole relation that the
+    /// next batch restores; check everything after each batch.
+    fn run(sc: &mut Scenario, ops: &[Op], pin: (usize, u64)) -> Result<(), String> {
+        let q = sc.tree.query().clone();
+        let dynamic: Vec<usize> = (0..q.atoms.len()).filter(|&i| q.atoms[i].dynamic).collect();
+        let mut restore: Vec<(usize, Tuple, i64)> = Vec::new();
+        for (n, chunk) in ops.chunks(5).enumerate() {
+            let mut batch: Vec<(usize, Tuple, i64)> = std::mem::take(&mut restore);
+            for &(pick, (r0, r1, r2, r3), m) in chunk {
+                let atom = dynamic[pick % dynamic.len()];
+                let t = (sc.make)(&q.atoms[atom].schema, atom, [r0, r1, r2, r3]);
+                let m = m.max(-sc.base[atom].get(&t));
+                sc.base[atom].apply(t.clone(), &m);
+                batch.push((atom, t, m));
+            }
+            if let Some(&(pick, (r0, r1, r2, r3), _)) = chunk.first() {
+                let atom = dynamic[(pick + 1) % dynamic.len()];
+                let t = (sc.make)(&q.atoms[atom].schema, atom, [r3, r2, r1, r0]);
+                batch.extend([(atom, t.clone(), 1), (atom, t, -1)]);
+            }
+            if n % 3 == 2 {
+                let atom = dynamic[n / 3 % dynamic.len()];
+                let wiped = std::mem::replace(
+                    &mut sc.base[atom],
+                    Relation::new(q.atoms[atom].schema.clone()),
+                );
+                for (t, &m) in wiped.iter() {
+                    batch.push((atom, t.clone(), -m));
+                    restore.push((atom, t.clone(), m));
+                }
+            }
+            let batch: Vec<Update<i64>> = batch
+                .into_iter()
+                .filter(|(_, _, m)| *m != 0)
+                .map(|(atom, t, m)| Update::with_payload(q.atoms[atom].name, t, m))
+                .collect();
+            check_batch(sc, &q, &batch, pin).map_err(|e| format!("batch {n}: {e}"))?;
+            for (atom, t, m) in &restore {
+                sc.base[*atom].apply(t.clone(), m);
+            }
+        }
+        Ok(())
+    }
+
+    fn check_batch(
+        sc: &mut Scenario,
+        q: &Query,
+        batch: &[Update<i64>],
+        pin: (usize, u64),
+    ) -> Result<(), String> {
+        let before = sc.tree.output();
+        let mut delta = Relation::new(q.free.clone());
+        for u in batch {
+            sc.tree
+                .delta_for_each(u, &mut |t, m| {
+                    delta.apply(t.clone(), m);
+                })
+                .map_err(|e| e.to_string())?;
+            sc.tree.apply(u).map_err(|e| e.to_string())?;
+        }
+        let base: Vec<&Relation<i64>> = sc.base.iter().collect();
+        let after = eval_join_aggregate(&base, &q.free, sc.lift);
+        same(&sc.tree.output(), &after, "output")?;
+        same(
+            &ivm_data::ops::union(&before, &delta),
+            &after,
+            "before ⊎ delta",
+        )?;
+        check_factors(&sc.tree)?;
+        if !q.free.is_empty() {
+            // Pin one free column to a value the output holds, if any.
+            let col = pin.0 % q.free.arity();
+            let mut held: Vec<&Value> = after.iter().map(|(t, _)| t.at(col)).collect();
+            held.sort();
+            let v = held
+                .get(pin.1 as usize % held.len().max(1))
+                .map_or(Value::from(0i64), |v| (*v).clone());
+            let mut pre = Bindings::new();
+            pre.set(q.free.vars()[col], v.clone());
+            let mut got = Relation::new(q.free.clone());
+            sc.tree.for_each_output_bound(&pre, &mut |t, m| {
+                got.apply(t.clone(), m);
+            });
+            let rows = after.iter().filter(|(t, _)| *t.at(col) == v);
+            let expect = Relation::from_rows(q.free.clone(), rows.map(|(t, m)| (t.clone(), *m)));
+            same(&got, &expect, "bound")?;
+        }
+        if let Some(list) = &mut sc.list {
+            let got = list.apply_batch(batch).map_err(|e| e.to_string())?;
+            let mut expect = after.clone();
+            for (t, m) in before.iter() {
+                expect.apply(t.clone(), &-m);
+            }
+            same(&got, &expect, "eager-list batch delta")?;
+            same(&list.output(), &after, "eager-list output")?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn factors_and_enumerations_match_the_oracle(
+            ops in proptest::collection::vec(
+                (
+                    0usize..8,
+                    (0u64..6, 0u64..6, 0u64..6, 0u64..6),
+                    prop_oneof![Just(1i64), Just(1), Just(2), Just(-1), Just(-2)],
+                ),
+                0..60,
+            ),
+            pin in (0usize..8, 0u64..8),
+        ) {
+            for (name, mut sc) in scenarios() {
+                let outcome = run(&mut sc, &ops, pin);
+                prop_assert!(outcome.is_ok(), "{}: {}", name, outcome.unwrap_err());
+            }
+        }
     }
 }

@@ -7,7 +7,8 @@ use std::fmt;
 ///
 /// Stored as a boxed slice (two words on the stack) — tuples are hash-map
 /// keys and get cloned on insertion, so compactness matters more than
-/// in-place mutation, which never happens.
+/// in-place mutation, which only reused output rows use
+/// ([`Tuple::values_mut`]; a map never hands out a mutable key).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple(Box<[Value]>);
 
@@ -40,6 +41,12 @@ impl Tuple {
     /// All values.
     pub fn values(&self) -> &[Value] {
         &self.0
+    }
+
+    /// All values, writable in place: an enumerator emits every output
+    /// through one reused row instead of boxing a tuple per output.
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        &mut self.0
     }
 
     /// Project onto the given positions (π in the paper's notation, with
@@ -126,6 +133,13 @@ mod tests {
         let t = tup![10i64, "x", 30i64];
         assert_eq!(t.project(&[2, 0]), tup![30i64, 10i64]);
         assert_eq!(t.project(&[]), Tuple::empty());
+    }
+
+    #[test]
+    fn values_mut_rewrites_in_place() {
+        let mut t = tup![1i64, "a"];
+        t.values_mut()[1] = Value::from(2i64);
+        assert_eq!(t, tup![1i64, 2i64]);
     }
 
     #[test]

@@ -4,52 +4,16 @@
 //! shape, make the same number of allocations per batch.
 //!
 //! The gate needs a counting `#[global_allocator]`, which is why this test
-//! is a binary of its own. The counter is per thread, so the harness's
-//! other threads do not disturb it.
+//! is a binary of its own.
 
 mod common;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 use ivm_core::Maintainer;
 use ivm_data::ops::lift_one;
 use ivm_data::{tup, Database, Tuple, Update};
 use ivm_dataflow::DataflowEngine;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Allocator calls (`alloc` and `realloc`) this thread has made so far.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count() {
-    // A thread's last frees can run after its locals are gone.
-    let _ = ALLOCATIONS.try_with(|a| a.set(a.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a plain thread-local
-// integer and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Allocator calls per round of the steady state: a self-join triangle
 /// count over `edges`, then rounds of one batch inserting `churn` and one
@@ -67,12 +31,12 @@ fn allocations_per_round(prefix: &str, edges: Vec<Tuple>, churn: Vec<Tuple>) -> 
     let (insert, delete) = (batch(1), batch(-1));
     let mut counted = 0;
     for round in 0..4 {
-        let before = ALLOCATIONS.with(Cell::get);
+        let before = counting_alloc::allocations();
         let closed =
             eng.apply_batch(&insert).unwrap().len() + eng.apply_batch(&delete).unwrap().len();
         assert_eq!(closed, 0, "the churn must not close a triangle");
         if round >= 2 {
-            counted += ALLOCATIONS.with(Cell::get) - before;
+            counted += counting_alloc::allocations() - before;
         }
     }
     assert!(
