@@ -78,28 +78,62 @@ pub fn marginalize<R: Semiring>(rel: &Relation<R>, var: Sym, lift: Lift<R>) -> R
 }
 
 /// Aggregation onto a set of group-by variables: marginalizes every other
-/// variable with `lift`, in schema order.
+/// variable with `lift`, in schema order, and orders the columns as
+/// `group_by`. One pass: each tuple contributes `R(t)·g_X1(t.X1)·g_X2(t.X2)…`
+/// to its group-by projection — the chained [`marginalize`] by
+/// distributivity, without an intermediate relation per variable.
 pub fn aggregate<R: Semiring>(rel: &Relation<R>, group_by: &Schema, lift: Lift<R>) -> Relation<R> {
-    assert!(
-        group_by.subset_of(rel.schema()),
-        "group-by {group_by:?} must be within {:?}",
-        rel.schema()
-    );
-    let bound = rel.schema().difference(group_by);
-    let mut cur = rel.clone();
-    for &v in bound.vars() {
-        cur = marginalize(&cur, v, lift);
-    }
-    // Reorder columns to match the requested group-by order.
-    if cur.schema() == group_by {
-        return cur;
-    }
-    let pos = cur.schema().positions_of(group_by);
+    let proj = LiftedProjection::new(rel.schema(), group_by, lift);
     let mut out = Relation::new(group_by.clone());
-    for (t, r) in cur.iter() {
-        out.apply(t.project(&pos), r);
+    let mut key = Vec::new();
+    for (t, r) in rel.iter() {
+        proj.accumulate(&mut out, t.values(), r.clone(), &mut key);
     }
     out
+}
+
+/// One row's step of [`aggregate`], planned once per input schema and
+/// group-by: which positions form the group key, and which variables are
+/// marginalized — their lifts multiply in in input-schema order, the ring
+/// order of the chained [`marginalize`]. The multiway join's search emits
+/// each full binding through this too.
+pub struct LiftedProjection<R> {
+    group_pos: Box<[usize]>,
+    bound: Box<[(usize, Sym)]>,
+    lift: Lift<R>,
+}
+
+impl<R: Semiring> LiftedProjection<R> {
+    /// Project rows over `schema` onto `group_by ⊆ schema`, marginalizing
+    /// every other variable with `lift`.
+    pub fn new(schema: &Schema, group_by: &Schema, lift: Lift<R>) -> Self {
+        assert!(
+            group_by.subset_of(schema),
+            "group-by {group_by:?} must be within {schema:?}"
+        );
+        let bound = schema.vars().iter().enumerate();
+        let bound = bound.filter(|&(_, &v)| !group_by.contains(v));
+        LiftedProjection {
+            group_pos: schema.positions_of(group_by).into(),
+            bound: bound.map(|(p, &v)| (p, v)).collect(),
+            lift,
+        }
+    }
+
+    /// Add `r·g_X1(row.X1)·g_X2(row.X2)…` to `out` under `row`'s group-by
+    /// projection. The key is assembled in `key`, a buffer the caller
+    /// keeps across rows, and moves into `out` only when new
+    /// ([`Relation::apply_buffered`]).
+    pub fn accumulate(&self, out: &mut Relation<R>, row: &[Value], mut r: R, key: &mut Vec<Value>) {
+        for &(p, v) in self.bound.iter() {
+            r = r.times(&(self.lift)(v, &row[p]));
+        }
+        key.clear();
+        // Exactly the key's length, so a moved-out key needs no shrinking.
+        key.reserve_exact(self.group_pos.len());
+        key.extend(self.group_pos.iter().map(|&p| row[p].clone()));
+        out.apply_buffered(key, r);
+    }
 }
 
 /// Evaluate `Q(group_by) = Σ_bound Π_i R_i` from scratch: join all inputs,

@@ -3,6 +3,7 @@
 use crate::hash::FxHashMap;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
+use crate::value::Value;
 use ivm_ring::Semiring;
 use std::fmt;
 
@@ -101,6 +102,32 @@ impl<R: Semiring> Relation<R> {
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(delta.clone());
+                Presence::Appeared
+            }
+        }
+    }
+
+    /// [`Self::apply`] under a key assembled in a caller-kept buffer: the
+    /// lookup borrows `key`, and only a new key is moved into the relation
+    /// (leaving `key` empty for the caller to refill). Accumulating many
+    /// contributions onto few keys thus allocates per key, not per
+    /// contribution, and a new key's values are never cloned.
+    pub fn apply_buffered(&mut self, key: &mut Vec<Value>, delta: R) -> Presence {
+        debug_assert_eq!(key.len(), self.schema.arity(), "tuple arity mismatch");
+        if delta.is_zero() {
+            return Presence::Unchanged;
+        }
+        match self.data.get_mut(key.as_slice()) {
+            Some(p) => {
+                p.add_assign(&delta);
+                if !p.is_zero() {
+                    return Presence::Unchanged;
+                }
+                self.data.remove(key.as_slice());
+                Presence::Vanished
+            }
+            None => {
+                self.data.insert(Tuple::new(std::mem::take(key)), delta);
                 Presence::Appeared
             }
         }
@@ -313,6 +340,26 @@ mod tests {
         r.apply(tup![1i64, 2i64], &-5);
         assert_eq!(r.len(), 0, "cancelled tuple must be pruned");
         assert!(!r.contains(&tup![1i64, 2i64]));
+    }
+
+    #[test]
+    fn apply_buffered_matches_apply() {
+        let mut r: Relation<i64> = Relation::new(ab());
+        let fill = |key: &mut Vec<Value>| {
+            key.clear();
+            key.extend([Value::from(1i64), Value::from(2i64)]);
+        };
+        let mut key = Vec::new();
+        fill(&mut key);
+        assert_eq!(r.apply_buffered(&mut key, 2), Presence::Appeared);
+        assert!(key.is_empty(), "a new key moves into the relation");
+        fill(&mut key);
+        assert_eq!(r.apply_buffered(&mut key, 3), Presence::Unchanged);
+        assert_eq!(key.len(), 2, "a known key stays in the buffer");
+        assert_eq!(r.get(&tup![1i64, 2i64]), 5);
+        assert_eq!(r.apply_buffered(&mut key, 0), Presence::Unchanged);
+        assert_eq!(r.apply_buffered(&mut key, -5), Presence::Vanished);
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -149,6 +149,45 @@ proptest! {
         let agg = aggregate(&v, &Schema::from([sym("dr_A")]), lift_one);
         prop_assert_eq!(agg.total(), v.total());
     }
+
+    /// One-pass `aggregate` ≡ marginalizing the bound variables one at a
+    /// time in schema order, then reordering the columns — under a lifting
+    /// that depends on both the variable and the value, for every subset
+    /// of group-by variables (the empty one included), in schema order and
+    /// reversed.
+    #[test]
+    fn aggregate_equals_chained_marginalize(
+        rows in proptest::collection::vec(((0i64..4, 0i64..4, 0i64..4), -3i64..4), 0..24),
+    ) {
+        let vars = [sym("dr_aA"), sym("dr_aB"), sym("dr_aC")];
+        let rel = Relation::from_rows(
+            Schema::from(vars),
+            rows.into_iter().map(|((x, y, z), m)| (Tuple::from([x, y, z]), m)),
+        );
+        for mask in 0..8usize {
+            let group: Vec<Sym> = (0..3).filter(|i| mask >> i & 1 == 1).map(|i| vars[i]).collect();
+            for group_by in [Schema::new(group.clone()), Schema::new(group.into_iter().rev())] {
+                let mut chained = rel.clone();
+                for &v in rel.schema().difference(&group_by).vars() {
+                    chained = marginalize(&chained, v, lift_by_var);
+                }
+                let one_pass = aggregate(&rel, &group_by, lift_by_var);
+                prop_assert_eq!(one_pass.schema(), &group_by);
+                assert_rel_eq(&one_pass, &chained)?;
+            }
+        }
+    }
+}
+
+/// A lifting that tells variables and values apart: a mix-up of either
+/// changes the payload.
+fn lift_by_var(var: Sym, v: &Value) -> i64 {
+    let x = v.as_int().unwrap();
+    match var.name().as_str() {
+        "dr_aA" => x + 2,
+        "dr_aB" => 2 * x - 1,
+        _ => x * x + 1,
+    }
 }
 
 /// Lifting with a value-dependent function also satisfies the delta rule —

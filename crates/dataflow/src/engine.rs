@@ -76,6 +76,12 @@ impl<R: Semiring> DataflowEngine<R> {
         strategy: JoinStrategy,
         cards: Cardinalities,
     ) -> Result<Self, EngineError> {
+        let resolved = crate::planner::resolve_strategy(&query, strategy);
+        if resolved == JoinStrategy::Multiway {
+            query
+                .check_atom_limit()
+                .map_err(EngineError::NotSupported)?;
+        }
         let mut dataflow = lower_with(&query, lift, strategy, &cards);
 
         let mut dynamics: FxHashSet<Sym> = FxHashSet::default();
@@ -103,7 +109,6 @@ impl<R: Semiring> DataflowEngine<R> {
         }
         dataflow.apply_batch(&init)?;
 
-        let resolved = crate::planner::resolve_strategy(&query, strategy);
         Ok(DataflowEngine {
             query,
             dataflow,

@@ -81,8 +81,9 @@ enum Operator<R> {
     DeltaJoin(Box<JoinState<R>>),
     /// Worst-case-optimal multiway join over N atoms: attribute-at-a-time
     /// intersection search over shared hash-trie indexes, with delta terms
-    /// seeded from the changed tuples (see [`crate::multiway`]). Unlike a
-    /// chain of `DeltaJoin`s it materializes no binary intermediates.
+    /// seeded from the changed tuples, emitting a delta aggregated onto
+    /// the node's schema (see [`crate::multiway`]). Unlike a chain of
+    /// `DeltaJoin`s it materializes no binary intermediates.
     MultiwayJoin(Box<MultiwayState<R>>),
     /// Marginalizes every non-group-by variable with a lifting function
     /// and reorders columns to the group-by schema (linear).
@@ -441,17 +442,24 @@ impl<R: Semiring> Dataflow<R> {
         })
     }
 
-    /// Add a worst-case-optimal multiway join. `inputs` are the distinct
-    /// upstream nodes (one per base relation — self-join occurrences share
-    /// an input and therefore share indexes); `atoms` pairs each atom
-    /// occurrence's slot in `inputs` with its variable schema; `var_order`
-    /// is the global elimination order and the node's output schema, and
-    /// must cover every atom variable.
+    /// Add a worst-case-optimal multiway join that emits its delta already
+    /// aggregated. `inputs` are the distinct upstream nodes (one per base
+    /// relation — self-join occurrences share an input and therefore share
+    /// indexes); `atoms` pairs each atom occurrence's slot in `inputs`
+    /// with its variable schema; `var_order` is the global elimination
+    /// order and must cover every atom variable. `out ⊆ var_order` is the
+    /// node's output schema: every join tuple adds its payload, times
+    /// `lift` of each variable not in `out` (in `var_order` order), under
+    /// its projection onto `out` — a count is `out` empty, a listing is
+    /// `out` holding every variable in any order (see
+    /// [`crate::multiway`]'s §Aggregation).
     pub fn add_multiway_join(
         &mut self,
         inputs: Vec<NodeId>,
         atoms: Vec<(usize, Schema)>,
         var_order: Schema,
+        out: Schema,
+        lift: Lift<R>,
     ) -> NodeId {
         for &(slot, ref schema) in &atoms {
             assert!(slot < inputs.len(), "atom input slot {slot} out of range");
@@ -465,11 +473,11 @@ impl<R: Semiring> Dataflow<R> {
                 "atom schema {schema:?} must be within var order {var_order:?}"
             );
         }
-        let state = MultiwayState::new(&atoms, inputs.len(), var_order.clone());
+        let state = MultiwayState::new(&atoms, inputs.len(), var_order, out.clone(), lift);
         self.push_node(Node {
             op: Operator::MultiwayJoin(Box::new(state)),
             inputs,
-            schema: var_order,
+            schema: out,
         })
     }
 

@@ -19,7 +19,8 @@
 //!   hash-indexed binary `DeltaJoin` (semi-naive: `δL⋈R ⊎ L⋈δR ⊎ δL⋈δR`),
 //!   the worst-case-optimal [`multiway`] `MultiwayJoin` (attribute-at-a-
 //!   time intersection search over shared hash-trie indexes, deltas
-//!   seeded from the changed tuples), and `GroupAggregate` nodes over any
+//!   seeded from the changed tuples, aggregated onto the free variables
+//!   inside the search), and `GroupAggregate` nodes over any
 //!   [`ivm_ring::Semiring`], driven by [`Dataflow::apply_batch`];
 //! * [`cost`] — deterministic cost-based orderings: the left-deep atom
 //!   order and the multiway variable-elimination order, both derived
@@ -35,7 +36,8 @@
 //!   (GYO check shared with `ivm_query::acyclic`): α-acyclic queries get
 //!   the left-deep `DeltaJoin` chain, cyclic queries get one
 //!   `MultiwayJoin` node that materializes no binary intermediates
-//!   ([`DataflowStats::binary_join_tuples`] stays zero); wrapped as an
+//!   ([`DataflowStats::binary_join_tuples`] stays zero) and is itself the
+//!   sink; wrapped as an
 //!   `ivm_core::Maintainer`, so the runtime slots into the existing
 //!   equivalence tests, benches, and examples. [`JoinStrategy`] forces
 //!   either plan for cross-checking.

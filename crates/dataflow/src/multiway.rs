@@ -9,8 +9,9 @@
 //! order, then extend a partial binding one variable at a time by
 //! *intersecting* the candidate values of every atom containing that
 //! variable — iterate the smallest candidate set, probe the rest. No
-//! intermediate relation is ever materialized; only final join outputs are
-//! emitted.
+//! intermediate relation is ever materialized, and not even the join
+//! tuples are: each full binding is summed straight into the aggregated
+//! output (§Aggregation).
 //!
 //! # Index structure
 //!
@@ -51,12 +52,32 @@
 //! an *empty* old store is zero and skipped outright: a preload costs one
 //! term, not `2^k − 1`. Probe keys are borrowed from the binding
 //! (`Tuple: Borrow<[Value]>`), so a batch allocates per delta tuple and per
-//! output tuple, never per seed or probe. Old stores advance only after
-//! all terms, so the old/new discipline needs no sequencing and self-joins
-//! need no per-occurrence state.
+//! distinct output key, never per seed, probe or join tuple. Old stores
+//! advance only after all terms, so the old/new discipline needs no
+//! sequencing and self-joins need no per-occurrence state.
+//!
+//! # Aggregation
+//!
+//! The node emits its delta already aggregated onto an output schema
+//! `out ⊆ var_order` — the query's free variables — rather than over the
+//! full `var_order`. A full binding `x` with payload product `p` adds
+//! `p · g_X1(x.X1) · g_X2(x.X2) · …` under its projection onto `out`,
+//! where `X1, X2, …` are the variables not in `out`, lifted in `var_order`
+//! order: the product the chained marginalization of a separate aggregate
+//! node formed per join tuple, in the same ring order (the F-IVM
+//! ring-lifted payload of the paper's Sec. 4.1, applied at the leaf of
+//! the search) — the same step, [`LiftedProjection`], that
+//! `ops::aggregate` takes per row. The output key is assembled in a kept
+//! buffer and moves into the output only when new, so a count (`out`
+//! empty) accumulates into one entry and a listing (`out` a permutation
+//! of `var_order`, nothing lifted) takes the same path. Only the leaf
+//! changes: seeds, probes, intersections and the terms of the expansion
+//! are those of the listing search, because aggregation is linear and
+//! commutes with the sum over terms.
 
 use crate::batch::DeltaBatch;
 use crate::graph::DataflowStats;
+use ivm_data::ops::{Lift, LiftedProjection};
 use ivm_data::{FxHashMap, Relation, Schema, Sym, Tuple, Value};
 use ivm_ring::Semiring;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -427,7 +448,10 @@ impl<R: Semiring> StoreHub<R> {
 /// State of one [`MultiwayJoin`](crate::Dataflow::add_multiway_join) node.
 pub struct MultiwayState<R> {
     atoms: Vec<AtomSpec>,
-    var_order: Schema,
+    /// Output schema, and how a full binding over `var_order` is summed
+    /// into it (see the module's §Aggregation).
+    out: Schema,
+    emit: LiftedProjection<R>,
     /// Per-input stores. Behind `Arc<Mutex<_>>` so a [`StoreHub`] can
     /// alias a slot across engines; a slot is uncontended (and the lock
     /// uncontested) unless it was [`Self::share_slot`]'d.
@@ -442,18 +466,30 @@ pub struct MultiwayState<R> {
     /// Search scratch kept across batches (see [`Search`]).
     binding: Vec<Value>,
     key_buf: Vec<Value>,
+    out_key: Vec<Value>,
     order: Vec<usize>,
 }
 
 impl<R: Semiring> MultiwayState<R> {
     /// Build the node state. `atoms` pairs each occurrence's input slot
     /// with its schema; `n_inputs` is the number of distinct inputs;
-    /// `var_order` must cover every atom variable.
-    pub(crate) fn new(atoms: &[(usize, Schema)], n_inputs: usize, var_order: Schema) -> Self {
+    /// `var_order` must cover every atom variable; the node emits its
+    /// delta aggregated onto `out ⊆ var_order`, lifting every other
+    /// variable with `lift`.
+    pub(crate) fn new(
+        atoms: &[(usize, Schema)],
+        n_inputs: usize,
+        var_order: Schema,
+        out: Schema,
+        lift: Lift<R>,
+    ) -> Self {
         assert!(!atoms.is_empty(), "multiway join needs at least one atom");
         // Terms are subsets of atoms held in a u64 mask (and exponential
-        // in their number regardless), mirroring `Query::atoms_of`'s cap.
-        assert!(atoms.len() <= 64, "at most 64 atom occurrences");
+        // in their number regardless); the engine refuses larger queries.
+        assert!(
+            atoms.len() <= ivm_query::Query::MAX_ATOMS,
+            "at most 64 atom occurrences"
+        );
         let specs: Vec<AtomSpec> = atoms
             .iter()
             .map(|(input, schema)| {
@@ -492,12 +528,14 @@ impl<R: Semiring> MultiwayState<R> {
         MultiwayState {
             atoms: specs,
             binding: vec![Value::Int(0); var_order.arity()],
-            var_order,
+            emit: LiftedProjection::new(&var_order, &out, lift),
+            out,
             stores,
             shared: vec![false; n_inputs],
             plans,
             delta,
             key_buf: Vec::new(),
+            out_key: Vec::new(),
             order: Vec::new(),
         }
     }
@@ -630,7 +668,8 @@ impl<R: Semiring> MultiwayState<R> {
     /// Propagate one consolidated batch: run every inclusion–exclusion
     /// term seeded from the changed tuples, then advance the *owned*
     /// stores (hub-shared slots are advanced by the hub coordinator —
-    /// see [`StoreHub`]). Returns the output delta over `var_order`.
+    /// see [`StoreHub`]). Returns the output delta over the node's output
+    /// schema.
     pub(crate) fn apply(
         &mut self,
         input_deltas: &[Option<&Relation<R>>],
@@ -656,7 +695,7 @@ impl<R: Semiring> MultiwayState<R> {
         let mut guards: Vec<MutexGuard<'_, Store<R>>> =
             self.stores.iter().map(|s| relock(s)).collect();
 
-        let mut out = Relation::new(self.var_order.clone());
+        let mut out = Relation::new(self.out.clone());
         let mut search = Search {
             atoms: &self.atoms,
             old: &guards,
@@ -664,10 +703,12 @@ impl<R: Semiring> MultiwayState<R> {
             plans: &self.plans,
             in_s: 0,
             order: &mut self.order,
+            // A step stacks at most one set per atom.
+            cands: Vec::with_capacity(self.atoms.len() * self.binding.len()),
             binding: &mut self.binding,
             key_buf: &mut self.key_buf,
-            // A step stacks at most one set per atom.
-            cands: Vec::with_capacity(self.atoms.len() * self.var_order.arity()),
+            emit: &self.emit,
+            out_key: &mut self.out_key,
             out: &mut out,
             stats,
         };
@@ -714,6 +755,10 @@ struct Search<'a, R> {
     key_buf: &'a mut Vec<Value>,
     /// Candidate sets of the steps on the search path, innermost last.
     cands: Vec<&'a Candidates>,
+    /// How a full binding is summed into `out`, and the buffer its output
+    /// key is assembled in.
+    emit: &'a LiftedProjection<R>,
+    out_key: &'a mut Vec<Value>,
     out: &'a mut Relation<R>,
     stats: &'a mut DataflowStats,
 }
@@ -787,7 +832,10 @@ impl<'a, R: Semiring> Search<'a, R> {
     fn search(&mut self, step_i: usize, acc: R) {
         let plan = &self.plans[self.in_s.trailing_zeros() as usize];
         let Some(step) = plan.steps.get(step_i) else {
-            self.out.apply(self.binding.iter().cloned().collect(), &acc);
+            // A full binding: lift the variables the output drops, and
+            // add under its output key.
+            self.emit
+                .accumulate(self.out, self.binding, acc, self.out_key);
             return;
         };
         let base = self.cands.len();
@@ -831,16 +879,30 @@ mod tests {
     use ivm_data::ops::{eval_join_aggregate, lift_one};
     use ivm_data::{sym, tup, vars};
 
-    /// Triangle over one shared input: E(a,b), E(b,c), E(c,a).
+    /// Triangle over one shared input: E(a,b), E(b,c), E(c,a), listing
+    /// every rotation.
     fn triangle_state() -> (MultiwayState<i64>, Schema) {
+        let (atoms, vo) = triangle_atoms();
+        (
+            MultiwayState::new(&atoms, 1, vo.clone(), vo.clone(), lift_one),
+            vo,
+        )
+    }
+
+    /// The same triangle counted: aggregated onto the empty schema.
+    fn triangle_count_state() -> MultiwayState<i64> {
+        let (atoms, vo) = triangle_atoms();
+        MultiwayState::new(&atoms, 1, vo, Schema::empty(), lift_one)
+    }
+
+    fn triangle_atoms() -> (Vec<(usize, Schema)>, Schema) {
         let [a, b, c] = vars(["mw_A", "mw_B", "mw_C"]);
-        let vo = Schema::from([a, b, c]);
         let atoms = vec![
             (0usize, Schema::from([a, b])),
             (0, Schema::from([b, c])),
             (0, Schema::from([c, a])),
         ];
-        (MultiwayState::new(&atoms, 1, vo.clone()), vo)
+        (atoms, Schema::from([a, b, c]))
     }
 
     fn edge_delta(edges: &[(i64, i64, i64)]) -> Relation<i64> {
@@ -853,7 +915,7 @@ mod tests {
 
     #[test]
     fn triangle_insert_then_delete() {
-        let (mut st, _) = triangle_state();
+        let mut st = triangle_count_state();
         let mut stats = DataflowStats::default();
         let d = edge_delta(&[(1, 2, 1), (2, 3, 1), (3, 1, 1), (1, 9, 1)]);
         let out = st.apply(&[Some(&d)], &mut stats).unwrap();
@@ -891,7 +953,8 @@ mod tests {
             (1, Schema::from([b, c])),
             (2, Schema::from([c, a])),
         ];
-        let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, 3, vo.clone());
+        let mut st: MultiwayState<i64> =
+            MultiwayState::new(&atoms, 3, vo.clone(), vo.clone(), lift_one);
         let mut stats = DataflowStats::default();
 
         let mut rels: Vec<Relation<i64>> = vec![
@@ -982,7 +1045,7 @@ mod tests {
     /// of three inserts and one delete. Returns the counters of the six
     /// steady-state batches and the summed output payloads.
     fn pinned_stream_counters() -> (DataflowStats, i64) {
-        let (mut st, _) = triangle_state();
+        let mut st = triangle_count_state();
         let mut stats = DataflowStats::default();
         let mut x = 12345u64;
         let mut edges: Vec<(i64, i64)> = Vec::new();
@@ -1096,7 +1159,7 @@ mod tests {
         let [a, b] = vars(["mw_DA", "mw_DB"]);
         let vo = Schema::from([a, b]);
         let atoms = vec![(0usize, vo.clone()), (0, vo.clone())];
-        let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, 1, vo);
+        let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, 1, vo.clone(), vo, lift_one);
         let mut stats = DataflowStats::default();
         let d = edge_delta(&[(1, 2, 3)]);
         let out = st.apply(&[Some(&d)], &mut stats).unwrap();

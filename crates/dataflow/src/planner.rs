@@ -17,11 +17,14 @@
 //! * **Cyclic** queries (triangle, 4-cycle, Loomis–Whitney) lower to a
 //!   single worst-case-optimal
 //!   [`MultiwayJoin`](crate::Dataflow::add_multiway_join) node — one
-//!   source per *distinct* relation (self-join occurrences share state),
-//!   a cost-based variable order from [`cost::variable_order`], and the
-//!   same final aggregate. The left-deep chain would materialize binary
-//!   intermediate deltas that can dwarf the output (the Sec. 3.3 blow-up
-//!   that Kara et al. and leapfrog-style WCOJ algorithms avoid).
+//!   source per *distinct* relation (self-join occurrences share state)
+//!   and a cost-based variable order from [`cost::variable_order`] — and
+//!   *no* final aggregate: the node sums each join tuple straight into
+//!   its output over the free variables, so its schema is the sink's and
+//!   a triangle count never lists a triangle. The left-deep chain would
+//!   materialize binary intermediate deltas that can dwarf the output (the
+//!   Sec. 3.3 blow-up that Kara et al. and leapfrog-style WCOJ algorithms
+//!   avoid).
 //!
 //! [`JoinStrategy`] overrides the split — the property-test harness runs
 //! the same query through both plans and cross-checks them.
@@ -139,7 +142,9 @@ fn lower_left_deep<R: Semiring>(q: &Query, lift: Lift<R>, cards: &Cardinalities)
     finish(df, cur, q, lift)
 }
 
-/// One `MultiwayJoin` node over one source per distinct relation.
+/// One `MultiwayJoin` node over one source per distinct relation, emitting
+/// its delta already aggregated onto the free variables — so `finish`
+/// adds no aggregate.
 fn lower_multiway<R: Semiring>(q: &Query, lift: Lift<R>, cards: &Cardinalities) -> Dataflow<R> {
     let mut df = Dataflow::new();
     let mut slot_of: FxHashMap<ivm_data::Sym, usize> = FxHashMap::default();
@@ -153,12 +158,12 @@ fn lower_multiway<R: Semiring>(q: &Query, lift: Lift<R>, cards: &Cardinalities) 
         atoms.push((slot, atom.schema.clone()));
     }
     let var_order = cost::variable_order(q, cards);
-    let join = df.add_multiway_join(inputs, atoms, var_order);
+    let join = df.add_multiway_join(inputs, atoms, var_order, q.free.clone(), lift);
     finish(df, join, q, lift)
 }
 
-/// Aggregate onto the free variables when the join schema differs, then
-/// declare the sink.
+/// Aggregate onto the free variables when the join schema differs (only a
+/// left-deep chain's can), then declare the sink.
 fn finish<R: Semiring>(
     mut df: Dataflow<R>,
     mut cur: crate::graph::NodeId,
@@ -197,6 +202,15 @@ mod tests {
         assert_eq!(plan.matches("Source").count(), 3, "{plan}");
         assert_eq!(plan.matches("MultiwayJoin(atoms=3)").count(), 1, "{plan}");
         assert_eq!(plan.matches("DeltaJoin").count(), 0, "{plan}");
+        // The join node aggregates onto the free variables itself: it is
+        // the sink, and no aggregate node follows it.
+        assert_eq!(plan.matches("GroupAggregate").count(), 0, "{plan}");
+        assert_eq!(df.node_count(), 4, "{plan}");
+        assert!(
+            plan.contains("MultiwayJoin(atoms=3)[] inputs=[0, 1, 2]  <- sink"),
+            "{plan}"
+        );
+        assert_eq!(df.schema_of(3), &q.free);
     }
 
     #[test]

@@ -150,10 +150,33 @@ impl Query {
         self.input.contains(v)
     }
 
+    /// The most atom occurrences a query may have: sets of atoms are `u64`
+    /// masks, here ([`Self::atoms_of`]) and in the multiway join's delta
+    /// terms.
+    pub const MAX_ATOMS: usize = 64;
+
+    /// Refuse a query with more than [`Self::MAX_ATOMS`] atom occurrences,
+    /// saying why — engine constructors return this as an error rather
+    /// than overflow a mask.
+    pub fn check_atom_limit(&self) -> Result<(), String> {
+        if self.atoms.len() <= Self::MAX_ATOMS {
+            return Ok(());
+        }
+        Err(format!(
+            "{} has {} atom occurrences; at most {} are supported",
+            self.name,
+            self.atoms.len(),
+            Self::MAX_ATOMS
+        ))
+    }
+
     /// `atoms(X)`: the indices of atoms whose schema contains `X`, as a
-    /// bitmask (queries have far fewer than 64 atoms).
+    /// bitmask (at most [`Self::MAX_ATOMS`] atoms).
     pub fn atoms_of(&self, v: Sym) -> u64 {
-        assert!(self.atoms.len() <= 64, "more than 64 atoms unsupported");
+        assert!(
+            self.atoms.len() <= Self::MAX_ATOMS,
+            "more than 64 atoms unsupported"
+        );
         let mut mask = 0u64;
         for (i, a) in self.atoms.iter().enumerate() {
             if a.schema.contains(v) {

@@ -271,6 +271,10 @@ impl<R: Semiring> SessionBuilder<R> {
                 ));
             }
         }
+        // Classification holds an atom set per variable in a `u64` mask.
+        self.query
+            .check_atom_limit()
+            .map_err(EngineError::NotSupported)?;
         let cls = classify(&self.query);
         let mut selection = match self.forced {
             Some(kind) => Selection {

@@ -17,7 +17,7 @@
 //! subset, hence the module-wide `dead_code` allowance.
 #![allow(dead_code)]
 
-use ivm_data::ops::{eval_join_aggregate, lift_one};
+use ivm_data::ops::{eval_join_aggregate, lift_one, Lift};
 use ivm_data::{sym, tup, Database, FxHashMap, Relation, Schema, Sym, Tuple, Update, Value};
 use ivm_query::{Atom, Query};
 use proptest::prelude::*;
@@ -254,6 +254,15 @@ pub fn apply_to_base(base: &mut FxHashMap<Sym, Relation<i64>>, batch: &[Update<i
 /// From-scratch oracle: join-aggregate over one relation copy per atom
 /// (self-joins get one copy *each*, as the semantics require).
 pub fn oracle(q: &Query, base: &FxHashMap<Sym, Relation<i64>>) -> Relation<i64> {
+    oracle_lifted(q, base, lift_one)
+}
+
+/// [`oracle`] marginalizing the bound variables with `lift`.
+pub fn oracle_lifted(
+    q: &Query,
+    base: &FxHashMap<Sym, Relation<i64>>,
+    lift: Lift<i64>,
+) -> Relation<i64> {
     let per_atom: Vec<Relation<i64>> = q
         .atoms
         .iter()
@@ -265,7 +274,7 @@ pub fn oracle(q: &Query, base: &FxHashMap<Sym, Relation<i64>>) -> Relation<i64> 
         })
         .collect();
     let refs: Vec<&Relation<i64>> = per_atom.iter().collect();
-    eval_join_aggregate(&refs, &q.free, lift_one)
+    eval_join_aggregate(&refs, &q.free, lift)
 }
 
 /// From-scratch oracle over a mirrored `Database`.

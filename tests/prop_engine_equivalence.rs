@@ -3,14 +3,16 @@
 //! Every query shape runs the *same* proptest-generated update stream —
 //! mixed inserts and deletes, duplicate tuples, deletes of tuples that
 //! were never inserted (legal here: ring payloads just go negative) —
-//! through three independent evaluators:
+//! through independent evaluators:
 //!
 //! 1. `DataflowEngine` forced onto the **left-deep** binary-join chain,
 //! 2. `DataflowEngine` forced onto the **worst-case-optimal multiway**
 //!    plan,
 //! 3. `ShardedEngine` with **1, 2, and 4 shards** (hash-partitioned
 //!    parallel workers merging deltas by ring ⊎),
-//! 4. a **from-scratch oracle** (`eval_join_aggregate` over the final
+//! 4. a multiway **`StoreHub` member** whose stores a listing query's
+//!    engine shares,
+//! 5. a **from-scratch oracle** (`eval_join_aggregate` over the final
 //!    base relations),
 //!
 //! and asserts all agree after every batch. The shapes cover the
@@ -22,61 +24,88 @@
 //! proptest shim seeds each test deterministically from its name, so
 //! failures reproduce.
 //!
+//! The multiway node aggregates onto the free variables inside its search,
+//! so the cyclic shapes also run under every kind of free-variable set —
+//! none, one, two, all in an order the search does not use — and under a
+//! value-dependent lifting as well as `lift_one` (32 cases each).
+//!
 //! Shapes, stream strategies, and the oracle live in `tests/common`.
 
 mod common;
 
 use common::{
-    edge_ops_default, edge_updates, empty_base, four_cycle, oracle, outputs_match, star, triangle,
-    EdgeOp,
+    clamped_updates, distinct_relations, edge_ops_default, edge_updates, empty_base, four_cycle,
+    oracle, oracle_lifted, outputs_match, star, triangle, triangle3, wide_ops, WideOp,
 };
 use ivm_core::Maintainer;
-use ivm_data::ops::lift_one;
-use ivm_data::{sym, tup, Database, Tuple, Update};
-use ivm_dataflow::{DataflowEngine, JoinStrategy};
+use ivm_data::ops::{lift_one, Lift};
+use ivm_data::{sym, tup, Database, Schema, Sym, Tuple, Update, Value};
+use ivm_dataflow::cost::{variable_order, Cardinalities};
+use ivm_dataflow::{DataflowEngine, DeltaBatch, JoinStrategy, StoreHub};
 use ivm_query::Query;
 use ivm_shard::ShardedEngine;
 use proptest::prelude::*;
 
-/// Drive one query shape through both plans and the oracle, comparing
-/// after every applied batch.
-fn check_shape(q: &Query, ops: &[EdgeOp], chunk: usize) -> Result<(), TestCaseError> {
-    let updates = edge_updates(q, ops);
-
+/// Drive one query shape through both plans, shard fleets, a `StoreHub`
+/// member and the oracle, comparing after every applied batch. Every
+/// batch also inserts and deletes its first tuple once more.
+fn check_shape(
+    q: &Query,
+    updates: &[Update<i64>],
+    chunk: usize,
+    lift: Lift<i64>,
+) -> Result<(), TestCaseError> {
     let db = Database::new();
-    let mut left =
-        DataflowEngine::<i64>::new_with_strategy(q.clone(), &db, lift_one, JoinStrategy::LeftDeep)
-            .unwrap();
-    let mut multi =
-        DataflowEngine::<i64>::new_with_strategy(q.clone(), &db, lift_one, JoinStrategy::Multiway)
-            .unwrap();
+    let engine = |q: &Query, strategy| {
+        DataflowEngine::<i64>::new_with_strategy(q.clone(), &db, lift, strategy).unwrap()
+    };
+    let mut left = engine(q, JoinStrategy::LeftDeep);
+    let mut multi = engine(q, JoinStrategy::Multiway);
+    // The multiway node aggregates onto the free variables itself: no
+    // aggregate node follows it, and its schema is the sink's.
+    prop_assert!(!multi.plan().contains("GroupAggregate"), "{}", multi.plan());
+    prop_assert_eq!(multi.output_relation().schema(), &q.free);
     // The sharded engine must agree at every fleet size, including the
     // broadcast-replication path (4-cycle) and the degenerate self-join
     // fallback (triangle).
     let mut sharded: Vec<ShardedEngine<i64>> = [1usize, 2, 4]
         .into_iter()
-        .map(|n| ShardedEngine::new(q.clone(), &db, lift_one, n).unwrap())
+        .map(|n| ShardedEngine::new(q.clone(), &db, lift, n).unwrap())
         .collect();
+    // A hub member whose stores a listing query over the same atoms
+    // adopts; the hub advances them once per batch, after both searched.
+    let listing = Query::new(&format!("{}_list", q.name), q.variables(), q.atoms.clone());
+    let hub = StoreHub::new();
+    let mut member = engine(q, JoinStrategy::Multiway);
+    let mut lister = engine(&listing, JoinStrategy::Multiway);
+    prop_assert_eq!(member.share_stores(&hub), 0);
+    prop_assert_eq!(lister.share_stores(&hub), distinct_relations(q).len());
     let mut base = empty_base(q);
 
-    for batch in updates.chunks(chunk.max(1)) {
-        left.apply_batch(batch).unwrap();
-        multi.apply_batch(batch).unwrap();
-        for eng in &mut sharded {
-            eng.apply_batch(batch).unwrap();
+    for chunk in updates.chunks(chunk.max(1)) {
+        let mut batch = chunk.to_vec();
+        if let Some(u) = chunk.first() {
+            batch.push(Update::with_payload(u.relation, u.tuple.clone(), 1));
+            batch.push(Update::with_payload(u.relation, u.tuple.clone(), -1));
         }
-        common::apply_to_base(&mut base, batch);
-        let expect = oracle(q, &base);
-        outputs_match(
-            left.output_relation(),
-            &expect,
-            &format!("{:?} left-deep", q.name),
-        )?;
-        outputs_match(
-            multi.output_relation(),
-            &expect,
-            &format!("{:?} multiway", q.name),
-        )?;
+        for eng in [&mut left, &mut multi, &mut member, &mut lister] {
+            eng.apply_batch(&batch).unwrap();
+        }
+        for eng in &mut sharded {
+            eng.apply_batch(&batch).unwrap();
+        }
+        hub.advance_batch(&DeltaBatch::from_updates(&batch));
+        common::apply_to_base(&mut base, &batch);
+        let expect = oracle_lifted(q, &base, lift);
+        let engines = [
+            (&left, "left-deep"),
+            (&multi, "multiway"),
+            (&member, "hub member"),
+        ];
+        for (eng, what) in engines {
+            let ctx = format!("{:?} {what}", q.name);
+            outputs_match(eng.output_relation(), &expect, &ctx)?;
+        }
         for eng in &sharded {
             outputs_match(
                 eng.output_relation(),
@@ -84,10 +113,51 @@ fn check_shape(q: &Query, ops: &[EdgeOp], chunk: usize) -> Result<(), TestCaseEr
                 &format!("{:?} sharded x{}", q.name, eng.shards()),
             )?;
         }
+        let listed = oracle_lifted(&listing, &base, lift);
+        outputs_match(lister.output_relation(), &listed, "hub listing")?;
     }
     // The multiway plan must never have materialized a binary-join
     // intermediate, whatever the stream did.
     prop_assert_eq!(multi.stats().binary_join_tuples, 0);
+    Ok(())
+}
+
+/// A lifting that depends on the value and is never zero on the
+/// harness's domains.
+fn lift_affine(_: Sym, v: &Value) -> i64 {
+    3 * v.as_int().unwrap() - 1
+}
+
+/// `q`'s atoms under every kind of free-variable set: none, one, two in
+/// reverse order, and all of them in reverse first-occurrence order —
+/// not the planner's variable order, which on these cycles is
+/// first-occurrence order.
+fn free_variants(q: &Query) -> Vec<Query> {
+    let vars = q.variables().vars().to_vec();
+    let sets = [
+        vec![],
+        vec![vars[1]],
+        vec![vars[2], vars[0]],
+        vars.iter().rev().copied().collect(),
+    ];
+    sets.into_iter()
+        .enumerate()
+        .map(|(i, free)| {
+            let name = format!("{}_free{i}", q.name);
+            Query::new(&name, Schema::new(free), q.atoms.clone())
+        })
+        .collect()
+}
+
+/// [`check_shape`] over every free-variable set of `q` and both liftings,
+/// on a valid mixed ± stream with payload-2 duplicates.
+fn check_free_sets(q: &Query, ops: &[WideOp], chunk: usize) -> Result<(), TestCaseError> {
+    for variant in free_variants(q) {
+        let updates = clamped_updates(&variant, ops);
+        for lift in [lift_one, lift_affine as Lift<i64>] {
+            check_shape(&variant, &updates, chunk, lift)?;
+        }
+    }
     Ok(())
 }
 
@@ -98,19 +168,22 @@ proptest! {
     /// batch prefix of a random mixed-sign stream.
     #[test]
     fn triangle_engines_agree(ops in edge_ops_default(), chunk in 1usize..9) {
-        check_shape(&triangle("pe_"), &ops, chunk)?;
+        let q = triangle("pe_");
+        check_shape(&q, &edge_updates(&q, &ops), chunk, lift_one)?;
     }
 
     /// Cyclic 4-cycle over four distinct relations.
     #[test]
     fn four_cycle_engines_agree(ops in edge_ops_default(), chunk in 1usize..9) {
-        check_shape(&four_cycle("pe_"), &ops, chunk)?;
+        let q = four_cycle("pe_");
+        check_shape(&q, &edge_updates(&q, &ops), chunk, lift_one)?;
     }
 
     /// Acyclic star with all variables free (multiway forced).
     #[test]
     fn star_engines_agree(ops in edge_ops_default(), chunk in 1usize..9) {
-        check_shape(&star("pe_"), &ops, chunk)?;
+        let q = star("pe_");
+        check_shape(&q, &edge_updates(&q, &ops), chunk, lift_one)?;
     }
 
     /// Pipelined ingestion is just a reordering of the same ring algebra:
@@ -157,6 +230,42 @@ proptest! {
                 &format!("batch-vs-singles {strategy:?}"),
             )?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Aggregation inside the multiway join, on the self-join triangle:
+    /// every free-variable set, both liftings — multiway ≡ left-deep ≡
+    /// fleets ≡ hub member ≡ oracle.
+    #[test]
+    fn triangle_free_sets_agree(ops in wide_ops(), chunk in 1usize..9) {
+        check_free_sets(&triangle("pe_"), &ops, chunk)?;
+    }
+
+    /// The same over three distinct relations.
+    #[test]
+    fn triangle3_free_sets_agree(ops in wide_ops(), chunk in 1usize..9) {
+        check_free_sets(&triangle3("pe_"), &ops, chunk)?;
+    }
+
+    /// The same on the 4-cycle.
+    #[test]
+    fn four_cycle_free_sets_agree(ops in wide_ops(), chunk in 1usize..9) {
+        check_free_sets(&four_cycle("pe_"), &ops, chunk)?;
+    }
+}
+
+/// The listing variants of [`free_variants`] really list in an order the
+/// planner does not search in, so the node's output projection permutes.
+#[test]
+fn listing_variants_permute_the_variable_order() {
+    for q in [triangle("pe_"), triangle3("pe_"), four_cycle("pe_")] {
+        let listing = free_variants(&q).pop().unwrap();
+        assert_eq!(listing.free.arity(), q.variables().arity());
+        let cards = Cardinalities::from_db(&Database::<i64>::new(), &listing);
+        assert_ne!(variable_order(&listing, &cards), listing.free);
     }
 }
 

@@ -358,3 +358,34 @@ fn arity_mismatch_is_refused_before_the_journal_on_every_generic_backend() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// A query with more than 64 atom occurrences — here a 65-edge cycle —
+/// is refused with `NotSupported` through both library entry points
+/// (the multiway dataflow engine, whose delta terms are `u64` masks over
+/// atoms, and `SessionBuilder::build`, whose classification is), never
+/// with a panic.
+#[test]
+fn oversized_query_is_refused_not_panicking() {
+    use ivm::dataflow::JoinStrategy;
+    use ivm_core::EngineError;
+    let n = 65;
+    let v: Vec<_> = (0..n).map(|i| sym(&format!("big_X{i}"))).collect();
+    let e = sym("big_E");
+    let atoms = (0..n).map(|i| ivm::Atom::new(e, [v[i], v[(i + 1) % n]]));
+    let q = Query::new("big_cycle65", [], atoms.collect());
+    let db = Database::new();
+    for strategy in [JoinStrategy::Auto, JoinStrategy::Multiway] {
+        let built = ivm::DataflowEngine::<i64>::new_with_strategy(
+            q.clone(),
+            &db,
+            ivm_data::ops::lift_one,
+            strategy,
+        );
+        assert!(
+            matches!(built, Err(EngineError::NotSupported(ref m)) if m.contains("64")),
+            "{strategy:?}"
+        );
+    }
+    let built = Session::<i64>::builder(q).build(&db);
+    assert!(matches!(built, Err(EngineError::NotSupported(ref m)) if m.contains("64")));
+}
