@@ -2,10 +2,11 @@
 //! store, and what the journal's group commit buys.
 //!
 //! **Part 1 — journal append throughput.** The same record stream is
-//! appended twice: once fsyncing after every record (commit-per-append)
-//! and once buffering everything behind a single group commit. The gap
-//! is the whole argument for `Journal::commit` covering many epochs
-//! with one fsync.
+//! appended twice: once fsyncing after every record (commit-per-append;
+//! each commit also pays the handoff to the journal's committer thread
+//! and back) and once buffering everything behind a single group commit.
+//! The gap is the whole argument for `Journal::commit` covering many
+//! epochs with one fsync.
 //!
 //! **Part 2 — warm vs cold time-to-first-delta.** One durable session
 //! ingests a fixed history of `H` updates, snapshotting so that a tail
@@ -191,7 +192,7 @@ fn main() {
         let mut j = Journal::create(dir.join("per-record.ivm")).expect("journal");
         let started = Instant::now();
         for epoch in 0..records as u64 {
-            j.append(epoch + 1, &batch);
+            j.append(epoch + 1, &batch).expect("append");
             j.commit().expect("commit");
         }
         started.elapsed()
@@ -200,7 +201,7 @@ fn main() {
         let mut j = Journal::create(dir.join("grouped.ivm")).expect("journal");
         let started = Instant::now();
         for epoch in 0..records as u64 {
-            j.append(epoch + 1, &batch);
+            j.append(epoch + 1, &batch).expect("append");
         }
         j.commit().expect("commit");
         started.elapsed()

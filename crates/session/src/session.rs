@@ -20,7 +20,7 @@ use ivm_obs::{
 use ivm_query::Query;
 use ivm_ring::Semiring;
 use ivm_shard::{ShardedEngine, ShardedStats};
-use ivm_store::{record_recovery_failure, Recovered, SnapshotDoc, Store};
+use ivm_store::{record_recovery_failure, Recovered, SnapshotDoc, Store, StoreError};
 use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -70,7 +70,7 @@ const HL_STRATEGY_TAG: u8 = 7;
 
 /// The monomorphized journal-append hook a durable session carries (see
 /// [`SessionBuilder::durable`] for why it is a `fn` pointer).
-type JournalAppend<R> = fn(&mut Store, u64, &[Update<R>]);
+type JournalAppend<R> = fn(&mut Store, u64, &[Update<R>]) -> Result<(), StoreError>;
 
 /// The monomorphized snapshot hook behind
 /// [`SessionBuilder::auto_snapshot`] — same pattern as [`JournalAppend`]:
@@ -78,8 +78,16 @@ type JournalAppend<R> = fn(&mut Store, u64, &[Update<R>]);
 /// trigger it do not.
 type SnapshotFn<R> = fn(&mut Session<R>) -> Result<u64, EngineError>;
 
-fn journal_append<R: Semiring + Persist>(store: &mut Store, epoch: u64, batch: &[Update<R>]) {
-    store.append(epoch, batch);
+fn journal_append<R: Semiring + Persist>(
+    store: &mut Store,
+    epoch: u64,
+    batch: &[Update<R>],
+) -> Result<(), StoreError> {
+    store.append(epoch, batch)
+}
+
+fn store_error(e: StoreError) -> EngineError {
+    EngineError::Store(e.to_string())
 }
 
 fn snapshot_hook<R: Semiring + Persist>(session: &mut Session<R>) -> Result<u64, EngineError> {
@@ -445,10 +453,7 @@ impl<R: Semiring> SessionBuilder<R> {
             Some((path, append, snap)) => {
                 let (mut store, epoch) = match recovered {
                     Some(reopened) => reopened,
-                    None => (
-                        Store::create(path).map_err(|e| EngineError::Store(e.to_string()))?,
-                        0,
-                    ),
+                    None => (Store::create(path).map_err(store_error)?, 0),
                 };
                 if let Some(registry) = &self.observe {
                     store.observe(registry);
@@ -567,14 +572,21 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
     /// [`SessionBuilder::recover`] instead).
     ///
     /// Every ingestion call is then journaled *write-ahead*: the batch is
-    /// appended and fsynced under a fresh epoch before the backend sees
-    /// it, so a crash mid-apply loses nothing that was acknowledged.
+    /// appended under a fresh epoch and fsynced before the delta is
+    /// returned, so nothing acknowledged is lost to a crash. The fsync
+    /// runs on the journal's committer thread while the backend maintains
+    /// the batch, and the call returns once both are done. A failed write
+    /// or fsync poisons the session: that call and every later ingestion
+    /// call or snapshot return [`EngineError::Store`], and the in-memory
+    /// view may hold the batch that never became durable — rebuild with
+    /// [`SessionBuilder::recover`].
     /// [`Session::snapshot`] consolidates the history into one atomic
     /// snapshot file and truncates the journal behind it, bounding
     /// recovery time by the tail since the last snapshot rather than
     /// total history. With [`SessionBuilder::observe`] attached, the
-    /// store publishes `ivm.store.*` series (append/fsync latency,
-    /// journal/snapshot bytes, record/commit/snapshot counts).
+    /// store publishes `ivm.store.*` series (append, commit and device
+    /// sync latency, journal/snapshot bytes, record/commit/snapshot
+    /// counts).
     pub fn durable(mut self, path: impl Into<PathBuf>) -> Self {
         self.durable = Some((path.into(), journal_append::<R>, snapshot_hook::<R>));
         self
@@ -1234,8 +1246,10 @@ impl<R: Semiring> Session<R> {
 
     /// The one ingestion body behind [`Maintainer::apply`],
     /// [`Maintainer::apply_batch`] and [`Session::enqueue_batch`], which
-    /// differ only in the backend call `run` makes; everything after it
-    /// is for a batch the backend accepted.
+    /// differ only in the backend call `run` makes. The journal's fsync
+    /// runs while the backend maintains the batch; whatever the backend
+    /// and the bookkeeping after it say, the call waits for the fsync
+    /// before returning, so nothing is acknowledged ahead of its journal.
     fn ingest<T>(
         &mut self,
         batch: &[Update<R>],
@@ -1244,9 +1258,13 @@ impl<R: Semiring> Session<R> {
         let started = self.obs_begin();
         self.check_arity(batch)?;
         self.journal_ingest(batch)?;
-        let out = run(&mut self.backend)?;
-        self.after_ingest(batch)?;
-        self.refresh_hl_note();
+        let applied = run(&mut self.backend).and_then(|out| {
+            self.after_ingest(batch)?;
+            self.refresh_hl_note();
+            Ok(out)
+        });
+        self.journal_wait()?;
+        let out = applied?;
         self.obs_ingest(batch.len(), started);
         self.maybe_auto_snapshot()?;
         Ok(out)
@@ -1277,22 +1295,30 @@ impl<R: Semiring> Session<R> {
     }
 
     /// Write-ahead journaling for one ingestion call: append the batch
-    /// under a fresh epoch and fsync it *before* the backend sees it, so
-    /// an acknowledged epoch can never be lost to a crash mid-apply. A
-    /// batch [`Session::check_arity`] refuses never gets here; one the
-    /// backend then rejects anyway (unknown or static relation) keeps its
-    /// epoch — replay hits the same deterministic rejection and skips it,
-    /// so epoch numbering is identical across lives. A no-op for
-    /// in-memory sessions.
+    /// under a fresh epoch, write it, and start its fsync on the
+    /// journal's committer thread; [`Session::journal_wait`] makes it
+    /// durable before the delta is returned, so an acknowledged epoch can
+    /// never be lost to a crash. A batch [`Session::check_arity`] refuses
+    /// never gets here; one the backend then rejects anyway (unknown or
+    /// static relation) keeps its epoch — replay hits the same
+    /// deterministic rejection and skips it, so epoch numbering is
+    /// identical across lives. A no-op for in-memory sessions.
     fn journal_ingest(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
+        (d.append)(&mut d.store, d.epoch + 1, batch).map_err(store_error)?;
         d.epoch += 1;
-        (d.append)(&mut d.store, d.epoch, batch);
-        d.store
-            .commit()
-            .map_err(|e| EngineError::Store(e.to_string()))
+        d.store.start_commit().map_err(store_error)
+    }
+
+    /// Wait for the fsync [`Session::journal_ingest`] started. A no-op
+    /// for in-memory sessions.
+    fn journal_wait(&mut self) -> Result<(), EngineError> {
+        match self.durable.as_mut() {
+            Some(d) => d.store.finish_commit().map_err(store_error),
+            None => Ok(()),
+        }
     }
 
     /// Keep [`Explain::heavy_light`] describing the live partition — the
@@ -1528,7 +1554,7 @@ impl<R: Semiring + Persist> Session<R> {
         };
         let written = d.store.snapshot(&doc);
         base.db = doc.base;
-        written.map_err(|e| EngineError::Store(e.to_string()))?;
+        written.map_err(store_error)?;
         Ok(doc.epoch)
     }
 

@@ -9,9 +9,18 @@
 //!
 //! * [`Journal`] — an append-only, epoch-tagged log of update batches.
 //!   Each record is length-prefixed and CRC-checked; appends buffer in
-//!   memory and one `fsync` per [`Journal::commit`] covers every epoch
-//!   appended since the last (group commit). The binary codec is
-//!   [`ivm_data::codec`] — dependency-free, symbols travel by name.
+//!   memory and one `fsync` per commit covers every epoch appended since
+//!   the last (group commit). The commit is overlapped:
+//!   [`Journal::start_commit`] writes the records and hands the `fsync`
+//!   to the journal's committer thread, [`Journal::finish_commit`] waits
+//!   for it, and the caller works in between — a durable session
+//!   maintains its engine while the device syncs, and returns the delta
+//!   only once both are done. A failed write or sync *poisons* the
+//!   journal: it cuts the file back to its last durable length and
+//!   refuses every later write ([`StoreError::Poisoned`]), so a batch the
+//!   caller was refused can never reach disk behind its back. The binary
+//!   codec is [`ivm_data::codec`] — dependency-free, symbols travel by
+//!   name.
 //! * [`SnapshotDoc`] — a consolidated snapshot: the base [`Database`],
 //!   the maintained view contents, the learned cardinalities, and the
 //!   resolved plan strategy, written atomically (temp file + rename) by
@@ -26,8 +35,9 @@
 //! The session layer (`ivm-session`) wires this behind
 //! `SessionBuilder::durable` / `Session::snapshot` /
 //! `SessionBuilder::recover`; the `ivm.store.*` metric namespace
-//! ([`Store::observe`]) publishes append/fsync latency histograms,
-//! journal/snapshot size gauges, and recovery counters.
+//! ([`Store::observe`]) publishes append/commit latency histograms (the
+//! caller's commit time, and the device sync behind it), journal/snapshot
+//! size gauges, and recovery counters.
 //!
 //! [`Database`]: ivm_data::Database
 
@@ -52,6 +62,10 @@ pub enum StoreError {
     /// document). Torn journal *tails* are not errors — replay stops at
     /// the last valid record instead.
     Corrupt(String),
+    /// An earlier journal write or sync failed (the message says which
+    /// and why); the journal refuses every write until the store is
+    /// recovered from disk.
+    Poisoned(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -59,6 +73,7 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(m) => write!(f, "i/o: {m}"),
             StoreError::Corrupt(m) => write!(f, "corrupt store: {m}"),
+            StoreError::Poisoned(m) => write!(f, "journal poisoned by an earlier failure: {m}"),
         }
     }
 }

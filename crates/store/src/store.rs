@@ -9,7 +9,7 @@ use ivm_data::Update;
 use ivm_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, Namespace};
 use ivm_ring::Semiring;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The journal file's name inside a store directory.
 pub const JOURNAL_FILE: &str = "journal.ivm";
@@ -17,7 +17,11 @@ pub const JOURNAL_FILE: &str = "journal.ivm";
 /// `ivm.store.*` metric handles, attached via [`Store::observe`].
 struct StoreObs {
     append_ns: Histogram,
+    /// The caller's time in one commit: the write plus the wait for the
+    /// sync that overlapped whatever the caller did in between.
     fsync_ns: Histogram,
+    /// The device sync itself, timed on the committer thread.
+    sync_ns: Histogram,
     journal_bytes: Gauge,
     snapshot_bytes: Gauge,
     records: Counter,
@@ -34,6 +38,9 @@ pub struct Store {
     dir: PathBuf,
     journal: Journal,
     obs: Option<StoreObs>,
+    /// Caller time spent starting the commit in flight (observed stores
+    /// only); [`Store::finish_commit`] adds its wait to it.
+    commit_started: Duration,
 }
 
 /// What [`Store::recover`] found on disk.
@@ -76,11 +83,16 @@ impl Store {
             std::fs::remove_file(&snap)?;
         }
         let journal = Journal::create(dir.join(JOURNAL_FILE))?;
-        Ok(Store {
+        Ok(Store::over(dir, journal))
+    }
+
+    fn over(dir: PathBuf, journal: Journal) -> Store {
+        Store {
             dir,
             journal,
             obs: None,
-        })
+            commit_started: Duration::ZERO,
+        }
     }
 
     /// Reopen the history in `dir`: load the newest valid snapshot, read
@@ -120,26 +132,26 @@ impl Store {
             .filter(|(epoch, _)| *epoch > snap_epoch)
             .collect();
         Ok(Recovered {
-            store: Store {
-                dir,
-                journal,
-                obs: None,
-            },
+            store: Store::over(dir, journal),
             snapshot,
             tail,
             torn,
         })
     }
 
-    /// Publish `ivm.store.*` series into `registry`: `append_ns` /
-    /// `fsync_ns` latency histograms, `journal_bytes` / `snapshot_bytes`
-    /// gauges, and the `records` / `commits` / `snapshots` counters.
-    /// Gauges snap to the current on-disk truth immediately.
+    /// Publish `ivm.store.*` series into `registry`: the `append_ns`,
+    /// `fsync_ns` (the caller's commit time: write plus wait) and
+    /// `sync_ns` (the device sync on the committer thread) latency
+    /// histograms, `journal_bytes` / `snapshot_bytes` gauges, and the
+    /// `records` / `commits` / `snapshots` counters. Every series is
+    /// recorded on the caller's thread. Gauges snap to the current
+    /// on-disk truth immediately.
     pub fn observe(&mut self, registry: &MetricsRegistry) {
         let ns = Namespace::new("ivm").child("store");
         let obs = StoreObs {
             append_ns: ns.histogram(registry, "append_ns"),
             fsync_ns: ns.histogram(registry, "fsync_ns"),
+            sync_ns: ns.histogram(registry, "sync_ns"),
             journal_bytes: ns.gauge(registry, "journal_bytes"),
             snapshot_bytes: ns.gauge(registry, "snapshot_bytes"),
             records: ns.counter(registry, "records"),
@@ -154,28 +166,54 @@ impl Store {
     }
 
     /// Buffer one epoch's batch into the journal (group commit: durable
-    /// only after the next [`Store::commit`]).
-    pub fn append<R: Semiring + Persist>(&mut self, epoch: u64, batch: &[Update<R>]) {
+    /// only once the next commit finishes). Refused once the journal is
+    /// poisoned.
+    pub fn append<R: Semiring + Persist>(
+        &mut self,
+        epoch: u64,
+        batch: &[Update<R>],
+    ) -> Result<(), StoreError> {
         let t0 = self.obs.as_ref().map(|_| Instant::now());
-        self.journal.append(epoch, batch);
+        self.journal.append(epoch, batch)?;
         if let (Some(o), Some(t0)) = (&self.obs, t0) {
             o.append_ns.record_duration(t0.elapsed());
             o.records.inc();
         }
+        Ok(())
     }
 
-    /// Flush every buffered record with one `fsync`.
-    pub fn commit(&mut self) -> Result<(), StoreError> {
+    /// Write every buffered record and hand its `fsync` to the committer
+    /// thread ([`Journal::start_commit`]); pair with
+    /// [`Store::finish_commit`] before acknowledging anything it covers.
+    pub fn start_commit(&mut self) -> Result<(), StoreError> {
         let t0 = self.obs.as_ref().map(|_| Instant::now());
-        let wrote = self.journal.commit()?;
+        self.journal.start_commit()?;
+        if let Some(t0) = t0 {
+            self.commit_started += t0.elapsed();
+        }
+        Ok(())
+    }
+
+    /// Wait until the started commit is durable ([`Journal::finish_commit`]).
+    pub fn finish_commit(&mut self) -> Result<(), StoreError> {
+        let t0 = self.obs.as_ref().map(|_| Instant::now());
+        let (wrote, synced) = self.journal.finish_commit()?;
+        let started = std::mem::take(&mut self.commit_started);
         if let (Some(o), Some(t0)) = (&self.obs, t0) {
             if wrote > 0 {
-                o.fsync_ns.record_duration(t0.elapsed());
+                o.fsync_ns.record_duration(started + t0.elapsed());
+                o.sync_ns.record_duration(synced);
                 o.commits.inc();
                 o.journal_bytes.set(self.journal.committed_bytes() as i64);
             }
         }
         Ok(())
+    }
+
+    /// Flush every buffered record with one `fsync` and wait for it.
+    pub fn commit(&mut self) -> Result<(), StoreError> {
+        self.start_commit()?;
+        self.finish_commit()
     }
 
     /// Write `doc` atomically and truncate the journal behind it: every
@@ -231,6 +269,8 @@ pub fn record_recovery_failure(
 mod tests {
     use super::*;
     use ivm_data::{sym, tup, vars, Database, Relation, Schema};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Condvar, Mutex};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ivm-store-{}-{name}", std::process::id()));
@@ -242,6 +282,87 @@ mod tests {
         Update::insert(sym("st_E"), tup![i, i + 1])
     }
 
+    /// How many syncs [`gated_sync`] has begun, and the gate each one
+    /// waits at until the test opens it.
+    static ENTERED: AtomicU64 = AtomicU64::new(0);
+    static GATE: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+
+    fn gated_sync(file: &std::fs::File) -> std::io::Result<()> {
+        ENTERED.fetch_add(1, Ordering::SeqCst);
+        let mut open = GATE.0.lock().unwrap();
+        while !*open {
+            open = GATE.1.wait(open).unwrap();
+        }
+        *open = false;
+        drop(open);
+        file.sync_data()
+    }
+
+    fn failing_sync(_: &std::fs::File) -> std::io::Result<()> {
+        Err(std::io::Error::other("injected sync failure"))
+    }
+
+    #[test]
+    fn a_poisoned_journal_refuses_snapshots_too() {
+        let dir = tmp("poisoned");
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = Journal::create_with(dir.join(JOURNAL_FILE), failing_sync).unwrap();
+        let mut store = Store::over(dir, journal);
+        store.append(1u64, &[upd(1)]).unwrap();
+        assert!(matches!(store.commit(), Err(StoreError::Io(_))));
+        let doc = SnapshotDoc::<i64> {
+            epoch: 1,
+            query_name: "st_q".into(),
+            strategy_tag: 0,
+            cards: Vec::new(),
+            degrees: Vec::new(),
+            base: Database::new(),
+            view: Relation::new(Schema::new([])),
+        };
+        assert!(matches!(store.snapshot(&doc), Err(StoreError::Poisoned(_))));
+        assert!(matches!(
+            store.append(2u64, &[upd(2)]),
+            Err(StoreError::Poisoned(_))
+        ));
+        assert!(!store.dir().join(crate::snapshot::SNAPSHOT_FILE).exists());
+    }
+
+    #[test]
+    fn sync_ns_covers_the_callers_wait() {
+        let dir = tmp("overlap");
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = Journal::create_with(dir.join(JOURNAL_FILE), gated_sync).unwrap();
+        let mut store = Store::over(dir, journal);
+        let registry = MetricsRegistry::new();
+        store.observe(&registry);
+        for e in 1..=3u64 {
+            store.append(e, &[upd(e as i64)]).unwrap();
+            store.start_commit().unwrap();
+            // The sync has begun before the caller's own work does, so it
+            // outlasts the caller's write plus wait by about that work.
+            while ENTERED.load(Ordering::SeqCst) < e {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(5)); // the engine's turn
+            *GATE.0.lock().unwrap() = true;
+            GATE.1.notify_all();
+            store.finish_commit().unwrap();
+        }
+        let m = registry.snapshot();
+        let caller = m.histogram("ivm.store.fsync_ns").unwrap();
+        let device = m.histogram("ivm.store.sync_ns").unwrap();
+        assert_eq!((caller.count, device.count), (3, 3));
+        assert_eq!(m.counter("ivm.store.commits"), 3);
+        // The caller's commit time is its write plus its wait, and the
+        // wait is only what the overlapped work left of the sync.
+        assert!(
+            device.sum_ns >= caller.sum_ns,
+            "sync {} ns < caller commit {} ns",
+            device.sum_ns,
+            caller.sum_ns
+        );
+    }
+
     #[test]
     fn create_append_snapshot_recover() {
         let dir = tmp("lifecycle");
@@ -249,7 +370,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         store.observe(&registry);
         for e in 1..=3u64 {
-            store.append(e, &[upd(e as i64)]);
+            store.append(e, &[upd(e as i64)]).unwrap();
         }
         store.commit().unwrap();
 
@@ -271,8 +392,8 @@ mod tests {
         };
         store.snapshot(&doc).unwrap();
         // Two epochs after the snapshot.
-        store.append(4u64, &[upd(4)]);
-        store.append(5u64, &[upd(5)]);
+        store.append(4u64, &[upd(4)]).unwrap();
+        store.append(5u64, &[upd(5)]).unwrap();
         store.commit().unwrap();
         let m = registry.snapshot();
         assert_eq!(m.counter("ivm.store.records"), 5);
@@ -297,7 +418,7 @@ mod tests {
         let dir = tmp("filter");
         let mut store = Store::create(&dir).unwrap();
         for e in 1..=4u64 {
-            store.append(e, &[upd(e as i64)]);
+            store.append(e, &[upd(e as i64)]).unwrap();
         }
         store.commit().unwrap();
         let doc = SnapshotDoc::<i64> {

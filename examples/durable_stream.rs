@@ -6,8 +6,9 @@
 //! The life cycle demonstrated here:
 //!
 //! 1. `SessionBuilder::durable(dir)` — every `apply_batch` appends the
-//!    batch to an epoch-tagged journal and fsyncs *before* the engine
-//!    sees it, so an acknowledged batch is never lost.
+//!    batch to an epoch-tagged journal and fsyncs it *before* the delta
+//!    is returned (the fsync overlaps the engine's maintenance), so an
+//!    acknowledged batch is never lost.
 //! 2. `Session::snapshot()` — drains, writes one atomic snapshot (base
 //!    relations, maintained view, learned cardinalities, resolved
 //!    strategy) and truncates the journal behind it: recovery time is

@@ -68,11 +68,11 @@ fn replay_stops_at_every_truncation_offset_of_the_final_record() {
 
     let mut journal = Journal::create(&path).unwrap();
     for epoch in 1..=3u64 {
-        journal.append(epoch, &batch(epoch as i64));
+        journal.append(epoch, &batch(epoch as i64)).unwrap();
     }
     journal.commit().unwrap();
     let keep = journal.committed_bytes();
-    journal.append(4, &batch(4));
+    journal.append(4, &batch(4)).unwrap();
     journal.commit().unwrap();
     let full = journal.committed_bytes();
     drop(journal);
@@ -106,7 +106,7 @@ fn replay_stops_at_every_truncation_offset_of_the_final_record() {
         }
         // `valid_bytes` resumes: re-open there and append record 4 again.
         let mut resumed = Journal::open_at(&torn_path, replay.valid_bytes).unwrap();
-        resumed.append(4, &batch(4));
+        resumed.append(4, &batch(4)).unwrap();
         resumed.commit().unwrap();
         drop(resumed);
         let healed = Journal::replay::<i64>(&torn_path).unwrap();
@@ -131,8 +131,8 @@ fn replay_rejects_every_single_byte_corruption_of_the_final_record() {
     ];
 
     let mut journal = Journal::create(&path).unwrap();
-    journal.append(1, &batch);
-    journal.append(2, &batch);
+    journal.append(1, &batch).unwrap();
+    journal.append(2, &batch).unwrap();
     journal.commit().unwrap();
     let keep_records = 1usize;
     drop(journal);
@@ -143,7 +143,7 @@ fn replay_rejects_every_single_byte_corruption_of_the_final_record() {
         // a one-record journal of identical content.
         let probe = dir.join("probe.ivm");
         let mut j = Journal::create(&probe).unwrap();
-        j.append(1, &batch);
+        j.append(1, &batch).unwrap();
         j.commit().unwrap();
         j.committed_bytes() as usize
     };
@@ -743,6 +743,116 @@ fn auto_snapshot_bounds_the_journal_and_recovery_replays_nothing() {
     assert_eq!(second.journal_epoch(), Some(5));
     let note = second.explain().recovered.as_deref().unwrap();
     assert!(note.contains("snapshot epoch 5"), "{note}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// 5. Write-ahead acknowledgement
+// ---------------------------------------------------------------------
+
+/// The newest epoch on disk in `dir`, read from outside the session: the
+/// last journal record, or the snapshot's epoch when the journal behind
+/// it is empty.
+fn durable_epoch(dir: &std::path::Path) -> u64 {
+    let replay = Journal::replay::<i64>(&dir.join(ivm_store::store::JOURNAL_FILE)).unwrap();
+    assert!(replay.torn.is_none(), "{:?}", replay.torn);
+    match replay.records.last() {
+        Some((epoch, _)) => *epoch,
+        None => ivm_store::snapshot::read_snapshot::<i64>(dir)
+            .unwrap()
+            .map_or(0, |s| s.epoch),
+    }
+}
+
+/// Every `Ok` from `apply_batch` or `enqueue_batch` means the batch is
+/// already on disk: the journal's fsync overlaps the engine, but the call
+/// does not return before it. Auto-snapshots interleave with the commits.
+#[test]
+fn every_acknowledged_batch_is_durable_when_the_call_returns() {
+    let q = triangle3("srack_");
+    let (rn, sn, tn) = (sym("srack_3R"), sym("srack_3S"), sym("srack_3T"));
+    let empty = mirror_db(&q);
+    let mut mirror = mirror_db(&q);
+    let dir = scratch("ack");
+    let mut s = Session::<i64>::builder(q.clone())
+        .shards(2)
+        .durable(&dir)
+        .auto_snapshot(600)
+        .build(&empty)
+        .unwrap();
+    let mut snapshots = 0;
+    for i in 0..24i64 {
+        let batch = vec![
+            Update::insert(rn, tup![i % 5, (i + 1) % 5]),
+            Update::insert(sn, tup![(i + 1) % 5, (i + 2) % 5]),
+            Update::insert(tn, tup![(i + 2) % 5, i % 5]),
+            Update::delete(rn, tup![(i + 3) % 5, (i + 4) % 5]),
+        ];
+        if i % 2 == 0 {
+            s.apply_batch(&batch).unwrap();
+        } else {
+            s.enqueue_batch(&batch).unwrap();
+        }
+        mirror.apply_batch(&batch);
+        assert_eq!(Some(durable_epoch(&dir)), s.journal_epoch(), "batch {i}");
+        // … and the store counts every byte on file as synced: no commit
+        // is still in flight.
+        let on_file = std::fs::metadata(dir.join(ivm_store::store::JOURNAL_FILE)).unwrap();
+        assert_eq!(s.journal_bytes(), Some(on_file.len()), "batch {i}");
+        if s.journal_bytes() == Some(ivm_store::JOURNAL_MAGIC.len() as u64) {
+            snapshots += 1;
+        }
+    }
+    assert!(
+        snapshots > 0 && snapshots < 24,
+        "{snapshots} auto-snapshots"
+    );
+    s.drain().unwrap();
+    outputs_match(&s.output(), &oracle_db(&q, &mirror), "acknowledged").unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch the *backend* rejects (an unknown relation) still consumes its
+/// journaled epoch; replaying it is idempotent — recovery skips it exactly
+/// as the live session did, in every life.
+#[test]
+fn a_backend_rejected_batch_keeps_its_epoch_and_replays_idempotently() {
+    let q = triangle("srrej_");
+    let e = sym("srrej_E");
+    let empty = mirror_db(&q);
+    let dir = scratch("rejected");
+    let mut live = Session::<i64>::builder(q.clone())
+        .durable(&dir)
+        .build(&empty)
+        .unwrap();
+    let ring = |n: i64| -> Vec<Update<i64>> {
+        (0..n)
+            .map(|i| Update::insert(e, tup![i, (i + 1) % n]))
+            .collect()
+    };
+    live.apply_batch(&ring(3)).unwrap();
+    assert!(live
+        .apply_batch(&[Update::insert(sym("srrej_Nope"), tup![1i64, 2i64])])
+        .is_err());
+    assert_eq!(
+        live.journal_epoch(),
+        Some(2),
+        "the rejected batch kept epoch 2"
+    );
+    live.apply_batch(&ring(4)).unwrap();
+    live.apply_batch(&[Update::delete(e, tup![0i64, 1i64])])
+        .unwrap();
+    let (view, epoch) = (live.output(), live.journal_epoch());
+    assert_eq!(epoch, Some(4));
+    drop(live);
+
+    for life in 2..=3 {
+        let mut recovered = Session::<i64>::builder(q.clone())
+            .recover(&dir, &empty)
+            .unwrap();
+        assert_eq!(recovered.journal_epoch(), epoch, "life {life}");
+        outputs_match(&recovered.output(), &view, &format!("life {life}")).unwrap();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
