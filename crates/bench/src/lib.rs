@@ -1,9 +1,9 @@
 //! Shared harness utilities for the experiment binaries.
 //!
 //! Every binary regenerates one figure or measurable claim of the paper
-//! (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for the
-//! recorded results). Output is a markdown table on stdout so runs can be
-//! pasted into EXPERIMENTS.md directly.
+//! (the README's "Experiments" section lists them; each binary's docs
+//! state the claim it checks and how to run it). Output is a markdown
+//! table on stdout; the scaling benches also write a `BENCH_*.json`.
 
 use std::time::{Duration, Instant};
 

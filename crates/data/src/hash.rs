@@ -3,8 +3,8 @@
 //! Relations are hash maps keyed by short tuples of mostly-integer values;
 //! SipHash's HashDoS resistance buys nothing here and costs measurably on
 //! every probe. This is the rustc/Firefox Fx algorithm (multiply-xor-rotate),
-//! ~30 lines, vendored instead of adding a dependency outside the approved
-//! set (see DESIGN.md §6).
+//! ~30 lines, vendored because the workspace builds offline from path
+//! dependencies only (README, "Vendored dependency shims").
 
 use std::hash::{BuildHasherDefault, Hasher};
 

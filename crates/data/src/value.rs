@@ -1,8 +1,9 @@
 //! Domain values.
 //!
-//! Engines that work over arbitrary schemas carry [`Value`]s; specialized
-//! kernels (triangles, OuMv) work over raw `u64` ids instead and never touch
-//! this type (DESIGN.md §5).
+//! Engines that work over arbitrary schemas carry [`Value`]s. The
+//! `ivm_ivme` kernels (triangles, OuMv) take raw `u64` ids instead, so the
+//! scaling experiments time the algorithms rather than `Value` hashing;
+//! they never touch this type.
 
 use std::fmt;
 use std::sync::Arc;

@@ -1,14 +1,13 @@
 //! The generic heavy-light engine: IVMε (Sec. 3.3) over `ivm_data`
 //! tuples and semiring payloads, behind the common [`Maintainer`] trait.
 
-use crate::adjacency::Adj;
+use crate::heavy_light::{HeavyLight, HlStats};
 use ivm_core::{EngineError, Maintainer};
 use ivm_data::ops::Lift;
-use ivm_data::{consolidate, Database, FxHashMap, FxHashSet, Relation, Sym, Tuple, Update, Value};
+use ivm_data::{consolidate, Database, Relation, Sym, Tuple, Update, Value};
 use ivm_obs::{Counter, Gauge, MetricsRegistry};
 use ivm_query::Query;
 use ivm_ring::Semiring;
-use std::collections::hash_map::Entry;
 
 /// The rotation a triangle-class query must exhibit: three distinct
 /// binary dynamic relations forming one oriented cycle
@@ -48,25 +47,6 @@ pub fn admits(q: &Query) -> bool {
     rotation(q).is_some()
 }
 
-/// Cumulative engine counters, exposed for benches and `explain()`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HlStats {
-    /// Single-tuple updates ingested (batch paths count their items).
-    pub updates: u64,
-    /// Inner-loop operations — the machine-independent cost measure the
-    /// scaling experiments plot (same convention as `ivm_ivme`).
-    pub work: u64,
-    /// Per-key partition migrations performed.
-    pub migrations: u64,
-    /// Global θ-recomputing rebalances performed.
-    pub rebalances: u64,
-    /// Count deltas answered through the heavy path (HH loop + HL view
-    /// lookup) — updates that would have paid O(deg) without the split.
-    pub heavy_hits: u64,
-    /// Count deltas answered by scanning a light (< 2θ) row.
-    pub light_scans: u64,
-}
-
 /// Metric handles behind [`HeavyLightEngine::observe`]; counters publish
 /// increments of [`HlStats`], gauges the live partition shape.
 struct HlObs {
@@ -85,73 +65,35 @@ struct HlObs {
     published: HlStats,
 }
 
-fn bump<R: Semiring>(map: &mut FxHashMap<(Value, Value), R>, key: (Value, Value), d: R) {
-    if d.is_zero() {
-        return;
-    }
-    match map.entry(key) {
-        Entry::Occupied(mut o) => {
-            o.get_mut().add_assign(&d);
-            if o.get().is_zero() {
-                o.remove();
-            }
-        }
-        Entry::Vacant(v) => {
-            v.insert(d);
-        }
-    }
-}
-
-/// IVMε over generic tuples (Sec. 3.3): heavy-light partitioned triangle
-/// maintenance with amortized O(N^max(ε,1−ε)) single-tuple updates —
-/// O(√N) at the optimal ε = ½ — generalizing the raw-`u64`
-/// `ivm_ivme::TriangleIvmEps` kernel to `Value` keys and any *ring*
-/// payload behind the [`Maintainer`] trait.
+/// IVMε over generic tuples (Sec. 3.3): the [`HeavyLight`] core at
+/// `Value` keys and any *ring* payload, behind the [`Maintainer`] trait.
+/// This wrapper adds only the query's rotation, the lift of each
+/// relation's first column into its payloads, and the metrics.
 ///
-/// Each relation is partitioned on its first column: a key is *heavy*
-/// when its degree (distinct present partners) reaches 2θ and *light*
-/// again below θ — the hysteresis band amortizes partition migrations —
-/// with θ = ⌈N^ε⌉ recomputed, and the auxiliary views rebuilt, whenever
-/// the database size drifts by 2× (lazy global rebalancing). The heavy
-/// side is maintained through materialized views
-/// `view[i][(u,w)] = Σ_v rel[i+1]_H(u,v)·rel[i+2]_L(v,w)`; the light
-/// side answers deltas by enumerating its ≤ 2θ partners directly.
-///
-/// Payloads must form a ring in practice: migrating a key across the
-/// partition boundary transfers its view contributions *with sign*, so
-/// construction refuses payload types whose [`Semiring::try_neg`] is
-/// `None`. Deletions arrive the usual way, as additive-inverse payloads.
+/// Construction refuses payload types whose [`Semiring::try_neg`] is
+/// `None`: migrating a key across the partition boundary transfers its
+/// view contributions *with sign*. Deletions arrive the usual way, as
+/// additive-inverse payloads.
 pub struct HeavyLightEngine<R: Semiring> {
     query: Query,
-    eps: f64,
     /// Relation names in rotation order (`rels[i]` maps var i → var i+1).
     rels: [Sym; 3],
     /// Rotation variables; `vars[i]` is the first column of `rels[i]`,
     /// and the column whose lifting is folded into `rels[i]`'s payloads.
     vars: [Sym; 3],
     lift: Lift<R>,
-    rel: [Adj<R>; 3],
-    /// Heavy first-column keys per relation.
-    heavy: [FxHashSet<Value>; 3],
-    /// `view[i][(u, w)] = Σ_v rel[i+1]_H(u,v) · rel[i+2]_L(v,w)`.
-    view: [FxHashMap<(Value, Value), R>; 3],
-    count: R,
-    threshold: usize,
-    /// Total size at the last rebalance — the 2× drift reference.
-    base_n: usize,
-    stats: HlStats,
+    core: HeavyLight<Value, R>,
     obs: Option<HlObs>,
 }
 
 impl<R: Semiring> std::fmt::Debug for HeavyLightEngine<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HeavyLightEngine")
-            .field("eps", &self.eps)
-            .field("threshold", &self.threshold)
-            .field("base_n", &self.base_n)
+            .field("eps", &self.eps())
+            .field("threshold", &self.threshold())
             .field("heavy", &self.heavy_counts())
             .field("view_entries", &self.view_entries())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -193,33 +135,30 @@ impl<R: Semiring> HeavyLightEngine<R> {
                     .into(),
             ));
         }
+        for rel in rels {
+            let arity = db.get(rel).map_or(2, |r| r.schema().arity());
+            if arity != 2 {
+                return Err(EngineError::NotSupported(format!(
+                    "heavy-light relations are binary, but the database \
+                     stores {rel} with arity {arity}"
+                )));
+            }
+        }
         let mut eng = HeavyLightEngine {
             query,
-            eps,
             rels,
             vars,
             lift,
-            rel: Default::default(),
-            heavy: Default::default(),
-            view: Default::default(),
-            count: R::zero(),
-            threshold: 1,
-            base_n: 4,
-            stats: HlStats::default(),
+            core: HeavyLight::new(eps),
             obs: None,
         };
         // Preprocess by replaying the initial contents through the
         // ordinary update path: O(|D|·θ) worst case, and the size-drift
         // trigger keeps θ tracking the growing base as it loads.
-        for i in 0..3 {
-            if let Some(relation) = db.get(rels[i]) {
-                for (t, r) in relation.iter() {
-                    let m = r.times(&(eng.lift)(vars[i], t.at(0)));
-                    if !m.is_zero() {
-                        let (x, y) = (t.at(0).clone(), t.at(1).clone());
-                        eng.apply_update(i, &x, &y, &m);
-                    }
-                }
+        for (i, rel) in rels.into_iter().enumerate() {
+            for (t, r) in db.get(rel).into_iter().flat_map(|r| r.iter()) {
+                let m = r.times(&lift(vars[i], t.at(0)));
+                eng.core.apply(i, t.at(0), t.at(1), &m);
             }
         }
         Ok(eng)
@@ -227,49 +166,49 @@ impl<R: Semiring> HeavyLightEngine<R> {
 
     /// The ε this engine was built with.
     pub fn eps(&self) -> f64 {
-        self.eps
+        self.core.eps()
     }
 
     /// The current heavy/light threshold θ = ⌈N^ε⌉ (as of the last
     /// rebalance).
     pub fn threshold(&self) -> usize {
-        self.threshold
+        self.core.threshold()
     }
 
     /// Cumulative engine counters.
     pub fn stats(&self) -> HlStats {
-        self.stats
+        self.core.stats()
     }
 
     /// The maintained aggregate, without going through the
     /// `for_each_output` enumeration (which needs `&mut self`).
     pub fn count(&self) -> &R {
-        &self.count
+        self.core.count()
     }
 
     /// Heavy-key counts per relation, in rotation order.
     pub fn heavy_counts(&self) -> [usize; 3] {
-        [0, 1, 2].map(|i| self.heavy[i].len())
+        self.core.heavy_counts()
     }
 
     /// Per-relation partition shape: `(relation, heavy keys, light keys)`
     /// over distinct first-column keys, in rotation order.
     pub fn part_sizes(&self) -> [(Sym, usize, usize); 3] {
+        let heavy = self.heavy_counts();
         [0, 1, 2].map(|i| {
-            let heavy = self.heavy[i].len();
-            let keys = self.rel[i].keys_fwd().count();
-            (self.rels[i], heavy, keys.saturating_sub(heavy))
+            let keys = self.core.relation(i).keys_fwd().count();
+            (self.rels[i], heavy[i], keys.saturating_sub(heavy[i]))
         })
     }
 
     /// Total auxiliary-view entries (the O(N^{1+min(ε,1−ε)}) space term).
     pub fn view_entries(&self) -> usize {
-        self.view.iter().map(|v| v.len()).sum()
+        self.core.view_entries()
     }
 
     /// Present pairs across the three base relations.
     pub fn base_pairs(&self) -> usize {
-        self.rel.iter().map(|r| r.len()).sum()
+        self.core.base_pairs()
     }
 
     /// Tuples resident in engine-owned state: base indexes (counted once
@@ -283,8 +222,8 @@ impl<R: Semiring> HeavyLightEngine<R> {
         let parts = self.part_sizes();
         format!(
             "HeavyLight(ε={}, θ={}, heavy/light keys {})",
-            self.eps,
-            self.threshold,
+            self.eps(),
+            self.threshold(),
             parts
                 .iter()
                 .map(|(r, h, l)| format!("{r}:{h}/{l}"))
@@ -330,7 +269,7 @@ impl<R: Semiring> HeavyLightEngine<R> {
         let Some(obs) = self.obs.as_mut() else {
             return;
         };
-        let s = self.stats;
+        let s = self.core.stats();
         let p = obs.published;
         obs.updates.add(s.updates.saturating_sub(p.updates));
         obs.work.add(s.work.saturating_sub(p.work));
@@ -343,259 +282,25 @@ impl<R: Semiring> HeavyLightEngine<R> {
         obs.light_scans
             .add(s.light_scans.saturating_sub(p.light_scans));
         obs.published = s;
-        obs.threshold.set(self.threshold as i64);
+        obs.threshold.set(self.core.threshold() as i64);
         obs.heavy_keys
-            .set(self.heavy.iter().map(|h| h.len()).sum::<usize>() as i64);
-        obs.view_entries
-            .set(self.view.iter().map(|v| v.len()).sum::<usize>() as i64);
-        obs.base_pairs
-            .set(self.rel.iter().map(|r| r.len()).sum::<usize>() as i64);
+            .set(self.core.heavy_counts().iter().sum::<usize>() as i64);
+        obs.view_entries.set(self.core.view_entries() as i64);
+        obs.base_pairs.set(self.core.base_pairs() as i64);
     }
 
-    /// Verify the partition invariants the hysteresis maintains after
-    /// every update: a heavy key's degree exceeds θ, a light key's stays
-    /// below 2θ, and no key is heavy without present pairs. For tests.
+    /// See [`HeavyLight::check_partition`]. For tests.
     pub fn check_partition(&self) -> Result<(), String> {
-        for i in 0..3 {
-            for x in &self.heavy[i] {
-                let deg = self.rel[i].deg_fwd(x);
-                if deg <= self.threshold {
-                    return Err(format!(
-                        "rel {} key {x:?}: heavy with degree {deg} ≤ θ={}",
-                        self.rels[i], self.threshold
-                    ));
-                }
-            }
-            for x in self.rel[i].keys_fwd() {
-                let deg = self.rel[i].deg_fwd(x);
-                if !self.heavy[i].contains(x) && deg >= 2 * self.threshold {
-                    return Err(format!(
-                        "rel {} key {x:?}: light with degree {deg} ≥ 2θ={}",
-                        self.rels[i],
-                        2 * self.threshold
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.core.check_partition()
     }
 
-    /// Verify the three auxiliary views against a from-scratch recompute
-    /// over the current partition. For tests; O(N·θ).
+    /// See [`HeavyLight::check_views`]. For tests; O(N·θ).
     pub fn check_views(&self) -> Result<(), String> {
-        for i in 0..3 {
-            let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-            let mut expect: FxHashMap<(Value, Value), R> = FxHashMap::default();
-            for u in &self.heavy[j] {
-                for (v, m1) in self.rel[j].row(u) {
-                    if self.heavy[k].contains(v) {
-                        continue;
-                    }
-                    for (w, m2) in self.rel[k].row(v) {
-                        bump(&mut expect, (u.clone(), w.clone()), m1.times(m2));
-                    }
-                }
-            }
-            if expect != self.view[i] {
-                return Err(format!(
-                    "view[{i}] diverged: {} entries maintained vs {} recomputed",
-                    self.view[i].len(),
-                    expect.len()
-                ));
-            }
-        }
-        Ok(())
+        self.core.check_views()
     }
 
     fn rot(&self, rel: Sym) -> Option<usize> {
         self.rels.iter().position(|&r| r == rel)
-    }
-
-    fn neg(&self, r: &R) -> R {
-        r.try_neg()
-            .expect("payload negation was validated at build time")
-    }
-
-    fn total_size(&self) -> usize {
-        self.rel.iter().map(|r| r.len()).sum()
-    }
-
-    /// The skew-aware count delta for `δrel[i](x, y)` (Sec. 3.3): a
-    /// light `y` enumerates its ≤ 2θ partners (LL + LH); a heavy `y`
-    /// loops the ≤ N/θ heavy `rel[i+2]` keys (HH) and answers the HL
-    /// case with one view lookup.
-    fn count_delta(&mut self, i: usize, x: &Value, y: &Value) -> R {
-        let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-        let mut d = R::zero();
-        let mut work = 1u64;
-        if !self.heavy[j].contains(y) {
-            for (v, m1) in self.rel[j].row(y) {
-                work += 1;
-                let m2 = self.rel[k].get(v, x);
-                if !m2.is_zero() {
-                    d.add_assign(&m1.times(&m2));
-                }
-            }
-            self.stats.light_scans += 1;
-        } else {
-            for v in &self.heavy[k] {
-                work += 1;
-                let m1 = self.rel[j].get(y, v);
-                if m1.is_zero() {
-                    continue;
-                }
-                let m2 = self.rel[k].get(v, x);
-                if !m2.is_zero() {
-                    d.add_assign(&m1.times(&m2));
-                }
-            }
-            work += 1;
-            if let Some(hl) = self.view[i].get(&(y.clone(), x.clone())) {
-                d.add_assign(hl);
-            }
-            self.stats.heavy_hits += 1;
-        }
-        self.stats.work += work;
-        d
-    }
-
-    /// Maintain the views that mention `rel[i]` under `δrel[i](x,y,m)`:
-    /// `rel[i]` is the H-part of `view[i+2]` (at u = x) and the L-part of
-    /// `view[i+1]` (at v = x).
-    fn maintain_views(&mut self, i: usize, x: &Value, y: &Value, m: &R) {
-        let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-        if self.heavy[i].contains(x) && !self.heavy[j].contains(y) {
-            let row: Vec<(Value, R)> = self.rel[j]
-                .row(y)
-                .map(|(w, mj)| (w.clone(), mj.clone()))
-                .collect();
-            self.stats.work += row.len() as u64 + 1;
-            for (w, mj) in row {
-                bump(&mut self.view[k], (x.clone(), w), m.times(&mj));
-            }
-        }
-        if !self.heavy[i].contains(x) {
-            let heavy_k: Vec<Value> = self.heavy[k].iter().cloned().collect();
-            self.stats.work += heavy_k.len() as u64 + 1;
-            for u in heavy_k {
-                let mk = self.rel[k].get(&u, x);
-                if !mk.is_zero() {
-                    bump(&mut self.view[j], (u, y.clone()), mk.times(m));
-                }
-            }
-        }
-    }
-
-    /// Move `x` across the heavy/light boundary of partition `i`,
-    /// transferring its contributions between `view[i+2]` (where it is
-    /// an H-part key) and `view[i+1]` (where it is an L-part key) —
-    /// the step that needs additive inverses.
-    fn migrate(&mut self, i: usize, x: &Value, to_heavy: bool) {
-        self.stats.migrations += 1;
-        let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-        if to_heavy {
-            self.heavy[i].insert(x.clone());
-        } else {
-            self.heavy[i].remove(x);
-        }
-        let row: Vec<(Value, R)> = self.rel[i]
-            .row(x)
-            .map(|(v, m)| (v.clone(), m.clone()))
-            .collect();
-        // H-part of view[k]: Σ_{v light in rel[j]} rel[i](x,v)·rel[j](v,w).
-        for (v, m1) in &row {
-            if !self.heavy[j].contains(v) {
-                let inner: Vec<(Value, R)> = self.rel[j]
-                    .row(v)
-                    .map(|(w, m2)| (w.clone(), m2.clone()))
-                    .collect();
-                self.stats.work += inner.len() as u64 + 1;
-                for (w, m2) in inner {
-                    let d = m1.times(&m2);
-                    let d = if to_heavy { d } else { self.neg(&d) };
-                    bump(&mut self.view[k], (x.clone(), w), d);
-                }
-            }
-        }
-        // L-part of view[j]: Σ_{u heavy in rel[k]} rel[k](u,x)·rel[i](x,w)
-        // — entering the heavy part removes these terms (and vice versa).
-        let heavy_k: Vec<Value> = self.heavy[k].iter().cloned().collect();
-        for u in heavy_k {
-            let mk = self.rel[k].get(&u, x);
-            if mk.is_zero() {
-                continue;
-            }
-            self.stats.work += row.len() as u64 + 1;
-            for (w, m1) in &row {
-                let d = mk.times(m1);
-                let d = if to_heavy { self.neg(&d) } else { d };
-                bump(&mut self.view[j], (u.clone(), w.clone()), d);
-            }
-        }
-    }
-
-    /// Recompute θ, repartition every relation, and rebuild the three
-    /// views from scratch. O(N·θ); amortized O(θ) over the ≥ N/2 updates
-    /// between size-drift triggers.
-    fn rebalance(&mut self) {
-        self.stats.rebalances += 1;
-        let n = self.total_size().max(4);
-        self.base_n = n;
-        self.threshold = (n as f64).powf(self.eps).ceil().max(1.0) as usize;
-        let promote = (3 * self.threshold).div_ceil(2);
-        for i in 0..3 {
-            self.heavy[i] = self.rel[i]
-                .keys_fwd()
-                .filter(|x| self.rel[i].deg_fwd(x) >= promote)
-                .cloned()
-                .collect();
-        }
-        for i in 0..3 {
-            let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-            self.view[i].clear();
-            let heavy_j: Vec<Value> = self.heavy[j].iter().cloned().collect();
-            for u in heavy_j {
-                let rowj: Vec<(Value, R)> = self.rel[j]
-                    .row(&u)
-                    .map(|(v, m1)| (v.clone(), m1.clone()))
-                    .collect();
-                for (v, m1) in rowj {
-                    if self.heavy[k].contains(&v) {
-                        continue;
-                    }
-                    let inner: Vec<(Value, R)> = self.rel[k]
-                        .row(&v)
-                        .map(|(w, m2)| (w.clone(), m2.clone()))
-                        .collect();
-                    self.stats.work += inner.len() as u64 + 1;
-                    for (w, m2) in inner {
-                        bump(&mut self.view[i], (u.clone(), w), m1.times(&m2));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The full single-update step; returns this update's contribution
-    /// to the maintained count (already multiplied by `m`).
-    fn apply_update(&mut self, i: usize, x: &Value, y: &Value, m: &R) -> R {
-        self.stats.updates += 1;
-        let d = self.count_delta(i, x, y);
-        let contrib = m.times(&d);
-        self.count.add_assign(&contrib);
-        self.maintain_views(i, x, y, m);
-        let new_deg = self.rel[i].apply(x, y, m);
-        let is_heavy = self.heavy[i].contains(x);
-        if !is_heavy && new_deg >= 2 * self.threshold {
-            self.migrate(i, x, true);
-        } else if is_heavy && new_deg <= self.threshold {
-            self.migrate(i, x, false);
-        }
-        let n = self.total_size();
-        if n > 2 * self.base_n || (n >= 8 && n * 2 < self.base_n) {
-            self.rebalance();
-        }
-        contrib
     }
 
     /// Shared validation: the update must target one of the three
@@ -615,17 +320,12 @@ impl<R: Semiring> HeavyLightEngine<R> {
         Ok(i)
     }
 
+    /// Lift and apply one validated update; returns its contribution to
+    /// the count.
     fn ingest(&mut self, i: usize, upd: &Update<R>) -> R {
-        if upd.payload.is_zero() {
-            return R::zero();
-        }
-        let m = upd
-            .payload
-            .times(&(self.lift)(self.vars[i], upd.tuple.at(0)));
-        if m.is_zero() {
-            return R::zero();
-        }
-        self.apply_update(i, upd.tuple.at(0), upd.tuple.at(1), &m)
+        let (x, y) = (upd.tuple.at(0), upd.tuple.at(1));
+        let m = upd.payload.times(&(self.lift)(self.vars[i], x));
+        self.core.apply(i, x, y, &m)
     }
 }
 
@@ -663,8 +363,9 @@ impl<R: Semiring> Maintainer<R> for HeavyLightEngine<R> {
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {
-        if !self.count.is_zero() {
-            f(&Tuple::empty(), &self.count);
+        let count = self.core.count();
+        if !count.is_zero() {
+            f(&Tuple::empty(), count);
         }
     }
 }
@@ -673,7 +374,7 @@ impl<R: Semiring> Maintainer<R> for HeavyLightEngine<R> {
 mod tests {
     use super::*;
     use ivm_data::ops::lift_one;
-    use ivm_data::{sym, tup};
+    use ivm_data::{sym, tup, FxHashMap};
     use ivm_query::examples;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -738,6 +439,29 @@ mod tests {
         let err = HeavyLightEngine::new(examples::triangle_detect_cqap(), &db, lift_one::<i64>)
             .unwrap_err();
         assert!(matches!(err, EngineError::NotSupported(_)), "{err}");
+    }
+
+    /// A caller database storing a rotation relation at another arity is
+    /// refused before anything loads — arity 1 used to panic, arity 3
+    /// to drop a column silently.
+    #[test]
+    fn refuses_a_database_whose_rotation_relation_is_not_binary() {
+        let q = examples::triangle_count();
+        for vars in [vec![sym("a")], vec![sym("a"), sym("b"), sym("c")]] {
+            let mut db = Database::<i64>::new();
+            db.create(sym("tri_S"), ivm_data::Schema::new(vars.clone()));
+            db.apply(&Update::with_payload(
+                sym("tri_S"),
+                Tuple::new(vars.iter().map(|_| Value::Int(1))),
+                1,
+            ));
+            let err = HeavyLightEngine::new(q.clone(), &db, lift_one::<i64>).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::NotSupported(msg)
+                    if msg.contains("tri_S") && msg.contains(&format!("arity {}", vars.len()))),
+                "{err}"
+            );
+        }
     }
 
     #[test]

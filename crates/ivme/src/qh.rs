@@ -17,15 +17,15 @@
 //! are cheap), while heavy `B`-values — at most N^{1−ε} of them — are
 //! joined at enumeration time.
 
-use crate::adjacency::Adjacency;
 use ivm_data::{FxHashMap, FxHashSet};
+use ivm_hl::{bump, Adj};
 
 /// ε-parameterized maintenance for `Q(A) = Σ_B R(A,B)·S(B)`.
 #[derive(Clone, Debug)]
 pub struct QhEpsEngine {
     eps: f64,
     /// `R(A,B)`: fwd a→b, bwd b→a.
-    r: Adjacency,
+    r: Adj<u64, i64>,
     /// `S(B)` payloads.
     s: FxHashMap<u64, i64>,
     /// Heavy `B`-values (degree in `R`'s B-column ≥ ~θ, with hysteresis).
@@ -45,7 +45,7 @@ impl QhEpsEngine {
         assert!((0.0..=1.0).contains(&eps), "ε must be in [0,1]");
         QhEpsEngine {
             eps,
-            r: Adjacency::new(),
+            r: Adj::default(),
             s: FxHashMap::default(),
             heavy_b: FxHashSet::default(),
             q_light: FxHashMap::default(),
@@ -84,7 +84,7 @@ impl QhEpsEngine {
 
     /// Degree of `b` in `R`'s B-column (the partitioning degree).
     pub fn deg_b(&self, b: u64) -> usize {
-        self.r.deg_bwd(b)
+        self.r.deg_bwd(&b)
     }
 
     /// Apply `δR(a, b) ↦ m`. O(N^ε) amortized.
@@ -96,8 +96,8 @@ impl QhEpsEngine {
                 bump(&mut self.q_light, a, m * sv);
             }
         }
-        let _ = self.r.apply(a, b, m);
-        let deg = self.r.deg_bwd(b);
+        self.r.apply(&a, &b, &m);
+        let deg = self.r.deg_bwd(&b);
         if !self.heavy_b.contains(&b) && deg >= 2 * self.threshold {
             self.migrate(b, true);
         } else if self.heavy_b.contains(&b) && deg <= self.threshold {
@@ -111,17 +111,12 @@ impl QhEpsEngine {
     pub fn apply_s(&mut self, b: u64, m: i64) {
         self.work += 1;
         if !self.heavy_b.contains(&b) {
-            let partners: Vec<(u64, i64)> = self.r.col(b).collect();
-            self.work += partners.len() as u64;
-            for (a, rm) in partners {
+            self.work += self.r.deg_bwd(&b) as u64;
+            for (&a, rm) in self.r.col(&b) {
                 bump(&mut self.q_light, a, rm * m);
             }
         }
-        let e = self.s.entry(b).or_insert(0);
-        *e += m;
-        if *e == 0 {
-            self.s.remove(&b);
-        }
+        bump(&mut self.s, b, m);
         self.maybe_rebalance();
     }
 
@@ -131,7 +126,7 @@ impl QhEpsEngine {
         let mut v = self.q_light.get(&a).copied().unwrap_or(0);
         self.work += 1 + self.heavy_b.len() as u64;
         for &b in &self.heavy_b {
-            let rm = self.r.get(a, b);
+            let rm = self.r.get(&a, &b);
             if rm != 0 {
                 v += rm * self.s.get(&b).copied().unwrap_or(0);
             }
@@ -142,7 +137,7 @@ impl QhEpsEngine {
     /// Enumerate `(a, Q(a))` for all non-zero groups; per-tuple delay
     /// O(N^{1−ε}).
     pub fn enumerate(&mut self, f: &mut dyn FnMut(u64, i64)) {
-        let keys: Vec<u64> = self.r.keys_fwd().collect();
+        let keys: Vec<u64> = self.r.keys_fwd().copied().collect();
         for a in keys {
             let v = self.lookup(a);
             if v != 0 {
@@ -170,9 +165,8 @@ impl QhEpsEngine {
             self.heavy_b.remove(&b);
         }
         if sv != 0 {
-            let partners: Vec<(u64, i64)> = self.r.col(b).collect();
-            self.work += partners.len() as u64;
-            for (a, rm) in partners {
+            self.work += self.r.deg_bwd(&b) as u64;
+            for (&a, rm) in self.r.col(&b) {
                 bump(&mut self.q_light, a, sign * rm * sv);
             }
         }
@@ -187,50 +181,24 @@ impl QhEpsEngine {
             let promote = (3 * self.threshold).div_ceil(2);
             // Repartition and rebuild Q_L from scratch: O(N) amortized
             // over the ≥ N/2 updates since the last rebalance.
-            let bs: Vec<u64> = self.s.keys().copied().collect();
-            self.heavy_b.clear();
-            for b in bs {
-                if self.r.deg_bwd(b) >= promote {
-                    self.heavy_b.insert(b);
-                }
-            }
-            // Also B-values present in R but not S can be heavy.
-            let rb: Vec<u64> = self
-                .r
+            // Only B-values present in R have a degree to be heavy with.
+            let r = &self.r;
+            self.heavy_b = r
                 .iter()
-                .map(|(_, b, _)| b)
-                .collect::<FxHashSet<_>>()
-                .into_iter()
+                .map(|(_, &b, _)| b)
+                .filter(|b| r.deg_bwd(b) >= promote)
                 .collect();
-            for b in rb {
-                if self.r.deg_bwd(b) >= promote {
-                    self.heavy_b.insert(b);
-                }
-            }
             self.q_light.clear();
-            let entries: Vec<(u64, i64)> = self.s.iter().map(|(&b, &m)| (b, m)).collect();
-            for (b, sv) in entries {
+            for (&b, sv) in &self.s {
                 if self.heavy_b.contains(&b) {
                     continue;
                 }
-                let partners: Vec<(u64, i64)> = self.r.col(b).collect();
-                self.work += partners.len() as u64 + 1;
-                for (a, rm) in partners {
+                self.work += self.r.deg_bwd(&b) as u64 + 1;
+                for (&a, rm) in self.r.col(&b) {
                     bump(&mut self.q_light, a, rm * sv);
                 }
             }
         }
-    }
-}
-
-fn bump(map: &mut FxHashMap<u64, i64>, key: u64, d: i64) {
-    if d == 0 {
-        return;
-    }
-    let e = map.entry(key).or_insert(0);
-    *e += d;
-    if *e == 0 {
-        map.remove(&key);
     }
 }
 

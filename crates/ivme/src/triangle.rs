@@ -18,8 +18,8 @@
 //! `T: C→A` — and every formula below is written once for the rotated
 //! index `i`.
 
-use crate::adjacency::Adjacency;
-use ivm_data::{FxHashMap, FxHashSet};
+use ivm_data::FxHashMap;
+use ivm_hl::{bump, Adj, HeavyLight};
 
 /// The three relations of the triangle query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,42 +67,39 @@ pub trait TriangleMaintainer {
     fn name(&self) -> &'static str;
 }
 
-/// Shared storage: the three adjacency-indexed relations.
+/// Shared storage of the baselines: the three adjacency-indexed
+/// relations.
 #[derive(Clone, Debug, Default)]
 struct Base {
-    rel: [Adjacency; 3],
+    rel: [Adj<u64, i64>; 3],
     work: u64,
 }
 
 impl Base {
-    fn total_size(&self) -> usize {
-        self.rel.iter().map(|r| r.len()).sum()
-    }
-
     /// `Σ_v rel[i+1](y, v) · rel[i+2](v, x)` by iterating the smaller
     /// side of the intersection — the delta query of Ex 3.1.
     fn intersect_count(&mut self, i: usize, x: u64, y: u64) -> i64 {
         let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-        let via_j = self.rel[j].deg_fwd(y);
-        let via_k = self.rel[k].deg_bwd(x);
-        let mut d = 0i64;
+        let via_j = self.rel[j].deg_fwd(&y);
+        let via_k = self.rel[k].deg_bwd(&x);
+        self.work += via_j.min(via_k) as u64 + 1;
         if via_j <= via_k {
-            self.work += via_j as u64 + 1;
-            for (v, m1) in self.rel[j].row(y) {
-                d += m1 * self.rel[k].get(v, x);
-            }
+            self.rel[j]
+                .row(&y)
+                .map(|(v, m1)| m1 * self.rel[k].get(v, &x))
+                .sum()
         } else {
-            self.work += via_k as u64 + 1;
-            for (v, m2) in self.rel[k].col(x) {
-                d += self.rel[j].get(y, v) * m2;
-            }
+            self.rel[k]
+                .col(&x)
+                .map(|(v, m2)| self.rel[j].get(&y, v) * m2)
+                .sum()
         }
-        d
     }
 
     /// Full recount: `Σ_{(a,b)∈R} R(a,b) · Σ_c S(b,c)·T(c,a)`.
     fn recount(&mut self) -> i64 {
-        let tuples: Vec<(u64, u64, i64)> = self.rel[0].iter().collect();
+        let tuples: Vec<(u64, u64, i64)> =
+            self.rel[0].iter().map(|(&a, &b, &m)| (a, b, m)).collect();
         let mut total = 0i64;
         for (a, b, m) in tuples {
             total += m * self.intersect_count(0, a, b);
@@ -127,7 +124,7 @@ impl TriangleRecount {
 
 impl TriangleMaintainer for TriangleRecount {
     fn apply(&mut self, rel: Rel, x: u64, y: u64, m: i64) {
-        self.base.rel[rel.index()].apply(x, y, m);
+        self.base.rel[rel.index()].apply(&x, &y, &m);
         self.count = self.base.recount();
     }
 
@@ -165,7 +162,7 @@ impl TriangleMaintainer for TriangleDelta {
         // δQ = δrel(x,y) · Σ_v rel[i+1](y,v)·rel[i+2](v,x); the other two
         // relations are unchanged by this update.
         self.count += m * self.base.intersect_count(i, x, y);
-        self.base.rel[i].apply(x, y, m);
+        self.base.rel[i].apply(&x, &y, &m);
     }
 
     fn count(&self) -> i64 {
@@ -205,40 +202,28 @@ impl TrianglePairwiseMv {
     }
 }
 
-fn bump(map: &mut FxHashMap<(u64, u64), i64>, key: (u64, u64), d: i64) {
-    if d == 0 {
-        return;
-    }
-    let e = map.entry(key).or_insert(0);
-    *e += d;
-    if *e == 0 {
-        map.remove(&key);
-    }
-}
-
 impl TriangleMaintainer for TrianglePairwiseMv {
     fn apply(&mut self, rel: Rel, x: u64, y: u64, m: i64) {
         let i = rel.index();
         let (j, k) = ((i + 1) % 3, (i + 2) % 3);
+        let base = &mut self.base;
         // O(1) count delta through the view over the other two relations.
         self.count += m * self.view[i].get(&(y, x)).copied().unwrap_or(0);
         // Maintain the two views that mention rel[i]:
         // view[j] = Σ rel[j+1]·rel[j+2] = Σ rel[k]·rel[i]: key (u, w) with
         // rel[i] contributing at v = x, w = y:
         //   view[j][(u, y)] += rel[k](u, x) · m  for all u.
-        let contribs: Vec<(u64, i64)> = self.base.rel[k].col(x).collect();
-        self.base.work += contribs.len() as u64 + 1;
-        for (u, mk) in contribs {
+        base.work += base.rel[k].deg_bwd(&x) as u64 + 1;
+        for (&u, mk) in base.rel[k].col(&x) {
             bump(&mut self.view[j], (u, y), mk * m);
         }
         // view[k] = Σ rel[i]·rel[j]: key (u=x, w) with
         //   view[k][(x, w)] += m · rel[j](y, w)  for all w.
-        let contribs: Vec<(u64, i64)> = self.base.rel[j].row(y).collect();
-        self.base.work += contribs.len() as u64 + 1;
-        for (w, mj) in contribs {
+        base.work += base.rel[j].deg_fwd(&y) as u64 + 1;
+        for (&w, mj) in base.rel[j].row(&y) {
             bump(&mut self.view[k], (x, w), m * mj);
         }
-        self.base.rel[i].apply(x, y, m);
+        base.rel[i].apply(&x, &y, &m);
     }
 
     fn count(&self) -> i64 {
@@ -257,257 +242,73 @@ impl TriangleMaintainer for TrianglePairwiseMv {
 /// IVMε (Sec. 3.3): heavy/light partitioned maintenance with amortized
 /// O(N^max(ε,1−ε)) single-tuple updates — O(√N) at the optimal ε = ½.
 ///
-/// Relation `i` is partitioned on its first column: a value `x` is *heavy*
-/// when its degree reaches 2θ and *light* again below θ (the hysteresis
-/// amortizes partition migrations), with θ = ⌈N^ε⌉ recomputed — and the
-/// views rebuilt — whenever the database size drifts by 2× (the paper's
-/// periodic rebalancing [18, 19, 20]).
+/// This is the [`HeavyLight`] core at `u64` keys and `i64`
+/// multiplicities, addressed by [`Rel`]: relation `i` is partitioned on
+/// its first column (heavy at degree 2θ, light again at θ), θ = ⌈N^ε⌉ is
+/// recomputed — and the `H⋈L` views rebuilt — whenever the database size
+/// drifts by 2×, and the count delta for `δrel[i](x, y)` either scans the
+/// ≤ 2θ partners of a light `y` or, for a heavy `y`, loops the ≤ N/θ
+/// heavy `rel[i+2]`-values and looks up the materialized view
+/// `Σ rel[i+1]_H · rel[i+2]_L`.
 ///
-/// The skew-aware count delta for `δrel[i](x, y)` follows Sec. 3.3:
-///
-/// * `y` light in `rel[i+1]`: iterate its ≤ 2θ partners (cases LL + LH);
-/// * `y` heavy: iterate the ≤ N/θ heavy `rel[i+2]`-values (case HH) and
-///   look up the materialized view `Σ rel[i+1]_H · rel[i+2]_L` (case HL).
+/// ε = 1 is the unpartitioned ablation: θ then exceeds every degree after
+/// the first rebalance, so nothing is heavy and every delta scans a row.
 #[derive(Clone, Debug)]
-pub struct TriangleIvmEps {
-    base: Base,
-    eps: f64,
-    /// Heavy first-column values per relation.
-    heavy: [FxHashSet<u64>; 3],
-    /// `view[i][(u, w)] = Σ_v rel[i+1]_H(u,v) · rel[i+2]_L(v,w)`
-    /// (u heavy in rel[i+1], v light in rel[i+2]).
-    view: [FxHashMap<(u64, u64), i64>; 3],
-    count: i64,
-    threshold: usize,
-    base_n: usize,
-    migrations: u64,
-    rebalances: u64,
-    /// Ablation switch: per-key migrations + global rebalances.
-    rebalancing: bool,
-    /// Ablation switch: the HL materialized views.
-    hl_views: bool,
-}
+pub struct TriangleIvmEps(HeavyLight<u64, i64>);
 
 impl TriangleIvmEps {
     /// Empty maintainer with the given ε ∈ [0, 1].
     pub fn new(eps: f64) -> Self {
-        assert!((0.0..=1.0).contains(&eps), "ε must be in [0,1]");
-        TriangleIvmEps {
-            base: Base::default(),
-            eps,
-            heavy: Default::default(),
-            view: Default::default(),
-            count: 0,
-            threshold: 1,
-            base_n: 4,
-            migrations: 0,
-            rebalances: 0,
-            rebalancing: true,
-            hl_views: true,
-        }
-    }
-
-    /// Disable per-key migrations and global rebalances (ablation).
-    pub fn without_rebalancing(mut self) -> Self {
-        self.rebalancing = false;
-        self
-    }
-
-    /// Disable the HL materialized views (ablation): the HL case falls
-    /// back to iterating the heavy row, degrading updates to O(N).
-    pub fn without_hl_views(mut self) -> Self {
-        self.hl_views = false;
-        self
+        TriangleIvmEps(HeavyLight::new(eps))
     }
 
     /// The current heavy/light threshold θ.
     pub fn threshold(&self) -> usize {
-        self.threshold
+        self.0.threshold()
     }
 
     /// Partition migrations performed.
     pub fn migrations(&self) -> u64 {
-        self.migrations
+        self.0.stats().migrations
     }
 
     /// Global rebalances performed.
     pub fn rebalances(&self) -> u64 {
-        self.rebalances
+        self.0.stats().rebalances
     }
 
     /// Heavy-key counts per relation.
     pub fn heavy_counts(&self) -> [usize; 3] {
-        [0, 1, 2].map(|i| self.heavy[i].len())
+        self.0.heavy_counts()
     }
 
     /// Total view entries (space accounting).
     pub fn view_size(&self) -> usize {
-        self.view.iter().map(|v| v.len()).sum()
+        self.0.view_entries()
     }
 
-    fn count_delta(&mut self, i: usize, x: u64, y: u64) -> i64 {
-        let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-        let mut d = 0i64;
-        if !self.heavy[j].contains(&y) {
-            // y light in rel[j]: ≤ 2θ partners (LL + LH).
-            let row: Vec<(u64, i64)> = self.base.rel[j].row(y).collect();
-            self.base.work += row.len() as u64 + 1;
-            for (v, m1) in row {
-                d += m1 * self.base.rel[k].get(v, x);
-            }
-        } else if self.hl_views {
-            // HH: ≤ N/θ heavy rel[k]-values.
-            self.base.work += self.heavy[k].len() as u64 + 1;
-            for &v in &self.heavy[k] {
-                d += self.base.rel[j].get(y, v) * self.base.rel[k].get(v, x);
-            }
-            // HL: one view lookup.
-            self.base.work += 1;
-            d += self.view[i].get(&(y, x)).copied().unwrap_or(0);
-        } else {
-            // Ablation: no HL view — iterate the heavy row, O(deg).
-            let row: Vec<(u64, i64)> = self.base.rel[j].row(y).collect();
-            self.base.work += row.len() as u64 + 1;
-            for (v, m1) in row {
-                d += m1 * self.base.rel[k].get(v, x);
-            }
-        }
-        d
+    /// See [`HeavyLight::check_partition`]. For tests.
+    pub fn check_partition(&self) -> Result<(), String> {
+        self.0.check_partition()
     }
 
-    /// Maintain the views that mention `rel[i]` under `δrel[i](x,y,m)`.
-    ///
-    /// `rel[i]` is the L-part of `view[i+2]` (at v = x) and the H-part of
-    /// `view[i+1]` (at u = x).
-    fn maintain_views(&mut self, i: usize, x: u64, y: u64, m: i64) {
-        if !self.hl_views {
-            return;
-        }
-        let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-        // view[k] = Σ_v rel[k+1]_H(u,v)·rel[k+2]_L(v,w) = Σ rel[i]... no:
-        // k+1 = i+2+1 = i (mod 3) — so view[k]'s H-part is rel[i] (u = x)
-        // and its L-part is rel[j] (v = y, must be light in rel[j]).
-        if self.heavy[i].contains(&x) && !self.heavy[j].contains(&y) {
-            let row: Vec<(u64, i64)> = self.base.rel[j].row(y).collect();
-            self.base.work += row.len() as u64 + 1;
-            for (w, mj) in row {
-                bump(&mut self.view[k], (x, w), m * mj);
-            }
-        }
-        // view[j]'s L-part is rel[i] (v = x, must be light in rel[i]);
-        // its H-part is rel[k] (u ranges over heavy rel[k]-values).
-        if !self.heavy[i].contains(&x) {
-            self.base.work += self.heavy[k].len() as u64 + 1;
-            let heavy_k: Vec<u64> = self.heavy[k].iter().copied().collect();
-            for u in heavy_k {
-                let mk = self.base.rel[k].get(u, x);
-                if mk != 0 {
-                    bump(&mut self.view[j], (u, y), mk * m);
-                }
-            }
-        }
-    }
-
-    /// Move `x` across the heavy/light boundary of partition `i`,
-    /// transferring its contributions between `view[i+1]` (where it is an
-    /// L-part value) and `view[i+2]` (where it is an H-part value).
-    fn migrate(&mut self, i: usize, x: u64, to_heavy: bool) {
-        self.migrations += 1;
-        let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-        let sign = if to_heavy { 1 } else { -1 };
-        if to_heavy {
-            self.heavy[i].insert(x);
-        } else {
-            self.heavy[i].remove(&x);
-        }
-        // H-part of view[k]: Σ_{v light in rel[j]} rel[i](x,v)·rel[j](v,w).
-        let row: Vec<(u64, i64)> = self.base.rel[i].row(x).collect();
-        for (v, m1) in &row {
-            if !self.heavy[j].contains(v) {
-                let inner: Vec<(u64, i64)> = self.base.rel[j].row(*v).collect();
-                self.base.work += inner.len() as u64 + 1;
-                for (w, m2) in inner {
-                    bump(&mut self.view[k], (x, w), sign * m1 * m2);
-                }
-            }
-        }
-        // L-part of view[j]: Σ_{u heavy in rel[k]} rel[k](u,x)·rel[i](x,w)
-        // — leaving the light part removes these terms (and vice versa).
-        let heavy_k: Vec<u64> = self.heavy[k].iter().copied().collect();
-        for u in heavy_k {
-            let mk = self.base.rel[k].get(u, x);
-            if mk == 0 {
-                continue;
-            }
-            self.base.work += row.len() as u64 + 1;
-            for (w, m1) in &row {
-                bump(&mut self.view[j], (u, *w), -sign * mk * m1);
-            }
-        }
-    }
-
-    /// Recompute θ, repartition every relation, and rebuild the three
-    /// views from scratch. O(N·θ); amortized O(θ) over the ≥ N/2 updates
-    /// between rebalances.
-    fn rebalance(&mut self) {
-        self.rebalances += 1;
-        let n = self.base.total_size().max(4);
-        self.base_n = n;
-        self.threshold = (n as f64).powf(self.eps).ceil().max(1.0) as usize;
-        let promote = (3 * self.threshold).div_ceil(2);
-        for i in 0..3 {
-            self.heavy[i] = self.base.rel[i]
-                .keys_fwd()
-                .filter(|&x| self.base.rel[i].deg_fwd(x) >= promote)
-                .collect();
-        }
-        for i in 0..3 {
-            let (j, k) = ((i + 1) % 3, (i + 2) % 3);
-            self.view[i].clear();
-            let heavy_j: Vec<u64> = self.heavy[j].iter().copied().collect();
-            for u in heavy_j {
-                let row: Vec<(u64, i64)> = self.base.rel[j].row(u).collect();
-                for (v, m1) in row {
-                    if self.heavy[k].contains(&v) {
-                        continue;
-                    }
-                    let inner: Vec<(u64, i64)> = self.base.rel[k].row(v).collect();
-                    self.base.work += inner.len() as u64 + 1;
-                    for (w, m2) in inner {
-                        bump(&mut self.view[i], (u, w), m1 * m2);
-                    }
-                }
-            }
-        }
+    /// See [`HeavyLight::check_views`]. For tests.
+    pub fn check_views(&self) -> Result<(), String> {
+        self.0.check_views()
     }
 }
 
 impl TriangleMaintainer for TriangleIvmEps {
     fn apply(&mut self, rel: Rel, x: u64, y: u64, m: i64) {
-        let i = rel.index();
-        self.count += m * self.count_delta(i, x, y);
-        self.maintain_views(i, x, y, m);
-        let new_deg = self.base.rel[i].apply(x, y, m);
-        if self.rebalancing && self.hl_views {
-            let is_heavy = self.heavy[i].contains(&x);
-            if !is_heavy && new_deg >= 2 * self.threshold {
-                self.migrate(i, x, true);
-            } else if is_heavy && new_deg <= self.threshold {
-                self.migrate(i, x, false);
-            }
-            let n = self.base.total_size();
-            if n > 2 * self.base_n || (n >= 8 && n * 2 < self.base_n) {
-                self.rebalance();
-            }
-        }
+        self.0.apply(rel.index(), &x, &y, &m);
     }
 
     fn count(&self) -> i64 {
-        self.count
+        *self.0.count()
     }
 
     fn work(&self) -> u64 {
-        self.base.work
+        self.0.stats().work
     }
 
     fn name(&self) -> &'static str {
@@ -523,9 +324,9 @@ mod tests {
 
     /// Brute-force oracle over explicit tuple lists.
     fn oracle(tuples: &[(Rel, u64, u64, i64)]) -> i64 {
-        let mut rel = [Adjacency::new(), Adjacency::new(), Adjacency::new()];
+        let mut rel: [Adj<u64, i64>; 3] = Default::default();
         for &(r, x, y, m) in tuples {
-            rel[r.index()].apply(x, y, m);
+            rel[r.index()].apply(&x, &y, &m);
         }
         let mut total = 0i64;
         for (a, b, m0) in rel[0].iter() {
@@ -576,10 +377,8 @@ mod tests {
             let mut recount = TriangleRecount::new();
             let mut delta = TriangleDelta::new();
             let mut mv = TrianglePairwiseMv::new();
-            let mut eps_engines: Vec<TriangleIvmEps> = [0.0, 0.3, 0.5, 0.8, 1.0]
-                .iter()
-                .map(|&e| TriangleIvmEps::new(e))
-                .collect();
+            let grid = [0.0, 0.3, 0.5, 0.8, 1.0];
+            let mut eps_engines = grid.map(TriangleIvmEps::new);
             let mut log: Vec<(Rel, u64, u64, i64)> = Vec::new();
             // Skewed: node 0 participates in most edges.
             for step in 0..250 {
@@ -600,15 +399,16 @@ mod tests {
                     assert_eq!(recount.count(), expect, "recount r{round} s{step}");
                     assert_eq!(delta.count(), expect, "delta r{round} s{step}");
                     assert_eq!(mv.count(), expect, "mv r{round} s{step}");
-                    for e in &eps_engines {
+                    for (e, eps) in eps_engines.iter().zip(grid) {
                         assert_eq!(
                             e.count(),
                             expect,
-                            "ivm-eps({}) r{round} s{step} (θ={}, heavy={:?})",
-                            e.eps,
+                            "ivm-eps({eps}) r{round} s{step} (θ={}, heavy={:?})",
                             e.threshold(),
                             e.heavy_counts()
                         );
+                        e.check_partition().unwrap();
+                        e.check_views().unwrap();
                     }
                 }
             }
@@ -626,17 +426,20 @@ mod tests {
         }
         assert!(eng.rebalances() > 0, "size grew 300×: must rebalance");
         assert!(eng.migrations() > 0 || eng.heavy_counts()[0] > 0);
-        assert!(eng.heavy[0].contains(&0), "hub must be heavy in R");
+        assert_eq!(eng.heavy_counts()[0], 1, "exactly the hub is heavy in R");
+        eng.check_partition().unwrap();
+        eng.check_views().unwrap();
         // Count correct: R(0,i)·S(i,i+1)·T(i+1,0) forms one triangle per i.
         assert_eq!(eng.count(), 400);
     }
 
-    /// The ablated variants still count correctly (just slower).
+    /// ε = 1 is the unpartitioned ablation: after its first rebalance
+    /// nothing is heavy and no view entry exists, and it still counts
+    /// correctly.
     #[test]
-    fn ablations_are_correct() {
+    fn eps_one_is_the_unpartitioned_ablation() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut no_views = TriangleIvmEps::new(0.5).without_hl_views();
-        let mut no_rebal = TriangleIvmEps::new(0.5).without_rebalancing();
+        let mut eng = TriangleIvmEps::new(1.0);
         let mut log = Vec::new();
         for _ in 0..200 {
             let rel = Rel::ALL[rng.gen_range(0..3usize)];
@@ -644,12 +447,13 @@ mod tests {
             let y = rng.gen_range(0..6u64);
             let m: i64 = if rng.gen_bool(0.25) { -1 } else { 1 };
             log.push((rel, x, y, m));
-            no_views.apply(rel, x, y, m);
-            no_rebal.apply(rel, x, y, m);
+            eng.apply(rel, x, y, m);
+            if eng.rebalances() > 0 {
+                assert_eq!((eng.heavy_counts(), eng.view_size()), ([0; 3], 0));
+            }
         }
-        let expect = oracle(&log);
-        assert_eq!(no_views.count(), expect);
-        assert_eq!(no_rebal.count(), expect);
+        assert!(eng.rebalances() > 0);
+        assert_eq!(eng.count(), oracle(&log));
     }
 
     /// Detection matches count positivity.

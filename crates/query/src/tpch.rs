@@ -10,7 +10,7 @@
 //!
 //! The encoding necessarily simplifies (outer joins become joins, NOT
 //! EXISTS subqueries are dropped), so measured counts can differ slightly
-//! from \[35\]; EXPERIMENTS.md records measured vs. paper.
+//! from \[35\]; the `tpch_classify` bench prints measured vs. paper.
 
 use crate::ast::{Atom, Query};
 use crate::fd::Fd;

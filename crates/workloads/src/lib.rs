@@ -1,6 +1,8 @@
 //! Synthetic workload generators for the reproduction experiments.
 //!
-//! Substitutes for the paper's datasets (see DESIGN.md §2):
+//! Substitutes for the paper's datasets, which are not public; each keeps
+//! the property its experiment depends on (join shape and fan-out, skew,
+//! batch validity):
 //!
 //! * [`retailer`] — the 5-relation Retailer-style star schema behind
 //!   Fig 4, with the FD `zip → locn` materialized per Theorem 4.11;

@@ -2,7 +2,8 @@
 //!
 //! The paper's Fig 4 runs a q-hierarchical 5-relation join over the
 //! (proprietary) Retailer dataset; we generate a synthetic equivalent with
-//! the same join shape and realistic fan-outs (DESIGN.md §2):
+//! the same join shape and realistic fan-outs, which is all the
+//! experiment's update and enumeration costs depend on:
 //!
 //! * `Inventory(locn, dateid, ksn)` — the streamed fact relation;
 //! * `Sales(locn, dateid, ksn, units)`;

@@ -13,6 +13,11 @@
 //!    rebalances and per-key migrations never leave a stale entry.
 //! 3. **Output equivalence** — the maintained count equals the
 //!    from-scratch join-aggregate oracle over a mirrored base.
+//! 4. **One algorithm at two key types** — a raw-`u64`
+//!    [`TriangleIvmEps`] twin fed the consolidated batches in the order
+//!    the engine applies them reports the same count, work, migrations,
+//!    rebalances and heavy-key counts, and passes the same partition and
+//!    view checks.
 //!
 //! The whole grid of ε values is exercised (ε = 0 makes nearly every
 //! key heavy, ε = 1 nearly every key light — the two degenerate
@@ -24,10 +29,14 @@
 
 mod common;
 
-use common::{edge_ops, edge_updates, mirror_db, oracle_db, outputs_match, triangle3, EdgeOp};
+use common::{
+    distinct_relations, edge_ops, edge_updates, mirror_db, oracle_db, outputs_match, triangle3,
+    EdgeOp,
+};
 use ivm::{HeavyLightEngine, Maintainer};
 use ivm_data::ops::lift_one;
-use ivm_data::{sym, tup, Update};
+use ivm_data::{consolidate, sym, tup, Update};
+use ivm_ivme::{Rel, TriangleIvmEps, TriangleMaintainer};
 use proptest::prelude::*;
 
 /// The ε grid every property runs over: both degenerate partitions, the
@@ -51,19 +60,43 @@ fn assert_invariants(
     outputs_match(&eng.output(), &expect, &format!("{ctx} ({:?})", q.name))
 }
 
-/// Drive one generated stream through an engine at `eps`, checking all
-/// three properties at every batch boundary.
+/// Drive one generated stream through an engine at `eps` and through its
+/// raw-`u64` twin, checking all four properties at every batch boundary.
 fn check_stream(eps: f64, ops: &[EdgeOp], chunk: usize) -> Result<(), TestCaseError> {
     let q = triangle3("hp_");
+    // The engine's rotation order is the atom order R(a,b), S(b,c), T(c,a).
+    let rels = distinct_relations(&q);
     let updates = edge_updates(&q, ops);
     let mut mirror = mirror_db(&q);
     let mut eng = HeavyLightEngine::<i64>::new_with_eps(q.clone(), &mirror, lift_one, eps).unwrap();
+    let mut twin = TriangleIvmEps::new(eps);
     for (no, batch) in updates.chunks(chunk.max(1)).enumerate() {
+        let ctx = format!("ε={eps} batch {no}");
         eng.apply_batch(batch).unwrap();
+        for u in consolidate(batch) {
+            let rel = Rel::ALL[rels.iter().position(|&r| r == u.relation).unwrap()];
+            let key = |c: usize| u.tuple.at(c).as_int().unwrap() as u64;
+            twin.apply(rel, key(0), key(1), u.payload);
+        }
         for u in batch {
             mirror.apply(u);
         }
-        assert_invariants(&mut eng, &mirror, &format!("ε={eps} batch {no}"))?;
+        assert_invariants(&mut eng, &mirror, &ctx)?;
+        let s = eng.stats();
+        prop_assert_eq!(
+            (*eng.count(), s.work, s.migrations, s.rebalances),
+            (
+                twin.count(),
+                twin.work(),
+                twin.migrations(),
+                twin.rebalances()
+            ),
+            "{ctx}: Value engine vs u64 twin (count, work, migrations, rebalances)"
+        );
+        prop_assert_eq!(eng.heavy_counts(), twin.heavy_counts(), "{ctx}: heavy keys");
+        if let Err(e) = twin.check_partition().and_then(|()| twin.check_views()) {
+            return Err(TestCaseError::fail(format!("{ctx}: u64 twin: {e}")));
+        }
     }
     Ok(())
 }

@@ -389,3 +389,33 @@ fn oversized_query_is_refused_not_panicking() {
     let built = Session::<i64>::builder(q).build(&db);
     assert!(matches!(built, Err(EngineError::NotSupported(ref m)) if m.contains("64")));
 }
+
+/// A caller database that stores a heavy-light rotation relation at an
+/// arity other than 2 is refused with `NotSupported` naming the relation
+/// — never a panic (arity 1) or a silently dropped column (arity 3) — and
+/// a session forcing the heavy-light engine returns that error unchanged.
+#[test]
+fn heavy_light_refuses_a_non_binary_base_relation() {
+    let q = examples::triangle_count();
+    for arity in [1usize, 3] {
+        let vars: Vec<_> = (0..arity).map(|c| sym(&format!("nb_{c}"))).collect();
+        let mut db = Database::<i64>::new();
+        db.create(sym("tri_T"), ivm_data::Schema::new(vars));
+        db.apply(&Update::with_payload(
+            sym("tri_T"),
+            ivm::Tuple::new((0..arity).map(|c| ivm::Value::Int(c as i64))),
+            1,
+        ));
+        let err = ivm::HeavyLightEngine::new(q.clone(), &db, ivm_data::ops::lift_one)
+            .expect_err("non-binary base relation");
+        assert!(
+            matches!(&err, ivm_core::EngineError::NotSupported(m)
+                if m.contains("tri_T") && m.contains(&format!("arity {arity}"))),
+            "{err}"
+        );
+        let built = Session::<i64>::builder(q.clone())
+            .engine(EngineKind::HeavyLight)
+            .build(&db);
+        assert_eq!(built.err(), Some(err), "arity {arity}");
+    }
+}
