@@ -1,9 +1,10 @@
 //! Shared harness utilities for the experiment binaries.
 //!
-//! Every binary regenerates one figure or measurable claim of the paper
-//! (the README's "Experiments" section lists them; each binary's docs
-//! state the claim it checks and how to run it). Output is a markdown
-//! table on stdout; the scaling benches also write a `BENCH_*.json`.
+//! Every binary times one claim of the paper that no work-counter test
+//! carries yet (the README's "Experiments" section lists them and names
+//! the tier-1 test for each claim that moved out of a binary). Output is
+//! a markdown table on stdout; the scaling benches also write a
+//! `BENCH_*.json`.
 
 use std::time::{Duration, Instant};
 
@@ -108,13 +109,6 @@ impl Table {
             line(row);
         }
     }
-}
-
-/// Escape a string for embedding in JSON emissions. Delegates to the
-/// telemetry crate's escaper (which also handles control characters);
-/// prefer building whole documents with [`Json`] via [`bench_doc`].
-pub fn json_escape(s: &str) -> String {
-    ivm_obs::json_escape(s)
 }
 
 /// Start a `BENCH_*.json` document with the header fields every

@@ -305,6 +305,107 @@ mod tests {
         assert!(eng.output().is_empty());
     }
 
+    /// Degrees ∝ 1/i over K = n/16 keys, normalized so the total is ≈ n:
+    /// key `b_i` gets ~C/i distinct A-partners with C = n/H_K. There are
+    /// then ≈ C/x keys of degree ≥ x, so both worst-case axes of Fig 7 are
+    /// realized at once: ~N^{1−ε} heavy keys and a light maximum of ~2θ.
+    fn degree_ladder(n: usize) -> Vec<(u64, usize)> {
+        let k = n / 16;
+        let h: f64 = (1..=k).map(|i| 1.0 / i as f64).sum();
+        let c = n as f64 / h;
+        let mut out = Vec::with_capacity(k);
+        let mut total = 0usize;
+        for i in 1..=k {
+            if total >= n {
+                break;
+            }
+            let d = ((c / i as f64).round() as usize).clamp(1, n - total);
+            out.push((i as u64, d));
+            total += d;
+        }
+        out
+    }
+
+    /// `(update work, delay work)` at size `n`: the work of one `δS` on
+    /// the heaviest light key (it touches that key's ≤ 2θ partners), and
+    /// the maximum work of `lookup(a)` over every A-key (it joins the
+    /// heavy keys), not the mean.
+    fn fig7_point(n: usize, eps: f64) -> (u64, u64) {
+        let ladder = degree_ladder(n);
+        let mut eng = QhEpsEngine::new(eps);
+        for &(b, d) in &ladder {
+            for a in 0..d as u64 {
+                eng.apply_r(a, b, 1);
+            }
+            eng.apply_s(b, 1);
+        }
+        let worst_light = ladder
+            .iter()
+            .map(|&(b, _)| b)
+            .filter(|&b| !eng.is_heavy_b(b))
+            .max_by_key(|&b| eng.deg_b(b))
+            .unwrap_or(1);
+        let w0 = eng.work();
+        eng.apply_s(worst_light, 1);
+        let update = eng.work() - w0;
+        let delay = (0..ladder[0].1 as u64)
+            .map(|a| {
+                let w = eng.work();
+                eng.lookup(a);
+                eng.work() - w
+            })
+            .max()
+            .unwrap();
+        (update, delay)
+    }
+
+    /// Fig 7 / Ex 5.1: IVMε realizes update O(N^ε) against delay
+    /// O(N^{1−ε}). On the 1/i degree profile at N1 = 4 000 and
+    /// N2 = 32 000, the update exponent must rise with ε and the delay
+    /// exponent fall, and ε = ½ must balance both within [0.3, 0.7]. The
+    /// work columns are pinned exactly.
+    #[test]
+    fn fig7_update_delay_tradeoff_on_work_counters() {
+        const EPS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
+        let (n1, n2) = (4_000, 32_000);
+        let points: Vec<[(u64, u64); 2]> = EPS
+            .iter()
+            .map(|&eps| [fig7_point(n1, eps), fig7_point(n2, eps)])
+            .collect();
+        let exponent =
+            |v1: u64, v2: u64| (v2 as f64 / v1 as f64).ln() / (n2 as f64 / n1 as f64).ln();
+        let upd: Vec<f64> = points.iter().map(|p| exponent(p[0].0, p[1].0)).collect();
+        let delay: Vec<f64> = points.iter().map(|p| exponent(p[0].1, p[1].1)).collect();
+        assert!(
+            upd.windows(2).all(|w| w[0] <= w[1]),
+            "update exponents {upd:?}"
+        );
+        assert!(
+            delay.windows(2).all(|w| w[0] >= w[1]),
+            "delay exponents {delay:?}"
+        );
+        assert!(
+            (0.3..=0.7).contains(&upd[2]),
+            "update exponent at ε = ½: {}",
+            upd[2]
+        );
+        assert!(
+            (0.3..=0.7).contains(&delay[2]),
+            "delay exponent at ε = ½: {}",
+            delay[2]
+        );
+        assert_eq!(
+            points,
+            [
+                [(1, 249), (1, 2001)],
+                [(16, 43), (24, 167)],
+                [(74, 9), (207, 19)],
+                [(329, 2), (1957, 2)],
+                [(657, 1), (3914, 1)],
+            ]
+        );
+    }
+
     /// Migrations fire when a B-value's degree crosses the threshold.
     #[test]
     fn migrations_fire() {

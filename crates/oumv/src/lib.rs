@@ -203,8 +203,30 @@ mod tests {
         assert_eq!(solve(&mut red, &inst), vec![true]);
     }
 
+    /// A balanced instance: `u` and `v` dense (p = ½), `M` of density
+    /// ≈ 2.8/n² so that P[uᵀMv = 1] ≈ ½ and the naive solver cannot
+    /// early-exit half the time.
+    fn balanced(n: usize, seed: u64) -> OuMvInstance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bits = |p: f64| {
+            let mut v = BitVec::new(n);
+            for i in 0..n {
+                if rng.gen_bool(p) {
+                    v.set(i);
+                }
+            }
+            v
+        };
+        let m = (0..n).map(|_| bits(2.8 / (n * n) as f64)).collect();
+        let pairs = (0..n).map(|_| (bits(0.5), bits(0.5))).collect();
+        OuMvInstance { n, m, pairs }
+    }
+
     /// The reduction agrees with the naive solver on random instances for
-    /// several ε values and densities.
+    /// several ε values and densities, and on balanced instances at
+    /// n ∈ {32, 64, 128}. There it issues Θ(n²) triangle updates: the
+    /// matrix load plus each round's delete and insert of both vectors
+    /// stay within 3n².
     #[test]
     fn reduction_matches_naive() {
         for seed in 0..5u64 {
@@ -221,6 +243,22 @@ mod tests {
                     );
                 }
             }
+        }
+        for n in [32, 64, 128] {
+            let inst = balanced(n, 42);
+            let expected = solve(&mut NaiveOuMv::default(), &inst);
+            assert_eq!(
+                solve(&mut ReductionOuMv::default(), &inst),
+                expected,
+                "n={n}"
+            );
+            let updates: usize = inst.m.iter().map(BitVec::count_ones).sum::<usize>()
+                + inst
+                    .pairs
+                    .iter()
+                    .map(|(u, v)| 2 * (u.count_ones() + v.count_ones()))
+                    .sum::<usize>();
+            assert!(updates <= 3 * n * n, "n={n}: {updates} updates");
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! The encoding necessarily simplifies (outer joins become joins, NOT
 //! EXISTS subqueries are dropped), so measured counts can differ slightly
-//! from \[35\]; the `tpch_classify` bench prints measured vs. paper.
+//! from \[35\]; the `fds_rescue_queries` test pins the measured totals.
 
 use crate::ast::{Atom, Query};
 use crate::fd::Fd;
@@ -521,25 +521,26 @@ mod tests {
         }
     }
 
-    /// The headline shape of the study: FDs strictly increase the number
-    /// of hierarchical queries in both the Boolean and full versions.
+    /// The headline shape of the study: FDs rescue a block of queries in
+    /// both the Boolean and the full versions. Over our encodings, Boolean
+    /// hierarchical goes 11 → 15 with FDs and full q-hierarchical 8 → 13
+    /// (the paper's \[35\]: Boolean 8 → 12, non-Boolean 13 → 17; the
+    /// encodings flatten subqueries and outer joins, so absolute counts
+    /// shift).
     #[test]
     fn fds_rescue_queries() {
         let fds = tpch_fds();
-        let mut bool_gain = 0usize;
-        let mut full_gain = 0usize;
+        let mut totals = [0usize; 4];
         for (_, qq) in tpch_queries() {
             let v = classify_tpch(&qq, &fds);
-            bool_gain += usize::from(!v.bool_plain && v.bool_fds);
-            full_gain += usize::from(!v.full_plain && v.full_fds);
+            for (t, hit) in
+                totals
+                    .iter_mut()
+                    .zip([v.bool_plain, v.bool_fds, v.full_plain, v.full_fds])
+            {
+                *t += usize::from(hit);
+            }
         }
-        assert!(
-            bool_gain >= 3,
-            "expect several Boolean rescues, got {bool_gain}"
-        );
-        assert!(
-            full_gain >= 3,
-            "expect several full rescues, got {full_gain}"
-        );
+        assert_eq!(totals, [11, 15, 8, 13]);
     }
 }

@@ -371,14 +371,6 @@ impl<R: Semiring> ServeNode<R> {
             }
             return Ok(gid);
         }
-        // First mention of a relation defines it in the shared base, so
-        // later subscribers (and the update stream) see one authoritative
-        // copy.
-        for atom in &query.atoms {
-            if self.base.get(atom.name).is_none() {
-                self.base.create(atom.name, atom.schema.clone());
-            }
-        }
         let view = query.name;
         let rels: FxHashSet<Sym> = query
             .atoms
@@ -389,6 +381,15 @@ impl<R: Semiring> ServeNode<R> {
         let session = Session::builder(query)
             .shared_stores(&self.hub)
             .build(&self.base)?;
+        // First mention of a relation defines it in the shared base, so
+        // later subscribers (and the update stream) see one authoritative
+        // copy. Only a build that succeeded declares anything: a refused
+        // query leaves the base as it found it.
+        for atom in &session.query().atoms {
+            if self.base.get(atom.name).is_none() {
+                self.base.create(atom.name, atom.schema.clone());
+            }
+        }
         if let Some(o) = &self.obs {
             o.store_dedup_hits.add(session.shared_store_hits() as u64);
             o.groups.inc();

@@ -186,7 +186,8 @@ impl<R: Semiring> ShardedEngine<R> {
     /// When the plan is degenerate (no partitionable relation — see
     /// [`ShardPlanner`]), the fleet is clamped to one worker: every update
     /// would route to shard 0 anyway, so spawning more threads and
-    /// preprocessing more engines would be pure waste.
+    /// preprocessing more engines would be pure waste. A fleet of zero
+    /// shards is refused with [`EngineError::NotSupported`].
     pub fn new_with_strategy(
         query: Query,
         db: &Database<R>,
@@ -194,7 +195,11 @@ impl<R: Semiring> ShardedEngine<R> {
         shards: usize,
         strategy: JoinStrategy,
     ) -> Result<Self, EngineError> {
-        assert!(shards > 0, "need at least one shard");
+        if shards == 0 {
+            return Err(EngineError::NotSupported(
+                "a sharded engine needs at least one shard".into(),
+            ));
+        }
         let cards = Cardinalities::from_db(db, &query);
         let plan = ShardPlanner::plan(&query, &cards);
         let shards = if plan.is_degenerate() { 1 } else { shards };

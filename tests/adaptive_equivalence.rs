@@ -20,6 +20,12 @@
 //! (fully partitioned), and — deterministically, below — the 5-relation
 //! Retailer join under its Inventory stream.
 //!
+//! Two deterministic streams drive whole adaptive `Session`s: a skew flip
+//! whose relation sizes invert halfway (every plan must agree with the
+//! oracle at the end of each half, and the adaptive session must
+//! replan), and a hub burst that must move a session forced onto the
+//! multiway plan to the heavy-light family.
+//!
 //! Shapes, stream strategies, and the oracle live in `tests/common`.
 
 mod common;
@@ -31,12 +37,13 @@ use common::{
 use ivm::{EngineKind, Session};
 use ivm_core::Maintainer;
 use ivm_data::ops::{eval_join_aggregate, lift_one};
-use ivm_data::Relation;
+use ivm_data::{tup, Database, Relation, Tuple, Update};
 use ivm_dataflow::{
     Cardinalities, DataflowEngine, DataflowStats, JoinStrategy, ReplanPolicy, ReplanTrigger,
 };
 use ivm_query::Query;
 use ivm_shard::ShardedEngine;
+use ivm_workloads::graphs::EdgeStream;
 use ivm_workloads::RetailerGen;
 use proptest::prelude::*;
 
@@ -309,4 +316,150 @@ fn retailer_replans_mid_stream_match_oracle() {
             assert_eq!(&got.get(t), p, "{name} at {t:?}");
         }
     }
+}
+
+/// A triangle stream over `q`'s three relations whose size landscape
+/// inverts at the returned flip index. Half A is sparse over a wide
+/// domain with `|S| ≪ |R| ≪ |T|`, so deltas rarely find partners. Half B
+/// drains T while R and S concentrate on 48 hubs: the sizes of S and T
+/// invert, and every δR or δS finds many partners, which blows up a
+/// left-deep chain's binary intermediates.
+fn skew_flip_stream(q: &Query) -> (Vec<Vec<Update<i64>>>, usize) {
+    const WIDE: u64 = 4_000;
+    const HUBS: u64 = 48;
+    let (r, s, t) = (q.atoms[0].name, q.atoms[1].name, q.atoms[2].name);
+    let half = 30;
+    let mut state = 0x5eed_ad47u64;
+    let mut below = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % n) as i64
+    };
+    let mut batches = Vec::with_capacity(2 * half);
+    let mut t_backlog = Vec::new();
+    for _ in 0..half {
+        let mut b = Vec::new();
+        for _ in 0..128 {
+            let e = (below(WIDE), below(WIDE));
+            t_backlog.push(e);
+            b.push(Update::insert(t, tup![e.0, e.1]));
+        }
+        b.extend((0..32).map(|_| Update::insert(r, tup![below(WIDE), below(WIDE)])));
+        b.extend((0..4).map(|_| Update::insert(s, tup![below(WIDE), below(WIDE)])));
+        batches.push(b);
+    }
+    let drain = t_backlog.len() * 3 / half;
+    for _ in 0..half {
+        let mut b: Vec<_> = (0..drain)
+            .map_while(|_| t_backlog.pop())
+            .map(|(x, y)| Update::delete(t, tup![x, y]))
+            .collect();
+        b.extend((0..2).map(|_| Update::insert(t, tup![below(HUBS), below(HUBS)])));
+        b.extend((0..96).map(|_| Update::insert(r, tup![below(HUBS), below(HUBS)])));
+        b.extend((0..128).map(|_| Update::insert(s, tup![below(HUBS), below(HUBS)])));
+        batches.push(b);
+    }
+    (batches, half)
+}
+
+/// Mid-stream drift: sessions built on an empty database (an all-zero
+/// cost snapshot) — forced left-deep, forced multiway, and adaptive —
+/// ingest the skew flip. All three must equal the oracle at the end of
+/// each half, and the adaptive session must record at least one replan.
+#[test]
+fn skew_flip_sessions_match_oracle_and_adaptive_replans() {
+    let q = triangle3("sf_");
+    let (batches, flip) = skew_flip_stream(&q);
+    let mut sessions: Vec<Session<i64>> = [
+        Some(EngineKind::DataflowLeftDeep),
+        Some(EngineKind::DataflowMultiway),
+        None,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let builder = Session::<i64>::builder(q.clone());
+        let builder = match kind {
+            Some(k) => builder.engine(k),
+            None => builder.adaptive(ReplanPolicy::default()),
+        };
+        builder.build(&Database::new()).unwrap()
+    })
+    .collect();
+    let mut mirror = mirror_db(&q);
+    for (i, batch) in batches.iter().enumerate() {
+        for s in &mut sessions {
+            s.apply_batch(batch).unwrap();
+        }
+        for u in batch {
+            mirror.apply(u);
+        }
+        if i + 1 == flip || i + 1 == batches.len() {
+            let expect = oracle_db(&q, &mirror);
+            for s in &mut sessions {
+                let ctx = format!("{} after batch {i}", s.engine_kind());
+                outputs_match(&s.output(), &expect, &ctx).unwrap();
+            }
+        }
+    }
+    assert!(
+        !sessions[2].explain().replans.is_empty(),
+        "the adaptive session must replan on the skew flip"
+    );
+}
+
+/// Sec 3.3 end to end: a session forced onto the multiway plan, with an
+/// adaptive policy armed, ingests a flat prefix and then a hub burst in
+/// which every wedge `R(0,v)·S(v,anchor)·T(anchor,0)` closes through
+/// one hub. The learned degree sketch must shift the engine family
+/// mid-stream, and the session must end on heavy-light with the
+/// oracle's count.
+#[test]
+fn hub_burst_shifts_a_forced_multiway_session_to_heavy_light() {
+    let q = ivm_query::examples::triangle_count();
+    let (r, s, t) = (q.atoms[0].name, q.atoms[1].name, q.atoms[2].name);
+    let mut session = Session::<i64>::builder(q.clone())
+        .engine(EngineKind::DataflowMultiway)
+        .adaptive(ReplanPolicy {
+            min_batches_between: 2,
+            min_replay_fraction: 0.01,
+            family_cost_ratio: 2.0,
+            ..ReplanPolicy::default()
+        })
+        .build(&Database::new())
+        .unwrap();
+    let mut mirror = mirror_db(&q);
+    let mut ingest = |batch: Vec<Update<i64>>| {
+        session.apply_batch(&batch).unwrap();
+        for u in &batch {
+            mirror.apply(u);
+        }
+    };
+    for chunk in EdgeStream::zipf(512, 150, 0.0, 7).edges.chunks(64) {
+        ingest(
+            chunk
+                .iter()
+                .flat_map(|&(a, b)| [r, s, t].map(|rel| Update::insert(rel, tup![a, b])))
+                .collect(),
+        );
+    }
+    let anchor = 1_000_000i64;
+    for v in 1..=80i64 {
+        ingest(vec![
+            Update::insert(r, tup![0i64, v]),
+            Update::insert(s, tup![v, anchor]),
+            Update::insert(t, tup![anchor, 0i64]),
+        ]);
+    }
+    let replans = &session.explain().replans;
+    assert!(
+        replans
+            .iter()
+            .any(|e| e.trigger == ReplanTrigger::FamilyShift),
+        "the hub burst must shift the engine family: {replans:?}"
+    );
+    assert_eq!(session.engine_kind(), EngineKind::HeavyLight);
+    let expect = oracle_db(&q, &mirror);
+    assert_eq!(expect.get(&Tuple::empty()), 6_400);
+    outputs_match(&session.output(), &expect, "after the hub burst").unwrap();
 }

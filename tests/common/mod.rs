@@ -91,6 +91,17 @@ pub fn four_cycle(prefix: &str) -> Query {
     )
 }
 
+/// A 65-edge self-join cycle over relation `{prefix}E` — one atom
+/// occurrence past `Query::MAX_ATOMS`, so every engine entry point must
+/// refuse it.
+pub fn oversized_cycle(prefix: &str) -> Query {
+    let n = Query::MAX_ATOMS + 1;
+    let v: Vec<Sym> = (0..n).map(|i| sym(&format!("{prefix}X{i}"))).collect();
+    let e = sym(format!("{prefix}E").as_str());
+    let atoms = (0..n).map(|i| Atom::new(e, [v[i], v[(i + 1) % n]]));
+    Query::new(format!("{prefix}cycle{n}").as_str(), [], atoms.collect())
+}
+
 /// The acyclic full star `Q(x,y,z,w) = R(x,y)·S(x,z)·T(x,w)` with every
 /// variable free, over `{prefix}SR/{prefix}SS/{prefix}ST`. All atoms
 /// partition on the shared `x`; nothing broadcasts.

@@ -25,6 +25,10 @@
 //! pinned to streaming: an engine built over a preloaded base must be
 //! indistinguishable from one that ingested the same tuples as updates.
 //!
+//! A last, deterministic check pits the engine against the
+//! worst-case-optimal dataflow plan on skewed hub updates: heavy-light
+//! must do less work per update there.
+//!
 //! Shapes, stream strategies, and the oracle live in `tests/common`.
 
 mod common;
@@ -33,10 +37,12 @@ use common::{
     distinct_relations, edge_ops, edge_updates, mirror_db, oracle_db, outputs_match, triangle3,
     EdgeOp,
 };
-use ivm::{HeavyLightEngine, Maintainer};
+use ivm::{Database, DataflowEngine, HeavyLightEngine, Maintainer};
 use ivm_data::ops::lift_one;
 use ivm_data::{consolidate, sym, tup, Update};
+use ivm_dataflow::JoinStrategy;
 use ivm_ivme::{Rel, TriangleIvmEps, TriangleMaintainer};
+use ivm_workloads::graphs::EdgeStream;
 use proptest::prelude::*;
 
 /// The ε grid every property runs over: both degenerate partitions, the
@@ -247,5 +253,54 @@ fn hub_growth_and_collapse_forces_migrations_and_rebalances() {
     assert!(
         shrunk.rebalances > grown.rebalances,
         "dropping 165 of 180 pairs re-crosses the drift trigger: {shrunk:?}"
+    );
+}
+
+/// Load a Zipf-skewed base of 4 000 edges into each triangle relation,
+/// one update per batch, then probe with 40 insert/delete pairs of the
+/// hub edge `(0, 0)`, rotating over the relations. Returns the probe's
+/// work per update.
+fn hub_probe_work<E: Maintainer<i64>>(mut eng: E, work: fn(&E) -> u64) -> f64 {
+    let names: Vec<_> = eng.query().atoms.iter().map(|a| a.name).collect();
+    let apply = |eng: &mut E, rel, a: u64, b: u64, m| {
+        eng.apply_batch(&[Update::with_payload(rel, tup![a, b], m)])
+            .unwrap();
+    };
+    for &(a, b) in &EdgeStream::zipf(500, 4_000, 0.9, 3).edges {
+        for &rel in &names {
+            apply(&mut eng, rel, a, b, 1);
+        }
+    }
+    let w0 = work(&eng);
+    for i in 0..40 {
+        apply(&mut eng, names[i % 3], 0, 0, 1);
+        apply(&mut eng, names[i % 3], 0, 0, -1);
+    }
+    (work(&eng) - w0) as f64 / 80.0
+}
+
+/// Sec 3.3's crossover on skewed hub updates: the worst-case-optimal
+/// delta pass intersects two Θ(N)-sized lists per hub update, while
+/// heavy-light answers in O(N^max(ε,1−ε)) from its `H⋈L` views. On the
+/// hub probes heavy-light must do less work per update.
+#[test]
+fn heavy_light_beats_the_wcoj_delta_pass_on_hub_probes() {
+    let q = ivm_query::examples::triangle_count();
+    let wcoj = DataflowEngine::new_with_strategy(
+        q.clone(),
+        &Database::new(),
+        lift_one,
+        JoinStrategy::Multiway,
+    )
+    .unwrap();
+    let wcoj = hub_probe_work(wcoj, |e| {
+        let s = e.stats();
+        s.deltas_in + s.multiway_seeds + s.multiway_probes + s.output_delta_tuples
+    });
+    let hl = HeavyLightEngine::new(q, &Database::new(), lift_one).unwrap();
+    let hl = hub_probe_work(hl, |e| e.stats().work);
+    assert!(
+        hl < wcoj,
+        "heavy-light ({hl}) must beat the WCOJ delta pass ({wcoj}) on hub probes"
     );
 }

@@ -33,7 +33,7 @@
 
 mod common;
 
-use common::{edge_ops, four_cycle, outputs_match, star, triangle, EdgeOp};
+use common::{edge_ops, four_cycle, outputs_match, oversized_cycle, star, triangle, EdgeOp};
 use ivm_core::Maintainer;
 use ivm_data::{sym, tup, Database, Sym, Update};
 use ivm_query::{Atom, Query};
@@ -391,4 +391,31 @@ fn malformed_tuple_refuses_the_whole_batch_and_touches_nothing() {
     assert_eq!(tri_sub.try_next().map(|vd| vd.epoch), Some(1));
     assert_eq!(cyc_sub.try_next().map(|vd| vd.epoch), Some(1));
     assert_eq!(calls.get(), 2);
+}
+
+/// A refused subscribe leaves the shared base as it found it: a 65-atom
+/// query is refused with `NotSupported`, its relation stays undeclared
+/// (so an update to it is refused with `UnknownRelation`), and the
+/// resident footprint does not move.
+#[test]
+fn refused_subscribe_declares_no_relation() {
+    let mut node = ServeNode::<i64>::new();
+    let _tri = node.subscribe(triangle("svr_")).unwrap();
+    node.apply_batch(&[Update::insert(sym("svr_E"), tup![1i64, 2i64])])
+        .unwrap();
+    let resident = node.resident_tuples();
+
+    let Err(err) = node.subscribe(oversized_cycle("svrbig_")) else {
+        panic!("a 65-atom query must be refused");
+    };
+    assert!(
+        matches!(&err, ivm_core::EngineError::NotSupported(m) if m.contains("64")),
+        "{err}"
+    );
+    let big = sym("svrbig_E");
+    let err = node
+        .apply_batch(&[Update::insert(big, tup![1i64, 2i64])])
+        .unwrap_err();
+    assert_eq!(err, ivm_core::EngineError::UnknownRelation(big));
+    assert_eq!(node.resident_tuples(), resident);
 }

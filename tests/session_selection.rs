@@ -17,7 +17,8 @@
 mod common;
 
 use common::{
-    clamped_updates, empty_base, four_cycle, oracle, outputs_match, triangle, wide_ops, WideOp,
+    clamped_updates, empty_base, four_cycle, oracle, outputs_match, oversized_cycle, triangle,
+    wide_ops, WideOp,
 };
 use ivm::{Database, EngineKind, Maintainer, QueryClass, Relation, Session, Update};
 use ivm_data::sym;
@@ -360,19 +361,16 @@ fn arity_mismatch_is_refused_before_the_journal_on_every_generic_backend() {
 }
 
 /// A query with more than 64 atom occurrences — here a 65-edge cycle —
-/// is refused with `NotSupported` through both library entry points
+/// is refused with `NotSupported` through every library entry point
 /// (the multiway dataflow engine, whose delta terms are `u64` masks over
-/// atoms, and `SessionBuilder::build`, whose classification is), never
-/// with a panic.
+/// atoms, the sharded fleet, and `SessionBuilder::build`, whose
+/// classification is), never with a panic. A fleet of zero shards is
+/// refused the same way.
 #[test]
 fn oversized_query_is_refused_not_panicking() {
     use ivm::dataflow::JoinStrategy;
     use ivm_core::EngineError;
-    let n = 65;
-    let v: Vec<_> = (0..n).map(|i| sym(&format!("big_X{i}"))).collect();
-    let e = sym("big_E");
-    let atoms = (0..n).map(|i| ivm::Atom::new(e, [v[i], v[(i + 1) % n]]));
-    let q = Query::new("big_cycle65", [], atoms.collect());
+    let q = oversized_cycle("big_");
     let db = Database::new();
     for strategy in [JoinStrategy::Auto, JoinStrategy::Multiway] {
         let built = ivm::DataflowEngine::<i64>::new_with_strategy(
@@ -386,8 +384,17 @@ fn oversized_query_is_refused_not_panicking() {
             "{strategy:?}"
         );
     }
+    let fleet = ivm::shard::ShardedEngine::<i64>::new(q.clone(), &db, ivm_data::ops::lift_one, 2);
+    assert!(matches!(fleet, Err(EngineError::NotSupported(ref m)) if m.contains("64")));
     let built = Session::<i64>::builder(q).build(&db);
     assert!(matches!(built, Err(EngineError::NotSupported(ref m)) if m.contains("64")));
+    let empty_fleet = ivm::shard::ShardedEngine::<i64>::new(
+        examples::triangle_count(),
+        &db,
+        ivm_data::ops::lift_one,
+        0,
+    );
+    assert!(matches!(empty_fleet, Err(EngineError::NotSupported(ref m)) if m.contains("shard")));
 }
 
 /// A caller database that stores a heavy-light rotation relation at an

@@ -1,5 +1,6 @@
-//! Integration: triangle maintainers under realistic skewed streams, and
-//! the OuMv reduction at a size where rebalancing actually fires.
+//! Integration: triangle maintainers under realistic skewed streams, the
+//! IVMε ε-sweep on work counters, and the OuMv reduction at a size where
+//! rebalancing actually fires.
 
 use ivm_ivme::{Rel, TriangleDelta, TriangleIvmEps, TriangleMaintainer, TrianglePairwiseMv};
 use ivm_oumv::{solve, NaiveOuMv, OuMvInstance, ReductionOuMv};
@@ -84,5 +85,63 @@ fn oumv_reduction_at_scale() {
     assert!(
         expect.iter().any(|&b| b) && expect.iter().any(|&b| !b),
         "instance should have both answers represented: {expect:?}"
+    );
+}
+
+/// Sec 3.3: IVMε updates in O(N^max(ε,1−ε)), minimized at ε = ½. A
+/// Zipf-skewed base of N = 4 000 edges per relation is probed with 400
+/// delete/insert pairs at every point of an 11-point ε grid. Work per
+/// update must be minimized at ε ∈ [0.3, 0.6], and ε = ½ must beat the
+/// unpartitioned ε = 1 (θ = N exceeds every degree, so nothing is heavy
+/// and every count delta scans a light row). The work totals are pinned:
+/// any change to the partition, the views or the rebalance moves them.
+#[test]
+fn eps_sweep_work_is_minimized_near_one_half() {
+    const GRID: [f64; 11] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
+    let (n, probe) = (4_000, 400);
+    let stream = EdgeStream::zipf((n / 8) as u64, n + probe, 0.9, 5);
+    let mut counts = Vec::new();
+    let work: Vec<u64> = GRID
+        .iter()
+        .map(|&eps| {
+            let mut eng = TriangleIvmEps::new(eps);
+            for &(a, b) in &stream.edges[..n] {
+                for rel in Rel::ALL {
+                    eng.apply(rel, a, b, 1);
+                }
+            }
+            let w0 = eng.work();
+            for i in 0..probe {
+                let (oa, ob) = stream.edges[i];
+                let (na, nb) = stream.edges[n + i];
+                let rel = Rel::ALL[i % 3];
+                eng.apply(rel, oa, ob, -1);
+                eng.apply(rel, na, nb, 1);
+            }
+            counts.push(eng.count());
+            eng.work() - w0
+        })
+        .collect();
+    assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    let per_update = |i: usize| work[i] as f64 / (2 * probe) as f64;
+    let best = (0..GRID.len()).min_by_key(|&i| work[i]).unwrap();
+    assert!(
+        (0.3..=0.6).contains(&GRID[best]),
+        "work/update must be minimized at ε ∈ [0.3, 0.6], got ε = {} ({})",
+        GRID[best],
+        per_update(best)
+    );
+    assert!(
+        work[5] < work[10],
+        "ε = ½ must beat the unpartitioned ε = 1: {} vs {} work/update",
+        per_update(5),
+        per_update(10)
+    );
+    assert_eq!(
+        work,
+        [
+            305_813, 117_388, 48_135, 21_371, 16_686, 24_892, 41_691, 41_691, 41_691, 41_691,
+            41_691
+        ]
     );
 }
