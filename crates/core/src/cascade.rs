@@ -99,6 +99,18 @@ impl<R: Ring> CascadeEngine<R> {
         self.forced
     }
 
+    /// `Q1'`'s view tree, whose leaf `V_Q2` [`Self::enumerate_q2`]
+    /// refreshes: once `Q2` is clean, enumerating it is enumerating `Q1`.
+    pub fn q1_tree(&self) -> &ViewTree<R> {
+        &self.upper
+    }
+
+    /// Units of work of `Q2`'s tree and `Q1'`'s tree together (see
+    /// [`ViewTree::work`]).
+    pub fn work(&self) -> u64 {
+        self.q2_engine.tree().work() + self.upper.work()
+    }
+
     /// Whether `Q2` changed since its last enumeration.
     pub fn q2_dirty(&self) -> bool {
         self.q2_dirty

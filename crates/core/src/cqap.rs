@@ -185,18 +185,29 @@ impl<R: Semiring> CqapEngine<R> {
         &self.fracture
     }
 
+    /// Units of work of the component view trees (see
+    /// [`ViewTree::work`]): updates and accesses both count.
+    pub fn work(&self) -> u64 {
+        self.components.iter().map(ViewTree::work).sum()
+    }
+
     /// Answer an access request: bind the input variables to `input`
     /// (a tuple over `query.input`), and enumerate the output tuples
     /// (over `query.output()`) with their payloads, with constant delay.
-    pub fn access(&self, input: &Tuple, f: &mut dyn FnMut(&Tuple, &R)) {
-        assert_eq!(
-            input.arity(),
-            self.query.input.arity(),
-            "access tuple must bind all input variables"
-        );
+    /// An `input` that does not bind every input variable is refused.
+    pub fn access(&self, input: &Tuple, f: &mut dyn FnMut(&Tuple, &R)) -> Result<(), EngineError> {
+        let (got, arity) = (input.arity(), self.query.input.arity());
+        if got != arity {
+            return Err(EngineError::NotSupported(format!(
+                "an access request to {} carries a tuple of arity {got}, but \
+                 the query has {arity} input variables",
+                self.query.name
+            )));
+        }
         let out_schema = self.query.output();
         let mut out_bindings: FxHashMap<Sym, ivm_data::Value> = FxHashMap::default();
         self.access_rec(0, input, &mut out_bindings, R::one(), &out_schema, f);
+        Ok(())
     }
 
     fn access_rec(
@@ -233,19 +244,19 @@ impl<R: Semiring> CqapEngine<R> {
 
     /// Detection-style convenience: the scalar answer for an access with
     /// no output variables (zero when the pattern is absent).
-    pub fn probe(&self, input: &Tuple) -> R {
+    pub fn probe(&self, input: &Tuple) -> Result<R, EngineError> {
         let mut acc = R::zero();
-        self.access(input, &mut |_, r| acc.add_assign(r));
-        acc
+        self.access(input, &mut |_, r| acc.add_assign(r))?;
+        Ok(acc)
     }
 
     /// Materialize all answers for an access (test helper).
-    pub fn access_output(&self, input: &Tuple) -> Relation<R> {
+    pub fn access_output(&self, input: &Tuple) -> Result<Relation<R>, EngineError> {
         let mut out = Relation::new(self.query.output());
         self.access(input, &mut |t, r| {
             out.apply(t.clone(), r);
-        });
-        out
+        })?;
+        Ok(out)
     }
 
     /// Full enumeration over `query.free` (output ∪ input): walk the
@@ -377,13 +388,17 @@ mod tests {
         eng.apply(&Update::insert(e, tup![2i64, 3i64])).unwrap();
         eng.apply(&Update::insert(e, tup![3i64, 1i64])).unwrap();
 
-        assert_eq!(eng.probe(&tup![1i64, 2i64, 3i64]), 1);
-        assert_eq!(eng.probe(&tup![2i64, 3i64, 1i64]), 1);
-        assert_eq!(eng.probe(&tup![1i64, 3i64, 2i64]), 0, "orientation matters");
-        assert_eq!(eng.probe(&tup![1i64, 2i64, 4i64]), 0);
+        assert_eq!(eng.probe(&tup![1i64, 2i64, 3i64]).unwrap(), 1);
+        assert_eq!(eng.probe(&tup![2i64, 3i64, 1i64]).unwrap(), 1);
+        assert_eq!(
+            eng.probe(&tup![1i64, 3i64, 2i64]).unwrap(),
+            0,
+            "orientation matters"
+        );
+        assert_eq!(eng.probe(&tup![1i64, 2i64, 4i64]).unwrap(), 0);
 
         eng.apply(&Update::delete(e, tup![2i64, 3i64])).unwrap();
-        assert_eq!(eng.probe(&tup![1i64, 2i64, 3i64]), 0);
+        assert_eq!(eng.probe(&tup![1i64, 2i64, 3i64]).unwrap(), 0);
     }
 
     /// Payloads multiply across the three edge occurrences.
@@ -398,7 +413,7 @@ mod tests {
             .unwrap();
         eng.apply(&Update::with_payload(e, tup![3i64, 1i64], 5))
             .unwrap();
-        assert_eq!(eng.probe(&tup![1i64, 2i64, 3i64]), 30);
+        assert_eq!(eng.probe(&tup![1i64, 2i64, 3i64]).unwrap(), 30);
     }
 
     /// Ex 4.6: Q(A|B) = S(A,B)·T(B) — outputs enumerate per input B.
@@ -412,12 +427,12 @@ mod tests {
         eng.apply(&Update::insert(s, tup![12i64, 2i64])).unwrap();
         eng.apply(&Update::insert(t, tup![1i64])).unwrap();
 
-        let out = eng.access_output(&tup![1i64]);
+        let out = eng.access_output(&tup![1i64]).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.get(&tup![10i64]), 1);
         assert_eq!(out.get(&tup![11i64]), 1);
         // B=2 is not in T: no outputs.
-        assert_eq!(eng.access_output(&tup![2i64]).len(), 0);
+        assert_eq!(eng.access_output(&tup![2i64]).unwrap().len(), 0);
     }
 
     /// Intractable CQAPs are rejected.
@@ -494,7 +509,7 @@ mod tests {
                             && edges.contains(&(b, c))
                             && edges.contains(&(c, a)),
                     );
-                    assert_eq!(eng.probe(&tup![a, b, c]), expect, "({a},{b},{c})");
+                    assert_eq!(eng.probe(&tup![a, b, c]).unwrap(), expect, "({a},{b},{c})");
                 }
             }
         }

@@ -224,12 +224,17 @@ impl<R: Semiring> Maintainer<R> for LazyListEngine<R> {
         &self.query
     }
 
+    /// An update to a static relation is refused, as the view-tree
+    /// engines refuse it.
     fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        if self.db.get(upd.relation).is_none() {
-            return Err(EngineError::UnknownRelation(upd.relation));
+        match self.query.atoms.iter().find(|a| a.name == upd.relation) {
+            None => Err(EngineError::UnknownRelation(upd.relation)),
+            Some(a) if !a.dynamic => Err(EngineError::StaticRelation(upd.relation)),
+            Some(_) => {
+                self.db.apply(upd);
+                Ok(())
+            }
         }
-        self.db.apply(upd);
-        Ok(())
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {
@@ -352,9 +357,10 @@ mod tests {
         assert_eq!(lf.pending_len(), 0);
     }
 
-    /// An update to a static relation is refused when it is queued, as the
-    /// eager engines refuse it, instead of passing `apply` and panicking at
-    /// the next enumeration's refresh.
+    /// An update to a static relation is refused by all four engines, and
+    /// leaves the output as it was. The lazy-fact engine refuses it when it
+    /// is queued, instead of passing `apply` and panicking at the next
+    /// enumeration's refresh.
     #[test]
     fn lazy_fact_refuses_static_updates_at_apply() {
         let [a, b] = ivm_data::vars(["lfs_A", "lfs_B"]);
@@ -370,14 +376,33 @@ mod tests {
         let mut db: Database<i64> = Database::new();
         db.create(s, q.atoms[1].schema.clone());
         db.apply(&Update::insert(s, tup![1i64]));
-        let mut lf = LazyFactEngine::new(q.clone(), &db, lift_one).unwrap();
-        let err = lf.apply(&Update::insert(s, tup![2i64])).unwrap_err();
-        assert_eq!(err, EngineError::StaticRelation(s));
-        assert_eq!(lf.pending_len(), 0);
-        lf.apply(&Update::insert(r, tup![1i64, 7i64])).unwrap();
-        assert_eq!(lf.output().get(&tup![1i64, 7i64]), 1);
-        let mut ef = EagerFactEngine::new(q, &db, lift_one).unwrap();
-        assert_eq!(ef.apply(&Update::insert(s, tup![2i64])), Err(err));
+        let engines: [(&str, Box<dyn Maintainer<i64>>); 4] = [
+            (
+                "eager-fact",
+                Box::new(EagerFactEngine::new(q.clone(), &db, lift_one).unwrap()),
+            ),
+            (
+                "eager-list",
+                Box::new(EagerListEngine::new(q.clone(), &db, lift_one).unwrap()),
+            ),
+            (
+                "lazy-fact",
+                Box::new(LazyFactEngine::new(q.clone(), &db, lift_one).unwrap()),
+            ),
+            (
+                "lazy-list",
+                Box::new(LazyListEngine::new(q, &db, lift_one).unwrap()),
+            ),
+        ];
+        for (name, mut eng) in engines {
+            let err = eng.apply(&Update::insert(s, tup![2i64])).unwrap_err();
+            assert_eq!(err, EngineError::StaticRelation(s), "{name}");
+            eng.apply(&Update::insert(r, tup![2i64, 7i64])).unwrap();
+            eng.apply(&Update::insert(r, tup![1i64, 7i64])).unwrap();
+            let out = eng.output();
+            assert_eq!(out.len(), 1, "{name}");
+            assert_eq!(out.get(&tup![1i64, 7i64]), 1, "{name}");
+        }
     }
 
     /// A caller-supplied database whose relation does not have the atom's

@@ -13,6 +13,13 @@
 //!   (Ex 4.13);
 //! * [`acyclic`] — join trees, the Yannakakis reducer, and insert-only
 //!   maintenance for α-acyclic joins (Sec. 4.6).
+//!
+//! The paper's bounds are on counted work, so the engines count it:
+//! [`ViewTree::work`] (one unit per hash-map probe and one per map entry
+//! visited, on the update and the enumeration paths), summed over the
+//! component trees by [`cqap::CqapEngine::work`] and
+//! [`cascade::CascadeEngine::work`]; [`pkfk::PkFkEngine::amortized_cost`]
+//! and [`acyclic::InsertOnlyEngine::rebuild_work`] count their own.
 
 pub mod acyclic;
 pub mod bindings;

@@ -90,10 +90,26 @@ impl<R: Semiring> PkFkEngine<R> {
         }
     }
 
-    /// Apply a single-tuple update to the fact table or a dimension.
+    /// Apply a single-tuple update to the fact table or a dimension. An
+    /// update to an unknown relation, or with a tuple of the wrong arity,
+    /// is refused before any state or counter changes.
     pub fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
+        let dim = match self.dims.iter().position(|(n, _)| *n == upd.relation) {
+            _ if upd.relation == self.fact_name => None,
+            Some(di) => Some(di),
+            None => return Err(EngineError::UnknownRelation(upd.relation)),
+        };
+        let arity = dim.map_or(self.fact.schema().arity(), |_| 1);
+        if upd.tuple.arity() != arity {
+            return Err(EngineError::NotSupported(format!(
+                "update to {} carries a tuple of arity {}, but the relation \
+                 has arity {arity}",
+                upd.relation,
+                upd.tuple.arity()
+            )));
+        }
         self.updates += 1;
-        if upd.relation == self.fact_name {
+        let Some(di) = dim else {
             // δQ = δF(t) · Π_i Dim_i(t.k_i): one lookup per dimension.
             self.last_cost = 1;
             self.cumulative_cost += 1;
@@ -111,12 +127,7 @@ impl<R: Semiring> PkFkEngine<R> {
                 idx.apply(&upd.tuple, &upd.payload);
             }
             return Ok(());
-        }
-        let di = self
-            .dims
-            .iter()
-            .position(|(n, _)| *n == upd.relation)
-            .ok_or(EngineError::UnknownRelation(upd.relation))?;
+        };
         // δQ = δDim_di(k) · Σ_{t ∈ F: t.k_di = k} F(t) · Π_{j≠di} Dim_j(t.k_j):
         // iterate the fact tuples waiting on this key.
         let key = Tuple::new([upd.tuple.at(0).clone()]);
@@ -206,25 +217,87 @@ mod tests {
 
     /// Ex 4.13: inserting a company with `n` waiting fact records costs
     /// O(n) once, but the n earlier fact inserts each cost O(1): amortized
-    /// constant.
+    /// constant, at every fanout. Then a stream of valid out-of-order
+    /// batches (`PkFkGen`: a company with `n` movies inserted facts-first,
+    /// every fourth batch a company deleted key-first) spikes to `n + 1`
+    /// and stays consistent at every commit point, below 2 amortized.
     #[test]
     fn dimension_insert_fixes_up_waiting_facts() {
+        use ivm_workloads::pkfk::{PkFkGen, PkFkOp};
+        let (t, c, mc) = (sym("pk_Title"), sym("pk_Company"), sym("pk_MC"));
+        for n in [10i64, 100, 1000] {
+            let mut eng = job_engine();
+            for m in 0..n {
+                eng.apply(&Update::insert(t, tup![m])).unwrap();
+                eng.apply(&Update::insert(mc, tup![m, 7i64])).unwrap();
+                assert_eq!(eng.last_cost(), 1);
+            }
+            assert!(!eng.is_consistent(), "company 7 missing: invalid state");
+            assert_eq!(*eng.total(), 0);
+            eng.apply(&Update::insert(c, tup![7i64])).unwrap();
+            assert_eq!(eng.last_cost() as i64, n + 1, "one spike of size n");
+            assert_eq!(*eng.total(), n);
+            assert!(eng.is_consistent());
+            // Amortized: (2n ones + one spike of n+1) / (2n + 1) < 2.
+            assert!(eng.amortized_cost() < 2.0);
+
+            let mut eng = job_engine();
+            let mut gen = PkFkGen::new(3);
+            let mut max_spike = 0;
+            for round in 0..12 {
+                let batch = match round % 4 {
+                    3 => gen.shrink_batch().expect("a live company"),
+                    _ => gen.grow_batch(n as usize),
+                };
+                for op in batch {
+                    let upd = match op {
+                        PkFkOp::Title(m, d) => Update::with_payload(t, tup![m], d),
+                        PkFkOp::Company(k, d) => Update::with_payload(c, tup![k], d),
+                        PkFkOp::MovieCompany(m, k, d) => Update::with_payload(mc, tup![m, k], d),
+                    };
+                    eng.apply(&upd).unwrap();
+                    max_spike = max_spike.max(eng.last_cost());
+                }
+                assert!(eng.is_consistent(), "fanout {n}: commit point {round}");
+                assert_eq!(*eng.total(), eng.recompute());
+            }
+            assert_eq!(max_spike as i64, n + 1, "fanout {n}");
+            assert!(
+                eng.amortized_cost() < 2.0,
+                "fanout {n}: {}",
+                eng.amortized_cost()
+            );
+        }
+    }
+
+    /// An update to an unknown relation, or with a tuple of the wrong
+    /// arity, is refused before it touches any counter or state.
+    #[test]
+    fn refused_updates_change_no_counter() {
         let mut eng = job_engine();
         let (t, c, mc) = (sym("pk_Title"), sym("pk_Company"), sym("pk_MC"));
-        let n = 50i64;
-        for m in 0..n {
-            eng.apply(&Update::insert(t, tup![m])).unwrap();
-            eng.apply(&Update::insert(mc, tup![m, 7i64])).unwrap();
-            assert_eq!(eng.last_cost(), 1);
-        }
-        assert!(!eng.is_consistent(), "company 7 missing: invalid state");
-        assert_eq!(*eng.total(), 0);
+        eng.apply(&Update::insert(t, tup![1i64])).unwrap();
+        eng.apply(&Update::insert(mc, tup![1i64, 7i64])).unwrap();
         eng.apply(&Update::insert(c, tup![7i64])).unwrap();
-        assert_eq!(eng.last_cost() as i64, n + 1, "one spike of size n");
-        assert_eq!(*eng.total(), n);
+        let (amortized, last) = (eng.amortized_cost(), eng.last_cost());
+        let refused = [
+            (Update::insert(sym("pk_nope"), tup![1i64]), true),
+            (Update::insert(mc, tup![1i64]), false),
+            (Update::insert(c, tup![7i64, 8i64]), false),
+            (Update::insert(t, Tuple::empty()), false),
+        ];
+        for (upd, unknown) in refused {
+            let err = eng.apply(&upd).unwrap_err();
+            assert_eq!(
+                unknown,
+                matches!(err, EngineError::UnknownRelation(_)),
+                "{err}"
+            );
+            assert_eq!(eng.amortized_cost(), amortized);
+            assert_eq!(eng.last_cost(), last);
+        }
+        assert_eq!(*eng.total(), 1);
         assert!(eng.is_consistent());
-        // Amortized: (2n ones + one spike of n+1) / (2n + 1) < 2.
-        assert!(eng.amortized_cost() < 2.0);
     }
 
     /// Deletes in the other order: deleting the company first costs O(n);

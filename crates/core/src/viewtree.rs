@@ -58,6 +58,15 @@
 //! branch even though the flat output contains (mutually cancelling but
 //! individually non-zero) tuples. See
 //! `tests::mixed_sign_multiplicities_caveat`.
+//!
+//! # Work
+//!
+//! [`ViewTree::work`] counts the tree's work since it was built: one unit
+//! per hash-map probe and one per map entry visited, on the update path and
+//! the enumeration paths alike. The paper's Sec. 4 bounds are statements
+//! about this count — constant per update, and constant between two
+//! consecutive output tuples (the enumeration *delay*) — so tests assert
+//! them on it instead of on the clock.
 
 use crate::bindings::Bindings;
 use crate::error::EngineError;
@@ -69,6 +78,7 @@ use ivm_query::varorder::Node;
 use ivm_query::{Query, VarOrder};
 use ivm_ring::Semiring;
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::hash::Hash;
 
 /// One group of a grouped view: the `X`-values compatible with a `dep(X)`
@@ -203,6 +213,10 @@ pub struct ViewTree<R> {
     /// Scratch reused by every update: the slot row and a gathered key.
     row: Vec<Value>,
     key: Vec<Value>,
+    /// Units of work so far (see the module docs). A `Cell`, not an
+    /// atomic: enumeration takes `&self`, and a locked add per visited
+    /// entry would tax the enumeration loop.
+    work: Cell<u64>,
 }
 
 impl<R: Semiring> ViewTree<R> {
@@ -310,6 +324,7 @@ impl<R: Semiring> ViewTree<R> {
             leaves: vec![FxHashMap::default(); storage_schema.len()],
             row: vec![Value::Int(0); slots.len()],
             key: Vec::new(),
+            work: Cell::new(0),
             query,
             vo,
             storage_schema,
@@ -330,6 +345,14 @@ impl<R: Semiring> ViewTree<R> {
     /// The variable order.
     pub fn order(&self) -> &VarOrder {
         &self.vo
+    }
+
+    /// Units of work since the tree was built: one per hash-map probe and
+    /// one per map entry visited, on the update and enumeration paths.
+    /// Read it between two calls (or inside an enumeration callback) to
+    /// measure the work of an update or the delay before an output tuple.
+    pub fn work(&self) -> u64 {
+        self.work.get()
     }
 
     /// Total number of view entries across all nodes (space accounting).
@@ -406,10 +429,13 @@ impl<R: Semiring> ViewTree<R> {
         // 1. Leaf storage and the fetch indexes on this relation. `cur` is
         //    the interface value, after the update, of the node the walk
         //    arrives from.
+        let work = &self.work;
         let (mut cur, _) = add_at(&mut self.leaves[atom], tuple, payload);
+        tick(work, 1);
         for (f, idx) in self.fetches.iter().zip(&mut self.fetch_indexes) {
             if f.provider == atom {
                 idx.apply(tuple, payload);
+                tick(work, 1);
             }
         }
 
@@ -418,7 +444,13 @@ impl<R: Semiring> ViewTree<R> {
         for (&s, v) in path.cols.iter().zip(tuple.values()) {
             row[s].clone_from(v);
         }
-        let filled = complete(&self.fetches, &self.fetch_indexes, row, mask(&path.cols));
+        let filled = complete(
+            &self.fetches,
+            &self.fetch_indexes,
+            row,
+            mask(&path.cols),
+            work,
+        );
 
         // 3. Propagate the delta along the compiled leaf-to-root path.
         let mut delta = payload.clone();
@@ -432,7 +464,7 @@ impl<R: Semiring> ViewTree<R> {
             // also what a mixed node's factors move by.
             let (mut bound, mut free) = (R::one(), R::one());
             for (probe, is_bound) in &step.siblings {
-                match lookup(&self.views, &self.leaves, probe, row, key) {
+                match lookup(&self.views, &self.leaves, probe, row, key, work) {
                     Some(v) if *is_bound => bound = bound.times(v),
                     Some(v) => free = free.times(v),
                     None => break 'walk,
@@ -456,6 +488,8 @@ impl<R: Semiring> ViewTree<R> {
             };
             let view = &mut self.views[step.node];
             let k = gather(row, &step.key, key);
+            // The group probe and its entry's update.
+            tick(work, 2);
             let (presence, now) = match view.groups.get_mut(k) {
                 None => {
                     let group = VGroup {
@@ -476,6 +510,8 @@ impl<R: Semiring> ViewTree<R> {
                 }
             };
             if step.mixed {
+                // The factor group probe and its entry's update.
+                tick(work, 2);
                 match (presence, view.factors.get_mut(k)) {
                     (Presence::Appeared, Some(m)) => {
                         m.insert(x.clone(), created(&cur));
@@ -530,7 +566,8 @@ impl<R: Semiring> ViewTree<R> {
     /// `acc ·` the interfaces `probes` read under `row` (zero on a miss).
     fn times_probes(&self, probes: &[Probe], row: &[Value], key: &mut Vec<Value>, acc: R) -> R {
         probes.iter().fold(acc, |acc, p| {
-            lookup(&self.views, &self.leaves, p, row, key).map_or_else(R::zero, |v| acc.times(v))
+            lookup(&self.views, &self.leaves, p, row, key, &self.work)
+                .map_or_else(R::zero, |v| acc.times(v))
         })
     }
 
@@ -551,6 +588,7 @@ impl<R: Semiring> ViewTree<R> {
             return f(row, acc);
         };
         let (view, k) = (&self.views[step.node], gather(row.values(), &step.key, key));
+        tick(&self.work, 1);
         let map = match step.factor {
             Factor::Stored => view.factors.get(k),
             _ => view.groups.get(k).map(|g| &g.entries),
@@ -569,11 +607,16 @@ impl<R: Semiring> ViewTree<R> {
             }
         };
         match fixed.get(step.slot).and_then(Option::as_ref) {
-            Some(x) => map
-                .get_key_value(x)
-                .into_iter()
-                .for_each(|(x, m)| visit(x, m)),
-            None => map.iter().for_each(|(x, m)| visit(x, m)),
+            Some(x) => {
+                tick(&self.work, 1);
+                if let Some((x, m)) = map.get_key_value(x) {
+                    visit(x, m);
+                }
+            }
+            None => map.iter().for_each(|(x, m)| {
+                tick(&self.work, 1);
+                visit(x, m)
+            }),
         }
     }
 
@@ -596,6 +639,7 @@ impl<R: Semiring> ViewTree<R> {
             &self.fetch_indexes,
             &mut row,
             mask(&path.cols),
+            &self.work,
         );
         if path.delta.needs & !filled != 0 {
             return Ok(()); // a fetch miss: the update changes no output yet
@@ -835,14 +879,21 @@ where
     (R::zero(), Presence::Vanished)
 }
 
-/// A child's interface under `row` (`None`: zero).
+/// Add `n` units to a work counter.
+fn tick(work: &Cell<u64>, n: u64) {
+    work.set(work.get() + n);
+}
+
+/// A child's interface under `row` (`None`: zero); one probe.
 fn lookup<'a, R>(
     views: &'a [View<R>],
     leaves: &'a [FxHashMap<Tuple, R>],
     probe: &Probe,
     row: &[Value],
     key: &mut Vec<Value>,
+    work: &Cell<u64>,
 ) -> Option<&'a R> {
+    tick(work, 1);
     let key = gather(row, &probe.key, key);
     match probe.leaf {
         Some(atom) => leaves[atom].get(key),
@@ -852,12 +903,14 @@ fn lookup<'a, R>(
 
 /// Complete `row` with FD-implied values (Sec. 4.4): fetch the unique
 /// value paired with the filled determinant in the provider relation, to a
-/// fixpoint so FD chains (X→Y, Y→Z) resolve. Returns the filled slots.
+/// fixpoint so FD chains (X→Y, Y→Z) resolve; one probe per fetch tried.
+/// Returns the filled slots.
 fn complete<R: Semiring>(
     fetches: &[Fetch],
     indexes: &[GroupedIndex<R>],
     row: &mut [Value],
     mut filled: u64,
+    work: &Cell<u64>,
 ) -> u64 {
     loop {
         let before = filled;
@@ -866,6 +919,7 @@ fn complete<R: Semiring>(
                 continue;
             }
             let key: Tuple = f.lhs.iter().map(|&s| row[s].clone()).collect();
+            tick(work, 1);
             if let Some((residual, _)) = idx.group(&key).and_then(|g| g.iter().next()) {
                 row[f.slot] = residual.at(f.residual_pos).clone();
                 filled |= 1 << f.slot;

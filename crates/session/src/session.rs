@@ -1123,10 +1123,7 @@ impl<R: Semiring> Session<R> {
     /// delay. Errors unless the session is CQAP-backed.
     pub fn access(&self, input: &Tuple, f: &mut dyn FnMut(&Tuple, &R)) -> Result<(), EngineError> {
         match &self.backend {
-            Backend::Cqap(e) => {
-                e.access(input, f);
-                Ok(())
-            }
+            Backend::Cqap(e) => e.access(input, f),
             _ => Err(EngineError::NotSupported(format!(
                 "access requests need a CQAP-backed session; this session \
                  runs {}",
@@ -1752,6 +1749,19 @@ mod tests {
             s.probe(&tup![1i64]).unwrap_err(),
             EngineError::NotSupported(_)
         ));
+    }
+
+    #[test]
+    fn access_with_an_input_of_the_wrong_arity_errors() {
+        let q = examples::triangle_detect_cqap();
+        let s = Session::<i64>::builder(q).build(&Database::new()).unwrap();
+        assert_eq!(s.engine_kind(), EngineKind::Cqap);
+        let err = s.probe(&tup![1i64]).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::NotSupported(m) if m.contains("arity 1") && m.contains("3 input")),
+            "{err}"
+        );
+        assert_eq!(s.probe(&tup![1i64, 2i64, 3i64]).unwrap(), 0);
     }
 
     #[test]

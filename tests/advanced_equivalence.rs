@@ -37,7 +37,7 @@ proptest! {
                 * edges.get(&(b, c)).copied().unwrap_or(0)
                 * edges.get(&(c, a)).copied().unwrap_or(0);
             prop_assert_eq!(
-                eng.probe(&ivm_data::tup![a, b, c]),
+                eng.probe(&ivm_data::tup![a, b, c]).unwrap(),
                 expect,
                 "probe ({}, {}, {})", a, b, c
             );

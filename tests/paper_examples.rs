@@ -133,8 +133,8 @@ fn ex46_cqaps() {
     for (a, b) in [(10u64, 20u64), (20, 30), (30, 10)] {
         eng.apply(&Update::insert(e, tup![a, b])).unwrap();
     }
-    assert_eq!(eng.probe(&tup![10u64, 20u64, 30u64]), 1);
-    assert_eq!(eng.probe(&tup![20u64, 10u64, 30u64]), 0);
+    assert_eq!(eng.probe(&tup![10u64, 20u64, 30u64]).unwrap(), 1);
+    assert_eq!(eng.probe(&tup![20u64, 10u64, 30u64]).unwrap(), 0);
 }
 
 /// Ex 4.12: FD-aware maintenance equals from-scratch evaluation.
