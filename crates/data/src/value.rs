@@ -1,9 +1,10 @@
 //! Domain values.
 //!
-//! Engines that work over arbitrary schemas carry [`Value`]s. The
-//! `ivm_ivme` kernels (triangles, OuMv) take raw `u64` ids instead, so the
-//! scaling experiments time the algorithms rather than `Value` hashing;
-//! they never touch this type.
+//! Engines that work over arbitrary schemas carry [`Value`]s. Two kinds of
+//! state hash integer ids instead: the `ivm_ivme` kernels (triangles,
+//! OuMv) take raw `u64` ids and never touch this type, and the dataflow
+//! multiway join dictionary-encodes each value it receives to a dense
+//! `u32` id, decoding back to a `Value` only at a full join binding.
 
 use std::fmt;
 use std::sync::Arc;

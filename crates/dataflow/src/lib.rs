@@ -74,6 +74,7 @@
 pub mod adapt;
 pub mod batch;
 pub mod cost;
+mod dict;
 pub mod engine;
 pub mod graph;
 pub mod multiway;

@@ -13,22 +13,42 @@
 //! tuples are: each full binding is summed straight into the aggregated
 //! output (§Aggregation).
 //!
+//! # Value ids
+//!
+//! The node's state holds no [`Value`]. A dictionary maps each value to a
+//! dense `u32` id, and a delta tuple is encoded once, when
+//! `MultiwayState::apply` — or, for a hub-shared store,
+//! [`StoreHub::advance_batch`] — receives it; stores, index keys,
+//! candidate sets and the search binding hold only ids. An id hashes with
+//! one multiply and compares with one instruction, where a `Value` is a
+//! 24-byte tagged enum. Values are decoded only at a full binding, for the
+//! lifts and the output key (§Aggregation). Every store a node reads uses
+//! one dictionary: a [`StoreHub`] owns the dictionary its members share,
+//! and a node re-encodes its owned stores into it once, when it joins the
+//! hub. Resident tuples reference-count their ids, and an id no resident
+//! tuple holds is freed at the end of the batch and reused by the next new
+//! value, so a stream over ever-fresh values keeps the dictionary at its
+//! live distinct-value count.
+//!
 //! # Index structure
 //!
-//! Each distinct dataflow input (≈ base relation) owns one `Store`: the
-//! tuple→payload map plus a vector of `PatternIndex`es, the hash-trie
-//! analogue of leapfrog's sorted tries. A pattern `(key_pos, val_pos)`
-//! maps an assignment of the key columns to the set of values the `val`
-//! column can take (with support counts, so deletions retract candidates);
-//! a set is a sorted `Vec` under binary search until it outgrows
-//! `FLAT_MAX`, a hash set after. Every pattern a seed plan can probe is
-//! known when the node is built, so it gets its *slot* in the store then
-//! and each `Constraint` carries the slot: no batch looks a pattern up,
-//! let alone builds one. Because the slots live on the *store*, atoms over
-//! the same relation — the three occurrences of `E` in the self-join
-//! triangle — share physical indexes instead of keeping three copies, and
-//! an engine adopting a [`StoreHub`] store registers its patterns on it
-//! once, at adoption.
+//! Each distinct dataflow input (≈ base relation) owns one `Store`: its
+//! resident id tuples with their payloads, plus a vector of
+//! `PatternIndex`es, the hash-trie analogue of leapfrog's sorted tries. A
+//! pattern `(key_pos, val_pos)` maps an assignment of the key columns to
+//! the set of ids the `val` column can take (with support counts, so
+//! deletions retract candidates); a set is an id-sorted run of `(id,
+//! support)` pairs under binary search until it outgrows `FLAT_MAX`, a
+//! hash set after. A key — a tuple of the store, or an index key — of at
+//! most two ids is packed into the `u64` of its table slot: no heap hop,
+//! no allocation; a longer one is boxed. Every pattern a seed plan can
+//! probe is known when the node is built, so it gets its *slot* in the
+//! store then and each `Constraint` carries the slot: no batch looks a
+//! pattern up, let alone builds one. Because the slots live on the
+//! *store*, atoms over the same relation — the three occurrences of `E`
+//! in the self-join triangle — share physical indexes instead of keeping
+//! three copies, and an engine adopting a [`StoreHub`] store registers its
+//! patterns on it once, at adoption.
 //!
 //! # Delta maintenance
 //!
@@ -44,17 +64,19 @@
 //! remaining variables are solved by the intersection search — atoms in `S`
 //! probe their input's *delta store*, the rest the old shared stores. A
 //! delta store is a `Store` with the old store's patterns that lives as
-//! long as the node: a batch fills it through the same `Store::apply` that
-//! maintains the old indexes and empties it after the search, keeping its
+//! long as the node: a batch encodes its delta into it through the same
+//! `Store::apply` that maintains the old indexes, advances the owned old
+//! stores from it after the search, and empties it, keeping its
 //! batch-sized tables. A step probes its constraints smallest index first,
 //! so an `S`-atom's delta index — where the key is almost always absent —
 //! ends the branch before the resident store is touched, and a term reading
 //! an *empty* old store is zero and skipped outright: a preload costs one
-//! term, not `2^k − 1`. Probe keys are borrowed from the binding
-//! (`Tuple: Borrow<[Value]>`), so a batch allocates per delta tuple and per
-//! distinct output key, never per seed, probe or join tuple. Old stores
-//! advance only after all terms, so the old/new discipline needs no
-//! sequencing and self-joins need no per-occurrence state.
+//! term, not `2^k − 1`. Probe keys are packed from the id binding (past
+//! two columns, gathered into one kept buffer), so a batch allocates per
+//! new index key and per distinct output key, never per seed, probe or
+//! join tuple. Old stores advance only after all terms, so the old/new
+//! discipline needs no sequencing and self-joins need no per-occurrence
+//! state.
 //!
 //! # Aggregation
 //!
@@ -67,54 +89,222 @@
 //! node formed per join tuple, in the same ring order (the F-IVM
 //! ring-lifted payload of the paper's Sec. 4.1, applied at the leaf of
 //! the search) — the same step, [`LiftedProjection`], that
-//! `ops::aggregate` takes per row. The output key is assembled in a kept
-//! buffer and moves into the output only when new, so a count (`out`
-//! empty) accumulates into one entry and a listing (`out` a permutation
-//! of `var_order`, nothing lifted) takes the same path. Only the leaf
-//! changes: seeds, probes, intersections and the terms of the expansion
-//! are those of the listing search, because aggregation is linear and
-//! commutes with the sum over terms.
+//! `ops::aggregate` takes per row, fed the binding decoded into a kept
+//! row of values. The output key is assembled in a kept buffer and moves
+//! into the output only when new, so a count (`out` empty) accumulates
+//! into one entry and a listing (`out` a permutation of `var_order`,
+//! nothing lifted) takes the same path. Only the leaf changes: seeds,
+//! probes, intersections and the terms of the expansion are those of the
+//! listing search, because aggregation is linear and commutes with the sum
+//! over terms.
 
 use crate::batch::DeltaBatch;
+use crate::dict::{Dict, Id};
 use crate::graph::DataflowStats;
 use ivm_data::ops::{Lift, LiftedProjection};
-use ivm_data::{FxHashMap, Relation, Schema, Sym, Tuple, Value};
+use ivm_data::{FxHashMap, Relation, Schema, Sym, Value};
 use ivm_ring::Semiring;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Recover from a poisoned store lock: the store's invariants are
-/// maintained tuple-at-a-time (no multi-step critical sections), so the
-/// data is coherent even if a peer engine panicked mid-batch elsewhere.
+/// Recover from a poisoned store or dictionary lock. A store changes
+/// tuple-at-a-time, and a tuple's ids are retained in the dictionary
+/// before it becomes resident and released only after it has left, so a
+/// peer engine that panicked mid-batch elsewhere can leave an id counted
+/// above its resident tuples (kept alive, never reused) or unreferenced
+/// until the next sweep — never a resident id that is free. The data is
+/// coherent either way.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// `src` projected onto `pos` as a borrowed hash key: a single column is
-/// borrowed in place, anything else is assembled in `buf`.
-fn gather<'a>(src: &'a [Value], pos: &[usize], buf: &'a mut Vec<Value>) -> &'a [Value] {
+/// `src` projected onto `pos`: a single column is borrowed in place,
+/// anything else is assembled in `buf`.
+fn gather<'a>(src: &'a [Id], pos: &[usize], buf: &'a mut Vec<Id>) -> &'a [Id] {
     if let [p] = pos {
         return std::slice::from_ref(&src[*p]);
     }
     buf.clear();
-    buf.extend(pos.iter().map(|&p| src[p].clone()));
+    buf.extend(pos.iter().map(|&p| src[p]));
     buf
 }
 
-/// Longest candidate set kept as a sorted `Vec`. Up to here an insert
-/// moves at most 1 KiB and membership is five comparisons; a hub key's
+/// Longest key packed into its table slot.
+const INLINE_IDS: usize = 2;
+
+/// Up to [`INLINE_IDS`] ids as one `u64`, the first in the high bits.
+fn pack(ids: impl Iterator<Item = Id>) -> u64 {
+    ids.fold(0, |k, id| k << 32 | u64::from(id))
+}
+
+/// Hashes a packed key. A single Fx multiply leaves the low bits — the
+/// ones the table picks a bucket with — depending on the key's low half
+/// alone, so every pair with the same second id would start its probe in
+/// one bucket; folding the product's high half in mixes both ids.
+#[derive(Default)]
+struct PackedHasher(u64);
+
+impl std::hash::Hasher for PackedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("packed keys hash as one u64")
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        let h = k.wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        self.0 = h ^ h >> 32;
+    }
+}
+
+/// A hash table keyed by id tuples of one arity. Keys of up to
+/// [`INLINE_IDS`] ids are packed into the table slot; longer keys are
+/// boxed.
+enum IdMap<V> {
+    Inline {
+        arity: usize,
+        map: std::collections::HashMap<u64, V, BuildHasherDefault<PackedHasher>>,
+    },
+    Boxed(FxHashMap<Box<[Id]>, V>),
+}
+
+/// A key yielded by [`IdMap::iter`].
+enum Ids<'a> {
+    Inline([Id; INLINE_IDS], usize),
+    Boxed(&'a [Id]),
+}
+
+impl std::ops::Deref for Ids<'_> {
+    type Target = [Id];
+
+    fn deref(&self) -> &[Id] {
+        match self {
+            Ids::Inline(ids, n) => &ids[..*n],
+            Ids::Boxed(ids) => ids,
+        }
+    }
+}
+
+impl<V> IdMap<V> {
+    fn new(arity: usize) -> Self {
+        if arity <= INLINE_IDS {
+            IdMap::Inline {
+                arity,
+                map: Default::default(),
+            }
+        } else {
+            IdMap::Boxed(FxHashMap::default())
+        }
+    }
+
+    /// Empty this map, handing back its entries.
+    fn take(&mut self) -> Self {
+        let empty = match self {
+            IdMap::Inline { arity, .. } => IdMap::new(*arity),
+            IdMap::Boxed(_) => IdMap::Boxed(FxHashMap::default()),
+        };
+        std::mem::replace(self, empty)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            IdMap::Inline { map, .. } => map.len(),
+            IdMap::Boxed(map) => map.len(),
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            IdMap::Inline { map, .. } => map.clear(),
+            IdMap::Boxed(map) => map.clear(),
+        }
+    }
+
+    fn shrink_to(&mut self, n: usize) {
+        match self {
+            IdMap::Inline { map, .. } => map.shrink_to(n),
+            IdMap::Boxed(map) => map.shrink_to(n),
+        }
+    }
+
+    /// The entry under `src` projected onto `pos`; `buf` assembles a
+    /// boxed key.
+    fn get_at(&self, src: &[Id], pos: &[usize], buf: &mut Vec<Id>) -> Option<&V> {
+        match self {
+            IdMap::Inline { map, .. } => map.get(&pack(pos.iter().map(|&p| src[p]))),
+            IdMap::Boxed(map) => map.get(gather(src, pos, buf)),
+        }
+    }
+
+    fn get_mut(&mut self, key: &[Id]) -> Option<&mut V> {
+        match self {
+            IdMap::Inline { map, .. } => map.get_mut(&pack(key.iter().copied())),
+            IdMap::Boxed(map) => map.get_mut(key),
+        }
+    }
+
+    fn insert(&mut self, key: &[Id], v: V) {
+        match self {
+            IdMap::Inline { map, .. } => map.insert(pack(key.iter().copied()), v),
+            IdMap::Boxed(map) => map.insert(key.into(), v),
+        };
+    }
+
+    fn remove(&mut self, key: &[Id]) {
+        match self {
+            IdMap::Inline { map, .. } => map.remove(&pack(key.iter().copied())),
+            IdMap::Boxed(map) => map.remove(key),
+        };
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Ids<'_>, &V)> {
+        let (inline, boxed) = match self {
+            IdMap::Inline { arity, map } => (Some((*arity, map)), None),
+            IdMap::Boxed(map) => (None, Some(map)),
+        };
+        let inline = inline.into_iter().flat_map(|(n, map)| {
+            map.iter().map(move |(&k, v)| {
+                let mut ids = [0; INLINE_IDS];
+                for (i, id) in ids[..n].iter_mut().enumerate() {
+                    *id = (k >> (32 * (n - 1 - i))) as Id;
+                }
+                (Ids::Inline(ids, n), v)
+            })
+        });
+        let boxed = boxed.into_iter().flatten();
+        inline.chain(boxed.map(|(k, v)| (Ids::Boxed(k), v)))
+    }
+}
+
+/// Longest candidate set kept as a sorted run. Up to here an insert
+/// moves at most 256 bytes and membership is five comparisons; a hub key's
 /// set beyond it becomes a hash set, whose inserts do not move its
 /// members (and which stays one even if it shrinks again).
 const FLAT_MAX: usize = 32;
 
-/// The values one key can be extended by, each with the number of tuples
+/// One more tuple supporting a candidate.
+fn bump(support: &mut u32) {
+    *support = support
+        .checked_add(1)
+        .expect("a support is bounded by 2^32 resident tuples sharing one key and value");
+}
+
+/// The ids one key can be extended by, each with the number of tuples
 /// supporting it.
 enum Candidates {
-    /// Sorted by value.
-    Flat(Vec<(Value, u32)>),
-    Hashed(FxHashMap<Value, u32>),
+    /// Sorted by id.
+    Flat(Vec<(Id, u32)>),
+    Hashed(Box<FxHashMap<Id, u32>>),
 }
 
 impl Candidates {
+    /// The set `{id}` with support 1.
+    fn one(id: Id) -> Self {
+        Candidates::Flat(vec![(id, 1)])
+    }
+
     fn len(&self) -> usize {
         match self {
             Candidates::Flat(v) => v.len(),
@@ -122,43 +312,43 @@ impl Candidates {
         }
     }
 
-    fn contains(&self, val: &Value) -> bool {
+    fn contains(&self, id: Id) -> bool {
         match self {
-            Candidates::Flat(v) => v.binary_search_by(|e| e.0.cmp(val)).is_ok(),
-            Candidates::Hashed(m) => m.contains_key(val),
+            Candidates::Flat(v) => v.binary_search_by_key(&id, |e| e.0).is_ok(),
+            Candidates::Hashed(m) => m.contains_key(&id),
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Value> {
+    fn iter(&self) -> impl Iterator<Item = Id> + '_ {
         let (flat, hashed) = match self {
             Candidates::Flat(v) => (Some(v), None),
             Candidates::Hashed(m) => (None, Some(m)),
         };
-        let flat = flat.into_iter().flatten().map(|e| &e.0);
-        flat.chain(hashed.into_iter().flat_map(|m| m.keys()))
+        let flat = flat.into_iter().flatten().map(|e| e.0);
+        flat.chain(hashed.into_iter().flat_map(|m| m.keys().copied()))
     }
 
-    /// Count one more tuple supporting `val`.
-    fn add(&mut self, val: &Value) {
+    /// Count one more tuple supporting `id`.
+    fn add(&mut self, id: Id) {
         match self {
-            Candidates::Flat(v) => match v.binary_search_by(|e| e.0.cmp(val)) {
-                Ok(i) => v[i].1 += 1,
-                Err(i) if v.len() < FLAT_MAX => v.insert(i, (val.clone(), 1)),
+            Candidates::Flat(v) => match v.binary_search_by_key(&id, |e| e.0) {
+                Ok(i) => bump(&mut v[i].1),
+                Err(i) if v.len() < FLAT_MAX => v.insert(i, (id, 1)),
                 Err(_) => {
-                    let mut m: FxHashMap<Value, u32> = v.drain(..).collect();
-                    m.insert(val.clone(), 1);
-                    *self = Candidates::Hashed(m);
+                    let mut m: FxHashMap<Id, u32> = v.drain(..).collect();
+                    m.insert(id, 1);
+                    *self = Candidates::Hashed(Box::new(m));
                 }
             },
-            Candidates::Hashed(m) => *m.entry(val.clone()).or_insert(0) += 1,
+            Candidates::Hashed(m) => bump(m.entry(id).or_insert(0)),
         }
     }
 
-    /// Count one tuple supporting `val` less; `true` once the set is empty.
-    fn remove(&mut self, val: &Value) -> bool {
+    /// Count one tuple supporting `id` less; `true` once the set is empty.
+    fn remove(&mut self, id: Id) -> bool {
         match self {
             Candidates::Flat(v) => {
-                if let Ok(i) = v.binary_search_by(|e| e.0.cmp(val)) {
+                if let Ok(i) = v.binary_search_by_key(&id, |e| e.0) {
                     v[i].1 -= 1;
                     if v[i].1 == 0 {
                         v.remove(i);
@@ -166,10 +356,10 @@ impl Candidates {
                 }
             }
             Candidates::Hashed(m) => {
-                if let Some(n) = m.get_mut(val) {
+                if let Some(n) = m.get_mut(&id) {
                     *n -= 1;
                     if *n == 0 {
-                        m.remove(val);
+                        m.remove(&id);
                     }
                 }
             }
@@ -179,51 +369,48 @@ impl Candidates {
 }
 
 /// A hash-trie level: for one access pattern `(key columns → value
-/// column)`, the values reachable under each key assignment.
+/// column)`, the ids reachable under each key assignment.
 struct PatternIndex {
     key_pos: Box<[usize]>,
     val_pos: usize,
-    map: FxHashMap<Tuple, Candidates>,
+    map: IdMap<Candidates>,
 }
 
 impl PatternIndex {
-    /// Record one present tuple. Only a key seen for the first time is
-    /// cloned into the map.
-    fn add(&mut self, t: &Tuple, buf: &mut Vec<Value>) {
-        let key = gather(t.values(), &self.key_pos, buf);
-        let val = t.at(self.val_pos);
+    /// Record one present tuple.
+    fn add(&mut self, t: &[Id], buf: &mut Vec<Id>) {
+        let key = gather(t, &self.key_pos, buf);
+        let val = t[self.val_pos];
         match self.map.get_mut(key) {
             Some(c) => c.add(val),
-            None => {
-                let first = Candidates::Flat(vec![(val.clone(), 1)]);
-                self.map.insert(key.iter().cloned().collect(), first);
-            }
+            None => self.map.insert(key, Candidates::one(val)),
         }
     }
 
     /// Retract one no-longer-present tuple.
-    fn remove(&mut self, t: &Tuple, buf: &mut Vec<Value>) {
-        let key = gather(t.values(), &self.key_pos, buf);
+    fn remove(&mut self, t: &[Id], buf: &mut Vec<Id>) {
+        let key = gather(t, &self.key_pos, buf);
         if let Some(c) = self.map.get_mut(key) {
-            if c.remove(t.at(self.val_pos)) {
+            if c.remove(t[self.val_pos]) {
                 self.map.remove(key);
             }
         }
     }
 }
 
-/// One input's state: payloads plus one index per registered pattern.
+/// One input's state: payloads of its id tuples plus one index per
+/// registered pattern.
 struct Store<R> {
-    tuples: FxHashMap<Tuple, R>,
+    tuples: IdMap<R>,
     indexes: Vec<PatternIndex>,
     /// Scratch for multi-column index keys.
-    key_buf: Vec<Value>,
+    key_buf: Vec<Id>,
 }
 
 impl<R: Semiring> Store<R> {
-    fn new() -> Self {
+    fn new(arity: usize) -> Self {
         Store {
-            tuples: FxHashMap::default(),
+            tuples: IdMap::new(arity),
             indexes: Vec::new(),
             key_buf: Vec::new(),
         }
@@ -240,19 +427,21 @@ impl<R: Semiring> Store<R> {
         let mut idx = PatternIndex {
             key_pos: key_pos.into(),
             val_pos,
-            map: FxHashMap::default(),
+            map: IdMap::new(key_pos.len()),
         };
-        for t in self.tuples.keys() {
-            idx.add(t, &mut self.key_buf);
+        for (t, _) in self.tuples.iter() {
+            idx.add(&t, &mut self.key_buf);
         }
         self.indexes.push(idx);
         self.indexes.len() - 1
     }
 
     /// Apply one delta tuple, keeping every index in sync with the present
-    /// (non-zero payload) tuple set. The tuple is cloned only when it
-    /// becomes present.
-    fn apply(&mut self, t: &Tuple, delta: &R) {
+    /// (non-zero payload) tuple set. A resident store passes its
+    /// dictionary as `refs`: a tuple retains its ids before it becomes
+    /// present and releases them once it is gone. A delta store passes
+    /// `None`; its ids live until the batch's sweep.
+    fn apply(&mut self, t: &[Id], delta: &R, refs: Option<&mut Dict>) {
         if delta.is_zero() {
             return;
         }
@@ -264,10 +453,16 @@ impl<R: Semiring> Store<R> {
                     for idx in &mut self.indexes {
                         idx.remove(t, &mut self.key_buf);
                     }
+                    if let Some(d) = refs {
+                        t.iter().for_each(|&id| d.release(id));
+                    }
                 }
             }
             None => {
-                self.tuples.insert(t.clone(), delta.clone());
+                if let Some(d) = refs {
+                    t.iter().for_each(|&id| d.retain(id));
+                }
+                self.tuples.insert(t, delta.clone());
                 for idx in &mut self.indexes {
                     idx.add(t, &mut self.key_buf);
                 }
@@ -275,25 +470,46 @@ impl<R: Semiring> Store<R> {
         }
     }
 
-    /// Fill this (empty) delta store with `delta`. Tables left over from a
-    /// much larger batch — the preload — are given back first: an oversized
-    /// table makes every later `clear` and seed scan O(capacity).
-    fn refill(&mut self, delta: &Relation<R>) {
+    /// Fill this (empty) delta store with `delta`, encoded into `dict`
+    /// (through `buf`). Tables left over from a much larger batch — the
+    /// preload — are given back first: an oversized table makes every
+    /// later `clear` and seed scan O(capacity).
+    fn refill(&mut self, delta: &Relation<R>, dict: &mut Dict, buf: &mut Vec<Id>) {
         self.tuples.shrink_to(2 * delta.len());
         for idx in &mut self.indexes {
             idx.map.shrink_to(2 * delta.len());
         }
         for (t, r) in delta.iter() {
-            self.apply(t, r);
+            self.apply(dict.encode_all(t.values(), buf), r, None);
         }
     }
 
-    /// Drop every tuple and candidate set, keeping the tables.
-    fn clear(&mut self) {
-        self.tuples.clear();
+    /// Re-encode every resident tuple from `from`'s ids into `to`'s,
+    /// keeping the pattern slots.
+    fn recode(&mut self, from: &Dict, to: &mut Dict) {
+        let old = self.tuples.take();
         for idx in &mut self.indexes {
             idx.map.clear();
         }
+        let mut ids = Vec::new();
+        for (t, r) in old.iter() {
+            ids.clear();
+            ids.extend(t.iter().map(|&id| to.encode(from.value(id))));
+            self.apply(&ids, r, Some(to));
+        }
+    }
+}
+
+impl<R> Store<R> {
+    /// Empty this resident store, releasing its ids.
+    fn release_all(&mut self, dict: &mut Dict) {
+        for (t, _) in self.tuples.take().iter() {
+            t.iter().for_each(|&id| dict.release(id));
+        }
+        for idx in &mut self.indexes {
+            idx.map.clear();
+        }
+        dict.sweep();
     }
 }
 
@@ -350,7 +566,9 @@ struct SeedPlan {
 /// stream hands the same hub to every member engine's builder: the first
 /// engine to join a relation donates its store, later engines adopt it,
 /// and the hub owner advances every shared store exactly once per batch
-/// via [`StoreHub::advance_batch`].
+/// via [`StoreHub::advance_batch`]. The hub also owns the value
+/// dictionary every member's stores are encoded in (see the module's
+/// §Value ids).
 ///
 /// # Coordinator-advance protocol
 ///
@@ -370,10 +588,14 @@ struct SeedPlan {
 /// change.
 pub struct StoreHub<R> {
     stores: Arc<Mutex<FxHashMap<Sym, SharedStore<R>>>>,
+    dict: SharedDict,
 }
 
 /// One store slot, aliasable across engines through a [`StoreHub`].
 type SharedStore<R> = Arc<Mutex<Store<R>>>;
+
+/// A node's dictionary, shared with its hub's other members.
+type SharedDict = Arc<Mutex<Dict>>;
 
 // Manual impls: `R` itself need not be Clone/Default for the hub handle
 // to be cheap to copy around.
@@ -381,6 +603,7 @@ impl<R> Clone for StoreHub<R> {
     fn clone(&self) -> Self {
         StoreHub {
             stores: Arc::clone(&self.stores),
+            dict: Arc::clone(&self.dict),
         }
     }
 }
@@ -389,6 +612,7 @@ impl<R> Default for StoreHub<R> {
     fn default() -> Self {
         StoreHub {
             stores: Arc::new(Mutex::new(FxHashMap::default())),
+            dict: SharedDict::default(),
         }
     }
 }
@@ -420,14 +644,18 @@ impl<R: Semiring> StoreHub<R> {
     /// processed the batch.
     pub fn advance_batch(&self, batch: &DeltaBatch<R>) {
         let map = relock(&self.stores);
+        let mut dict = relock(&self.dict);
+        let mut ids = Vec::new();
         for (rel, store) in map.iter() {
             if let Some(delta) = batch.delta(*rel) {
                 let mut s = relock(store);
                 for (t, r) in delta.iter() {
-                    s.apply(t, r);
+                    let t = dict.encode_all(t.values(), &mut ids);
+                    s.apply(t, r, Some(&mut dict));
                 }
             }
         }
+        dict.sweep();
     }
 
     /// Relations currently shared through this hub.
@@ -452,6 +680,9 @@ pub struct MultiwayState<R> {
     /// into it (see the module's §Aggregation).
     out: Schema,
     emit: LiftedProjection<R>,
+    /// The dictionary every store of this node is encoded in: the node's
+    /// own, or its hub's once a slot is shared.
+    dict: SharedDict,
     /// Per-input stores. Behind `Arc<Mutex<_>>` so a [`StoreHub`] can
     /// alias a slot across engines; a slot is uncontended (and the lock
     /// uncontested) unless it was [`Self::share_slot`]'d.
@@ -464,18 +695,19 @@ pub struct MultiwayState<R> {
     /// patterns while [`Self::apply`] searches, empty between batches.
     delta: Vec<Store<R>>,
     /// Search scratch kept across batches (see [`Search`]).
-    binding: Vec<Value>,
-    key_buf: Vec<Value>,
+    binding: Vec<Id>,
+    key_buf: Vec<Id>,
+    row: Vec<Value>,
     out_key: Vec<Value>,
     order: Vec<usize>,
 }
 
 impl<R: Semiring> MultiwayState<R> {
     /// Build the node state. `atoms` pairs each occurrence's input slot
-    /// with its schema; `n_inputs` is the number of distinct inputs;
-    /// `var_order` must cover every atom variable; the node emits its
-    /// delta aggregated onto `out ⊆ var_order`, lifting every other
-    /// variable with `lift`.
+    /// with its schema; `n_inputs` is the number of distinct inputs, each
+    /// read by some atom; `var_order` must cover every atom variable; the
+    /// node emits its delta aggregated onto `out ⊆ var_order`, lifting
+    /// every other variable with `lift`.
     pub(crate) fn new(
         atoms: &[(usize, Schema)],
         n_inputs: usize,
@@ -490,10 +722,12 @@ impl<R: Semiring> MultiwayState<R> {
             atoms.len() <= ivm_query::Query::MAX_ATOMS,
             "at most 64 atom occurrences"
         );
+        let mut arity = vec![None; n_inputs];
         let specs: Vec<AtomSpec> = atoms
             .iter()
             .map(|(input, schema)| {
                 assert!(*input < n_inputs, "atom input slot out of range");
+                arity[*input] = Some(schema.arity());
                 let gpos = schema
                     .vars()
                     .iter()
@@ -509,16 +743,21 @@ impl<R: Semiring> MultiwayState<R> {
                 }
             })
             .collect();
+        let arity: Vec<usize> = arity
+            .into_iter()
+            .map(|a| a.expect("every input is read by some atom"))
+            .collect();
         // Planning registers every pattern a search can probe on the
         // delta stores; the old stores then get the same slots.
-        let mut delta: Vec<Store<R>> = (0..n_inputs).map(|_| Store::new()).collect();
+        let mut delta: Vec<Store<R>> = arity.iter().map(|&n| Store::new(n)).collect();
         let plans = (0..specs.len())
             .map(|s| Self::build_plan(&specs, &var_order, s, &mut delta))
             .collect();
         let stores = delta
             .iter()
-            .map(|d| {
-                let mut old = Store::new();
+            .zip(&arity)
+            .map(|(d, &n)| {
+                let mut old = Store::new(n);
                 for idx in &d.indexes {
                     old.slot(&idx.key_pos, idx.val_pos);
                 }
@@ -527,9 +766,11 @@ impl<R: Semiring> MultiwayState<R> {
             .collect();
         MultiwayState {
             atoms: specs,
-            binding: vec![Value::Int(0); var_order.arity()],
+            binding: vec![0; var_order.arity()],
+            row: vec![Value::Int(0); var_order.arity()],
             emit: LiftedProjection::new(&var_order, &out, lift),
             out,
+            dict: SharedDict::default(),
             stores,
             shared: vec![false; n_inputs],
             plans,
@@ -545,9 +786,31 @@ impl<R: Semiring> MultiwayState<R> {
     /// slot coordinator-advanced. Returns `true` on a dedup hit — an
     /// earlier engine's store was adopted; this node's patterns are then
     /// registered on it and its constraints re-pointed at those slots.
+    /// The first slot a node shares moves all its stores into the hub's
+    /// dictionary, once.
     pub(crate) fn share_slot(&mut self, slot: usize, relation: Sym, hub: &StoreHub<R>) -> bool {
+        if !Arc::ptr_eq(&self.dict, &hub.dict) {
+            assert!(
+                !self.shared.contains(&true),
+                "a multiway node shares its stores through one hub"
+            );
+            let from = relock(&self.dict);
+            let mut to = relock(&hub.dict);
+            for store in &self.stores {
+                relock(store).recode(&from, &mut to);
+            }
+            drop(from);
+            drop(to);
+            self.dict = Arc::clone(&hub.dict);
+        }
         let (store, existing) = hub.join(relation, Arc::clone(&self.stores[slot]));
         if existing {
+            // Sharing a slot twice gets our own store back: only a
+            // discarded copy gives its ids back.
+            if !Arc::ptr_eq(&store, &self.stores[slot]) {
+                let mut dict = relock(&self.dict);
+                relock(&self.stores[slot]).release_all(&mut dict);
+            }
             let mut adopted = relock(&store);
             let steps = self.plans.iter_mut().flat_map(|p| &mut p.steps);
             for c in steps.flat_map(|s| &mut s.constraints) {
@@ -665,11 +928,12 @@ impl<R: Semiring> MultiwayState<R> {
             .sum()
     }
 
-    /// Propagate one consolidated batch: run every inclusion–exclusion
-    /// term seeded from the changed tuples, then advance the *owned*
-    /// stores (hub-shared slots are advanced by the hub coordinator —
-    /// see [`StoreHub`]). Returns the output delta over the node's output
-    /// schema.
+    /// Propagate one consolidated batch: encode the deltas into the delta
+    /// stores, run every inclusion–exclusion term seeded from the changed
+    /// tuples, then advance the *owned* stores (hub-shared slots are
+    /// advanced by the hub coordinator — see [`StoreHub`]) and free the
+    /// ids no resident tuple holds. Returns the output delta over the
+    /// node's output schema.
     pub(crate) fn apply(
         &mut self,
         input_deltas: &[Option<&Relation<R>>],
@@ -679,9 +943,10 @@ impl<R: Semiring> MultiwayState<R> {
         if input_deltas.iter().all(|d| d.is_none()) {
             return None;
         }
+        let mut dict = relock(&self.dict);
         for (store, d) in self.delta.iter_mut().zip(input_deltas) {
             if let Some(d) = d {
-                store.refill(d);
+                store.refill(d, &mut dict, &mut self.key_buf);
             }
         }
         // Atoms whose input changed this batch, as a mask over atoms.
@@ -707,6 +972,8 @@ impl<R: Semiring> MultiwayState<R> {
             cands: Vec::with_capacity(self.atoms.len() * self.binding.len()),
             binding: &mut self.binding,
             key_buf: &mut self.key_buf,
+            dict: &dict,
+            row: &mut self.row,
             emit: &self.emit,
             out_key: &mut self.out_key,
             out: &mut out,
@@ -719,27 +986,45 @@ impl<R: Semiring> MultiwayState<R> {
             in_s = (in_s - 1) & changed;
         }
 
-        // The deltas' indexed copies go before the old stores grow.
-        for store in &mut self.delta {
-            store.clear();
-        }
-        for (slot, d) in input_deltas.iter().enumerate() {
-            if self.shared[slot] {
-                continue; // the hub coordinator advances this store
+        // The deltas' indexes go before the old stores grow; their tuples
+        // advance the owned stores, then go too.
+        for (slot, store) in self.delta.iter_mut().enumerate() {
+            if input_deltas[slot].is_none() {
+                continue;
             }
-            if let Some(d) = d {
-                for (t, r) in d.iter() {
-                    guards[slot].apply(t, r);
+            for idx in &mut store.indexes {
+                idx.map.clear();
+            }
+            // A shared slot is advanced by the hub coordinator.
+            if !self.shared[slot] {
+                for (t, r) in store.tuples.iter() {
+                    guards[slot].apply(&t, r, Some(&mut dict));
                 }
             }
+            store.tuples.clear();
         }
+        dict.sweep();
         Some(out)
+    }
+}
+
+impl<R> Drop for MultiwayState<R> {
+    /// Owned stores give their ids back to a dictionary that outlives
+    /// them: their hub's.
+    fn drop(&mut self) {
+        if Arc::strong_count(&self.dict) == 1 {
+            return;
+        }
+        let mut dict = relock(&self.dict);
+        for (store, _) in self.stores.iter().zip(&self.shared).filter(|(_, &sh)| !sh) {
+            relock(store).release_all(&mut dict);
+        }
     }
 }
 
 /// The search of one batch: what it reads, its scratch, where it emits.
 /// `binding` is the partial assignment over `var_order`, `key_buf` the one
-/// buffer multi-column probe keys are assembled in.
+/// buffer probe keys of more than two columns are assembled in.
 struct Search<'a, R> {
     atoms: &'a [AtomSpec],
     old: &'a [MutexGuard<'a, Store<R>>],
@@ -751,10 +1036,13 @@ struct Search<'a, R> {
     /// Per step of `plan` (from `Step::order_base`), its constraints by
     /// ascending size of the index the current term probes them in.
     order: &'a mut Vec<usize>,
-    binding: &'a mut Vec<Value>,
-    key_buf: &'a mut Vec<Value>,
+    binding: &'a mut Vec<Id>,
+    key_buf: &'a mut Vec<Id>,
     /// Candidate sets of the steps on the search path, innermost last.
     cands: Vec<&'a Candidates>,
+    /// Decodes a full binding into `row`.
+    dict: &'a Dict,
+    row: &'a mut Vec<Value>,
     /// How a full binding is summed into `out`, and the buffer its output
     /// key is assembled in.
     emit: &'a LiftedProjection<R>,
@@ -787,7 +1075,7 @@ impl<'a, R: Semiring> Search<'a, R> {
         // A factor read from an empty old store makes the term zero —
         // six of a triangle preload's seven terms, none in steady state.
         let reads_empty =
-            |j: usize| in_s >> j & 1 == 0 && self.old[atoms[j].input].tuples.is_empty();
+            |j: usize| in_s >> j & 1 == 0 && self.old[atoms[j].input].tuples.len() == 0;
         if (0..atoms.len()).any(reads_empty) {
             return;
         }
@@ -805,7 +1093,7 @@ impl<'a, R: Semiring> Search<'a, R> {
         for (t, r) in self.store(seed).tuples.iter() {
             self.stats.multiway_seeds += 1;
             for (c, &g) in atoms[seed].gpos.iter().enumerate() {
-                self.binding[g].clone_from(t.at(c));
+                self.binding[g] = t[c];
             }
             if let Some(acc) = self.fold(&plan.at_seed, r) {
                 self.search(0, acc);
@@ -820,8 +1108,8 @@ impl<'a, R: Semiring> Search<'a, R> {
         for &j in done {
             self.stats.multiway_probes += 1;
             let tuples = &self.store(j).tuples;
-            let key = gather(self.binding, &self.atoms[j].gpos, self.key_buf);
-            acc = acc.times(tuples.get(key)?);
+            let r = tuples.get_at(self.binding, &self.atoms[j].gpos, self.key_buf)?;
+            acc = acc.times(r);
         }
         (!acc.is_zero()).then_some(acc)
     }
@@ -832,10 +1120,12 @@ impl<'a, R: Semiring> Search<'a, R> {
     fn search(&mut self, step_i: usize, acc: R) {
         let plan = &self.plans[self.in_s.trailing_zeros() as usize];
         let Some(step) = plan.steps.get(step_i) else {
-            // A full binding: lift the variables the output drops, and
-            // add under its output key.
-            self.emit
-                .accumulate(self.out, self.binding, acc, self.out_key);
+            // A full binding: decode it, lift the variables the output
+            // drops, and add under its output key.
+            for (v, &id) in self.row.iter_mut().zip(self.binding.iter()) {
+                v.clone_from(self.dict.value(id));
+            }
+            self.emit.accumulate(self.out, self.row, acc, self.out_key);
             return;
         };
         let base = self.cands.len();
@@ -844,8 +1134,7 @@ impl<'a, R: Semiring> Search<'a, R> {
             let c = &step.constraints[self.order[step.order_base + k]];
             self.stats.multiway_probes += 1;
             let index = self.index(c);
-            let key = gather(self.binding, &c.key_g, self.key_buf);
-            match index.map.get(key) {
+            match index.map.get_at(self.binding, &c.key_g, self.key_buf) {
                 Some(set) => self.cands.push(set),
                 None => {
                     self.cands.truncate(base);
@@ -864,7 +1153,7 @@ impl<'a, R: Semiring> Search<'a, R> {
                     continue 'vals;
                 }
             }
-            self.binding[step.var_g].clone_from(val);
+            self.binding[step.var_g] = val;
             if let Some(acc) = self.fold(&step.completed, &acc) {
                 self.search(step_i + 1, acc);
             }
@@ -877,7 +1166,7 @@ impl<'a, R: Semiring> Search<'a, R> {
 mod tests {
     use super::*;
     use ivm_data::ops::{eval_join_aggregate, lift_one};
-    use ivm_data::{sym, tup, vars};
+    use ivm_data::{sym, tup, vars, FxHashSet, Tuple};
 
     /// Triangle over one shared input: E(a,b), E(b,c), E(c,a), listing
     /// every rotation.
@@ -996,6 +1285,189 @@ mod tests {
         assert!(stats.multiway_seeds > 0);
     }
 
+    /// `g(v)`: an integer is itself, a string its length.
+    fn lift_len(_: Sym, v: &Value) -> i64 {
+        match v {
+            Value::Int(i) => *i,
+            Value::Str(s) => s.len() as i64,
+        }
+    }
+
+    #[test]
+    fn decodes_mixed_values_at_the_leaf() {
+        // R(a,b)·S(b,c)·T(c,a) onto out = (b, a), summing g(c) = c or
+        // len(c): output keys and lifts both read decoded values, a
+        // string column `a`, an integer column `b`, and a `c` mixing both.
+        let [a, b, c] = vars(["mw_VA", "mw_VB", "mw_VC"]);
+        let vo = Schema::from([a, b, c]);
+        let out = Schema::from([b, a]);
+        let schemas = [
+            Schema::from([a, b]),
+            Schema::from([b, c]),
+            Schema::from([c, a]),
+        ];
+        let atoms: Vec<(usize, Schema)> = schemas.iter().cloned().enumerate().collect();
+        let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, 3, vo, out.clone(), lift_len);
+        let mut stats = DataflowStats::default();
+        let mut rels: Vec<Relation<i64>> = schemas.iter().cloned().map(Relation::new).collect();
+        let mut maintained = Relation::new(out.clone());
+        let xyz = || Value::str("xyz");
+        let batches: Vec<Vec<(usize, Tuple, i64)>> = vec![
+            vec![
+                (0, tup!["p", 1i64], 1),
+                (0, tup!["q", 1i64], 1),
+                (1, tup![1i64, 3i64], 1),
+                (1, Tuple::new([Value::Int(1), xyz()]), 2),
+                (2, tup![3i64, "p"], 1),
+                (2, Tuple::new([xyz(), Value::str("p")]), 1),
+                (2, Tuple::new([xyz(), Value::str("q")]), 1),
+            ],
+            vec![
+                (0, tup!["p", 2i64], 1),
+                (1, tup![2i64, 5i64], 1),
+                (1, Tuple::new([Value::Int(2), xyz()]), 1),
+                (2, tup![5i64, "p"], 3),
+                (1, Tuple::new([Value::Int(1), xyz()]), -2),
+            ],
+            vec![(0, tup!["q", 1i64], -1), (2, tup![3i64, "p"], -1)],
+        ];
+        for batch in batches {
+            let mut deltas: Vec<Relation<i64>> =
+                schemas.iter().cloned().map(Relation::new).collect();
+            for (i, t, m) in batch {
+                deltas[i].apply(t.clone(), &m);
+                rels[i].apply(t, &m);
+            }
+            let ds: Vec<Option<&Relation<i64>>> = deltas
+                .iter()
+                .map(|d| (!d.is_empty()).then_some(d))
+                .collect();
+            if let Some(delta) = st.apply(&ds, &mut stats) {
+                for (t, r) in delta.iter() {
+                    maintained.apply(t.clone(), r);
+                }
+            }
+            let expect = eval_join_aggregate(&[&rels[0], &rels[1], &rels[2]], &out, lift_len);
+            assert!(!expect.is_empty());
+            assert_eq!(maintained.len(), expect.len());
+            for (t, p) in expect.iter() {
+                assert_eq!(&maintained.get(t), p, "at {t:?}");
+            }
+        }
+    }
+
+    /// A sliding window over ever-fresh values: batch `k` inserts a
+    /// triangle over three values never seen before (alternately integers
+    /// and strings) plus an edge back to the previous batch's triangle,
+    /// and deletes what batch `k − WINDOW` inserted. After every batch the
+    /// listing matches the oracle, the dictionary holds exactly the
+    /// distinct values of the resident tuples, and the id space stays at
+    /// the window's values (and the one a back edge keeps alive) plus one
+    /// batch's. With `hub`, the relation is
+    /// read by two members through one [`StoreHub`] advanced by
+    /// `advance_batch`.
+    fn sliding_window_reclaims_ids(hub: bool) {
+        const WINDOW: usize = 4;
+        const FRESH: usize = 3;
+        let (mut st, vo) = triangle_state();
+        let (mut peer, _) = triangle_state();
+        let e_sym = sym("mw_windowE");
+        let store_hub: StoreHub<i64> = StoreHub::new();
+        if hub {
+            st.share_slot(0, e_sym, &store_hub);
+            assert!(peer.share_slot(0, e_sym, &store_hub));
+        }
+        let (atoms, _) = triangle_atoms();
+        let mut rels: Vec<Relation<i64>> =
+            atoms.into_iter().map(|(_, s)| Relation::new(s)).collect();
+        let mut maintained = Relation::new(vo.clone());
+        let value = |i: usize| match i % 2 {
+            0 => Value::Int(i as i64),
+            _ => Value::str(format!("v{i}")),
+        };
+        let mut inserted: Vec<Vec<Tuple>> = Vec::new();
+        for k in 0..10 * WINDOW {
+            let [p, q, r] = [0, 1, 2].map(|j| value(FRESH * k + j));
+            let mut edges = vec![
+                Tuple::new([p.clone(), q.clone()]),
+                Tuple::new([q, r.clone()]),
+                Tuple::new([r, p.clone()]),
+            ];
+            if k > 0 {
+                edges.push(Tuple::new([p, value(FRESH * (k - 1))]));
+            }
+            let mut d = edge_delta(&[]);
+            for t in &edges {
+                d.apply(t.clone(), &1);
+            }
+            if k >= WINDOW {
+                for t in &inserted[k - WINDOW] {
+                    d.apply(t.clone(), &-1);
+                }
+            }
+            inserted.push(edges);
+            for (t, m) in d.iter() {
+                for rel in &mut rels {
+                    rel.apply(t.clone(), m);
+                }
+            }
+            let got = st
+                .apply(&[Some(&d)], &mut DataflowStats::default())
+                .unwrap();
+            if hub {
+                let other = peer.apply(&[Some(&d)], &mut DataflowStats::default());
+                let other = other.unwrap();
+                assert_eq!(got.len(), other.len(), "members disagree");
+                for (t, r) in got.iter() {
+                    assert_eq!(&other.get(t), r, "members disagree at {t:?}");
+                }
+                let mut batch = DeltaBatch::new();
+                for (t, r) in d.iter() {
+                    batch.push(&ivm_data::Update::with_payload(e_sym, t.clone(), *r));
+                }
+                store_hub.advance_batch(&batch);
+            }
+            for (t, r) in got.iter() {
+                maintained.apply(t.clone(), r);
+            }
+            let expect = eval_join_aggregate(&[&rels[0], &rels[1], &rels[2]], &vo, lift_one);
+            assert_eq!(maintained.len(), expect.len(), "batch {k}");
+            for (t, p) in expect.iter() {
+                assert_eq!(&maintained.get(t), p, "batch {k} at {t:?}");
+            }
+            let resident: FxHashSet<&Value> =
+                rels[0].iter().flat_map(|(t, _)| t.values()).collect();
+            let dict = relock(&st.dict);
+            assert_eq!(dict.live(), resident.len(), "batch {k}: live ids");
+            assert!(
+                dict.capacity() <= FRESH * (WINDOW + 1) + 1,
+                "batch {k}: {} ids assigned, freed ids are not reused",
+                dict.capacity()
+            );
+        }
+        assert_eq!(st.stored_tuples(), rels[0].len());
+    }
+
+    #[test]
+    fn ids_are_reclaimed_on_owned_stores() {
+        sliding_window_reclaims_ids(false);
+    }
+
+    #[test]
+    fn ids_are_reclaimed_through_a_hub() {
+        sliding_window_reclaims_ids(true);
+    }
+
+    #[test]
+    #[should_panic(expected = "bounded by 2^32 resident tuples sharing one key and value")]
+    fn candidate_support_overflow_panics() {
+        let mut c = Candidates::one(7);
+        if let Candidates::Flat(run) = &mut c {
+            run[0].1 = u32::MAX;
+        }
+        c.add(7);
+    }
+
     #[test]
     fn hub_shared_store_stays_oracle_correct() {
         // Two independent triangle states over the same edge relation,
@@ -1039,6 +1511,30 @@ mod tests {
         assert_eq!(hub.stored_tuples(), 5);
         assert_eq!(st1.stored_tuples(), 5);
         assert_eq!(st2.stored_tuples(), 5);
+    }
+
+    #[test]
+    fn sharing_a_slot_twice_changes_nothing() {
+        let e_sym = sym("mw_twiceE");
+        let mut st = triangle_count_state();
+        let hub: StoreHub<i64> = StoreHub::new();
+        let mut stats = DataflowStats::default();
+        assert!(!st.share_slot(0, e_sym, &hub), "first join donates");
+        let d = edge_delta(&[(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1)]);
+        assert_eq!(st.apply(&[Some(&d)], &mut stats).unwrap().total(), 3);
+        let mut batch = DeltaBatch::new();
+        for (t, r) in d.iter() {
+            batch.push(&ivm_data::Update::with_payload(e_sym, t.clone(), *r));
+        }
+        hub.advance_batch(&batch);
+        let live = relock(&st.dict).live();
+        // The second call gets the node's own store back from the hub.
+        assert!(st.share_slot(0, e_sym, &hub));
+        assert_eq!(hub.stored_tuples(), 4);
+        assert_eq!(relock(&st.dict).live(), live);
+        // A second triangle, 1 → 2 → 4 → 1, closes over a resident edge.
+        let d = edge_delta(&[(2, 4, 1), (4, 1, 1)]);
+        assert_eq!(st.apply(&[Some(&d)], &mut stats).unwrap().total(), 3);
     }
 
     /// A fixed 40-update stream over 7 nodes: 16 inserts, then six batches
