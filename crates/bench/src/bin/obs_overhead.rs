@@ -1,5 +1,5 @@
-//! Observability overhead guard: the `tri_scaling` dataflow workload run
-//! metrics-attached vs detached, measured back to back on the **same
+//! Observability overhead guard: hub insert/delete probes on a multiway
+//! dataflow triangle count, run metrics-attached vs detached, measured back to back on the **same
 //! engine instance**, best-of-5 pairs (three left the 5 % gate inside the
 //! run-to-run spread once the multiway epoch under test got shorter).
 //!
@@ -33,7 +33,7 @@ use ivm_obs::{EpochWaterfall, LabelId, MetricsRegistry};
 use ivm_workloads::graphs::EdgeStream;
 use std::time::{Duration, Instant};
 
-/// `probe` hub insert/delete pairs — tri_scaling's measured phase. The
+/// `probe` hub insert/delete pairs, rotating over the three relations. The
 /// pairs cancel in the ring, so the engine's logical state is unchanged.
 fn probe_phase(eng: &mut DataflowEngine<i64>, names: [ivm_data::Sym; 3], probe: usize) -> f64 {
     let hub = 0u64;
@@ -192,7 +192,7 @@ fn main() {
         .unwrap_or(5.0);
     println!(
         "# Observability overhead guard — {n}-edge graph, {probe} hub \
-         insert/delete probe pairs (tri_scaling's measured phase), \
+         insert/delete probe pairs, \
          detached-then-attached on one engine, best of 5 pairs\n"
     );
 

@@ -31,15 +31,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// Nanoseconds per operation.
-pub fn ns_per(d: Duration, ops: usize) -> f64 {
-    if ops == 0 {
-        0.0
-    } else {
-        d.as_nanos() as f64 / ops as f64
-    }
-}
-
 /// Throughput in operations per second.
 ///
 /// Total on every input: an empty or unstarted stream (zero ops, or a
@@ -151,25 +142,9 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
-/// log_N of a ratio: the empirical exponent `log(v2/v1)/log(n2/n1)` used
-/// to compare measured scaling against the paper's O(N^x) claims.
-pub fn empirical_exponent(n1: usize, v1: f64, n2: usize, v2: f64) -> f64 {
-    if v1 <= 0.0 || v2 <= 0.0 || n1 == n2 {
-        return f64::NAN;
-    }
-    (v2 / v1).ln() / ((n2 as f64) / (n1 as f64)).ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exponent_math() {
-        // Doubling n quadruples v → exponent 2.
-        let e = empirical_exponent(100, 10.0, 200, 40.0);
-        assert!((e - 2.0).abs() < 1e-9);
-    }
 
     #[test]
     fn table_renders() {

@@ -1,10 +1,11 @@
 //! Domain values.
 //!
 //! Engines that work over arbitrary schemas carry [`Value`]s. Two kinds of
-//! state hash integer ids instead: the `ivm_ivme` kernels (triangles,
-//! OuMv) take raw `u64` ids and never touch this type, and the dataflow
-//! multiway join dictionary-encodes each value it receives to a dense
-//! `u32` id, decoding back to a `Value` only at a full join binding.
+//! state hash integer ids instead: the heavy-light view plans are generic
+//! over the key, and the OuMv reduction runs the triangle plan at raw
+//! `u64` ids; the dataflow multiway join dictionary-encodes each value it
+//! receives to a dense `u32` id, decoding back to a `Value` only at a full
+//! join binding.
 
 use std::fmt;
 use std::sync::Arc;

@@ -2,8 +2,9 @@
 //!
 //! One binary relation indexed both ways, with per-key degrees (distinct
 //! present partners) read in O(1) — the quantity the heavy-light
-//! partition thresholds on. Instantiated at `Value` keys by the engine and
-//! at raw `u64` keys by the `ivm_ivme` kernels.
+//! partition thresholds on. Every heavy-light view plan stores its
+//! relations here, at `Value` keys behind the engine and at `u64` keys in
+//! the OuMv reduction and the scaling tests.
 
 use ivm_data::FxHashMap;
 use ivm_ring::Semiring;
@@ -95,6 +96,11 @@ impl<K: Clone + Eq + Hash, R: Semiring> Adj<K, R> {
     /// Every distinct first-column key.
     pub fn keys_fwd(&self) -> impl Iterator<Item = &K> {
         self.fwd.keys()
+    }
+
+    /// Every distinct second-column key.
+    pub fn keys_bwd(&self) -> impl Iterator<Item = &K> {
+        self.bwd.keys()
     }
 
     /// Every present `(x, y, payload)`.

@@ -1,7 +1,7 @@
 //! The generic heavy-light engine: IVMε (Sec. 3.3) over `ivm_data`
 //! tuples and semiring payloads, behind the common [`Maintainer`] trait.
 
-use crate::heavy_light::{HeavyLight, HlStats};
+use crate::triangle::{HeavyLight, HlStats};
 use ivm_core::{EngineError, Maintainer};
 use ivm_data::ops::Lift;
 use ivm_data::{consolidate, Database, Relation, Sym, Tuple, Update, Value};

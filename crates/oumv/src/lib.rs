@@ -18,7 +18,7 @@
 pub mod bitvec;
 
 use bitvec::BitVec;
-use ivm_ivme::{Rel, TriangleIvmEps, TriangleMaintainer};
+use ivm_hl::HeavyLight;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,8 +60,6 @@ pub trait OuMvSolver {
     fn init(&mut self, n: usize, m: &[BitVec]);
     /// Answer one round: `uᵀ M v`.
     fn round(&mut self, u: &BitVec, v: &BitVec) -> bool;
-    /// Solver name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Direct evaluation with bitsets: O(n²/64) per round, O(n³/64) total —
@@ -84,14 +82,11 @@ impl OuMvSolver for NaiveOuMv {
         }
         false
     }
-
-    fn name(&self) -> &'static str {
-        "naive-bitset"
-    }
 }
 
 /// Algorithm B of Theorem 3.4: solve OuMv through a dynamic triangle
-/// detection engine.
+/// detection engine — the heavy-light triangle plan at `u64` keys, with
+/// `R`, `S`, `T` its relations 0, 1, 2.
 ///
 /// * `S(i, j) = M[i][j]` — loaded once, `< n²` inserts;
 /// * each round deletes the previous `R`/`T` encodings (≤ 2n tuples),
@@ -102,7 +97,7 @@ impl OuMvSolver for NaiveOuMv {
 /// O(n² · (n²)^{1/2}) = O(n³) — the reduction is what turns any
 /// *sub-√N-update* engine into a sub-cubic OuMv solver.
 pub struct ReductionOuMv {
-    engine: TriangleIvmEps,
+    engine: HeavyLight<u64, i64>,
     /// The constant node `a` (distinct from all matrix indices).
     anchor: u64,
     prev_u: Vec<u64>,
@@ -113,16 +108,21 @@ impl ReductionOuMv {
     /// Build with the given ε for the inner triangle engine.
     pub fn with_eps(eps: f64) -> Self {
         ReductionOuMv {
-            engine: TriangleIvmEps::new(eps),
+            engine: HeavyLight::new(eps),
             anchor: u64::MAX,
             prev_u: Vec::new(),
             prev_v: Vec::new(),
         }
     }
 
-    /// Inner-work counter of the triangle engine.
-    pub fn work(&self) -> u64 {
-        self.engine.work()
+    /// Apply `m` to `R(a, i)` and `T(j, a)` for the current vectors.
+    fn encode(&mut self, m: i64) {
+        for i in &self.prev_u {
+            self.engine.apply(0, &self.anchor, i, &m);
+        }
+        for j in &self.prev_v {
+            self.engine.apply(2, j, &self.anchor, &m);
+        }
     }
 }
 
@@ -136,35 +136,18 @@ impl OuMvSolver for ReductionOuMv {
     fn init(&mut self, _n: usize, m: &[BitVec]) {
         for (i, row) in m.iter().enumerate() {
             for j in row.iter_ones() {
-                self.engine.apply(Rel::S, i as u64, j as u64, 1);
+                self.engine.apply(1, &(i as u64), &(j as u64), &1);
             }
         }
     }
 
     fn round(&mut self, u: &BitVec, v: &BitVec) -> bool {
-        // Delete the previous round's vector encodings…
-        for &i in &self.prev_u {
-            self.engine.apply(Rel::R, self.anchor, i, -1);
-        }
-        for &j in &self.prev_v {
-            self.engine.apply(Rel::T, j, self.anchor, -1);
-        }
-        // …and insert the new ones.
+        // Delete the previous round's vector encodings and insert the new.
+        self.encode(-1);
         self.prev_u = u.iter_ones().map(|i| i as u64).collect();
         self.prev_v = v.iter_ones().map(|j| j as u64).collect();
-        let us = self.prev_u.clone();
-        let vs = self.prev_v.clone();
-        for &i in &us {
-            self.engine.apply(Rel::R, self.anchor, i, 1);
-        }
-        for &j in &vs {
-            self.engine.apply(Rel::T, j, self.anchor, 1);
-        }
-        self.engine.detect()
-    }
-
-    fn name(&self) -> &'static str {
-        "triangle-reduction"
+        self.encode(1);
+        *self.engine.count() > 0
     }
 }
 

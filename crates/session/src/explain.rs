@@ -26,21 +26,6 @@ pub fn cost_profile(class: QueryClass, engine: EngineKind) -> CostProfile {
             update: "O(1)",
             delay: "O(1)",
         },
-        EngineKind::EagerList => CostProfile {
-            preprocessing: "O(|D|)",
-            update: "O(|δQ|) (delta enumeration into the listed output)",
-            delay: "O(1) (listed)",
-        },
-        EngineKind::LazyFact => CostProfile {
-            preprocessing: "O(|D|)",
-            update: "O(1) (queued)",
-            delay: "O(1) after an O(#queued) refresh",
-        },
-        EngineKind::LazyList => CostProfile {
-            preprocessing: "O(|D|)",
-            update: "O(1) (base tables only)",
-            delay: "O(|D|) re-evaluation on every enumeration",
-        },
         EngineKind::Cqap => CostProfile {
             preprocessing: "O(|D|)",
             update: "O(1) (constant fan-out over atom occurrences)",
@@ -176,8 +161,8 @@ pub struct Explain {
     /// started from and how much journal tail it replayed. `None` for a
     /// session built fresh.
     pub recovered: Option<String>,
-    /// Live heavy-light partition state (\u{3b5}, threshold \u{3b8}, per-relation
-    /// heavy/light part sizes), refreshed on every ingest while the
+    /// Live heavy-light partition state (\u{3b5}, threshold \u{3b8}, heavy keys
+    /// per relation, view entries), refreshed on every ingest while the
     /// heavy-light engine is the backend. `None` otherwise.
     pub heavy_light: Option<String>,
 }

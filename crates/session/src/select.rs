@@ -15,21 +15,14 @@ use crate::classify::{Classification, QueryClass};
 
 /// Every engine the session layer can stand up.
 ///
-/// The first four are the eager/lazy × list/fact grid of Fig 4
-/// (auto-selection only ever picks `EagerFact`; the other three exist for
-/// forced comparison rows, e.g. the Fig 4 bench). The rest are the CQAP
-/// engine, the generic dataflow engine under either join plan, and the
-/// hash-partitioned parallel fleet.
+/// The factorized eager view tree of Fig 4 (the other three Fig 4
+/// engines stay `ivm_core` types that no session builds), the CQAP
+/// engine, the generic dataflow engine under either join plan, the
+/// heavy-light engine, and the hash-partitioned parallel fleet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// `ivm_core::EagerFactEngine` — factorized view tree, F-IVM style.
     EagerFact,
-    /// `ivm_core::EagerListEngine` — view tree + materialized output.
-    EagerList,
-    /// `ivm_core::LazyFactEngine` — queued updates, factorized refresh.
-    LazyFact,
-    /// `ivm_core::LazyListEngine` — re-evaluation baseline.
-    LazyList,
     /// `ivm_core::cqap::CqapEngine` — fractured view trees with O(1)
     /// access requests.
     Cqap,
@@ -50,9 +43,6 @@ impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             EngineKind::EagerFact => "eager-fact (factorized view tree)",
-            EngineKind::EagerList => "eager-list (view tree + materialized output)",
-            EngineKind::LazyFact => "lazy-fact (queued view tree)",
-            EngineKind::LazyList => "lazy-list (re-evaluation)",
             EngineKind::Cqap => "cqap (fractured view trees)",
             EngineKind::DataflowLeftDeep => "dataflow (left-deep delta joins)",
             EngineKind::DataflowMultiway => "dataflow (worst-case-optimal multiway)",

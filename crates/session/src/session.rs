@@ -4,9 +4,7 @@ use crate::classify::classify;
 use crate::explain::{cost_profile, Explain, ReplanEvent};
 use crate::select::{select, EngineKind, Selection};
 use ivm_core::cqap::CqapEngine;
-use ivm_core::{
-    EagerFactEngine, EagerListEngine, EngineError, LazyFactEngine, LazyListEngine, Maintainer,
-};
+use ivm_core::{EagerFactEngine, EngineError, Maintainer};
 use ivm_data::ops::{lift_one, Lift};
 use ivm_data::{Database, FxHashSet, Persist, Relation, Sym, Tuple, Update};
 use ivm_dataflow::{
@@ -514,15 +512,6 @@ impl<R: Semiring> SessionBuilder<R> {
             EngineKind::EagerFact => {
                 Backend::EagerFact(EagerFactEngine::new(query.clone(), db, lift)?)
             }
-            EngineKind::EagerList => {
-                Backend::EagerList(EagerListEngine::new(query.clone(), db, lift)?)
-            }
-            EngineKind::LazyFact => {
-                Backend::LazyFact(LazyFactEngine::new(query.clone(), db, lift)?)
-            }
-            EngineKind::LazyList => {
-                Backend::LazyList(LazyListEngine::new(query.clone(), db, lift)?)
-            }
             EngineKind::Cqap => {
                 let mut eng = CqapEngine::new(query.clone(), lift)?;
                 // CqapEngine has no database constructor: preprocess by
@@ -957,9 +946,6 @@ fn mirror_db<R: Semiring>(query: &Query, db: &Database<R>) -> Database<R> {
 /// The engine a session stood up, behind one set of method surfaces.
 enum Backend<R: Semiring> {
     EagerFact(EagerFactEngine<R>),
-    EagerList(EagerListEngine<R>),
-    LazyFact(LazyFactEngine<R>),
-    LazyList(LazyListEngine<R>),
     Cqap(CqapEngine<R>),
     Dataflow(DataflowEngine<R>),
     HeavyLight(HeavyLightEngine<R>),
@@ -970,9 +956,6 @@ impl<R: Semiring> Backend<R> {
     fn kind(&self) -> EngineKind {
         match self {
             Backend::EagerFact(_) => EngineKind::EagerFact,
-            Backend::EagerList(_) => EngineKind::EagerList,
-            Backend::LazyFact(_) => EngineKind::LazyFact,
-            Backend::LazyList(_) => EngineKind::LazyList,
             Backend::Cqap(_) => EngineKind::Cqap,
             // `resolved_strategy` is what the planner actually lowered —
             // `Auto` (the fallback path) resolves through the planner's
@@ -1002,9 +985,6 @@ impl<R: Semiring> Backend<R> {
     fn maintainer(&mut self) -> &mut dyn Maintainer<R> {
         match self {
             Backend::EagerFact(e) => e,
-            Backend::EagerList(e) => e,
-            Backend::LazyFact(e) => e,
-            Backend::LazyList(e) => e,
             Backend::Cqap(e) => e,
             Backend::Dataflow(e) => e,
             Backend::HeavyLight(e) => e,
@@ -1015,9 +995,6 @@ impl<R: Semiring> Backend<R> {
     fn maintainer_ref(&self) -> &dyn Maintainer<R> {
         match self {
             Backend::EagerFact(e) => e,
-            Backend::EagerList(e) => e,
-            Backend::LazyFact(e) => e,
-            Backend::LazyList(e) => e,
             Backend::Cqap(e) => e,
             Backend::Dataflow(e) => e,
             Backend::HeavyLight(e) => e,
@@ -1590,8 +1567,9 @@ fn hl_note<R: Semiring>(backend: &Backend<R>) -> Option<String> {
         Backend::HeavyLight(e) => {
             let eps = e.eps();
             Some(format!(
-                "ε={eps}, θ={}, O(N^{}) amortized updates, {} view entries",
+                "ε={eps}, θ={}, heavy keys {:?}, O(N^{}) amortized updates, {} view entries",
                 e.threshold(),
+                e.heavy_counts(),
                 eps.max(1.0 - eps),
                 e.view_entries(),
             ))

@@ -1,12 +1,11 @@
-//! Streaming triangle counting over a skewed sliding-window graph —
-//! IVMε (Sec 3.3) against the first-order delta baseline (Sec 3.1) and
-//! the generic batched delta-dataflow engine (no triangle-specific code).
+//! Streaming triangle counting over a skewed sliding-window graph: a
+//! heavy-light IVMε session (Sec 3.3) against a session forced onto the
+//! worst-case-optimal multiway dataflow, on the same update stream.
 //!
 //! Run: `cargo run --release --example triangle_stream`
 
-use ivm::{Maintainer, Session};
+use ivm::{EngineKind, Maintainer, Session};
 use ivm_data::{sym, tup, vars, Database, Tuple, Update};
-use ivm_ivme::{Rel, TriangleDelta, TriangleIvmEps, TriangleMaintainer};
 use ivm_query::{Atom, Query};
 use ivm_workloads::graphs::EdgeStream;
 use std::time::Instant;
@@ -14,85 +13,56 @@ use std::time::Instant;
 fn main() {
     let window = 30_000;
     let stream = EdgeStream::zipf(4_000, 60_000, 0.9, 11).sliding_window(window);
+    let batch_size = 1_024;
     println!(
         "sliding window of {window} edges over a Zipf(0.9) graph \
-         ({} single-tuple updates total)\n",
+         ({} single-tuple updates in batches of {batch_size} edges)\n",
         stream.len() * 3
     );
 
-    let mut ivme = TriangleIvmEps::new(0.5);
-    let mut delta = TriangleDelta::new();
-
-    for (name, eng) in [
-        ("ivm-eps(0.5)", &mut ivme as &mut dyn TriangleMaintainer),
-        ("first-order delta", &mut delta),
-    ] {
-        let t0 = Instant::now();
-        for &(a, b, m) in &stream {
-            // The same edge stream feeds all three relation roles.
-            eng.apply(Rel::R, a, b, m);
-            eng.apply(Rel::S, a, b, m);
-            eng.apply(Rel::T, a, b, m);
-        }
-        println!(
-            "{name:>18}: count={} in {:?} ({:.0} upd/s, work={})",
-            eng.count(),
-            t0.elapsed(),
-            (stream.len() * 3) as f64 / t0.elapsed().as_secs_f64(),
-            eng.work(),
-        );
-    }
-    assert_eq!(ivme.count(), delta.count(), "engines must agree");
-
-    // The same cyclic query from its declarative form, through the
-    // session front door: the classifier sees a cyclic hypergraph and
-    // auto-selects the worst-case-optimal multiway dataflow — slower than
-    // the hand-tuned kernels, but with zero triangle-specific code, and
-    // batches amortize the gap.
+    // Three distinct relations in one oriented cycle: the classifier
+    // routes the triangle count to heavy-light.
     let [a, b, c] = vars(["ts_A", "ts_B", "ts_C"]);
-    let (rn, sn, tn) = (sym("ts_R"), sym("ts_S"), sym("ts_T"));
+    let rels = [sym("ts_R"), sym("ts_S"), sym("ts_T")];
     let q = Query::new(
         "ts_tri",
         [],
         vec![
-            Atom::new(rn, [a, b]),
-            Atom::new(sn, [b, c]),
-            Atom::new(tn, [c, a]),
+            Atom::new(rels[0], [a, b]),
+            Atom::new(rels[1], [b, c]),
+            Atom::new(rels[2], [c, a]),
         ],
     );
-    let mut generic = Session::<i64>::builder(q).build(&Database::new()).unwrap();
-    println!(
-        "\nsession auto-selected: {} ({})",
-        generic.engine_kind(),
-        generic.explain().class()
-    );
-    let batch_size = 1_024;
-    let t0 = Instant::now();
-    let mut batch: Vec<Update<i64>> = Vec::with_capacity(3 * batch_size);
-    for &(x, y, m) in &stream {
-        for rel in [rn, sn, tn] {
-            batch.push(Update::with_payload(rel, tup![x, y], m));
-        }
-        if batch.len() >= 3 * batch_size {
-            generic.apply_batch(&batch).unwrap();
-            batch.clear();
-        }
-    }
-    generic.apply_batch(&batch).unwrap();
-    let count = generic.output().get(&Tuple::empty());
-    println!(
-        "{:>18}: count={count} in {:?} ({:.0} upd/s, batches of {batch_size} edges)",
-        "generic dataflow",
-        t0.elapsed(),
-        (stream.len() * 3) as f64 / t0.elapsed().as_secs_f64(),
-    );
-    assert_eq!(count, delta.count(), "generic engine must agree");
+    let db = Database::new();
+    let hl = Session::<i64>::builder(q.clone()).build(&db).unwrap();
+    assert_eq!(hl.engine_kind(), EngineKind::HeavyLight);
+    let wcoj = Session::<i64>::builder(q)
+        .engine(EngineKind::DataflowMultiway)
+        .build(&db)
+        .unwrap();
 
-    println!(
-        "\nivm-eps bookkeeping: θ={}, heavy keys={:?}, migrations={}, rebalances={}",
-        ivme.threshold(),
-        ivme.heavy_counts(),
-        ivme.migrations(),
-        ivme.rebalances()
-    );
+    let mut counts = Vec::new();
+    for mut session in [hl, wcoj] {
+        let t0 = Instant::now();
+        for chunk in stream.chunks(batch_size) {
+            // The same edge stream feeds all three relation roles.
+            let batch: Vec<Update<i64>> = chunk
+                .iter()
+                .flat_map(|&(x, y, m)| rels.map(|rel| Update::with_payload(rel, tup![x, y], m)))
+                .collect();
+            session.apply_batch(&batch).unwrap();
+        }
+        let count = session.output().get(&Tuple::empty());
+        println!(
+            "{}: count={count} in {:?} ({:.0} upd/s)",
+            session.engine_kind(),
+            t0.elapsed(),
+            (stream.len() * 3) as f64 / t0.elapsed().as_secs_f64(),
+        );
+        if let Some(note) = &session.explain().heavy_light {
+            println!("  partition: {note}");
+        }
+        counts.push(count);
+    }
+    assert_eq!(counts[0], counts[1], "sessions must agree");
 }

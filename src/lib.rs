@@ -13,12 +13,12 @@
 //! | telemetry | [`obs`] | lock-free metrics registry, histograms, tracer, Prometheus/JSON export |
 //! | engines | [`core`] | per-class maintenance engines (view trees, cascades, CQAPs) |
 //! | runtime | [`dataflow`] | generic batched delta-dataflow engine for arbitrary CQs |
-//! | sublinear | [`hl`] | heavy-light partitioned IVMε engine for triangle-class queries |
+//! | sublinear | [`hl`] | one heavy-light partition (IVMε) under the triangle and Ex 5.1 view plans, and its engine |
 //! | scale-out | [`shard`] | hash-partitioned parallel shards with async batch ingestion |
 //! | durability | [`store`] | epoch-tagged update journal, consolidated snapshots, warm recovery |
 //! | front door | [`session`] | classify → select → one uniform [`Session`] handle |
 //! | serving | [`serve`] | one ingest stream fanned out to many live views ([`ServeNode`]) |
-//! | kernels | [`ivme`], [`oumv`] | specialized triangle/q-hierarchical kernels, lower bounds |
+//! | lower bounds | [`oumv`] | the OuMv reduction of Theorem 3.4 |
 //! | workloads | [`workloads`] | retailer, graph, PK-FK, Zipf generators |
 //!
 //! Most callers only need the front door:
@@ -35,7 +35,6 @@ pub use ivm_core as core;
 pub use ivm_data as data;
 pub use ivm_dataflow as dataflow;
 pub use ivm_hl as hl;
-pub use ivm_ivme as ivme;
 pub use ivm_obs as obs;
 pub use ivm_oumv as oumv;
 pub use ivm_query as query;

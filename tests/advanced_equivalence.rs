@@ -1,5 +1,5 @@
 //! Second property suite: the specialized engines (CQAP, insert-only,
-//! QhEps, covariance-ring trees) against brute-force oracles.
+//! Ex 5.1's heavy-light plan, covariance-ring trees) against brute-force oracles.
 
 use ivm_core::acyclic::InsertOnlyEngine;
 use ivm_core::cqap::CqapEngine;
@@ -7,7 +7,7 @@ use ivm_core::viewtree::ViewTree;
 use ivm_core::Maintainer;
 use ivm_data::ops::{eval_join_aggregate, lift_one};
 use ivm_data::{sym, FxHashMap, Relation, Tuple, Update, Value};
-use ivm_ivme::QhEpsEngine;
+use ivm_hl::QhEps;
 use ivm_ring::{Covar, Semiring};
 use proptest::prelude::*;
 
@@ -75,7 +75,7 @@ proptest! {
         }
     }
 
-    /// QhEps agrees with the oracle for every ε on arbitrary valid
+    /// Ex 5.1's heavy-light plan agrees with the oracle for every ε on arbitrary valid
     /// streams (including S-side deletes and degree churn).
     #[test]
     fn qh_eps_matches_oracle(
@@ -86,7 +86,7 @@ proptest! {
         eps_idx in 0usize..5,
     ) {
         let eps = [0.0, 0.25, 0.5, 0.75, 1.0][eps_idx];
-        let mut eng = QhEpsEngine::new(eps);
+        let mut eng = QhEps::<u64, i64>::new(eps);
         let mut r: FxHashMap<(u64, u64), i64> = FxHashMap::default();
         let mut s: FxHashMap<u64, i64> = FxHashMap::default();
         for (is_r, a, b, del) in ops {
@@ -94,12 +94,12 @@ proptest! {
                 let cur = r.entry((a, b)).or_insert(0);
                 let m: i64 = if del && *cur > 0 { -1 } else { 1 };
                 *cur += m;
-                eng.apply_r(a, b, m);
+                eng.apply_r(&a, &b, &m);
             } else {
                 let cur = s.entry(b).or_insert(0);
                 let m: i64 = if del && *cur > 0 { -1 } else { 1 };
                 *cur += m;
-                eng.apply_s(b, m);
+                eng.apply_s(&b, &m);
             }
         }
         // Oracle: Q(a) = Σ_b R(a,b)·S(b).

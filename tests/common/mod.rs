@@ -17,10 +17,13 @@
 //! subset, hence the module-wide `dead_code` allowance.
 #![allow(dead_code)]
 
+pub mod triangle;
+
 use ivm_data::ops::{eval_join_aggregate, lift_one, Lift};
 use ivm_data::{sym, tup, Database, FxHashMap, Relation, Schema, Sym, Tuple, Update, Value};
 use ivm_query::{Atom, Query};
 use proptest::prelude::*;
+use std::ops::RangeInclusive;
 
 // ---------------------------------------------------------------------
 // Query shapes
@@ -319,4 +322,32 @@ pub fn outputs_match(
         prop_assert_eq!(&got.get(t), p, "{} at {:?}", ctx, t);
     }
     Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Growth exponents
+// ---------------------------------------------------------------------
+
+/// Reads `work` once at each of `sizes`, in order, and asserts that every
+/// growth exponent `log(w_i / w_0) / log(n_i / n_0)` lies in `band`.
+/// Returns the exponents, one per size after the first.
+pub fn assert_exponents(
+    what: &str,
+    sizes: &[usize],
+    mut work: impl FnMut(usize) -> f64,
+    band: RangeInclusive<f64>,
+) -> Vec<f64> {
+    let w: Vec<f64> = sizes.iter().map(|&n| work(n)).collect();
+    (1..sizes.len())
+        .map(|i| {
+            let e = (w[i] / w[0]).ln() / (sizes[i] as f64 / sizes[0] as f64).ln();
+            assert!(
+                band.contains(&e),
+                "{what}: exponent {e:.3} at size {} is outside {band:?} \
+                 (work {w:?} at sizes {sizes:?})",
+                sizes[i]
+            );
+            e
+        })
+        .collect()
 }

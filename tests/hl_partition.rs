@@ -13,11 +13,11 @@
 //!    rebalances and per-key migrations never leave a stale entry.
 //! 3. **Output equivalence** — the maintained count equals the
 //!    from-scratch join-aggregate oracle over a mirrored base.
-//! 4. **One algorithm at two key types** — a raw-`u64`
-//!    [`TriangleIvmEps`] twin fed the consolidated batches in the order
-//!    the engine applies them reports the same count, work, migrations,
-//!    rebalances and heavy-key counts, and passes the same partition and
-//!    view checks.
+//! 4. **One algorithm at two key types** — a [`HeavyLight<u64, i64>`]
+//!    twin fed the consolidated batches in the order the engine applies
+//!    them reports the same count, counters (work, migrations,
+//!    rebalances, …) and heavy-key counts, and passes the same partition
+//!    and view checks.
 //!
 //! The whole grid of ε values is exercised (ε = 0 makes nearly every
 //! key heavy, ε = 1 nearly every key light — the two degenerate
@@ -41,7 +41,7 @@ use ivm::{Database, DataflowEngine, HeavyLightEngine, Maintainer};
 use ivm_data::ops::lift_one;
 use ivm_data::{consolidate, sym, tup, Update};
 use ivm_dataflow::JoinStrategy;
-use ivm_ivme::{Rel, TriangleIvmEps, TriangleMaintainer};
+use ivm_hl::HeavyLight;
 use ivm_workloads::graphs::EdgeStream;
 use proptest::prelude::*;
 
@@ -75,29 +75,23 @@ fn check_stream(eps: f64, ops: &[EdgeOp], chunk: usize) -> Result<(), TestCaseEr
     let updates = edge_updates(&q, ops);
     let mut mirror = mirror_db(&q);
     let mut eng = HeavyLightEngine::<i64>::new_with_eps(q.clone(), &mirror, lift_one, eps).unwrap();
-    let mut twin = TriangleIvmEps::new(eps);
+    let mut twin = HeavyLight::<u64, i64>::new(eps);
     for (no, batch) in updates.chunks(chunk.max(1)).enumerate() {
         let ctx = format!("ε={eps} batch {no}");
         eng.apply_batch(batch).unwrap();
         for u in consolidate(batch) {
-            let rel = Rel::ALL[rels.iter().position(|&r| r == u.relation).unwrap()];
+            let i = rels.iter().position(|&r| r == u.relation).unwrap();
             let key = |c: usize| u.tuple.at(c).as_int().unwrap() as u64;
-            twin.apply(rel, key(0), key(1), u.payload);
+            twin.apply(i, &key(0), &key(1), &u.payload);
         }
         for u in batch {
             mirror.apply(u);
         }
         assert_invariants(&mut eng, &mirror, &ctx)?;
-        let s = eng.stats();
         prop_assert_eq!(
-            (*eng.count(), s.work, s.migrations, s.rebalances),
-            (
-                twin.count(),
-                twin.work(),
-                twin.migrations(),
-                twin.rebalances()
-            ),
-            "{ctx}: Value engine vs u64 twin (count, work, migrations, rebalances)"
+            (*eng.count(), eng.stats()),
+            (*twin.count(), twin.stats()),
+            "{ctx}: Value engine vs u64 twin (count, counters)"
         );
         prop_assert_eq!(eng.heavy_counts(), twin.heavy_counts(), "{ctx}: heavy keys");
         if let Err(e) = twin.check_partition().and_then(|()| twin.check_views()) {

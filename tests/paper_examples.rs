@@ -1,19 +1,22 @@
 //! End-to-end checks of every worked example in the paper, spanning all
 //! crates. Each test cites the figure/example it reproduces.
 
+mod common;
+
+use common::triangle::{Triangle, TriangleDelta};
 use ivm_core::cascade::CascadeEngine;
 use ivm_core::cqap::CqapEngine;
 use ivm_core::fd::FdEngine;
 use ivm_core::{EagerFactEngine, EagerListEngine, LazyFactEngine, LazyListEngine, Maintainer};
 use ivm_data::ops::{eval_join_aggregate, lift_one};
 use ivm_data::{sym, tup, Database, Relation, Tuple, Update};
-use ivm_ivme::{Rel, TriangleDelta, TriangleIvmEps, TriangleMaintainer};
+use ivm_hl::HeavyLight;
 use ivm_query::examples as ex;
 use ivm_query::{is_hierarchical, is_q_hierarchical, is_tractable_cqap};
 
 /// Fig 2: the triangle count over the example database is 19; after
 /// δR = {(a2,b1) ↦ −2} it is 13 — via the generic relational operators
-/// AND the specialized kernels.
+/// AND the heavy-light triangle plan at `u64` keys.
 #[test]
 fn fig2_exact_numbers() {
     // Generic operators.
@@ -50,20 +53,23 @@ fn fig2_exact_numbers() {
     let out2 = eval_join_aggregate(&[&r2, &s, &t], &q.free, lift_one);
     assert_eq!(out2.get(&Tuple::empty()), 13);
 
-    // Specialized kernels.
-    let mut eng = TriangleIvmEps::new(0.5);
-    for (rel, rows) in [
-        (Rel::R, vec![(1u64, 1u64, 2i64), (2, 1, 3)]),
-        (Rel::S, vec![(1, 1, 2), (1, 2, 1)]),
-        (Rel::T, vec![(1, 1, 1), (2, 1, 3), (2, 2, 3)]),
-    ] {
+    // The heavy-light plan; relations 0, 1, 2 are R, S, T.
+    let mut eng = HeavyLight::<u64, i64>::new(0.5);
+    for (i, rows) in [
+        vec![(1u64, 1u64, 2i64), (2, 1, 3)],
+        vec![(1, 1, 2), (1, 2, 1)],
+        vec![(1, 1, 1), (2, 1, 3), (2, 2, 3)],
+    ]
+    .into_iter()
+    .enumerate()
+    {
         for (x, y, m) in rows {
-            eng.apply(rel, x, y, m);
+            eng.apply(i, &x, &y, &m);
         }
     }
-    assert_eq!(eng.count(), 19);
-    eng.apply(Rel::R, 2, 1, -2);
-    assert_eq!(eng.count(), 13);
+    assert_eq!(*eng.count(), 19);
+    eng.apply(0, &2, &1, &-2);
+    assert_eq!(*eng.count(), 13);
 }
 
 /// Fig 3 / Ex 4.4: the q-hierarchical query maintained by all four Fig 4
@@ -181,15 +187,14 @@ fn ex414_static_dynamic() {
 /// u⊤Mv = 1, encoded through R, S, T exactly as in the paper.
 #[test]
 fn thm34_worked_encoding() {
-    let mut eng = TriangleDelta::new();
+    let mut eng = TriangleDelta::default();
     let a = 1_000u64; // the constant value "a"
-    eng.apply(Rel::R, a, 2, 1); // u has a 1 in column 2
+    eng.update(0, a, 2, 1); // R: u has a 1 in column 2
     for (i, j) in [(2u64, 1u64), (1, 2), (3, 3)] {
-        eng.apply(Rel::S, i, j, 1); // M
+        eng.update(1, i, j, 1); // S: M
     }
-    eng.apply(Rel::T, 1, a, 1); // v has a 1 in row 1
-    assert!(eng.detect(), "u⊤Mv = 1 in the paper's example");
-    assert_eq!(eng.count(), 1);
+    eng.update(2, 1, a, 1); // T: v has a 1 in row 1
+    assert_eq!(eng.triangles(), 1, "u⊤Mv = 1 in the paper's example");
 }
 
 /// The classification table (Sec. 4): every named query gets the verdict

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::outputs_match;
+use common::{assert_exponents, outputs_match};
 use ivm_core::acyclic::InsertOnlyEngine;
 use ivm_core::cascade::CascadeEngine;
 use ivm_core::cqap::CqapEngine;
@@ -37,14 +37,8 @@ const SIZES: [usize; 3] = [1, 4, 16];
 
 /// Asserts that `w`, one reading per size of [`SIZES`], is flat.
 fn assert_flat(what: &str, w: [f64; 3]) {
-    for i in 1..SIZES.len() {
-        let e = (w[i] / w[0]).ln() / (SIZES[i] as f64).ln();
-        assert!(
-            (-0.15..=0.15).contains(&e),
-            "{what} grows with the size: {w:?}, exponent {e:.3} at ×{}",
-            SIZES[i]
-        );
-    }
+    let mut w = w.into_iter();
+    assert_exponents(what, &SIZES, |_| w.next().unwrap(), -0.15..=0.15);
 }
 
 /// Work per operation: how many, the total and the maximum.

@@ -228,8 +228,8 @@ fn selection_table_is_exactly_as_documented() {
     );
 }
 
-/// Every engine kind — the four Fig 4 specialists, CQAP, both dataflow
-/// plans, and the fleet — ingests the *same batch slice* through the one
+/// Every engine kind — eager-fact, CQAP, both dataflow plans, and the
+/// fleet — ingests the *same batch slice* through the one
 /// trait-level `apply_batch` and agrees on the output. (The CQAP engine
 /// runs its own query shape; the rest share Fig 3.)
 #[test]
@@ -250,9 +250,6 @@ fn one_apply_batch_surface_across_all_engines() {
         .collect();
     let kinds = [
         EngineKind::EagerFact,
-        EngineKind::EagerList,
-        EngineKind::LazyFact,
-        EngineKind::LazyList,
         EngineKind::DataflowLeftDeep,
         EngineKind::DataflowMultiway,
         EngineKind::Sharded,
