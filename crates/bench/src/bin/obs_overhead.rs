@@ -28,7 +28,7 @@ use ivm_bench::{bench_doc, fmt, per_sec, scaled, time, Json, Table};
 use ivm_core::Maintainer;
 use ivm_data::ops::lift_one;
 use ivm_data::{tup, Database, Update};
-use ivm_dataflow::{DataflowEngine, JoinStrategy};
+use ivm_dataflow::DataflowEngine;
 use ivm_obs::{EpochWaterfall, LabelId, MetricsRegistry};
 use ivm_workloads::graphs::EdgeStream;
 use std::time::{Duration, Instant};
@@ -87,13 +87,7 @@ fn traced_phase(
 fn run_pair(edges: &[(u64, u64)], probe: usize) -> (f64, f64, f64) {
     let q = ivm_query::examples::triangle_count();
     let names = [q.atoms[0].name, q.atoms[1].name, q.atoms[2].name];
-    let mut eng = DataflowEngine::<i64>::new_with_strategy(
-        q,
-        &Database::new(),
-        lift_one,
-        JoinStrategy::Multiway,
-    )
-    .unwrap();
+    let mut eng = DataflowEngine::<i64>::new(q, &Database::new(), lift_one).unwrap();
     for &(a, b) in edges {
         for r in names {
             eng.apply_batch(&[Update::insert(r, tup![a, b])]).unwrap();

@@ -1,18 +1,15 @@
 //! Cost-based plan ordering with deterministic tie-breaking.
 //!
-//! The planner used to order atoms syntactically (the order they appear in
-//! the query), which made plan quality an accident of query spelling and
-//! plan *stability* an accident of nothing at all. This module centralizes
-//! both orderings the planner needs:
+//! The multiway join eliminates variables in one global order, and the
+//! order decides how early small candidate sets prune the search. This
+//! module derives it, and ranks orders for the replan policy:
 //!
-//! * [`atom_order`] — the join order of the left-deep `DeltaJoin` chain
-//!   for acyclic queries: start from the smallest relation, then greedily
-//!   extend by the most-connected (then smallest) atom, so chains stay
-//!   connected and avoid accidental Cartesian products;
-//! * [`variable_order`] — the global elimination order of the
-//!   [`MultiwayJoin`](crate::Dataflow::add_multiway_join) node for cyclic
-//!   queries: most-constrained variables first (highest atom degree, then
-//!   lowest fan-out estimate from the containing relations' cardinalities).
+//! * [`variable_order`] — most-constrained variables first (highest atom
+//!   degree, then lowest fan-out estimate from the containing relations'
+//!   cardinalities);
+//! * [`multiway_cost`] — a coarse predicted search cost of an order, the
+//!   proxy [`ReplanPolicy`](crate::ReplanPolicy) compares a running order
+//!   against a fresh one with.
 //!
 //! Every comparison ends in a deterministic tie-break (cardinality, then
 //! first-occurrence index), so the same query and statistics always
@@ -88,38 +85,6 @@ fn est(cards: &Cardinalities, rel: Sym) -> f64 {
     cards.known(rel).unwrap_or(0).max(1) as f64
 }
 
-/// A coarse predicted propagation cost of the left-deep chain `order`
-/// under `cards`: the sum of estimated intermediate sizes along the
-/// chain. Joining an atom that shares variables with the bound prefix is
-/// estimated at `max(prefix, |atom|)` (key-join-like: the result is
-/// bounded by the larger side far more often than by their product);
-/// an atom sharing nothing multiplies (a true Cartesian step).
-///
-/// This is a *ranking* proxy, not a cardinality estimator: it exists so
-/// the replan policy can compare two orders of the same chain under the
-/// same statistics — e.g. the order a blind build picked against the
-/// order [`atom_order`] would pick from learned counts — with a
-/// deterministic, monotone answer.
-pub fn left_deep_cost(q: &Query, order: &[usize], cards: &Cardinalities) -> f64 {
-    let mut cost = 0.0;
-    let mut prefix = 0.0;
-    let mut bound = Schema::empty();
-    for (k, &ai) in order.iter().enumerate() {
-        let atom = &q.atoms[ai];
-        let size = est(cards, atom.name);
-        prefix = if k == 0 {
-            size
-        } else if atom.schema.intersect(&bound).arity() > 0 {
-            prefix.max(size)
-        } else {
-            prefix * size
-        };
-        cost += prefix;
-        bound = bound.union(&atom.schema);
-    }
-    cost
-}
-
 /// A coarse predicted search cost of a multiway variable elimination
 /// along `var_order` under `cards`: the sum over *internal* levels of the
 /// partial-binding frontier estimate, where each variable's fan-out is
@@ -128,8 +93,11 @@ pub fn left_deep_cost(q: &Query, order: &[usize], cards: &Cardinalities) -> f64 
 /// binding count is the join output, which no order changes; what the
 /// order controls is how early small candidate sets prune the frontier.
 ///
-/// Same contract as [`left_deep_cost`]: a deterministic ranking proxy for
-/// comparing variable orders, not an estimator of absolute work.
+/// This is a *ranking* proxy, not a cardinality estimator: it exists so
+/// the replan policy can compare two orders of the same query under the
+/// same statistics — e.g. the order a blind build picked against the
+/// order [`variable_order`] would pick from learned counts — with a
+/// deterministic, monotone answer.
 pub fn multiway_cost(q: &Query, var_order: &Schema, cards: &Cardinalities) -> f64 {
     let fan_out = |v: Sym| {
         q.atoms
@@ -147,35 +115,6 @@ pub fn multiway_cost(q: &Query, var_order: &Schema, cards: &Cardinalities) -> f6
         cost += frontier;
     }
     cost
-}
-
-/// The left-deep join order: atom indices into `q.atoms`.
-///
-/// Greedy: open with the smallest relation, then repeatedly append the
-/// remaining atom sharing the most variables with the atoms picked so far
-/// (ties: smaller relation, then lower atom index). Atoms sharing nothing
-/// are only picked once nothing connected remains, so Cartesian products
-/// are deferred as far as the hypergraph allows.
-pub fn atom_order(q: &Query, cards: &Cardinalities) -> Vec<usize> {
-    let n = q.atoms.len();
-    let card = |i: usize| cards.get(q.atoms[i].name);
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut bound = Schema::empty();
-    while !remaining.is_empty() {
-        let pick = *remaining
-            .iter()
-            .min_by_key(|&&i| {
-                let shared = q.atoms[i].schema.intersect(&bound).arity();
-                // More shared variables first, then smaller, then earlier.
-                (std::cmp::Reverse(shared), card(i), i)
-            })
-            .expect("remaining is non-empty");
-        bound = bound.union(&q.atoms[pick].schema);
-        order.push(pick);
-        remaining.retain(|&i| i != pick);
-    }
-    order
 }
 
 /// The global variable-elimination order for a multiway join.
@@ -228,11 +167,14 @@ mod tests {
 
     #[test]
     fn no_stats_is_stable_syntactic_order() {
+        // Degree first (b and c join two atoms each), then first
+        // occurrence.
         let q = chain();
-        let order = atom_order(&q, &Cardinalities::none());
-        assert_eq!(order, vec![0, 1, 2]);
+        let [a, b, c, d] = vars(["co_A", "co_B", "co_C", "co_D"]);
+        let order = variable_order(&q, &Cardinalities::none());
+        assert_eq!(order, Schema::from([b, c, a, d]));
         // Deterministic: identical inputs, identical plans.
-        assert_eq!(order, atom_order(&q, &Cardinalities::none()));
+        assert_eq!(order, variable_order(&q, &Cardinalities::none()));
     }
 
     #[test]
@@ -243,30 +185,21 @@ mod tests {
             .set(sym("co_R"), 10_000)
             .set(sym("co_S"), 5_000)
             .set(sym("co_T"), 10);
-        // T is smallest; S connects to it via c; R only connects via S.
-        assert_eq!(atom_order(&q, &cards), vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn connectivity_beats_cardinality() {
-        // R(a,b) tiny, U(x) tinier but disconnected: U must not interpose.
-        let [a, b, x] = vars(["co_A2", "co_B2", "co_X2"]);
-        let q = Query::new(
-            "co_disc",
-            [a, x],
-            vec![
-                Atom::new(sym("co_R2"), [a, b]),
-                Atom::new(sym("co_S2"), [b, x]),
-                Atom::new(sym("co_U2"), [x]),
-            ],
-        );
-        let mut cards = Cardinalities::none();
-        cards
-            .set(sym("co_R2"), 100)
-            .set(sym("co_S2"), 1_000)
-            .set(sym("co_U2"), 5);
-        // U opens (smallest), then S (shares x), then R (shares b).
-        assert_eq!(atom_order(&q, &cards), vec![2, 1, 0]);
+        // T is smallest: its join variable c opens, then S's b; among the
+        // leaves T's d before R's a. Each variable joins an earlier one.
+        let [a, b, c, d] = vars(["co_A", "co_B", "co_C", "co_D"]);
+        let order = variable_order(&q, &cards);
+        assert_eq!(order, Schema::from([c, b, d, a]));
+        let vs = order.vars();
+        for k in 1..vs.len() {
+            let prefix = Schema::new(vs[..k].iter().copied());
+            assert!(
+                q.atoms.iter().any(|at| at.schema.contains(vs[k])
+                    && at.schema.intersect(&prefix).arity() > 0),
+                "{:?} joins nothing before it in {order:?}",
+                vs[k]
+            );
+        }
     }
 
     #[test]
@@ -316,12 +249,21 @@ mod tests {
     #[test]
     fn orders_cover_all_atoms_and_variables() {
         let q = chain();
-        let order = atom_order(&q, &Cardinalities::none());
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2]);
         let vo = variable_order(&q, &Cardinalities::none());
         assert_eq!(vo.arity(), q.variables().arity());
         assert!(q.variables().subset_of(&vo));
+    }
+
+    #[test]
+    fn multiway_cost_ranks_the_informed_order_first() {
+        let q = chain();
+        let mut cards = Cardinalities::none();
+        cards
+            .set(sym("co_R"), 500)
+            .set(sym("co_S"), 20)
+            .set(sym("co_T"), 1);
+        let blind = multiway_cost(&q, &variable_order(&q, &Cardinalities::none()), &cards);
+        let informed = multiway_cost(&q, &variable_order(&q, &cards), &cards);
+        assert!(informed < blind, "{informed} vs {blind}");
     }
 }

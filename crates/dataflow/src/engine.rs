@@ -2,7 +2,7 @@
 
 use crate::cost::Cardinalities;
 use crate::graph::{Dataflow, DataflowStats};
-use crate::planner::{lower_with, JoinStrategy};
+use crate::planner::lower;
 use ivm_core::{EngineError, Maintainer};
 use ivm_data::ops::Lift;
 use ivm_data::{Batch, Database, FxHashSet, Relation, Sym, Tuple, Update};
@@ -11,7 +11,7 @@ use ivm_ring::Semiring;
 
 /// Maintains an arbitrary conjunctive query with aggregates — including
 /// cyclic ones no specialized engine in `ivm-core` accepts — by batched
-/// delta propagation through a lowered operator DAG.
+/// delta propagation through one worst-case-optimal multiway join.
 ///
 /// Construction never rejects a query shape: where `EagerFactEngine`
 /// demands q-hierarchical queries, this engine accepts anything
@@ -22,19 +22,13 @@ pub struct DataflowEngine<R> {
     query: Query,
     dataflow: Dataflow<R>,
     lift: Lift<R>,
-    strategy: JoinStrategy,
-    /// The concrete plan the strategy resolved to, recorded at lowering
-    /// time. [`Self::resolved_strategy`] reports this field rather than
-    /// recomputing through the planner: after a cardinality-driven
-    /// re-lowering the plan actually running can differ from what
-    /// `planner::resolve_strategy` would derive from the query alone.
-    resolved: JoinStrategy,
-    /// The cardinality snapshot the current plan's orders were derived
-    /// from — what the replan policy compares learned counts against.
+    /// The cardinality snapshot the current plan's variable order was
+    /// derived from — what the replan policy compares learned counts
+    /// against.
     lowered_cards: Cardinalities,
     /// Counters accumulated by dataflows discarded in re-plans; `stats()`
     /// reports `carried ⊕ current`, so the engine's history survives
-    /// strategy switches instead of silently resetting.
+    /// re-plans instead of silently resetting.
     carried_stats: DataflowStats,
     dynamics: FxHashSet<Sym>,
     statics: FxHashSet<Sym>,
@@ -44,45 +38,29 @@ pub struct DataflowEngine<R> {
 }
 
 impl<R: Semiring> DataflowEngine<R> {
-    /// Lower `query` with [`JoinStrategy::Auto`] (left-deep when acyclic,
-    /// worst-case-optimal multiway when cyclic) ordered by `db`'s relation
+    /// Lower `query` onto the multiway join ordered by `db`'s relation
     /// cardinalities, then preprocess by streaming `db`'s contents for
     /// every atom relation (static and dynamic) through the dataflow.
     pub fn new(query: Query, db: &Database<R>, lift: Lift<R>) -> Result<Self, EngineError> {
-        Self::new_with_strategy(query, db, lift, JoinStrategy::Auto)
-    }
-
-    /// [`Self::new`] with an explicit join plan — the equivalence tests
-    /// run the same query through both plans and cross-check them.
-    pub fn new_with_strategy(
-        query: Query,
-        db: &Database<R>,
-        lift: Lift<R>,
-        strategy: JoinStrategy,
-    ) -> Result<Self, EngineError> {
         let cards = Cardinalities::from_db(db, &query);
-        Self::new_with_cards(query, db, lift, strategy, cards)
+        Self::new_with_cards(query, db, lift, cards)
     }
 
-    /// [`Self::new_with_strategy`] ordering the plan by an explicit
-    /// cardinality snapshot instead of `db`'s current sizes — the
-    /// adaptive replanning path lowers from *learned* counts here, and
-    /// records the snapshot so a later policy decision can compare the
-    /// orders this plan was actually derived from against fresh ones.
+    /// [`Self::new`] ordering the plan by an explicit cardinality snapshot
+    /// instead of `db`'s current sizes — the adaptive replanning path
+    /// lowers from *learned* counts here, and records the snapshot so a
+    /// later policy decision can compare the order this plan was actually
+    /// derived from against fresh ones.
     pub fn new_with_cards(
         query: Query,
         db: &Database<R>,
         lift: Lift<R>,
-        strategy: JoinStrategy,
         cards: Cardinalities,
     ) -> Result<Self, EngineError> {
-        let resolved = crate::planner::resolve_strategy(&query, strategy);
-        if resolved == JoinStrategy::Multiway {
-            query
-                .check_atom_limit()
-                .map_err(EngineError::NotSupported)?;
-        }
-        let mut dataflow = lower_with(&query, lift, strategy, &cards);
+        query
+            .check_atom_limit()
+            .map_err(EngineError::NotSupported)?;
+        let mut dataflow = lower(&query, lift, &cards);
 
         let mut dynamics: FxHashSet<Sym> = FxHashSet::default();
         let mut statics: FxHashSet<Sym> = FxHashSet::default();
@@ -113,8 +91,6 @@ impl<R: Semiring> DataflowEngine<R> {
             query,
             dataflow,
             lift,
-            strategy,
-            resolved,
             lowered_cards: cards,
             carried_stats: DataflowStats::default(),
             dynamics,
@@ -123,50 +99,34 @@ impl<R: Semiring> DataflowEngine<R> {
         })
     }
 
-    /// Attach a metrics registry: batches record per-operator apply time
+    /// Attach a metrics registry: batches record the join's apply time
     /// and tuple counts plus cumulative [`DataflowStats`] mirrors under
     /// `{prefix}.*` (see [`Dataflow::attach_obs`]). The attachment
     /// survives re-plans — the fresh dataflow re-binds to the same
-    /// series, so operator ids restart with the new plan while the
-    /// engine-level counters keep accumulating.
+    /// series, so the counters keep accumulating.
     pub fn observe(&mut self, registry: &ivm_obs::MetricsRegistry, prefix: &str) {
         self.dataflow.attach_obs(registry, prefix);
         self.obs = Some((registry.clone(), prefix.to_string()));
     }
 
-    /// Re-lower the query onto a fresh plan — e.g. after the cardinality
-    /// landscape shifted, or to switch [`JoinStrategy`] mid-stream — and
-    /// rebuild operator state by streaming `db` (the *current* base state;
-    /// the engine materializes only its own indexes, so the caller owns
-    /// the ground truth, exactly as in [`Self::new`]).
+    /// Re-lower the query onto a fresh plan whose variable order is
+    /// derived from `cards` — the adaptive path passes *learned* counts —
+    /// and rebuild the join's state by streaming `db` (the *current* base
+    /// state; the engine materializes only its own indexes, so the caller
+    /// owns the ground truth, exactly as in [`Self::new`]).
     ///
     /// Counters accumulated so far are carried over: [`Self::stats`]
     /// reports the engine's whole history across any number of re-plans,
     /// except the one-off preprocessing batch of the new plan, which is
     /// deliberately not double-counted as stream work.
-    pub fn replan_with_strategy(
-        &mut self,
-        db: &Database<R>,
-        strategy: JoinStrategy,
-    ) -> Result<(), EngineError> {
-        let cards = Cardinalities::from_db(db, &self.query);
-        self.replan_with_cards(db, strategy, cards)
-    }
-
-    /// [`Self::replan_with_strategy`] ordering the fresh plan by an
-    /// explicit cardinality snapshot — the adaptive path re-derives atom
-    /// and variable orders from *learned* counts here, not just from
-    /// whatever `db` happens to hold at replay time (the two coincide for
-    /// an exact mirror, but the caller owns that choice).
     pub fn replan_with_cards(
         &mut self,
         db: &Database<R>,
-        strategy: JoinStrategy,
         cards: Cardinalities,
     ) -> Result<(), EngineError> {
         let mut carried = self.carried_stats;
         carried.merge(&self.dataflow.stats());
-        let mut fresh = Self::new_with_cards(self.query.clone(), db, self.lift, strategy, cards)?;
+        let mut fresh = Self::new_with_cards(self.query.clone(), db, self.lift, cards)?;
         // The preprocessing replay inflated the fresh dataflow's counters;
         // subtracting its own snapshot would lose it entirely, so instead
         // carry the *old* history and let the fresh dataflow count from
@@ -177,32 +137,13 @@ impl<R: Semiring> DataflowEngine<R> {
             fresh.dataflow.attach_obs(registry, prefix);
         }
         self.dataflow = fresh.dataflow;
-        self.strategy = strategy;
-        self.resolved = fresh.resolved;
         self.lowered_cards = fresh.lowered_cards;
         self.carried_stats = carried;
         Ok(())
     }
 
-    /// The join strategy the current plan was lowered with (possibly
-    /// [`JoinStrategy::Auto`], as requested by the caller).
-    pub fn strategy(&self) -> JoinStrategy {
-        self.strategy
-    }
-
-    /// The concrete plan the current strategy resolved to — never `Auto`.
-    /// Recorded at lowering time rather than recomputed through
-    /// `planner::resolve_strategy` on every call: after a learned-
-    /// cardinality re-lowering the plan running can legitimately differ
-    /// from what the query's shape alone would resolve to (e.g. a
-    /// blowup-triggered switch to `Multiway` on an α-acyclic query), and
-    /// this must report what was lowered, not what would be.
-    pub fn resolved_strategy(&self) -> JoinStrategy {
-        self.resolved
-    }
-
-    /// The cardinality snapshot the current plan's atom/variable orders
-    /// were derived from (empty for a blind build over an empty
+    /// The cardinality snapshot the current plan's variable order was
+    /// derived from (empty for a blind build over an empty
     /// database). The replan policy compares these against learned
     /// counts to decide whether a re-lowering pays for itself.
     pub fn lowered_cards(&self) -> &Cardinalities {
@@ -228,7 +169,7 @@ impl<R: Semiring> DataflowEngine<R> {
         // The consolidated entries are the updates received at this
         // boundary; count them so `updates_in` stays an ingestion total.
         self.dataflow.record_updates_in(batch.len() as u64);
-        self.dataflow.apply_delta_batch(batch)
+        Ok(self.dataflow.apply_delta_batch(batch))
     }
 
     /// The maintained output view.
@@ -242,13 +183,13 @@ impl<R: Semiring> DataflowEngine<R> {
         self.carried_stats.merged(&self.dataflow.stats())
     }
 
-    /// The lowered plan, one line per operator.
+    /// The lowered plan in one line, variable order included.
     pub fn plan(&self) -> String {
         self.dataflow.describe()
     }
 
-    /// Join this engine's multiway stores (slots fed directly by base
-    /// relations) onto a [`crate::StoreHub`] shared with other engines,
+    /// Join this engine's multiway stores onto a [`crate::StoreHub`]
+    /// shared with other engines,
     /// so overlapping relations are stored once fleet-wide. Returns the
     /// number of dedup hits. Shared slots stop advancing in-engine; the
     /// hub owner must call [`crate::StoreHub::advance_batch`] once per
@@ -257,8 +198,8 @@ impl<R: Semiring> DataflowEngine<R> {
         self.dataflow.share_multiway_stores(hub)
     }
 
-    /// Tuples resident in engine-owned state (output view, join
-    /// indexes, non-hub multiway stores). Hub-shared stores are counted
+    /// Tuples resident in engine-owned state (output view, non-hub
+    /// multiway stores). Hub-shared stores are counted
     /// by [`crate::StoreHub::stored_tuples`], not here.
     pub fn resident_tuples(&self) -> usize {
         self.dataflow.resident_tuples()
@@ -274,7 +215,7 @@ impl<R: Semiring> Maintainer<R> for DataflowEngine<R> {
         self.apply_batch(std::slice::from_ref(upd)).map(|_| ())
     }
 
-    /// One consolidated delta propagation through the lowered DAG; the
+    /// One consolidated delta propagation through the multiway join; the
     /// returned relation is the batch's exact output delta. Same final
     /// state as applying each update individually (ring
     /// order-independence), at a fraction of the work when the batch has
@@ -304,7 +245,7 @@ impl<R: Semiring> std::fmt::Debug for DataflowEngine<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DataflowEngine")
             .field("query", &self.query)
-            .field("nodes", &self.dataflow.node_count())
+            .field("plan", &self.dataflow.describe())
             .finish_non_exhaustive()
     }
 }
@@ -415,17 +356,14 @@ mod tests {
 
     /// A re-plan must not reset the engine's counters (they feed bench
     /// trajectories and the sharded engine's aggregated stats), and the
-    /// new plan must agree with the old state.
+    /// plans before and after it must agree.
     #[test]
     fn stats_survive_replan_and_strategies_agree() {
         let q = triangle_self_join();
         let e = q.atoms[0].name;
         let mut db: Database<i64> = Database::new();
         db.create(e, q.atoms[0].schema.clone());
-        let mut eng =
-            DataflowEngine::<i64>::new_with_strategy(q, &db, lift_one, JoinStrategy::Multiway)
-                .unwrap();
-        assert_eq!(eng.strategy(), JoinStrategy::Multiway);
+        let mut eng = DataflowEngine::<i64>::new(q, &db, lift_one).unwrap();
         let edges = [(1i64, 2i64), (2, 3), (3, 1), (2, 4), (4, 1), (1, 9)];
         for (a, b) in edges {
             let u = Update::insert(e, tup![a, b]);
@@ -437,29 +375,30 @@ mod tests {
         assert!(before.multiway_seeds > 0);
         let count_before = eng.output_relation().get(&Tuple::empty());
 
-        // Switch to the left-deep plan, replaying the current base state.
-        eng.replan_with_strategy(&db, JoinStrategy::LeftDeep)
+        // Re-lower from the current base state.
+        let blind_plan = eng.plan();
+        eng.replan_with_cards(&db, Cardinalities::from_db(&db, &eng.query))
             .unwrap();
-        assert_eq!(eng.strategy(), JoinStrategy::LeftDeep);
+        assert_eq!(
+            eng.plan(),
+            blind_plan,
+            "one relation: the order is the tie-break"
+        );
         let after = eng.stats();
         assert_eq!(
             eng.output_relation().get(&Tuple::empty()),
             count_before,
             "re-planned engine must reproduce the maintained output"
         );
-        // History survived: every counter is at least its pre-replan value.
-        assert!(after.batches >= before.batches);
-        assert_eq!(after.updates_in, before.updates_in);
-        assert_eq!(after.multiway_seeds, before.multiway_seeds);
+        // History survived: the preprocessing replay is not stream work.
+        assert_eq!(after, before);
 
         // And the new plan keeps counting on top of the carried history.
         eng.apply(&Update::delete(e, tup![2i64, 3i64])).unwrap();
         let later = eng.stats();
         assert_eq!(later.updates_in, after.updates_in + 1);
-        assert!(
-            later.binary_join_tuples > after.binary_join_tuples,
-            "left-deep deltas materialize binary intermediates"
-        );
+        assert!(later.multiway_seeds > after.multiway_seeds);
+        assert_eq!(later.binary_join_tuples, 0);
         assert_eq!(eng.output_relation().get(&Tuple::empty()), count_before - 3);
     }
 

@@ -7,40 +7,33 @@
 //! the *generic fallback*: it maintains **any** conjunctive query with
 //! aggregates — including cyclic queries such as the triangle query of
 //! Kara et al., *Maintaining Triangle Queries under Updates* — by delta
-//! propagation through a composable operator DAG, in the style of Koch et
-//! al.'s collection programming and of DBSP.
+//! propagation through one worst-case-optimal join, in the style of Koch
+//! et al.'s collection programming and of DBSP.
 //!
-//! Four layers:
+//! The layers:
 //!
 //! * [`DeltaBatch`] — consolidates a batch of single-tuple updates
 //!   per `(relation, tuple)`; sound because ring payloads make batch
 //!   effects order-independent (Sec. 2 of the paper);
-//! * [`Dataflow`] — the runtime: `Source`, `Filter`, `Map`/`Project`,
-//!   hash-indexed binary `DeltaJoin` (semi-naive: `δL⋈R ⊎ L⋈δR ⊎ δL⋈δR`),
-//!   the worst-case-optimal [`multiway`] `MultiwayJoin` (attribute-at-a-
-//!   time intersection search over shared hash-trie indexes, deltas
-//!   seeded from the changed tuples, aggregated onto the free variables
-//!   inside the search), and `GroupAggregate` nodes over any
-//!   [`ivm_ring::Semiring`], driven by [`Dataflow::apply_batch`];
-//! * [`cost`] — deterministic cost-based orderings: the left-deep atom
-//!   order and the multiway variable-elimination order, both derived
-//!   from relation cardinalities with stable tie-breaking, plus the
-//!   coarse plan-cost proxies the replan policy ranks orders with;
+//! * [`Dataflow`] — the runtime: the query's base relations feeding one
+//!   worst-case-optimal [`multiway`] join (attribute-at-a-time
+//!   intersection search over shared hash-trie indexes, deltas seeded from
+//!   the changed tuples, aggregated onto the free variables inside the
+//!   search), driven by [`Dataflow::apply_batch`]. It serves every query,
+//!   acyclic or cyclic, and materializes no binary intermediate;
+//! * [`cost`] — the deterministic cost-based variable order, derived from
+//!   relation cardinalities with stable tie-breaking, plus the coarse
+//!   plan-cost proxy the replan policy ranks orders with;
 //! * [`adapt`] — adaptive replanning: [`LearnedCardinalities`] (live
 //!   per-relation counts from the stream) and [`ReplanPolicy`] (when a
 //!   re-lowering through
 //!   [`DataflowEngine::replan_with_cards`](engine::DataflowEngine::replan_with_cards)
-//!   pays for itself: first-data, observed binary blowup, or a predicted
-//!   cost ratio — all with hysteresis);
-//! * [`planner::lower`] + [`DataflowEngine`] — splits on the hypergraph
-//!   (GYO check shared with `ivm_query::acyclic`): α-acyclic queries get
-//!   the left-deep `DeltaJoin` chain, cyclic queries get one
-//!   `MultiwayJoin` node that materializes no binary intermediates
-//!   ([`DataflowStats::binary_join_tuples`] stays zero) and is itself the
-//!   sink; wrapped as an
-//!   `ivm_core::Maintainer`, so the runtime slots into the existing
-//!   equivalence tests, benches, and examples. [`JoinStrategy`] forces
-//!   either plan for cross-checking.
+//!   pays for itself: first data after a blind build, or a predicted cost
+//!   ratio with hysteresis — and when skew calls for the heavy-light
+//!   family instead);
+//! * [`planner::lower`] + [`DataflowEngine`] — lower a query onto the
+//!   join, wrapped as an `ivm_core::Maintainer`, so the runtime slots into
+//!   the existing equivalence tests, benches, and examples.
 //!
 //! # Quickstart
 //!
@@ -87,6 +80,6 @@ pub use adapt::{
 pub use batch::DeltaBatch;
 pub use cost::Cardinalities;
 pub use engine::DataflowEngine;
-pub use graph::{Dataflow, DataflowStats, NodeId};
+pub use graph::{Dataflow, DataflowStats};
 pub use multiway::StoreHub;
-pub use planner::{lower, lower_with, resolve_strategy, JoinStrategy};
+pub use planner::lower;

@@ -1,14 +1,14 @@
 //! Worst-case-optimal multiway join state (generic leapfrog-style).
 //!
-//! The left-deep [`DeltaJoin`](crate::Dataflow::add_join) chain
-//! materializes every binary intermediate, which on cyclic queries like the
-//! triangle blows up to the size the AGM bound says a full join never needs
-//! (Veldhuizen, *Incremental Maintenance for Leapfrog Triejoin*; Kara et
-//! al., *Maintaining Triangle Queries under Updates*). This module
-//! implements the attribute-at-a-time alternative: fix a global variable
-//! order, then extend a partial binding one variable at a time by
-//! *intersecting* the candidate values of every atom containing that
-//! variable — iterate the smallest candidate set, probe the rest. No
+//! A chain of binary joins materializes every intermediate, which on
+//! cyclic queries like the triangle blows up to the size the AGM bound
+//! says a full join never needs (Veldhuizen, *Incremental Maintenance for
+//! Leapfrog Triejoin*; Kara et al., *Maintaining Triangle Queries under
+//! Updates*). This module implements the attribute-at-a-time alternative,
+//! one algorithm for every conjunctive query, acyclic or cyclic: fix a
+//! global variable order, then extend a partial binding one variable at a
+//! time by *intersecting* the candidate values of every atom containing
+//! that variable — iterate the smallest candidate set, probe the rest. No
 //! intermediate relation is ever materialized, and not even the join
 //! tuples are: each full binding is summed straight into the aggregated
 //! output (§Aggregation).
@@ -32,7 +32,7 @@
 //!
 //! # Index structure
 //!
-//! Each distinct dataflow input (≈ base relation) owns one `Store`: its
+//! Each distinct relation the node reads (an *input*) owns one `Store`: its
 //! resident id tuples with their payloads, plus a vector of
 //! `PatternIndex`es, the hash-trie analogue of leapfrog's sorted tries. A
 //! pattern `(key_pos, val_pos)` maps an assignment of the key columns to
@@ -61,13 +61,17 @@
 //!
 //! Every term *seeds* the search from changed tuples: the first atom of `S`
 //! iterates its (small) delta, binding all its variables at once, and the
-//! remaining variables are solved by the intersection search — atoms in `S`
+//! remaining variables are solved by the intersection search, next always
+//! a variable that shares an atom with the binding so far (a Cartesian
+//! step only where the query is disconnected) — atoms in `S`
 //! probe their input's *delta store*, the rest the old shared stores. A
 //! delta store is a `Store` with the old store's patterns that lives as
 //! long as the node: a batch encodes its delta into it through the same
 //! `Store::apply` that maintains the old indexes, advances the owned old
 //! stores from it after the search, and empties it, keeping its
-//! batch-sized tables. A step probes its constraints smallest index first,
+//! batch-sized tables — except that an owned store still empty (a preload)
+//! takes the delta store's tables whole instead of re-inserting every
+//! tuple. A step probes its constraints smallest index first,
 //! so an `S`-atom's delta index — where the key is almost always absent —
 //! ends the branch before the resident store is touched, and a term reading
 //! an *empty* old store is zero and skipped outright: a preload costs one
@@ -102,7 +106,7 @@ use crate::batch::DeltaBatch;
 use crate::dict::{Dict, Id};
 use crate::graph::DataflowStats;
 use ivm_data::ops::{Lift, LiftedProjection};
-use ivm_data::{FxHashMap, Relation, Schema, Sym, Value};
+use ivm_data::{FxHashMap, Relation, Schema, Sym, Tuple, Value};
 use ivm_ring::Semiring;
 use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -474,12 +478,12 @@ impl<R: Semiring> Store<R> {
     /// (through `buf`). Tables left over from a much larger batch — the
     /// preload — are given back first: an oversized table makes every
     /// later `clear` and seed scan O(capacity).
-    fn refill(&mut self, delta: &Relation<R>, dict: &mut Dict, buf: &mut Vec<Id>) {
+    fn refill(&mut self, delta: &FxHashMap<Tuple, R>, dict: &mut Dict, buf: &mut Vec<Id>) {
         self.tuples.shrink_to(2 * delta.len());
         for idx in &mut self.indexes {
             idx.map.shrink_to(2 * delta.len());
         }
-        for (t, r) in delta.iter() {
+        for (t, r) in delta {
             self.apply(dict.encode_all(t.values(), buf), r, None);
         }
     }
@@ -520,6 +524,26 @@ struct AtomSpec {
     input: usize,
     /// For each atom column, the position of its variable in `var_order`.
     gpos: Vec<usize>,
+}
+
+/// The variable a seed plan binds next: the first unbound one in
+/// `var_order` that shares an atom with a bound variable, so its step is
+/// keyed by the binding. Only when none does — a disconnected query — the
+/// first unbound one, a Cartesian step. Binding in plain `var_order` order
+/// instead makes the 4-atom chain `R(a,b)·S(b,c)·T(c,d)·U(d,e)`, seeded
+/// from `U`, enumerate every `b` before `c` pins it: work linear in N per
+/// update where the connected order does O(1).
+fn next_var(specs: &[AtomSpec], bound: &[bool]) -> Option<usize> {
+    let linked = |g: usize| {
+        specs
+            .iter()
+            .any(|s| s.gpos.contains(&g) && s.gpos.iter().any(|&h| bound[h]))
+    };
+    let mut unbound = (0..bound.len()).filter(|&g| !bound[g]);
+    unbound
+        .clone()
+        .find(|&g| linked(g))
+        .or_else(|| unbound.next())
 }
 
 /// A precomputed probe: one atom constraining the variable of a step.
@@ -673,9 +697,12 @@ impl<R: Semiring> StoreHub<R> {
     }
 }
 
-/// State of one [`MultiwayJoin`](crate::Dataflow::add_multiway_join) node.
+/// State of the multiway join node of a [`Dataflow`](crate::Dataflow).
 pub struct MultiwayState<R> {
     atoms: Vec<AtomSpec>,
+    /// The base relation each input reads, by input slot: one per
+    /// distinct relation, in order of first occurrence.
+    relations: Vec<Sym>,
     /// Output schema, and how a full binding over `var_order` is summed
     /// into it (see the module's §Aggregation).
     out: Schema,
@@ -703,14 +730,13 @@ pub struct MultiwayState<R> {
 }
 
 impl<R: Semiring> MultiwayState<R> {
-    /// Build the node state. `atoms` pairs each occurrence's input slot
-    /// with its schema; `n_inputs` is the number of distinct inputs, each
-    /// read by some atom; `var_order` must cover every atom variable; the
-    /// node emits its delta aggregated onto `out ⊆ var_order`, lifting
-    /// every other variable with `lift`.
+    /// Build the node state. `atoms` pairs each occurrence's relation with
+    /// its variable schema — occurrences of one relation share an input,
+    /// and so its store and indexes; `var_order` must cover every atom
+    /// variable; the node emits its delta aggregated onto
+    /// `out ⊆ var_order`, lifting every other variable with `lift`.
     pub(crate) fn new(
-        atoms: &[(usize, Schema)],
-        n_inputs: usize,
+        atoms: &[(Sym, Schema)],
         var_order: Schema,
         out: Schema,
         lift: Lift<R>,
@@ -722,31 +748,34 @@ impl<R: Semiring> MultiwayState<R> {
             atoms.len() <= ivm_query::Query::MAX_ATOMS,
             "at most 64 atom occurrences"
         );
-        let mut arity = vec![None; n_inputs];
-        let specs: Vec<AtomSpec> = atoms
-            .iter()
-            .map(|(input, schema)| {
-                assert!(*input < n_inputs, "atom input slot out of range");
-                arity[*input] = Some(schema.arity());
-                let gpos = schema
-                    .vars()
-                    .iter()
-                    .map(|&v| {
-                        var_order
-                            .position(v)
-                            .unwrap_or_else(|| panic!("atom variable {v} missing from var order"))
-                    })
-                    .collect();
-                AtomSpec {
-                    input: *input,
-                    gpos,
+        let mut relations: Vec<Sym> = Vec::new();
+        let mut arity: Vec<usize> = Vec::new();
+        let mut specs = Vec::with_capacity(atoms.len());
+        for (rel, schema) in atoms {
+            let input = match relations.iter().position(|r| r == rel) {
+                Some(input) => input,
+                None => {
+                    relations.push(*rel);
+                    arity.push(schema.arity());
+                    relations.len() - 1
                 }
-            })
-            .collect();
-        let arity: Vec<usize> = arity
-            .into_iter()
-            .map(|a| a.expect("every input is read by some atom"))
-            .collect();
+            };
+            assert_eq!(
+                arity[input],
+                schema.arity(),
+                "every occurrence of {rel} has one arity"
+            );
+            let gpos = schema
+                .vars()
+                .iter()
+                .map(|&v| {
+                    var_order
+                        .position(v)
+                        .unwrap_or_else(|| panic!("atom variable {v} missing from var order"))
+                })
+                .collect();
+            specs.push(AtomSpec { input, gpos });
+        }
         // Planning registers every pattern a search can probe on the
         // delta stores; the old stores then get the same slots.
         let mut delta: Vec<Store<R>> = arity.iter().map(|&n| Store::new(n)).collect();
@@ -766,13 +795,14 @@ impl<R: Semiring> MultiwayState<R> {
             .collect();
         MultiwayState {
             atoms: specs,
+            shared: vec![false; relations.len()],
+            relations,
             binding: vec![0; var_order.arity()],
             row: vec![Value::Int(0); var_order.arity()],
             emit: LiftedProjection::new(&var_order, &out, lift),
             out,
             dict: SharedDict::default(),
             stores,
-            shared: vec![false; n_inputs],
             plans,
             delta,
             key_buf: Vec::new(),
@@ -781,14 +811,24 @@ impl<R: Semiring> MultiwayState<R> {
         }
     }
 
-    /// Swap input `slot`'s store for the hub's shared store of
-    /// `relation` (donating ours if the hub has none yet), and mark the
+    /// Join every input onto `hub`'s shared store for its relation (see
+    /// [`Self::share_slot`]). Returns the number of dedup hits — inputs
+    /// that adopted a store some earlier engine had already donated.
+    pub(crate) fn share_stores(&mut self, hub: &StoreHub<R>) -> usize {
+        (0..self.relations.len())
+            .filter(|&slot| self.share_slot(slot, hub))
+            .count()
+    }
+
+    /// Swap input `slot`'s store for the hub's shared store of its
+    /// relation (donating ours if the hub has none yet), and mark the
     /// slot coordinator-advanced. Returns `true` on a dedup hit — an
     /// earlier engine's store was adopted; this node's patterns are then
     /// registered on it and its constraints re-pointed at those slots.
     /// The first slot a node shares moves all its stores into the hub's
     /// dictionary, once.
-    pub(crate) fn share_slot(&mut self, slot: usize, relation: Sym, hub: &StoreHub<R>) -> bool {
+    fn share_slot(&mut self, slot: usize, hub: &StoreHub<R>) -> bool {
+        let relation = self.relations[slot];
         if !Arc::ptr_eq(&self.dict, &hub.dict) {
             assert!(
                 !self.shared.contains(&true),
@@ -845,10 +885,7 @@ impl<R: Semiring> MultiwayState<R> {
 
         let mut steps = Vec::new();
         let mut order_base = 0;
-        for g in 0..n_g {
-            if bound[g] {
-                continue;
-            }
+        while let Some(g) = next_var(specs, &bound) {
             let mut constraints = Vec::new();
             for (j, spec) in specs.iter().enumerate() {
                 let Some(val_pos) = spec.gpos.iter().position(|&vg| vg == g) else {
@@ -928,30 +965,39 @@ impl<R: Semiring> MultiwayState<R> {
             .sum()
     }
 
-    /// Propagate one consolidated batch: encode the deltas into the delta
-    /// stores, run every inclusion–exclusion term seeded from the changed
-    /// tuples, then advance the *owned* stores (hub-shared slots are
-    /// advanced by the hub coordinator — see [`StoreHub`]) and free the
-    /// ids no resident tuple holds. Returns the output delta over the
-    /// node's output schema.
+    /// The relation each input reads, by input slot.
+    pub fn relations(&self) -> &[Sym] {
+        &self.relations
+    }
+
+    /// Propagate one consolidated batch: encode the deltas of the node's
+    /// relations into the delta stores, run every inclusion–exclusion term
+    /// seeded from the changed tuples, then advance the *owned* stores
+    /// (hub-shared slots are advanced by the hub coordinator — see
+    /// [`StoreHub`]) and free the ids no resident tuple holds. Returns the
+    /// output delta over the node's output schema, `None` when the batch
+    /// touches none of the node's relations.
     pub(crate) fn apply(
         &mut self,
-        input_deltas: &[Option<&Relation<R>>],
+        batch: &DeltaBatch<R>,
         stats: &mut DataflowStats,
     ) -> Option<Relation<R>> {
-        assert_eq!(input_deltas.len(), self.stores.len(), "one delta per input");
-        if input_deltas.iter().all(|d| d.is_none()) {
-            return None;
-        }
         let mut dict = relock(&self.dict);
-        for (store, d) in self.delta.iter_mut().zip(input_deltas) {
-            if let Some(d) = d {
+        // Inputs whose relation changed this batch, as a mask over inputs
+        // (there are no more inputs than atoms).
+        let mut inputs_changed = 0u64;
+        for (slot, store) in self.delta.iter_mut().enumerate() {
+            if let Some(d) = batch.delta(self.relations[slot]) {
                 store.refill(d, &mut dict, &mut self.key_buf);
+                inputs_changed |= 1 << slot;
             }
         }
-        // Atoms whose input changed this batch, as a mask over atoms.
+        if inputs_changed == 0 {
+            return None;
+        }
+        // Atoms whose input changed, as a mask over atoms.
         let changed = (0..self.atoms.len())
-            .filter(|&j| input_deltas[self.atoms[j].input].is_some())
+            .filter(|&j| inputs_changed >> self.atoms[j].input & 1 == 1)
             .fold(0u64, |mask, j| mask | 1 << j);
 
         // Lock every input slot once for the whole batch. With no hub the
@@ -987,18 +1033,34 @@ impl<R: Semiring> MultiwayState<R> {
         }
 
         // The deltas' indexes go before the old stores grow; their tuples
-        // advance the owned stores, then go too.
+        // advance the owned stores, then go too. A shared slot is advanced
+        // by the hub coordinator.
         for (slot, store) in self.delta.iter_mut().enumerate() {
-            if input_deltas[slot].is_none() {
+            if inputs_changed >> slot & 1 == 0 {
                 continue;
+            }
+            let old = &mut guards[slot];
+            if !self.shared[slot] && old.tuples.len() == 0 {
+                // An empty owned store (a preload) adopts the delta store
+                // whole, with the same pattern slots: its tuples retain
+                // their ids and the tables swap, instead of every tuple
+                // being inserted again.
+                debug_assert!(old
+                    .indexes
+                    .iter()
+                    .map(|i| (&i.key_pos, i.val_pos))
+                    .eq(store.indexes.iter().map(|i| (&i.key_pos, i.val_pos))));
+                for (t, _) in store.tuples.iter() {
+                    t.iter().for_each(|&id| dict.retain(id));
+                }
+                std::mem::swap(&mut **old, store);
             }
             for idx in &mut store.indexes {
                 idx.map.clear();
             }
-            // A shared slot is advanced by the hub coordinator.
             if !self.shared[slot] {
                 for (t, r) in store.tuples.iter() {
-                    guards[slot].apply(&t, r, Some(&mut dict));
+                    old.apply(&t, r, Some(&mut dict));
                 }
             }
             store.tuples.clear();
@@ -1165,68 +1227,77 @@ impl<'a, R: Semiring> Search<'a, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{variable_order, Cardinalities};
     use ivm_data::ops::{eval_join_aggregate, lift_one};
-    use ivm_data::{sym, tup, vars, FxHashSet, Tuple};
+    use ivm_data::{sym, tup, vars, FxHashSet, Tuple, Update};
+    use ivm_query::{examples, Query};
 
-    /// Triangle over one shared input: E(a,b), E(b,c), E(c,a), listing
-    /// every rotation.
-    fn triangle_state() -> (MultiwayState<i64>, Schema) {
-        let (atoms, vo) = triangle_atoms();
+    /// Triangle over one edge relation `e`: E(a,b), E(b,c), E(c,a),
+    /// listing every rotation.
+    fn triangle_state(e: Sym) -> (MultiwayState<i64>, Schema) {
+        let (atoms, vo) = triangle_atoms(e);
         (
-            MultiwayState::new(&atoms, 1, vo.clone(), vo.clone(), lift_one),
+            MultiwayState::new(&atoms, vo.clone(), vo.clone(), lift_one),
             vo,
         )
     }
 
     /// The same triangle counted: aggregated onto the empty schema.
-    fn triangle_count_state() -> MultiwayState<i64> {
-        let (atoms, vo) = triangle_atoms();
-        MultiwayState::new(&atoms, 1, vo, Schema::empty(), lift_one)
+    fn triangle_count_state(e: Sym) -> MultiwayState<i64> {
+        let (atoms, vo) = triangle_atoms(e);
+        MultiwayState::new(&atoms, vo, Schema::empty(), lift_one)
     }
 
-    fn triangle_atoms() -> (Vec<(usize, Schema)>, Schema) {
+    fn triangle_atoms(e: Sym) -> (Vec<(Sym, Schema)>, Schema) {
         let [a, b, c] = vars(["mw_A", "mw_B", "mw_C"]);
         let atoms = vec![
-            (0usize, Schema::from([a, b])),
-            (0, Schema::from([b, c])),
-            (0, Schema::from([c, a])),
+            (e, Schema::from([a, b])),
+            (e, Schema::from([b, c])),
+            (e, Schema::from([c, a])),
         ];
         (atoms, Schema::from([a, b, c]))
     }
 
-    fn edge_delta(edges: &[(i64, i64, i64)]) -> Relation<i64> {
-        let [x, y] = vars(["mw_ex", "mw_ey"]);
-        Relation::from_rows(
-            Schema::from([x, y]),
-            edges.iter().map(|&(a, b, m)| (tup![a, b], m)),
-        )
+    /// A consolidated batch of `(relation, tuple, multiplicity)` rows.
+    fn batch_of(rows: impl IntoIterator<Item = (Sym, Tuple, i64)>) -> DeltaBatch<i64> {
+        let mut batch = DeltaBatch::new();
+        for (rel, t, m) in rows {
+            batch.push(&Update::with_payload(rel, t, m));
+        }
+        batch
+    }
+
+    fn edge_batch(e: Sym, edges: &[(i64, i64, i64)]) -> DeltaBatch<i64> {
+        batch_of(edges.iter().map(|&(a, b, m)| (e, tup![a, b], m)))
     }
 
     #[test]
     fn triangle_insert_then_delete() {
-        let mut st = triangle_count_state();
+        let e = sym("mw_triE");
+        let mut st = triangle_count_state(e);
         let mut stats = DataflowStats::default();
-        let d = edge_delta(&[(1, 2, 1), (2, 3, 1), (3, 1, 1), (1, 9, 1)]);
-        let out = st.apply(&[Some(&d)], &mut stats).unwrap();
+        let d = edge_batch(e, &[(1, 2, 1), (2, 3, 1), (3, 1, 1), (1, 9, 1)]);
+        let out = st.apply(&d, &mut stats).unwrap();
         // One directed triangle, counted once per rotation of (a,b,c).
         assert_eq!(out.total(), 3);
         // Deleting a non-triangle edge changes nothing.
-        let d = edge_delta(&[(1, 9, -1)]);
-        let out = st.apply(&[Some(&d)], &mut stats).unwrap();
+        let d = edge_batch(e, &[(1, 9, -1)]);
+        let out = st.apply(&d, &mut stats).unwrap();
         assert_eq!(out.total(), 0);
         // Deleting a triangle edge retracts all three rotations.
-        let d = edge_delta(&[(2, 3, -1)]);
-        let out = st.apply(&[Some(&d)], &mut stats).unwrap();
+        let d = edge_batch(e, &[(2, 3, -1)]);
+        let out = st.apply(&d, &mut stats).unwrap();
         assert_eq!(out.total(), -3);
         assert_eq!(st.stored_tuples(), 2);
     }
 
     #[test]
     fn self_join_occurrences_share_indexes() {
-        let (mut st, _) = triangle_state();
+        let e = sym("mw_shareE");
+        let (mut st, _) = triangle_state(e);
         let mut stats = DataflowStats::default();
-        let d = edge_delta(&[(1, 2, 1), (2, 3, 1), (3, 1, 1)]);
-        st.apply(&[Some(&d)], &mut stats).unwrap();
+        let d = edge_batch(e, &[(1, 2, 1), (2, 3, 1), (3, 1, 1)]);
+        st.apply(&d, &mut stats).unwrap();
         // Three occurrences, but the seed plans only ever probe E keyed by
         // its first or its second column — two shared patterns, one store.
         assert_eq!(st.index_counts(), vec![2]);
@@ -1236,21 +1307,19 @@ mod tests {
     fn matches_oracle_on_distinct_relations() {
         // Cyclic listing R(a,b)·S(b,c)·T(c,a) with free a,b,c.
         let [a, b, c] = vars(["mw_LA", "mw_LB", "mw_LC"]);
+        let names = [sym("mw_LR"), sym("mw_LS"), sym("mw_LT")];
         let vo = Schema::from([a, b, c]);
-        let atoms = vec![
-            (0usize, Schema::from([a, b])),
-            (1, Schema::from([b, c])),
-            (2, Schema::from([c, a])),
+        let schemas = [
+            Schema::from([a, b]),
+            Schema::from([b, c]),
+            Schema::from([c, a]),
         ];
+        let atoms: Vec<(Sym, Schema)> = names.into_iter().zip(schemas.clone()).collect();
         let mut st: MultiwayState<i64> =
-            MultiwayState::new(&atoms, 3, vo.clone(), vo.clone(), lift_one);
+            MultiwayState::new(&atoms, vo.clone(), vo.clone(), lift_one);
         let mut stats = DataflowStats::default();
 
-        let mut rels: Vec<Relation<i64>> = vec![
-            Relation::new(Schema::from([a, b])),
-            Relation::new(Schema::from([b, c])),
-            Relation::new(Schema::from([c, a])),
-        ];
+        let mut rels: Vec<Relation<i64>> = schemas.into_iter().map(Relation::new).collect();
         let mut maintained = Relation::new(vo.clone());
         // Mixed batches, payload 2 on one edge, overlapping deltas.
         let batches: Vec<Vec<(usize, i64, i64, i64)>> = vec![
@@ -1259,19 +1328,11 @@ mod tests {
             vec![(1, 2, 3, -2), (2, 2, 2, -1)],
         ];
         for batch in batches {
-            let mut deltas: Vec<Relation<i64>> = rels
-                .iter()
-                .map(|r| Relation::new(r.schema().clone()))
-                .collect();
             for &(i, x, y, m) in &batch {
-                deltas[i].apply(tup![x, y], &m);
                 rels[i].apply(tup![x, y], &m);
             }
-            let ds: Vec<Option<&Relation<i64>>> = deltas
-                .iter()
-                .map(|d| if d.is_empty() { None } else { Some(d) })
-                .collect();
-            if let Some(out) = st.apply(&ds, &mut stats) {
+            let d = batch_of(batch.iter().map(|&(i, x, y, m)| (names[i], tup![x, y], m)));
+            if let Some(out) = st.apply(&d, &mut stats) {
                 for (t, r) in out.iter() {
                     maintained.apply(t.clone(), r);
                 }
@@ -1299,6 +1360,7 @@ mod tests {
         // len(c): output keys and lifts both read decoded values, a
         // string column `a`, an integer column `b`, and a `c` mixing both.
         let [a, b, c] = vars(["mw_VA", "mw_VB", "mw_VC"]);
+        let names = [sym("mw_VR"), sym("mw_VS"), sym("mw_VT")];
         let vo = Schema::from([a, b, c]);
         let out = Schema::from([b, a]);
         let schemas = [
@@ -1306,8 +1368,8 @@ mod tests {
             Schema::from([b, c]),
             Schema::from([c, a]),
         ];
-        let atoms: Vec<(usize, Schema)> = schemas.iter().cloned().enumerate().collect();
-        let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, 3, vo, out.clone(), lift_len);
+        let atoms: Vec<(Sym, Schema)> = names.into_iter().zip(schemas.clone()).collect();
+        let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, vo, out.clone(), lift_len);
         let mut stats = DataflowStats::default();
         let mut rels: Vec<Relation<i64>> = schemas.iter().cloned().map(Relation::new).collect();
         let mut maintained = Relation::new(out.clone());
@@ -1332,17 +1394,11 @@ mod tests {
             vec![(0, tup!["q", 1i64], -1), (2, tup![3i64, "p"], -1)],
         ];
         for batch in batches {
-            let mut deltas: Vec<Relation<i64>> =
-                schemas.iter().cloned().map(Relation::new).collect();
-            for (i, t, m) in batch {
-                deltas[i].apply(t.clone(), &m);
-                rels[i].apply(t, &m);
+            for (i, t, m) in &batch {
+                rels[*i].apply(t.clone(), m);
             }
-            let ds: Vec<Option<&Relation<i64>>> = deltas
-                .iter()
-                .map(|d| (!d.is_empty()).then_some(d))
-                .collect();
-            if let Some(delta) = st.apply(&ds, &mut stats) {
+            let d = batch_of(batch.into_iter().map(|(i, t, m)| (names[i], t, m)));
+            if let Some(delta) = st.apply(&d, &mut stats) {
                 for (t, r) in delta.iter() {
                     maintained.apply(t.clone(), r);
                 }
@@ -1369,15 +1425,15 @@ mod tests {
     fn sliding_window_reclaims_ids(hub: bool) {
         const WINDOW: usize = 4;
         const FRESH: usize = 3;
-        let (mut st, vo) = triangle_state();
-        let (mut peer, _) = triangle_state();
         let e_sym = sym("mw_windowE");
+        let (mut st, vo) = triangle_state(e_sym);
+        let (mut peer, _) = triangle_state(e_sym);
         let store_hub: StoreHub<i64> = StoreHub::new();
         if hub {
-            st.share_slot(0, e_sym, &store_hub);
-            assert!(peer.share_slot(0, e_sym, &store_hub));
+            st.share_stores(&store_hub);
+            assert_eq!(peer.share_stores(&store_hub), 1);
         }
-        let (atoms, _) = triangle_atoms();
+        let (atoms, _) = triangle_atoms(e_sym);
         let mut rels: Vec<Relation<i64>> =
             atoms.into_iter().map(|(_, s)| Relation::new(s)).collect();
         let mut maintained = Relation::new(vo.clone());
@@ -1396,7 +1452,7 @@ mod tests {
             if k > 0 {
                 edges.push(Tuple::new([p, value(FRESH * (k - 1))]));
             }
-            let mut d = edge_delta(&[]);
+            let mut d = Relation::new(rels[0].schema().clone());
             for t in &edges {
                 d.apply(t.clone(), &1);
             }
@@ -1411,19 +1467,14 @@ mod tests {
                     rel.apply(t.clone(), m);
                 }
             }
-            let got = st
-                .apply(&[Some(&d)], &mut DataflowStats::default())
-                .unwrap();
+            let batch = batch_of(d.iter().map(|(t, m)| (e_sym, t.clone(), *m)));
+            let got = st.apply(&batch, &mut DataflowStats::default()).unwrap();
             if hub {
-                let other = peer.apply(&[Some(&d)], &mut DataflowStats::default());
+                let other = peer.apply(&batch, &mut DataflowStats::default());
                 let other = other.unwrap();
                 assert_eq!(got.len(), other.len(), "members disagree");
                 for (t, r) in got.iter() {
                     assert_eq!(&other.get(t), r, "members disagree at {t:?}");
-                }
-                let mut batch = DeltaBatch::new();
-                for (t, r) in d.iter() {
-                    batch.push(&ivm_data::Update::with_payload(e_sym, t.clone(), *r));
                 }
                 store_hub.advance_batch(&batch);
             }
@@ -1458,6 +1509,142 @@ mod tests {
         sliding_window_reclaims_ids(true);
     }
 
+    /// A preload into empty owned stores takes the delta stores whole
+    /// rather than re-inserting their tuples; the adopted tuples must then
+    /// hold their ids exactly as inserted ones would. Retracting the base
+    /// batch by batch keeps every view equal to the oracle, and once the
+    /// last tuple is gone no id is live.
+    #[test]
+    fn adopted_preload_retracts_to_no_live_ids() {
+        let [a, b, c] = vars(["mw_PA", "mw_PB", "mw_PC"]);
+        let names = [sym("mw_PR"), sym("mw_PS"), sym("mw_PT")];
+        let vo = Schema::from([a, b, c]);
+        let out = Schema::from([a]);
+        let schemas = [
+            Schema::from([a, b]),
+            Schema::from([b, c]),
+            Schema::from([c, a]),
+        ];
+        let atoms: Vec<(Sym, Schema)> = names.into_iter().zip(schemas.clone()).collect();
+        let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, vo, out.clone(), lift_one);
+        let mut rels: Vec<Relation<i64>> = schemas.into_iter().map(Relation::new).collect();
+        let value = |i: u64| match i % 3 {
+            0 => Value::str(format!("n{i}")),
+            _ => Value::Int(i as i64),
+        };
+        let mut base: Vec<(usize, Tuple)> = Vec::new();
+        let mut x = 7u64;
+        while base.len() < 60 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let row = (
+                (x >> 60) as usize % 3,
+                Tuple::new([value(x >> 33 & 7), value(x >> 13 & 7)]),
+            );
+            if !base.contains(&row) {
+                base.push(row);
+            }
+        }
+        let mut maintained = Relation::new(out.clone());
+        let mut stats = DataflowStats::default();
+        let mut step = |st: &mut MultiwayState<i64>, rows: &[(usize, Tuple)], m: i64| {
+            for (i, t) in rows {
+                rels[*i].apply(t.clone(), &m);
+            }
+            let d = batch_of(rows.iter().map(|(i, t)| (names[*i], t.clone(), m)));
+            if let Some(delta) = st.apply(&d, &mut stats) {
+                for (t, r) in delta.iter() {
+                    maintained.apply(t.clone(), r);
+                }
+            }
+            let expect = eval_join_aggregate(&[&rels[0], &rels[1], &rels[2]], &out, lift_one);
+            assert_eq!(maintained.len(), expect.len());
+            for (t, p) in expect.iter() {
+                assert_eq!(&maintained.get(t), p, "at {t:?}");
+            }
+            maintained.len()
+        };
+        assert!(step(&mut st, &base, 1) > 0, "the preload closes triangles");
+        assert_eq!(st.stored_tuples(), base.len());
+        for rows in base.chunks(7) {
+            step(&mut st, rows, -1);
+        }
+        assert_eq!(st.stored_tuples(), 0);
+        assert_eq!(relock(&st.dict).live(), 0, "every adopted id is released");
+    }
+
+    /// Whether `q`'s atoms form one component of the shares-a-variable
+    /// graph.
+    fn connected(q: &Query) -> bool {
+        let mut reached = vec![false; q.atoms.len()];
+        let mut frontier = vec![0];
+        reached[0] = true;
+        while let Some(i) = frontier.pop() {
+            for (j, atom) in q.atoms.iter().enumerate() {
+                if !reached[j] && atom.schema.intersect(&q.atoms[i].schema).arity() > 0 {
+                    reached[j] = true;
+                    frontier.push(j);
+                }
+            }
+        }
+        reached.into_iter().all(|r| r)
+    }
+
+    /// On a connected query every step of every seed plan is keyed by the
+    /// binding so far: some constraint of the step has a bound column, so
+    /// no step enumerates a whole column (a Cartesian step).
+    #[test]
+    fn connected_queries_seed_no_cartesian_step() {
+        let [a, b, c, d, e] = vars(["mw_CA", "mw_CB", "mw_CC", "mw_CD", "mw_CE"]);
+        let chain4 = Query::new(
+            "mw_chain4",
+            [],
+            vec![
+                ivm_query::Atom::new(sym("mw_CR"), [a, b]),
+                ivm_query::Atom::new(sym("mw_CS"), [b, c]),
+                ivm_query::Atom::new(sym("mw_CT"), [c, d]),
+                ivm_query::Atom::new(sym("mw_CU"), [d, e]),
+            ],
+        );
+        let mut queries = vec![
+            chain4,
+            examples::triangle_count(),
+            examples::triangle_detect_cqap(),
+            examples::edge_triangle_listing_cqap(),
+            examples::lookup_cqap(),
+            examples::fig3_query(),
+            examples::ex43_non_hierarchical(),
+            examples::ex51_query(),
+            examples::ex45_pair().0,
+            examples::ex45_pair().1,
+            examples::ex412_query().0,
+            examples::ex414_query(),
+            examples::retailer_query().0,
+            examples::job_pkfk_query(),
+            examples::path3_query(),
+        ];
+        queries.extend(ivm_query::tpch::tpch_queries().into_iter().map(|(_, q)| q));
+        let mut checked = 0;
+        for q in queries.iter().filter(|q| connected(q)) {
+            let atoms: Vec<(Sym, Schema)> =
+                q.atoms.iter().map(|a| (a.name, a.schema.clone())).collect();
+            let order = variable_order(q, &Cardinalities::none());
+            let st = MultiwayState::<i64>::new(&atoms, order, q.free.clone(), lift_one);
+            for (seed, plan) in st.plans.iter().enumerate() {
+                for step in &plan.steps {
+                    assert!(
+                        step.constraints.iter().any(|c| !c.key_pos.is_empty()),
+                        "{:?} seeded from atom {seed}: a Cartesian step",
+                        q.name
+                    );
+                }
+            }
+            checked += 1;
+        }
+        assert!(checked >= 20, "only {checked} connected queries checked");
+    }
+
     #[test]
     #[should_panic(expected = "bounded by 2^32 resident tuples sharing one key and value")]
     fn candidate_support_overflow_panics() {
@@ -1475,11 +1662,11 @@ mod tests {
         // batch, the hub must hold the relation's tuples exactly once,
         // and the second join must report a dedup hit.
         let e_sym = sym("mw_hubE");
-        let (mut st1, _) = triangle_state();
-        let (mut st2, _) = triangle_state();
+        let (mut st1, _) = triangle_state(e_sym);
+        let (mut st2, _) = triangle_state(e_sym);
         let hub: StoreHub<i64> = StoreHub::new();
-        assert!(!st1.share_slot(0, e_sym, &hub), "first join donates");
-        assert!(st2.share_slot(0, e_sym, &hub), "second join adopts");
+        assert_eq!(st1.share_stores(&hub), 0, "first join donates");
+        assert_eq!(st2.share_stores(&hub), 1, "second join adopts");
         assert_eq!(hub.relations(), vec![e_sym]);
 
         let mut stats = DataflowStats::default();
@@ -1489,9 +1676,9 @@ mod tests {
             vec![(2, 3, -1), (1, 9, -1)],
         ];
         for edges in batches {
-            let d = edge_delta(&edges);
-            let o1 = st1.apply(&[Some(&d)], &mut stats).unwrap();
-            let o2 = st2.apply(&[Some(&d)], &mut stats).unwrap();
+            let d = edge_batch(e_sym, &edges);
+            let o1 = st1.apply(&d, &mut stats).unwrap();
+            let o2 = st2.apply(&d, &mut stats).unwrap();
             assert_eq!(o1.len(), o2.len());
             for (t, r) in o1.iter() {
                 assert_eq!(&o2.get(t), r, "members disagree at {t:?}");
@@ -1500,11 +1687,7 @@ mod tests {
             assert_eq!(st1.stored_tuples(), st2.stored_tuples());
             assert_eq!(st1.owned_tuples(), 0, "shared slot is not owned");
             // ...the coordinator advances it once per epoch.
-            let mut batch = DeltaBatch::new();
-            for (t, r) in d.iter() {
-                batch.push(&ivm_data::Update::with_payload(e_sym, t.clone(), *r));
-            }
-            hub.advance_batch(&batch);
+            hub.advance_batch(&d);
         }
         // Post-stream: edges {12,23,31,19,45,54,44} minus {23,19} = 5
         // tuples, resident once in the hub, visible from both members.
@@ -1516,32 +1699,29 @@ mod tests {
     #[test]
     fn sharing_a_slot_twice_changes_nothing() {
         let e_sym = sym("mw_twiceE");
-        let mut st = triangle_count_state();
+        let mut st = triangle_count_state(e_sym);
         let hub: StoreHub<i64> = StoreHub::new();
         let mut stats = DataflowStats::default();
-        assert!(!st.share_slot(0, e_sym, &hub), "first join donates");
-        let d = edge_delta(&[(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1)]);
-        assert_eq!(st.apply(&[Some(&d)], &mut stats).unwrap().total(), 3);
-        let mut batch = DeltaBatch::new();
-        for (t, r) in d.iter() {
-            batch.push(&ivm_data::Update::with_payload(e_sym, t.clone(), *r));
-        }
-        hub.advance_batch(&batch);
+        assert_eq!(st.share_stores(&hub), 0, "first join donates");
+        let d = edge_batch(e_sym, &[(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1)]);
+        assert_eq!(st.apply(&d, &mut stats).unwrap().total(), 3);
+        hub.advance_batch(&d);
         let live = relock(&st.dict).live();
         // The second call gets the node's own store back from the hub.
-        assert!(st.share_slot(0, e_sym, &hub));
+        assert_eq!(st.share_stores(&hub), 1);
         assert_eq!(hub.stored_tuples(), 4);
         assert_eq!(relock(&st.dict).live(), live);
         // A second triangle, 1 → 2 → 4 → 1, closes over a resident edge.
-        let d = edge_delta(&[(2, 4, 1), (4, 1, 1)]);
-        assert_eq!(st.apply(&[Some(&d)], &mut stats).unwrap().total(), 3);
+        let d = edge_batch(e_sym, &[(2, 4, 1), (4, 1, 1)]);
+        assert_eq!(st.apply(&d, &mut stats).unwrap().total(), 3);
     }
 
     /// A fixed 40-update stream over 7 nodes: 16 inserts, then six batches
     /// of three inserts and one delete. Returns the counters of the six
     /// steady-state batches and the summed output payloads.
     fn pinned_stream_counters() -> (DataflowStats, i64) {
-        let mut st = triangle_count_state();
+        let e = sym("mw_pinE");
+        let mut st = triangle_count_state(e);
         let mut stats = DataflowStats::default();
         let mut x = 12345u64;
         let mut edges: Vec<(i64, i64)> = Vec::new();
@@ -1555,7 +1735,7 @@ mod tests {
             }
         }
         let first: Vec<(i64, i64, i64)> = edges[..16].iter().map(|&(a, b)| (a, b, 1)).collect();
-        st.apply(&[Some(&edge_delta(&first))], &mut stats).unwrap();
+        st.apply(&edge_batch(e, &first), &mut stats).unwrap();
         let after_first = stats;
         let mut total = 0;
         for k in 0..6 {
@@ -1565,7 +1745,7 @@ mod tests {
                 .collect();
             batch.push((edges[k].0, edges[k].1, -1));
             total += st
-                .apply(&[Some(&edge_delta(&batch))], &mut stats)
+                .apply(&edge_batch(e, &batch), &mut stats)
                 .unwrap()
                 .total();
         }
@@ -1600,12 +1780,12 @@ mod tests {
         // so `relock` may carry on: the members must keep agreeing with a
         // state that never shared anything.
         let e_sym = sym("mw_poisonE");
-        let (mut m1, _) = triangle_state();
-        let (mut m2, _) = triangle_state();
-        let (mut alone, _) = triangle_state();
+        let (mut m1, _) = triangle_state(e_sym);
+        let (mut m2, _) = triangle_state(e_sym);
+        let (mut alone, _) = triangle_state(e_sym);
         let hub: StoreHub<i64> = StoreHub::new();
-        m1.share_slot(0, e_sym, &hub);
-        m2.share_slot(0, e_sym, &hub);
+        m1.share_stores(&hub);
+        m2.share_stores(&hub);
         let mut stats = DataflowStats::default();
         let batches: [&[(i64, i64, i64)]; 3] = [
             &[(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1)],
@@ -1622,29 +1802,29 @@ mod tests {
                 assert!(peer.join().is_err());
                 assert!(m1.stores[0].is_poisoned());
             }
-            let d = edge_delta(edges);
-            let expect = alone.apply(&[Some(&d)], &mut stats).unwrap();
+            let d = edge_batch(e_sym, edges);
+            let expect = alone.apply(&d, &mut stats).unwrap();
             for member in [&mut m1, &mut m2] {
-                let got = member.apply(&[Some(&d)], &mut stats).unwrap();
+                let got = member.apply(&d, &mut stats).unwrap();
                 assert_eq!(got.len(), expect.len(), "batch {i}");
                 for (t, r) in expect.iter() {
                     assert_eq!(&got.get(t), r, "batch {i} at {t:?}");
                 }
             }
-            let mut batch = DeltaBatch::new();
-            for (t, r) in d.iter() {
-                batch.push(&ivm_data::Update::with_payload(e_sym, t.clone(), *r));
-            }
-            hub.advance_batch(&batch);
+            hub.advance_batch(&d);
             assert_eq!(hub.stored_tuples(), alone.stored_tuples(), "batch {i}");
         }
     }
 
     #[test]
     fn empty_batch_is_noop() {
-        let (mut st, _) = triangle_state();
+        let e = sym("mw_emptyE");
+        let (mut st, _) = triangle_state(e);
         let mut stats = DataflowStats::default();
-        assert!(st.apply(&[None], &mut stats).is_none());
+        assert!(st.apply(&DeltaBatch::new(), &mut stats).is_none());
+        // A batch touching only relations the node does not read, too.
+        let other = edge_batch(sym("mw_otherE"), &[(1, 2, 1)]);
+        assert!(st.apply(&other, &mut stats).is_none());
         assert_eq!(stats.multiway_seeds, 0);
     }
 
@@ -1653,14 +1833,13 @@ mod tests {
         // Q(a,b) = R(a,b)·R(a,b): the second occurrence is fully bound by
         // the seed, exercising the at_seed presence probe.
         let [a, b] = vars(["mw_DA", "mw_DB"]);
+        let r = sym("mw_DR");
         let vo = Schema::from([a, b]);
-        let atoms = vec![(0usize, vo.clone()), (0, vo.clone())];
-        let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, 1, vo.clone(), vo, lift_one);
+        let atoms = vec![(r, vo.clone()), (r, vo.clone())];
+        let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, vo.clone(), vo, lift_one);
         let mut stats = DataflowStats::default();
-        let d = edge_delta(&[(1, 2, 3)]);
-        let out = st.apply(&[Some(&d)], &mut stats).unwrap();
+        let out = st.apply(&edge_batch(r, &[(1, 2, 3)]), &mut stats).unwrap();
         // (R+δ)² − R² with R = 0: payload 9.
         assert_eq!(out.get(&tup![1i64, 2i64]), 9);
-        let _ = sym("mw_unused");
     }
 }

@@ -18,8 +18,9 @@ pub struct CostProfile {
     pub delay: &'static str,
 }
 
-/// The predicted costs of running `engine` on a query of `class`.
-pub fn cost_profile(class: QueryClass, engine: EngineKind) -> CostProfile {
+/// The predicted costs of running `engine` (whose class-specific
+/// guarantees the selection already matched to the query's class).
+pub fn cost_profile(engine: EngineKind) -> CostProfile {
     match engine {
         EngineKind::EagerFact => CostProfile {
             preprocessing: "O(|D|)",
@@ -31,11 +32,6 @@ pub fn cost_profile(class: QueryClass, engine: EngineKind) -> CostProfile {
             update: "O(1) (constant fan-out over atom occurrences)",
             delay: "O(1) per access answer; full enumeration pays the \
                     cross-component join the fracture severed",
-        },
-        EngineKind::DataflowLeftDeep => CostProfile {
-            preprocessing: "O(|D|)",
-            update: "O(|δQ| + binary intermediates) per consolidated batch",
-            delay: "O(1) from the materialized view",
         },
         EngineKind::DataflowMultiway => CostProfile {
             preprocessing: "O(|D|)",
@@ -49,21 +45,12 @@ pub fn cost_profile(class: QueryClass, engine: EngineKind) -> CostProfile {
                      update (sublinear; \u{221a}N at \u{3b5}=\u{bd})",
             delay: "O(1) from the maintained aggregate",
         },
-        EngineKind::Sharded => match class {
-            QueryClass::Cyclic => CostProfile {
-                preprocessing: "O(|D|) split across shards",
-                update: "worst-case-optimal per shard sub-batch, shards in \
-                         parallel, deltas ⊎-merged",
-                delay: "O(1) from the merged view (drain first when \
-                        ingesting pipelined)",
-            },
-            _ => CostProfile {
-                preprocessing: "O(|D|) split across shards",
-                update: "O(|δQ|/shards) per shard sub-batch in parallel, \
-                         deltas ⊎-merged",
-                delay: "O(1) from the merged view (drain first when \
-                        ingesting pipelined)",
-            },
+        EngineKind::Sharded => CostProfile {
+            preprocessing: "O(|D|) split across shards",
+            update: "worst-case-optimal per shard sub-batch, shards in \
+                     parallel, deltas ⊎-merged",
+            delay: "O(1) from the merged view (drain first when \
+                    ingesting pipelined)",
         },
     }
 }
@@ -134,8 +121,7 @@ pub struct Explain {
     /// The raw analysis flags.
     pub classification: Classification,
     /// The engine the session stood up — kept current across adaptive
-    /// replans (a blowup-triggered switch updates this and
-    /// [`Explain::cost`]).
+    /// replans (a family shift updates this and [`Explain::cost`]).
     pub engine: EngineKind,
     /// Shard count (1 unless a fleet was requested; the shard planner may
     /// clamp a degenerate plan back to 1).
@@ -234,7 +220,7 @@ mod tests {
 
     #[test]
     fn q_hierarchical_eager_fact_is_all_constant() {
-        let p = cost_profile(QueryClass::QHierarchical, EngineKind::EagerFact);
+        let p = cost_profile(EngineKind::EagerFact);
         assert_eq!(p.update, "O(1)");
         assert_eq!(p.delay, "O(1)");
     }
@@ -243,15 +229,15 @@ mod tests {
     fn replan_event_renders_trigger_and_throughput_delta() {
         let ev = ReplanEvent {
             batch_index: 3,
-            from: "DataflowLeftDeep".into(),
-            to: "DataflowMultiway".into(),
-            trigger: ReplanTrigger::Blowup,
-            reason: "observed binary blowup".into(),
+            from: "MultiwayJoin order [a, b]".into(),
+            to: "MultiwayJoin order [b, a]".into(),
+            trigger: ReplanTrigger::CostRatio,
+            reason: "learned cardinalities".into(),
             before_tps: 1500.0,
             after_tps: None,
         };
         let line = ev.to_string();
-        assert!(line.contains("batch 3 [blowup]"), "{line}");
+        assert!(line.contains("batch 3 [cost-ratio]"), "{line}");
         assert!(line.contains("1.5k/s -> unmeasured"), "{line}");
         let ev = ReplanEvent {
             after_tps: Some(2_500_000.0),

@@ -4,7 +4,7 @@
 //! first, then run the engine whose complexity its class admits. Before
 //! this crate, the caller did the classifying — picking among
 //! `EagerFactEngine::new`, `CqapEngine::new`,
-//! `DataflowEngine::new_with_strategy`, and `ShardedEngine::new` by hand,
+//! `DataflowEngine::new`, and `ShardedEngine::new` by hand,
 //! each with its own ingestion spelling. The session layer moves that
 //! decision where the paper puts it, into the system:
 //!

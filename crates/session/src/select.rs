@@ -8,8 +8,8 @@
 //! | `.shards(n)` requested | [`EngineKind::Sharded`] | scale-out across n workers |
 //! | tractable CQAP | [`EngineKind::Cqap`] | O(1) update + O(1) access (Thm 4.8) |
 //! | q-hierarchical ∧ self-join-free | [`EngineKind::EagerFact`] | O(1) update + O(1) delay (Thm 4.1) |
-//! | α-acyclic | [`EngineKind::DataflowLeftDeep`] | O(|δQ|)-style batched deltas |
-//! | cyclic | [`EngineKind::DataflowMultiway`] | worst-case-optimal, no binary intermediates |
+//! | triangle-class cycle over a ring | [`EngineKind::HeavyLight`] | O(N^max(ε,1−ε)) amortized updates |
+//! | any other query | [`EngineKind::DataflowMultiway`] | worst-case-optimal, no binary intermediates |
 
 use crate::classify::{Classification, QueryClass};
 
@@ -17,8 +17,8 @@ use crate::classify::{Classification, QueryClass};
 ///
 /// The factorized eager view tree of Fig 4 (the other three Fig 4
 /// engines stay `ivm_core` types that no session builds), the CQAP
-/// engine, the generic dataflow engine under either join plan, the
-/// heavy-light engine, and the hash-partitioned parallel fleet.
+/// engine, the generic dataflow engine, the heavy-light engine, and the
+/// hash-partitioned parallel fleet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// `ivm_core::EagerFactEngine` — factorized view tree, F-IVM style.
@@ -26,9 +26,8 @@ pub enum EngineKind {
     /// `ivm_core::cqap::CqapEngine` — fractured view trees with O(1)
     /// access requests.
     Cqap,
-    /// `ivm_dataflow::DataflowEngine`, left-deep binary delta joins.
-    DataflowLeftDeep,
-    /// `ivm_dataflow::DataflowEngine`, worst-case-optimal multiway join.
+    /// `ivm_dataflow::DataflowEngine`, one worst-case-optimal multiway
+    /// join — the generic engine, for acyclic and cyclic queries alike.
     DataflowMultiway,
     /// `ivm_hl::HeavyLightEngine` — heavy-light partitioned IVMε
     /// maintenance with O(N^max(ε,1−ε)) amortized updates for
@@ -44,7 +43,6 @@ impl std::fmt::Display for EngineKind {
         f.write_str(match self {
             EngineKind::EagerFact => "eager-fact (factorized view tree)",
             EngineKind::Cqap => "cqap (fractured view trees)",
-            EngineKind::DataflowLeftDeep => "dataflow (left-deep delta joins)",
             EngineKind::DataflowMultiway => "dataflow (worst-case-optimal multiway)",
             EngineKind::HeavyLight => "heavy-light (IVM\u{3b5} partitioned)",
             EngineKind::Sharded => "sharded dataflow fleet",
@@ -66,7 +64,7 @@ pub struct Selection {
 ///
 /// `shards` is the builder's `.shards(n)` request (scale-out overrides
 /// the single-threaded dichotomy — every class runs behind the shard
-/// router, which plans its own per-shard dataflow strategy).
+/// router, each shard running the multiway dataflow).
 pub fn select(cls: &Classification, shards: Option<usize>) -> Selection {
     if let Some(n) = shards {
         return Selection {
@@ -91,21 +89,18 @@ pub fn select(cls: &Classification, shards: Option<usize>) -> Selection {
                 .into(),
         },
         QueryClass::QHierarchical => Selection {
-            kind: if cls.acyclic {
-                EngineKind::DataflowLeftDeep
-            } else {
-                EngineKind::DataflowMultiway
-            },
+            kind: EngineKind::DataflowMultiway,
             reason: "q-hierarchical but with a self-join: view trees need \
                      unique relation names, so the generic dataflow engine \
                      maintains it instead"
                 .into(),
         },
         QueryClass::Acyclic => Selection {
-            kind: EngineKind::DataflowLeftDeep,
+            kind: EngineKind::DataflowMultiway,
             reason: "acyclic but not q-hierarchical: no O(1)-update engine \
-                     exists (OuMv-conditional); cost-ordered left-deep \
-                     delta joins bound per-batch work by O(|δQ|)-style terms"
+                     exists (OuMv-conditional); the multiway join binds \
+                     each variable keyed by the ones before it and \
+                     materializes no binary intermediates"
                 .into(),
         },
         QueryClass::Cyclic if cls.hl_eligible => Selection {
@@ -153,8 +148,8 @@ mod tests {
         );
         assert_eq!(pick(&self_join_tri), EngineKind::DataflowMultiway);
         assert_eq!(pick(&examples::triangle_detect_cqap()), EngineKind::Cqap);
-        assert_eq!(pick(&examples::path3_query()), EngineKind::DataflowLeftDeep);
-        assert_eq!(pick(&examples::ex51_query()), EngineKind::DataflowLeftDeep);
+        assert_eq!(pick(&examples::path3_query()), EngineKind::DataflowMultiway);
+        assert_eq!(pick(&examples::ex51_query()), EngineKind::DataflowMultiway);
     }
 
     #[test]
@@ -179,6 +174,6 @@ mod tests {
         );
         let cls = classify(&q);
         assert!(cls.q_hierarchical && !cls.self_join_free);
-        assert_eq!(select(&cls, None).kind, EngineKind::DataflowLeftDeep);
+        assert_eq!(select(&cls, None).kind, EngineKind::DataflowMultiway);
     }
 }

@@ -8,8 +8,8 @@ use ivm_core::{EagerFactEngine, EngineError, Maintainer};
 use ivm_data::ops::{lift_one, Lift};
 use ivm_data::{Database, FxHashSet, Persist, Relation, Sym, Tuple, Update};
 use ivm_dataflow::{
-    DataflowEngine, DataflowStats, EngineFamily, FamilyDecision, JoinStrategy,
-    LearnedCardinalities, ReplanDecision, ReplanPolicy, ReplanTrigger, StoreHub,
+    DataflowEngine, DataflowStats, EngineFamily, FamilyDecision, LearnedCardinalities,
+    ReplanDecision, ReplanPolicy, ReplanTrigger, StoreHub,
 };
 use ivm_hl::HeavyLightEngine;
 use ivm_obs::{
@@ -58,12 +58,16 @@ pub struct SessionBuilder<R: Semiring> {
     auto_snapshot: Option<u64>,
 }
 
+/// The strategy tag a dataflow-backed (or fleet-backed) session persists
+/// in its snapshots: the tag earlier versions wrote for the multiway plan,
+/// so an earlier binary reading the snapshot recovers that plan too.
+/// Recovery reads every tag but [`HL_STRATEGY_TAG`] — 0 and the retired
+/// left-deep tag 1 included — as the dataflow family.
+const DATAFLOW_STRATEGY_TAG: u8 = 2;
+
 /// The strategy tag a heavy-light-backed session persists in its
-/// snapshots. Disjoint from every [`JoinStrategy::tag`] value, so
-/// [`JoinStrategy::from_tag`] returns `None` for it and recovery routes
-/// it through *family* reconciliation instead of plan re-lowering — a
-/// recovered session re-lowers to exactly the engine family the dead
-/// session was running.
+/// snapshots: recovery rebuilds exactly the engine family the dead session
+/// was running.
 const HL_STRATEGY_TAG: u8 = 7;
 
 /// The monomorphized journal-append hook a durable session carries (see
@@ -178,7 +182,7 @@ impl<R: Semiring> SessionBuilder<R> {
     /// member engine has processed the batch.
     ///
     /// The hook is a no-op for backends without multiway trie stores
-    /// (specialized engines, pure left-deep plans). It is refused in
+    /// (the specialized engines). It is refused in
     /// combination with [`SessionBuilder::adaptive`] (a replan re-lowers
     /// the plan mid-epoch, which would desynchronize the hub's
     /// deferred-advance protocol) and with sharded fleets (worker threads
@@ -195,10 +199,10 @@ impl<R: Semiring> SessionBuilder<R> {
     /// [`SessionBuilder::durable`] — which counts live relation sizes
     /// (and, for triangle-class queries, per-key degrees) as it applies
     /// every accepted batch. When the policy decides a re-lowering pays
-    /// for itself (first data after an empty-database build, observed
-    /// binary-join blowup, or a predicted cost ratio from the learned
-    /// counts; all with hysteresis) the session re-derives the plan's
-    /// atom/variable orders via `DataflowEngine::replan_with_cards`,
+    /// for itself (first data after an empty-database build, or a
+    /// predicted cost ratio from the learned counts with hysteresis) the
+    /// session re-derives the plan's variable order via
+    /// `DataflowEngine::replan_with_cards`,
     /// replaying that base — broadcast fleet-wide for sharded sessions.
     /// Every replan is recorded in [`Explain::replans`], and
     /// [`Explain::engine`]/[`Explain::cost`] track the plan actually
@@ -319,12 +323,7 @@ impl<R: Semiring> SessionBuilder<R> {
                      dataflow engine",
                         selection.kind
                     ));
-                    Backend::Dataflow(DataflowEngine::new_with_strategy(
-                        self.query.clone(),
-                        &db,
-                        self.lift,
-                        JoinStrategy::Auto,
-                    )?)
+                    Backend::Dataflow(DataflowEngine::new(self.query.clone(), &db, self.lift)?)
                 }
                 Err(e) => return Err(e),
             };
@@ -418,7 +417,6 @@ impl<R: Semiring> SessionBuilder<R> {
                             hl_eligible: cls.hl_eligible && R::one().try_neg().is_some(),
                             batch_index: 0,
                             batches_since_replan: 0,
-                            window_base: DataflowStats::default(),
                             window_started: built_at,
                             window_updates: 0,
                         }),
@@ -480,7 +478,7 @@ impl<R: Semiring> SessionBuilder<R> {
             engine,
             shards,
             reason,
-            cost: cost_profile(cls.class, engine),
+            cost: cost_profile(engine),
             fallback,
             adaptive: adaptive_note,
             replans: Vec::new(),
@@ -532,18 +530,9 @@ impl<R: Semiring> SessionBuilder<R> {
             EngineKind::HeavyLight => {
                 Backend::HeavyLight(HeavyLightEngine::new(query.clone(), db, lift)?)
             }
-            EngineKind::DataflowLeftDeep => Backend::Dataflow(DataflowEngine::new_with_strategy(
-                query.clone(),
-                db,
-                lift,
-                JoinStrategy::LeftDeep,
-            )?),
-            EngineKind::DataflowMultiway => Backend::Dataflow(DataflowEngine::new_with_strategy(
-                query.clone(),
-                db,
-                lift,
-                JoinStrategy::Multiway,
-            )?),
+            EngineKind::DataflowMultiway => {
+                Backend::Dataflow(DataflowEngine::new(query.clone(), db, lift)?)
+            }
             EngineKind::Sharded => Backend::Sharded(ShardedEngine::new(
                 query.clone(),
                 db,
@@ -601,9 +590,10 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
     /// Warm means warm: the snapshot's base holds the full pre-kill
     /// contents, so plan lowering orders by exactly the cardinalities the
     /// dead session had learned — no blind build, no first-data replan —
-    /// and the persisted strategy tag re-lowers the plan if a pre-kill
-    /// adaptive replan had switched it. The rebuilt view is cross-checked
-    /// against the snapshot's recorded view before any tail replays.
+    /// and the persisted strategy tag rebuilds the engine family the dead
+    /// session was running if a pre-kill adaptive replan had switched it.
+    /// The rebuilt view is cross-checked against the snapshot's recorded
+    /// view before any tail replays.
     /// [`crate::Explain::recovered`] records the snapshot epoch and tail
     /// length.
     ///
@@ -652,17 +642,10 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
         let last_epoch = tail
             .iter()
             .fold(snap_epoch, |last, (epoch, _)| last.max(*epoch));
-        let (strategy_tag, persisted_cards, persisted_degrees, base, recorded_view) = match snapshot
-        {
-            Some(s) => (
-                s.strategy_tag,
-                s.cards,
-                s.degrees,
-                Cow::Owned(s.base),
-                Some(s.view),
-            ),
+        let (strategy_tag, persisted_degrees, base, recorded_view) = match snapshot {
+            Some(s) => (s.strategy_tag, s.degrees, Cow::Owned(s.base), Some(s.view)),
             // Never snapshotted: replay the whole journal over `db`.
-            None => (0, Vec::new(), Vec::new(), Cow::Borrowed(db), None),
+            None => (0, Vec::new(), Cow::Borrowed(db), None),
         };
         // Build fresh over the snapshot base — informed lowering, since
         // it holds the exact pre-kill contents — and move it into the
@@ -677,32 +660,25 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
             .as_ref()
             .expect("a durable session keeps a base")
             .db;
-        // Family reconciliation before plan re-lowering: the persisted
-        // tag names the engine *family* the dead session was running. A
-        // pre-kill cross-family replan can leave the fresh build on the
-        // other family; rebuild from the snapshot base so the recovered
-        // session re-lowers to exactly the pre-kill family.
+        // Family reconciliation: the persisted tag names the engine
+        // *family* the dead session was running. A pre-kill cross-family
+        // replan can leave the fresh build on the other family; rebuild
+        // from the snapshot base so the recovered session re-lowers to
+        // exactly the pre-kill family. The plan within the dataflow family
+        // needs nothing more: lowered from the snapshot base, its variable
+        // order is the one the pre-kill counts derive.
         let reconciled = match (strategy_tag == HL_STRATEGY_TAG, &session.backend) {
-            (true, Backend::HeavyLight(_)) | (false, Backend::Dataflow(_)) => None,
+            (true, Backend::HeavyLight(_)) => None,
             (true, _) => Some(Backend::HeavyLight(
                 HeavyLightEngine::new(query.clone(), base, lift).map_err(|e| {
                     fail(format!("re-lowering the persisted heavy-light family: {e}"))
                 })?,
             )),
-            (false, Backend::HeavyLight(_)) => {
-                // Tag 0 (no strategy persisted) defaults to the multiway
-                // plan auto-selection lowers for this query class.
-                let strategy = match JoinStrategy::from_tag(strategy_tag) {
-                    Some(s) if s != JoinStrategy::Auto => s,
-                    _ => JoinStrategy::Multiway,
-                };
-                Some(Backend::Dataflow(DataflowEngine::new_with_strategy(
-                    query.clone(),
-                    base,
-                    lift,
-                    strategy,
-                )?))
-            }
+            (false, Backend::HeavyLight(_)) => Some(Backend::Dataflow(DataflowEngine::new(
+                query.clone(),
+                base,
+                lift,
+            )?)),
             (false, _) => None,
         };
         // The persisted per-key degrees play the same role for the
@@ -723,29 +699,6 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
         }
         if let Some(fresh) = reconciled {
             session.install_backend(Some(fresh), None)?;
-        }
-        // A pre-kill adaptive replan may have switched the resolved
-        // strategy away from what selection lowers; the persisted tag
-        // re-lowers the plan from the persisted cardinalities so the
-        // recovered session runs the *pre-kill* plan, not the default.
-        if let Some(strategy) = JoinStrategy::from_tag(strategy_tag) {
-            if strategy != JoinStrategy::Auto {
-                let mut cards = ivm_dataflow::Cardinalities::none();
-                for (rel, n) in &persisted_cards {
-                    cards.set(*rel, *n as usize);
-                }
-                let base = &session.base.as_ref().expect("checked above").db;
-                match &mut session.backend {
-                    Backend::Dataflow(e) if e.resolved_strategy() != strategy => {
-                        e.replan_with_cards(base, strategy, cards)?;
-                    }
-                    Backend::Sharded(e) if e.resolved_strategy() != strategy => {
-                        e.replan_with_cards(base, strategy, &cards)?;
-                    }
-                    _ => {}
-                }
-                session.install_backend(None, None)?;
-            }
         }
         // Cross-check before any tail replays: rebuilt from the same base,
         // the view must match the snapshot's recorded contents exactly —
@@ -810,10 +763,7 @@ impl EngineKind {
     /// Whether auto-selection may fall back to dataflow when this kind
     /// fails to build (the generic engines never fail on query shape).
     fn is_specialized(self) -> bool {
-        !matches!(
-            self,
-            EngineKind::DataflowLeftDeep | EngineKind::DataflowMultiway | EngineKind::Sharded
-        )
+        !matches!(self, EngineKind::DataflowMultiway | EngineKind::Sharded)
     }
 }
 
@@ -876,14 +826,12 @@ struct AdaptiveState<R: Semiring> {
     /// build). The policy's replay-amortization gate keeps per-update
     /// streams from replaying the base every `min_batches_between` calls.
     batches_since_replan: u64,
-    /// Engine counters at the last replan — the policy judges the window
-    /// since, not lifetime totals.
-    window_base: DataflowStats,
     /// When the current window opened (build or last replan) — the
     /// denominator of the window's ingestion throughput, which replan
     /// events record as their before/after evidence.
     window_started: Instant,
-    /// Updates ingested in the current window (the numerator).
+    /// Updates ingested in the current window (the numerator, and the
+    /// policy's replay-amortization evidence).
     window_updates: u64,
 }
 
@@ -957,13 +905,7 @@ impl<R: Semiring> Backend<R> {
         match self {
             Backend::EagerFact(_) => EngineKind::EagerFact,
             Backend::Cqap(_) => EngineKind::Cqap,
-            // `resolved_strategy` is what the planner actually lowered —
-            // `Auto` (the fallback path) resolves through the planner's
-            // own split, so the report can never drift from the plan.
-            Backend::Dataflow(e) => match e.resolved_strategy() {
-                JoinStrategy::Multiway => EngineKind::DataflowMultiway,
-                _ => EngineKind::DataflowLeftDeep,
-            },
+            Backend::Dataflow(_) => EngineKind::DataflowMultiway,
             Backend::HeavyLight(_) => EngineKind::HeavyLight,
             Backend::Sharded(_) => EngineKind::Sharded,
         }
@@ -1352,8 +1294,8 @@ impl<R: Semiring> Session<R> {
         }
 
         // Cross-family re-selection first: when the learned degree skew
-        // says the *family* is wrong, re-deriving atom orders inside the
-        // current family cannot help. The single-threaded dataflow and
+        // says the *family* is wrong, re-deriving the variable order
+        // inside the current family cannot help. The single-threaded dataflow and
         // heavy-light backends can swap (a fleet cannot — workers own
         // their engines, and the heavy-light engine is single-threaded).
         let current_family = match &self.backend {
@@ -1388,7 +1330,6 @@ impl<R: Semiring> Session<R> {
                         st.query.clone(),
                         &base.db,
                         st.lift,
-                        JoinStrategy::Multiway,
                         cards,
                     )?),
                 };
@@ -1398,25 +1339,22 @@ impl<R: Semiring> Session<R> {
             }
         }
 
-        let (resolved, lowered, stats) = match &self.backend {
-            Backend::Dataflow(e) => (e.resolved_strategy(), e.lowered_cards().clone(), e.stats()),
-            Backend::Sharded(e) => (e.resolved_strategy(), e.lowered_cards().clone(), e.stats()),
+        let lowered = match &self.backend {
+            Backend::Dataflow(e) => e.lowered_cards(),
+            Backend::Sharded(e) => e.lowered_cards(),
             // Heavy-light has a family to leave but no plan to re-derive.
             _ => return Ok(()),
         };
-        let window = stats.since(&st.window_base);
         let Some(decision) = st.policy.decide(
             &st.query,
-            resolved,
-            &lowered,
+            lowered,
             &base.learned,
-            &window,
+            st.window_updates,
             st.batches_since_replan,
         ) else {
             return Ok(());
         };
         let ReplanDecision {
-            strategy,
             cards,
             trigger,
             reason,
@@ -1424,8 +1362,8 @@ impl<R: Semiring> Session<R> {
 
         let from = plan_label(&self.backend);
         match &mut self.backend {
-            Backend::Dataflow(e) => e.replan_with_cards(&base.db, strategy, cards)?,
-            Backend::Sharded(e) => e.replan_with_cards(&base.db, strategy, &cards)?,
+            Backend::Dataflow(e) => e.replan_with_cards(&base.db, cards)?,
+            Backend::Sharded(e) => e.replan_with_cards(&base.db, &cards)?,
             _ => unreachable!("only the two backends matched above re-lower in place"),
         }
         self.install_backend(None, Some((from, trigger, reason, window_tps)))
@@ -1450,7 +1388,7 @@ impl<R: Semiring> Session<R> {
         }
         let kind = self.backend.kind();
         self.explain.engine = kind;
-        self.explain.cost = cost_profile(self.explain.classification.class, kind);
+        self.explain.cost = cost_profile(kind);
         self.refresh_hl_note();
         if let Some((from, trigger, reason, before_tps)) = event {
             if let Some(o) = &self.obs {
@@ -1466,10 +1404,8 @@ impl<R: Semiring> Session<R> {
                 after_tps: None,
             });
         }
-        let window_base = self.stats().unwrap_or_default();
         if let Some(st) = self.adaptive.as_mut() {
             st.batches_since_replan = 0;
-            st.window_base = window_base;
             st.window_started = Instant::now();
             st.window_updates = 0;
         }
@@ -1480,7 +1416,7 @@ impl<R: Semiring> Session<R> {
 impl<R: Semiring + Persist> Session<R> {
     /// Consolidate the session's durable history: drain pending work,
     /// write one atomic snapshot (base relations, maintained view,
-    /// learned cardinalities, resolved strategy), and truncate the
+    /// learned cardinalities, engine-family tag), and truncate the
     /// journal behind it — after this call, recovery time is bounded by
     /// the tail ingested *since*, not by total history. Returns the
     /// consolidated epoch. Errors unless the session is durable.
@@ -1494,8 +1430,7 @@ impl<R: Semiring + Persist> Session<R> {
         }
         self.drain()?;
         let strategy_tag = match &self.backend {
-            Backend::Dataflow(e) => e.resolved_strategy().tag(),
-            Backend::Sharded(e) => e.resolved_strategy().tag(),
+            Backend::Dataflow(_) | Backend::Sharded(_) => DATAFLOW_STRATEGY_TAG,
             Backend::HeavyLight(_) => HL_STRATEGY_TAG,
             _ => 0,
         };
@@ -1545,14 +1480,12 @@ impl<R: Semiring + Persist> Session<R> {
 }
 
 /// A short human-readable label of the plan a backend runs, for replan
-/// events (the engine kind, plus the per-shard strategy for fleets).
+/// events: the join and its variable order for a dataflow, the
+/// partition for heavy-light, the fleet size for a fleet.
 fn plan_label<R: Semiring>(backend: &Backend<R>) -> String {
     match backend {
-        Backend::Sharded(e) => format!(
-            "sharded fleet x{} ({:?} per shard)",
-            e.shards(),
-            e.resolved_strategy()
-        ),
+        Backend::Dataflow(e) => e.plan(),
+        Backend::Sharded(e) => format!("sharded fleet x{}", e.shards()),
         Backend::HeavyLight(e) => e.plan(),
         other => other.kind().to_string(),
     }
@@ -1872,7 +1805,7 @@ mod tests {
     }
 
     /// Q(a,d) = R(a,b)·S(b,c)·T(c,d): acyclic but not hierarchical, so
-    /// auto-selection lands on the (order-sensitive) left-deep dataflow.
+    /// auto-selection lands on the (order-sensitive) multiway dataflow.
     fn chain3() -> Query {
         let [a, b, c, d] = ivm_data::vars(["sch_A", "sch_B", "sch_C", "sch_D"]);
         Query::new(
@@ -1899,12 +1832,12 @@ mod tests {
             .adaptive(ReplanPolicy::default())
             .build(&Database::new())
             .unwrap();
-        assert_eq!(s.engine_kind(), EngineKind::DataflowLeftDeep);
+        assert_eq!(s.engine_kind(), EngineKind::DataflowMultiway);
         assert!(s.explain().adaptive.as_deref().unwrap().contains("armed"));
         let blind_plan = s.describe();
 
-        // Skewed first batch: T is tiny, R is big — the informed atom
-        // order must open with T, not with the syntactic tie-break.
+        // Skewed first batch: T is tiny, R is big — the informed variable
+        // order must open with T's join variable, not with the tie-break.
         let mut batch: Vec<Update<i64>> = Vec::new();
         let mut db: Database<i64> = Database::new();
         for atom in &q.atoms {
@@ -1935,6 +1868,39 @@ mod tests {
         let mut total = 0i64;
         s.for_each_output(&mut |_, p| total += p);
         assert!(total > 0);
+    }
+
+    /// A replan within the dataflow family changes only the variable
+    /// order, and the replan event shows it: its `from` and `to` labels
+    /// are the plans before and after, orders included.
+    #[test]
+    fn replan_events_name_the_variable_orders() {
+        let q = chain3();
+        let (rn, tn) = (sym("sch_R"), sym("sch_T"));
+        let mut s = Session::<i64>::builder(q)
+            .adaptive(ReplanPolicy::default())
+            .build(&Database::new())
+            .unwrap();
+        let blind = s.describe();
+        let mut batch: Vec<Update<i64>> =
+            (0..20i64).map(|i| Update::insert(rn, tup![i, i])).collect();
+        batch.push(Update::insert(tn, tup![1i64, 2i64]));
+        s.apply_batch(&batch).unwrap();
+        let ev = &s.explain().replans[0];
+        assert_eq!(ev.trigger, ReplanTrigger::FirstData);
+        assert_eq!(ev.from, blind);
+        assert_eq!(ev.to, s.describe());
+        // T is smaller than R: its leaf d moves ahead of R's a.
+        assert!(
+            ev.from.contains(" order [sch_B, sch_C, sch_A, sch_D] "),
+            "{}",
+            ev.from
+        );
+        assert!(
+            ev.to.contains(" order [sch_B, sch_C, sch_D, sch_A] "),
+            "{}",
+            ev.to
+        );
     }
 
     /// Regression: the window clock opens at session *build*, not at the
@@ -1989,69 +1955,6 @@ mod tests {
             .unwrap();
         }
         assert!(s.explain().replans.is_empty());
-    }
-
-    /// An observed binary-join blowup must switch a forced left-deep plan
-    /// to the worst-case-optimal multiway plan mid-stream, and the
-    /// explain report must track the engine actually running.
-    #[test]
-    fn adaptive_blowup_switches_left_deep_to_multiway() {
-        let [a, b, c] = ivm_data::vars(["sbl_A", "sbl_B", "sbl_C"]);
-        let (rn, sn, tn) = (sym("sbl_R"), sym("sbl_S"), sym("sbl_T"));
-        let q = Query::new(
-            "sbl_tri",
-            [],
-            vec![
-                ivm_query::Atom::new(rn, [a, b]),
-                ivm_query::Atom::new(sn, [b, c]),
-                ivm_query::Atom::new(tn, [c, a]),
-            ],
-        );
-        let mut s = Session::<i64>::builder(q)
-            .engine(EngineKind::DataflowLeftDeep)
-            .adaptive(ReplanPolicy {
-                min_batches_between: 2,
-                min_replay_fraction: 0.1,
-                min_cost_ratio: 1.5,
-                blowup_factor: 2.0,
-                // This test exercises the *strategy*-level trigger; park
-                // the family comparison (the hub skew would otherwise
-                // shift the whole session to heavy-light first).
-                family_cost_ratio: f64::INFINITY,
-                ..ReplanPolicy::default()
-            })
-            .build(&Database::new())
-            .unwrap();
-        assert_eq!(s.engine_kind(), EngineKind::DataflowLeftDeep);
-        // A dense hub: every delta edge matches many partners, so the
-        // left-deep chain materializes far more binary intermediates than
-        // it emits output deltas.
-        for round in 0..12i64 {
-            let batch: Vec<Update<i64>> = (0..16i64)
-                .flat_map(|i| {
-                    let v = round * 16 + i;
-                    [
-                        Update::insert(rn, tup![0i64, v]),
-                        Update::insert(sn, tup![v, 0i64]),
-                        Update::insert(tn, tup![0i64, 0i64]),
-                    ]
-                })
-                .collect();
-            s.apply_batch(&batch).unwrap();
-        }
-        assert_eq!(
-            s.engine_kind(),
-            EngineKind::DataflowMultiway,
-            "{}",
-            s.explain()
-        );
-        assert!(s
-            .explain()
-            .replans
-            .iter()
-            .any(|ev| ev.reason.contains("blowup")));
-        // The cost profile was refreshed along with the engine.
-        assert!(s.explain().cost.update.contains("worst-case-optimal"));
     }
 
     /// A sharded adaptive session broadcasts the replan to every worker

@@ -3,8 +3,7 @@
 //! Construction plans the shard key ([`ShardPlanner`]), splits the initial
 //! database with the [`Router`], and spawns one worker thread per shard,
 //! each owning a fully independent [`DataflowEngine`] (same planner as
-//! the single-threaded engine — left-deep or worst-case-optimal multiway,
-//! untouched). Updates then flow in two modes:
+//! the single-threaded engine, untouched). Updates then flow in two modes:
 //!
 //! * **Synchronous** — [`ShardedEngine::apply_batch`] routes a batch,
 //!   waits for every shard's output delta, ⊎-merges them, folds the merge
@@ -28,9 +27,7 @@ use crate::worker::{self, Job, Report, TraceCtx, WorkerHandle};
 use ivm_core::{EngineError, Maintainer};
 use ivm_data::ops::Lift;
 use ivm_data::{Database, FxHashMap, FxHashSet, Relation, Schema, Sym, Tuple, Update};
-use ivm_dataflow::{
-    resolve_strategy, Cardinalities, DataflowEngine, DataflowStats, DeltaBatch, JoinStrategy,
-};
+use ivm_dataflow::{Cardinalities, DataflowEngine, DataflowStats, DeltaBatch};
 use ivm_obs::{Counter, FlightRecorder, Gauge, Histogram, LabelId, MetricsRegistry, Tracer};
 use ivm_query::Query;
 use ivm_ring::Semiring;
@@ -152,9 +149,6 @@ pub struct ShardedEngine<R: Semiring> {
     output: Relation<R>,
     dynamics: FxHashSet<Sym>,
     statics: FxHashSet<Sym>,
-    /// The concrete per-shard join plan in force, recorded at (re)lowering
-    /// time — mirrors `DataflowEngine::resolved_strategy` for the fleet.
-    resolved: JoinStrategy,
     /// The cardinality snapshot the current fleet plan was ordered by
     /// (global counts; replans broadcast one snapshot to every shard).
     lowered_cards: Cardinalities,
@@ -168,32 +162,20 @@ pub struct ShardedEngine<R: Semiring> {
 }
 
 impl<R: Semiring> ShardedEngine<R> {
-    /// Shard `query` across `shards` workers with [`JoinStrategy::Auto`]
-    /// per shard, preprocessing `db` through the router (each shard sees
-    /// only its slice of partitioned relations plus full copies of
-    /// broadcast ones).
-    pub fn new(
-        query: Query,
-        db: &Database<R>,
-        lift: Lift<R>,
-        shards: usize,
-    ) -> Result<Self, EngineError> {
-        Self::new_with_strategy(query, db, lift, shards, JoinStrategy::Auto)
-    }
-
-    /// [`Self::new`] with an explicit per-shard join plan.
+    /// Shard `query` across `shards` workers, preprocessing `db` through
+    /// the router (each shard sees only its slice of partitioned relations
+    /// plus full copies of broadcast ones).
     ///
     /// When the plan is degenerate (no partitionable relation — see
     /// [`ShardPlanner`]), the fleet is clamped to one worker: every update
     /// would route to shard 0 anyway, so spawning more threads and
     /// preprocessing more engines would be pure waste. A fleet of zero
     /// shards is refused with [`EngineError::NotSupported`].
-    pub fn new_with_strategy(
+    pub fn new(
         query: Query,
         db: &Database<R>,
         lift: Lift<R>,
         shards: usize,
-        strategy: JoinStrategy,
     ) -> Result<Self, EngineError> {
         if shards == 0 {
             return Err(EngineError::NotSupported(
@@ -211,8 +193,7 @@ impl<R: Semiring> ShardedEngine<R> {
         let mut shard_stats = Vec::with_capacity(shards);
         let mut output = Relation::new(query.free.clone());
         for (shard, shard_db) in shard_dbs.into_iter().enumerate() {
-            let engine =
-                DataflowEngine::new_with_strategy(query.clone(), &shard_db, lift, strategy)?;
+            let engine = DataflowEngine::new(query.clone(), &shard_db, lift)?;
             // The preprocessing pass already materialized this shard's
             // slice of the initial view and counted its replay; ⊎-merge
             // the view and snapshot the counters before the engine moves
@@ -235,7 +216,6 @@ impl<R: Semiring> ShardedEngine<R> {
         }
         statics.retain(|s| !dynamics.contains(s));
 
-        let resolved = resolve_strategy(&query, strategy);
         Ok(ShardedEngine {
             query,
             router,
@@ -249,7 +229,6 @@ impl<R: Semiring> ShardedEngine<R> {
             output,
             dynamics,
             statics,
-            resolved,
             lowered_cards: cards,
             poisoned: None,
             obs: None,
@@ -349,18 +328,12 @@ impl<R: Semiring> ShardedEngine<R> {
         format!("{} shard(s); {}", self.shards(), self.plan().describe())
     }
 
-    /// The concrete per-shard join plan in force — recorded when the
-    /// fleet was (re)lowered, never `Auto`.
-    pub fn resolved_strategy(&self) -> JoinStrategy {
-        self.resolved
-    }
-
     /// The cardinality snapshot the current fleet plan was ordered by.
     pub fn lowered_cards(&self) -> &Cardinalities {
         &self.lowered_cards
     }
 
-    /// Re-lower **every** shard's dataflow onto `strategy` with orders
+    /// Re-lower **every** shard's dataflow with the variable order
     /// derived from `cards` (learned counts), replaying `db` — the
     /// current base state the caller owns — through the unchanged router.
     ///
@@ -368,7 +341,7 @@ impl<R: Semiring> ShardedEngine<R> {
     /// exactly *between* batches on every shard: everything enqueued
     /// before it completes first (and settles into the view along the
     /// way), everything enqueued after runs on the fresh plan. All shards
-    /// receive the same strategy and the same global cardinalities, so
+    /// receive the same global cardinalities, so
     /// the fleet re-lowers consistently even where per-shard slice sizes
     /// would order differently. Carried counters survive exactly as in
     /// `DataflowEngine::replan_with_cards`; only the shard *routing* plan
@@ -380,7 +353,6 @@ impl<R: Semiring> ShardedEngine<R> {
     pub fn replan_with_cards(
         &mut self,
         db: &Database<R>,
-        strategy: JoinStrategy,
         cards: &Cardinalities,
     ) -> Result<(), EngineError> {
         self.check_poisoned()?;
@@ -400,7 +372,6 @@ impl<R: Semiring> ShardedEngine<R> {
         for (shard, shard_db) in shard_dbs.into_iter().enumerate() {
             self.workers[shard].send(Job::Replan {
                 seq,
-                strategy,
                 cards: cards.clone(),
                 db: shard_db,
                 ctx: trace_ctx.map(|c| TraceCtx {
@@ -426,7 +397,6 @@ impl<R: Semiring> ShardedEngine<R> {
         // settles earlier in-flight batches and absorbs the refreshed
         // per-shard stats snapshots.
         self.wait_for(seq)?;
-        self.resolved = resolve_strategy(&self.query, strategy);
         self.lowered_cards = cards.clone();
         Ok(())
     }
@@ -1172,7 +1142,6 @@ mod tests {
         db.create(rn, q.atoms[0].schema.clone());
         db.create(sn, q.atoms[1].schema.clone());
         let mut eng = ShardedEngine::<i64>::new(q.clone(), &db, lift_one, 3).unwrap();
-        assert_eq!(eng.resolved_strategy(), JoinStrategy::LeftDeep);
         for i in 0..24i64 {
             let batch = vec![
                 Update::insert(rn, tup![i % 5, i]),
@@ -1195,9 +1164,7 @@ mod tests {
         // Broadcast a consistent re-lowering from learned-style cards.
         let mut cards = Cardinalities::none();
         cards.set(rn, db.relation(rn).len()).set(sn, 1);
-        eng.replan_with_cards(&db, JoinStrategy::Multiway, &cards)
-            .unwrap();
-        assert_eq!(eng.resolved_strategy(), JoinStrategy::Multiway);
+        eng.replan_with_cards(&db, &cards).unwrap();
         assert_eq!(eng.lowered_cards().get(sn), 1);
 
         // State reproduced, history carried (monotone counters).

@@ -17,8 +17,8 @@
 //!   by the deterministic hash of the shard column; broadcast entries fan
 //!   out to every shard.
 //! * One worker thread per shard owns an independent
-//!   [`DataflowEngine`](ivm_dataflow::DataflowEngine) — the PR 2 planner
-//!   (left-deep or worst-case-optimal multiway) unchanged — fed over a
+//!   [`DataflowEngine`](ivm_dataflow::DataflowEngine) — the
+//!   single-threaded engine's multiway join, unchanged — fed over a
 //!   **bounded** queue, so ingestion is pipelined: the caller enqueues
 //!   batch `k+1` while shards still process batch `k`, and backpressure
 //!   is per shard.

@@ -11,7 +11,7 @@
 
 use ivm_core::EngineError;
 use ivm_data::{Database, Relation};
-use ivm_dataflow::{Cardinalities, DataflowEngine, DataflowStats, DeltaBatch, JoinStrategy};
+use ivm_dataflow::{Cardinalities, DataflowEngine, DataflowStats, DeltaBatch};
 use ivm_obs::{LabelId, Tracer};
 use ivm_ring::Semiring;
 use std::panic::AssertUnwindSafe;
@@ -54,7 +54,7 @@ pub(crate) enum Job<R> {
     },
     /// Re-lower this shard's plan from learned cardinalities, replaying
     /// the carried database slice. Broadcast to every shard with the
-    /// *same* strategy and cards, so the fleet re-lowers consistently;
+    /// *same* cards, so the fleet re-lowers consistently;
     /// because the queue is FIFO, the replan lands exactly between
     /// batches — after everything enqueued before it, before everything
     /// after. Reported like a batch (with an empty delta), so the facade
@@ -62,9 +62,6 @@ pub(crate) enum Job<R> {
     Replan {
         /// Sequence number, shared by the whole broadcast.
         seq: u64,
-        /// The join strategy to lower (typically concrete, from the
-        /// replan policy).
-        strategy: JoinStrategy,
         /// Learned cardinalities to derive the fresh orders from —
         /// global counts, identical on every shard.
         cards: Cardinalities,
@@ -248,7 +245,6 @@ pub(crate) fn spawn<R: Semiring>(
                     }
                     Job::Replan {
                         seq,
-                        strategy,
                         cards,
                         db,
                         ctx,
@@ -269,7 +265,7 @@ pub(crate) fn spawn<R: Semiring>(
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                             timed(|| {
                                 engine
-                                    .replan_with_cards(&db, strategy, cards)
+                                    .replan_with_cards(&db, cards)
                                     .map(|()| Relation::new(free))
                             })
                         }));

@@ -42,10 +42,11 @@ pub struct SnapshotDoc<R: Semiring> {
     /// The session query's name — a cheap fingerprint so recovery refuses
     /// to warm-start a *different* query from this state.
     pub query_name: String,
-    /// The resolved plan strategy ([`JoinStrategy::tag`]-encoded by the
-    /// session layer; 0 when the backend has no strategy to persist).
-    ///
-    /// [`JoinStrategy::tag`]: https://docs.rs/ivm-dataflow
+    /// The engine family the session ran, as the session layer encodes
+    /// it: 2 for the dataflow engine (single-threaded or a fleet), 7 for
+    /// heavy-light, 0 for a backend with nothing to persist. Recovery
+    /// reads 1 — written for a since-retired left-deep dataflow plan — as
+    /// the dataflow family too.
     pub strategy_tag: u8,
     /// The learned per-relation cardinalities at snapshot time.
     pub cards: Vec<(Sym, u64)>,

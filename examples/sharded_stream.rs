@@ -68,7 +68,7 @@ fn main() {
     // Verify against a single-threaded dataflow session on the same
     // stream — same enqueue/drain spelling, synchronous under the hood.
     let mut single = Session::<i64>::builder(q)
-        .engine(EngineKind::DataflowLeftDeep)
+        .engine(EngineKind::DataflowMultiway)
         .build(&db)
         .unwrap();
     for b in &batches {

@@ -3,8 +3,8 @@
 //!
 //! Each proptest case drives one query shape through a random mixed-sign
 //! update stream and injects replans at generated batch boundaries —
-//! flipping between the left-deep and worst-case-optimal strategies with
-//! *fresh cardinality orders* learned from the live base state — into
+//! flipping between the variable order *learned* from the live base
+//! state and the blind tie-break order — into
 //!
 //! 1. a single-threaded `DataflowEngine`
 //!    (`replan_with_cards`), and
@@ -38,9 +38,7 @@ use ivm::{EngineKind, Session};
 use ivm_core::Maintainer;
 use ivm_data::ops::{eval_join_aggregate, lift_one};
 use ivm_data::{tup, Database, Relation, Tuple, Update};
-use ivm_dataflow::{
-    Cardinalities, DataflowEngine, DataflowStats, JoinStrategy, ReplanPolicy, ReplanTrigger,
-};
+use ivm_dataflow::{Cardinalities, DataflowEngine, DataflowStats, ReplanPolicy, ReplanTrigger};
 use ivm_query::Query;
 use ivm_shard::ShardedEngine;
 use ivm_workloads::graphs::EdgeStream;
@@ -73,8 +71,7 @@ fn assert_monotone(
         ctx
     );
     prop_assert!(
-        after.binary_join_tuples >= before.binary_join_tuples
-            && after.multiway_seeds >= before.multiway_seeds
+        after.multiway_seeds >= before.multiway_seeds
             && after.multiway_probes >= before.multiway_probes,
         "{}: join counters shrank",
         ctx
@@ -82,51 +79,52 @@ fn assert_monotone(
     Ok(())
 }
 
+/// The cardinalities a replan at the `k`-th injection point lowers from:
+/// the live counts of `mirror` on even points, none (the blind tie-break
+/// order) on odd ones, so consecutive replans flip the variable order
+/// wherever the counts order it differently.
+fn replan_cards(k: usize, mirror: &Database<i64>, q: &Query) -> Cardinalities {
+    match k % 2 {
+        0 => Cardinalities::from_db(mirror, q),
+        _ => Cardinalities::none(),
+    }
+}
+
 /// Drive one shape through the stream, replanning the single engine and
-/// every fleet at the generated batch boundaries — alternating strategy,
-/// orders re-derived from the live (learned) cardinalities each time —
-/// and compare everything to the oracle after every batch.
+/// every fleet at the generated batch boundaries — alternating between
+/// the learned and the blind variable order — and compare everything to
+/// the oracle after every batch.
 fn check_shape_with_replans(
     q: &Query,
     ops: &[EdgeOp],
     chunk: usize,
     replan_at: &[usize],
-    start: JoinStrategy,
 ) -> Result<(), TestCaseError> {
     let updates = edge_updates(q, ops);
 
     let mut mirror = mirror_db(q);
-    let mut single =
-        DataflowEngine::<i64>::new_with_strategy(q.clone(), &mirror, lift_one, start).unwrap();
+    let mut single = DataflowEngine::<i64>::new(q.clone(), &mirror, lift_one).unwrap();
     let mut fleets: Vec<ShardedEngine<i64>> = [1usize, 2, 4]
         .into_iter()
-        .map(|n| ShardedEngine::new_with_strategy(q.clone(), &mirror, lift_one, n, start).unwrap())
+        .map(|n| ShardedEngine::new(q.clone(), &mirror, lift_one, n).unwrap())
         .collect();
 
-    let mut strategy = start;
+    let mut replans = 0;
     for (batch_no, batch) in updates.chunks(chunk.max(1)).enumerate() {
         if replan_at.contains(&batch_no) {
-            // Fresh orders from the live counts; alternate the strategy.
-            strategy = match strategy {
-                JoinStrategy::Multiway => JoinStrategy::LeftDeep,
-                _ => JoinStrategy::Multiway,
-            };
-            let cards = Cardinalities::from_db(&mirror, q);
+            let cards = replan_cards(replans, &mirror, q);
+            replans += 1;
             let before = single.stats();
-            single
-                .replan_with_cards(&mirror, strategy, cards.clone())
-                .unwrap();
+            single.replan_with_cards(&mirror, cards.clone()).unwrap();
             assert_monotone(&before, &single.stats(), "single replan")?;
-            prop_assert_eq!(single.resolved_strategy(), strategy);
             for eng in &mut fleets {
                 let before = eng.stats();
-                eng.replan_with_cards(&mirror, strategy, &cards).unwrap();
+                eng.replan_with_cards(&mirror, &cards).unwrap();
                 assert_monotone(
                     &before,
                     &eng.stats(),
                     &format!("fleet x{} replan", eng.shards()),
                 )?;
-                prop_assert_eq!(eng.resolved_strategy(), strategy);
             }
         }
         single.apply_batch(batch).unwrap();
@@ -140,13 +138,13 @@ fn check_shape_with_replans(
         outputs_match(
             single.output_relation(),
             &expect,
-            &format!("{:?} single ({:?})", q.name, strategy),
+            &format!("{:?} single ({})", q.name, single.plan()),
         )?;
         for eng in &fleets {
             outputs_match(
                 eng.output_relation(),
                 &expect,
-                &format!("{:?} sharded x{} ({:?})", q.name, eng.shards(), strategy),
+                &format!("{:?} sharded x{}", q.name, eng.shards()),
             )?;
         }
     }
@@ -157,17 +155,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Self-join triangle (degenerate single-shard routing) under
-    /// replans at arbitrary points, starting from either strategy.
+    /// replans at arbitrary points.
     #[test]
     fn triangle_replans_agree(
         ops in edge_ops_default(),
         chunk in 1usize..9,
         r1 in 0usize..4,
         r2 in 4usize..8,
-        start_multiway in proptest::bool::ANY,
     ) {
-        let start = if start_multiway { JoinStrategy::Multiway } else { JoinStrategy::LeftDeep };
-        check_shape_with_replans(&triangle("ae_"), &ops, chunk, &[r1, r2], start)?;
+        check_shape_with_replans(&triangle("ae_"), &ops, chunk, &[r1, r2])?;
     }
 
     /// 4-cycle (broadcast replication path) under replans.
@@ -177,10 +173,8 @@ proptest! {
         chunk in 1usize..9,
         r1 in 0usize..4,
         r2 in 4usize..8,
-        start_multiway in proptest::bool::ANY,
     ) {
-        let start = if start_multiway { JoinStrategy::Multiway } else { JoinStrategy::LeftDeep };
-        check_shape_with_replans(&four_cycle("ae_"), &ops, chunk, &[r1, r2], start)?;
+        check_shape_with_replans(&four_cycle("ae_"), &ops, chunk, &[r1, r2])?;
     }
 
     /// Cross-family adaptive sessions on the 3-relation triangle: a
@@ -223,9 +217,7 @@ proptest! {
             prop_assert!(
                 matches!(
                     s.engine_kind(),
-                    EngineKind::HeavyLight
-                        | EngineKind::DataflowMultiway
-                        | EngineKind::DataflowLeftDeep
+                    EngineKind::HeavyLight | EngineKind::DataflowMultiway
                 ),
                 "batch {}: family comparison left its domain: {:?}",
                 no,
@@ -251,15 +243,13 @@ proptest! {
         chunk in 1usize..9,
         r1 in 0usize..4,
         r2 in 4usize..8,
-        start_multiway in proptest::bool::ANY,
     ) {
-        let start = if start_multiway { JoinStrategy::Multiway } else { JoinStrategy::LeftDeep };
-        check_shape_with_replans(&star("ae_"), &ops, chunk, &[r1, r2], start)?;
+        check_shape_with_replans(&star("ae_"), &ops, chunk, &[r1, r2])?;
     }
 }
 
 /// The 5-relation Retailer join under its Inventory insert stream, with
-/// strategy-flipping replans injected mid-stream into both the
+/// order-flipping replans injected mid-stream into both the
 /// single-threaded engine and a 2-shard fleet — deterministic, so it
 /// doubles as the wide-arity (beyond binary atoms) replan check.
 #[test]
@@ -269,29 +259,19 @@ fn retailer_replans_mid_stream_match_oracle() {
     let q = gen.query().clone();
     let mut mirror = db.clone();
     let mut single = DataflowEngine::<i64>::new(q.clone(), &db, lift_one).unwrap();
-    assert_eq!(single.resolved_strategy(), JoinStrategy::LeftDeep);
     let mut fleet = ShardedEngine::<i64>::new(q.clone(), &db, lift_one, 2).unwrap();
 
     for i in 0..9 {
         if i % 3 == 2 {
-            // Learned orders from the live mirror; alternate strategies.
-            let strategy = if i == 2 {
-                JoinStrategy::Multiway
-            } else {
-                JoinStrategy::LeftDeep
-            };
-            let cards = Cardinalities::from_db(&mirror, &q);
+            // Alternate the blind and the learned order.
+            let cards = replan_cards(i / 3 + 1, &mirror, &q);
             let before = (single.stats(), fleet.stats());
-            single
-                .replan_with_cards(&mirror, strategy, cards.clone())
-                .unwrap();
-            fleet.replan_with_cards(&mirror, strategy, &cards).unwrap();
+            single.replan_with_cards(&mirror, cards.clone()).unwrap();
+            fleet.replan_with_cards(&mirror, &cards).unwrap();
             assert!(single.stats().batches >= before.0.batches);
             assert_eq!(single.stats().updates_in, before.0.updates_in);
             assert!(fleet.stats().batches >= before.1.batches);
             assert_eq!(fleet.stats().updates_in, before.1.updates_in);
-            assert_eq!(single.resolved_strategy(), strategy);
-            assert_eq!(fleet.resolved_strategy(), strategy);
         }
         let batch = gen.inventory_batch(60);
         single.apply_batch(&batch).unwrap();
@@ -322,8 +302,7 @@ fn retailer_replans_mid_stream_match_oracle() {
 /// inverts at the returned flip index. Half A is sparse over a wide
 /// domain with `|S| ≪ |R| ≪ |T|`, so deltas rarely find partners. Half B
 /// drains T while R and S concentrate on 48 hubs: the sizes of S and T
-/// invert, and every δR or δS finds many partners, which blows up a
-/// left-deep chain's binary intermediates.
+/// invert, and every δR or δS finds many partners.
 fn skew_flip_stream(q: &Query) -> (Vec<Vec<Update<i64>>>, usize) {
     const WIDE: u64 = 4_000;
     const HUBS: u64 = 48;
@@ -364,28 +343,24 @@ fn skew_flip_stream(q: &Query) -> (Vec<Vec<Update<i64>>>, usize) {
 }
 
 /// Mid-stream drift: sessions built on an empty database (an all-zero
-/// cost snapshot) — forced left-deep, forced multiway, and adaptive —
-/// ingest the skew flip. All three must equal the oracle at the end of
-/// each half, and the adaptive session must record at least one replan.
+/// cost snapshot) — forced multiway and adaptive — ingest the skew flip.
+/// Both must equal the oracle at the end of each half, and the adaptive
+/// session must record at least one replan.
 #[test]
 fn skew_flip_sessions_match_oracle_and_adaptive_replans() {
     let q = triangle3("sf_");
     let (batches, flip) = skew_flip_stream(&q);
-    let mut sessions: Vec<Session<i64>> = [
-        Some(EngineKind::DataflowLeftDeep),
-        Some(EngineKind::DataflowMultiway),
-        None,
-    ]
-    .into_iter()
-    .map(|kind| {
-        let builder = Session::<i64>::builder(q.clone());
-        let builder = match kind {
-            Some(k) => builder.engine(k),
-            None => builder.adaptive(ReplanPolicy::default()),
-        };
-        builder.build(&Database::new()).unwrap()
-    })
-    .collect();
+    let mut sessions: Vec<Session<i64>> = [Some(EngineKind::DataflowMultiway), None]
+        .into_iter()
+        .map(|kind| {
+            let builder = Session::<i64>::builder(q.clone());
+            let builder = match kind {
+                Some(k) => builder.engine(k),
+                None => builder.adaptive(ReplanPolicy::default()),
+            };
+            builder.build(&Database::new()).unwrap()
+        })
+        .collect();
     let mut mirror = mirror_db(&q);
     for (i, batch) in batches.iter().enumerate() {
         for s in &mut sessions {
@@ -403,7 +378,7 @@ fn skew_flip_sessions_match_oracle_and_adaptive_replans() {
         }
     }
     assert!(
-        !sessions[2].explain().replans.is_empty(),
+        !sessions[1].explain().replans.is_empty(),
         "the adaptive session must replan on the skew flip"
     );
 }

@@ -7,7 +7,7 @@
 use ivm_core::Maintainer;
 use ivm_data::ops::{eval_join_aggregate, lift_one};
 use ivm_data::{sym, Database, Relation, Tuple, Update, Value};
-use ivm_dataflow::{DataflowEngine, DeltaBatch, JoinStrategy, StoreHub};
+use ivm_dataflow::{DataflowEngine, DeltaBatch, StoreHub};
 use ivm_query::{Atom, Query};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -228,10 +228,8 @@ proptest! {
     ) {
         let (q, q2) = ternary_cycle_queries();
         let b_pos = |ai: usize| [1, 0, 3][ai]; // column of the string-valued `b`, if any
-        let engine = |q: &Query, db: &Database<i64>| {
-            DataflowEngine::<i64>::new_with_strategy(q.clone(), db, lift_one, JoinStrategy::Multiway)
-                .unwrap()
-        };
+        let engine =
+            |q: &Query, db: &Database<i64>| DataflowEngine::<i64>::new(q.clone(), db, lift_one).unwrap();
         let mut db = Database::<i64>::new();
         for atom in &q.atoms {
             db.create(atom.name, atom.schema.clone());

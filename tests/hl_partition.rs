@@ -40,7 +40,6 @@ use common::{
 use ivm::{Database, DataflowEngine, HeavyLightEngine, Maintainer};
 use ivm_data::ops::lift_one;
 use ivm_data::{consolidate, sym, tup, Update};
-use ivm_dataflow::JoinStrategy;
 use ivm_hl::HeavyLight;
 use ivm_workloads::graphs::EdgeStream;
 use proptest::prelude::*;
@@ -280,13 +279,7 @@ fn hub_probe_work<E: Maintainer<i64>>(mut eng: E, work: fn(&E) -> u64) -> f64 {
 #[test]
 fn heavy_light_beats_the_wcoj_delta_pass_on_hub_probes() {
     let q = ivm_query::examples::triangle_count();
-    let wcoj = DataflowEngine::new_with_strategy(
-        q.clone(),
-        &Database::new(),
-        lift_one,
-        JoinStrategy::Multiway,
-    )
-    .unwrap();
+    let wcoj = DataflowEngine::new(q.clone(), &Database::new(), lift_one).unwrap();
     let wcoj = hub_probe_work(wcoj, |e| {
         let s = e.stats();
         s.deltas_in + s.multiway_seeds + s.multiway_probes + s.output_delta_tuples

@@ -5,18 +5,16 @@
 //! were never inserted (legal here: ring payloads just go negative) —
 //! through independent evaluators:
 //!
-//! 1. `DataflowEngine` forced onto the **left-deep** binary-join chain,
-//! 2. `DataflowEngine` forced onto the **worst-case-optimal multiway**
-//!    plan,
-//! 3. `ShardedEngine` with **1, 2, and 4 shards** (hash-partitioned
+//! 1. `DataflowEngine`, the **worst-case-optimal multiway** join,
+//! 2. `ShardedEngine` with **1, 2, and 4 shards** (hash-partitioned
 //!    parallel workers merging deltas by ring ⊎),
-//! 4. a multiway **`StoreHub` member** whose stores a listing query's
+//! 3. a multiway **`StoreHub` member** whose stores a listing query's
 //!    engine shares,
-//! 5. a **from-scratch oracle** (`eval_join_aggregate` over the final
+//! 4. a **from-scratch oracle** (`eval_join_aggregate` over the final
 //!    base relations),
 //!
-//! and asserts all agree after every batch. The shapes cover the
-//! planner's whole split *and* the shard planner's whole split: the
+//! and asserts all agree after every batch. The shapes cover cyclic and
+//! acyclic queries *and* the shard planner's whole split: the
 //! cyclic self-join triangle (unshardable → degenerate single-shard
 //! routing), the cyclic 4-cycle (two relations partitioned, two
 //! broadcast — the replication path), and the acyclic star (everything
@@ -41,12 +39,12 @@ use ivm_core::Maintainer;
 use ivm_data::ops::{lift_one, Lift};
 use ivm_data::{sym, tup, Database, Schema, Sym, Tuple, Update, Value};
 use ivm_dataflow::cost::{variable_order, Cardinalities};
-use ivm_dataflow::{DataflowEngine, DeltaBatch, JoinStrategy, StoreHub};
+use ivm_dataflow::{DataflowEngine, DeltaBatch, StoreHub};
 use ivm_query::Query;
 use ivm_shard::ShardedEngine;
 use proptest::prelude::*;
 
-/// Drive one query shape through both plans, shard fleets, a `StoreHub`
+/// Drive one query shape through the engine, shard fleets, a `StoreHub`
 /// member and the oracle, comparing after every applied batch. Every
 /// batch also inserts and deletes its first tuple once more.
 fn check_shape(
@@ -56,14 +54,9 @@ fn check_shape(
     lift: Lift<i64>,
 ) -> Result<(), TestCaseError> {
     let db = Database::new();
-    let engine = |q: &Query, strategy| {
-        DataflowEngine::<i64>::new_with_strategy(q.clone(), &db, lift, strategy).unwrap()
-    };
-    let mut left = engine(q, JoinStrategy::LeftDeep);
-    let mut multi = engine(q, JoinStrategy::Multiway);
-    // The multiway node aggregates onto the free variables itself: no
-    // aggregate node follows it, and its schema is the sink's.
-    prop_assert!(!multi.plan().contains("GroupAggregate"), "{}", multi.plan());
+    let engine = |q: &Query| DataflowEngine::<i64>::new(q.clone(), &db, lift).unwrap();
+    let mut multi = engine(q);
+    // The multiway node aggregates onto the free variables itself.
     prop_assert_eq!(multi.output_relation().schema(), &q.free);
     // The sharded engine must agree at every fleet size, including the
     // broadcast-replication path (4-cycle) and the degenerate self-join
@@ -76,8 +69,8 @@ fn check_shape(
     // adopts; the hub advances them once per batch, after both searched.
     let listing = Query::new(&format!("{}_list", q.name), q.variables(), q.atoms.clone());
     let hub = StoreHub::new();
-    let mut member = engine(q, JoinStrategy::Multiway);
-    let mut lister = engine(&listing, JoinStrategy::Multiway);
+    let mut member = engine(q);
+    let mut lister = engine(&listing);
     prop_assert_eq!(member.share_stores(&hub), 0);
     prop_assert_eq!(lister.share_stores(&hub), distinct_relations(q).len());
     let mut base = empty_base(q);
@@ -88,7 +81,7 @@ fn check_shape(
             batch.push(Update::with_payload(u.relation, u.tuple.clone(), 1));
             batch.push(Update::with_payload(u.relation, u.tuple.clone(), -1));
         }
-        for eng in [&mut left, &mut multi, &mut member, &mut lister] {
+        for eng in [&mut multi, &mut member, &mut lister] {
             eng.apply_batch(&batch).unwrap();
         }
         for eng in &mut sharded {
@@ -97,11 +90,7 @@ fn check_shape(
         hub.advance_batch(&DeltaBatch::from_updates(&batch));
         common::apply_to_base(&mut base, &batch);
         let expect = oracle_lifted(q, &base, lift);
-        let engines = [
-            (&left, "left-deep"),
-            (&multi, "multiway"),
-            (&member, "hub member"),
-        ];
+        let engines = [(&multi, "multiway"), (&member, "hub member")];
         for (eng, what) in engines {
             let ctx = format!("{:?} {what}", q.name);
             outputs_match(eng.output_relation(), &expect, &ctx)?;
@@ -116,9 +105,6 @@ fn check_shape(
         let listed = oracle_lifted(&listing, &base, lift);
         outputs_match(lister.output_relation(), &listed, "hub listing")?;
     }
-    // The multiway plan must never have materialized a binary-join
-    // intermediate, whatever the stream did.
-    prop_assert_eq!(multi.stats().binary_join_tuples, 0);
     Ok(())
 }
 
@@ -164,8 +150,8 @@ fn check_free_sets(q: &Query, ops: &[WideOp], chunk: usize) -> Result<(), TestCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cyclic self-join triangle: left-deep ≡ multiway ≡ oracle on every
-    /// batch prefix of a random mixed-sign stream.
+    /// Cyclic self-join triangle: multiway ≡ fleets ≡ hub member ≡
+    /// oracle on every batch prefix of a random mixed-sign stream.
     #[test]
     fn triangle_engines_agree(ops in edge_ops_default(), chunk in 1usize..9) {
         let q = triangle("pe_");
@@ -207,19 +193,24 @@ proptest! {
     }
 
     /// Single-tuple application order is immaterial: one batch equals the
-    /// same updates applied one at a time, on both plans.
+    /// same updates applied one at a time, on both plans — the blind
+    /// variable order and the one skewed cardinalities derive.
     #[test]
     fn batch_equals_singles_on_both_plans(ops in edge_ops_default()) {
-        let q = triangle("pe_");
+        let q = triangle3("pe_");
         let updates = edge_updates(&q, &ops);
-        for strategy in [JoinStrategy::LeftDeep, JoinStrategy::Multiway] {
-            let db = Database::new();
-            let mut one =
-                DataflowEngine::<i64>::new_with_strategy(q.clone(), &db, lift_one, strategy)
-                    .unwrap();
-            let mut many =
-                DataflowEngine::<i64>::new_with_strategy(q.clone(), &db, lift_one, strategy)
-                    .unwrap();
+        let mut skewed = Cardinalities::none();
+        for (i, rel) in distinct_relations(&q).into_iter().enumerate() {
+            skewed.set(rel, [1_000, 10, 1_000][i]);
+        }
+        let db = Database::new();
+        let engine = |cards: &Cardinalities| {
+            DataflowEngine::<i64>::new_with_cards(q.clone(), &db, lift_one, cards.clone()).unwrap()
+        };
+        let plans = [Cardinalities::none(), skewed];
+        prop_assert!(engine(&plans[0]).plan() != engine(&plans[1]).plan());
+        for cards in &plans {
+            let (mut one, mut many) = (engine(cards), engine(cards));
             for u in &updates {
                 one.apply_batch(std::slice::from_ref(u)).unwrap();
             }
@@ -227,7 +218,7 @@ proptest! {
             outputs_match(
                 many.output_relation(),
                 one.output_relation(),
-                &format!("batch-vs-singles {strategy:?}"),
+                &format!("batch-vs-singles {}", one.plan()),
             )?;
         }
     }
@@ -237,8 +228,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Aggregation inside the multiway join, on the self-join triangle:
-    /// every free-variable set, both liftings — multiway ≡ left-deep ≡
-    /// fleets ≡ hub member ≡ oracle.
+    /// every free-variable set, both liftings — multiway ≡ fleets ≡ hub
+    /// member ≡ oracle.
     #[test]
     fn triangle_free_sets_agree(ops in wide_ops(), chunk in 1usize..9) {
         check_free_sets(&triangle("pe_"), &ops, chunk)?;
@@ -311,10 +302,10 @@ fn harness_shapes_cover_all_shard_plan_paths() {
     assert_eq!(star_eng.plan().partitioned_count(), 3);
 }
 
-/// The acceptance check of the WCOJ change, deterministic: on a triangle
-/// workload dense enough that the left-deep chain materializes many
-/// binary intermediates, the auto-chosen multiway plan materializes none
-/// and both still agree with the oracle.
+/// The acceptance check of the WCOJ change, deterministic: on a dense
+/// triangle workload the multiway plan agrees with the oracle and holds
+/// no state beyond the edge store and the one-entry view — no binary
+/// intermediate, materialized or indexed.
 #[test]
 fn triangle_multiway_materializes_no_binary_intermediates() {
     let q = triangle("pe_");
@@ -326,31 +317,21 @@ fn triangle_multiway_materializes_no_binary_intermediates() {
         .collect();
 
     let db = Database::new();
-    // Auto picks multiway for the cyclic triangle.
     let mut auto = DataflowEngine::<i64>::new(q.clone(), &db, lift_one).unwrap();
     assert!(auto.plan().contains("MultiwayJoin"), "{}", auto.plan());
-    let mut left =
-        DataflowEngine::<i64>::new_with_strategy(q.clone(), &db, lift_one, JoinStrategy::LeftDeep)
-            .unwrap();
+    let mut base = empty_base(&q);
     for chunk in updates.chunks(16) {
         auto.apply_batch(chunk).unwrap();
-        left.apply_batch(chunk).unwrap();
+        common::apply_to_base(&mut base, chunk);
+        outputs_match(auto.output_relation(), &oracle(&q, &base), "dense triangle").unwrap();
     }
+    let count = auto.output_relation().get(&Tuple::empty());
+    assert!(count > 0, "the workload closes triangles");
+    assert_eq!(auto.stats().binary_join_tuples, 0);
     assert_eq!(
-        auto.output_relation().get(&Tuple::empty()),
-        left.output_relation().get(&Tuple::empty())
-    );
-    assert_eq!(
-        auto.stats().binary_join_tuples,
-        0,
-        "multiway plan materialized a binary intermediate"
-    );
-    assert!(
-        left.stats().binary_join_tuples > auto.stats().output_delta_tuples,
-        "left-deep chain should materialize more intermediate tuples \
-         ({}) than the multiway plan emits outputs ({})",
-        left.stats().binary_join_tuples,
-        auto.stats().output_delta_tuples,
+        auto.resident_tuples(),
+        updates.len() + 1,
+        "resident state is the edge store plus the count"
     );
     assert!(auto.stats().multiway_seeds > 0);
 }

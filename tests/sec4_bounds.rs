@@ -11,7 +11,9 @@
 //! reads the clock.
 //!
 //! The PK–FK bound (Ex 4.13) is `ivm-core`'s
-//! `pkfk::tests::dimension_insert_fixes_up_waiting_facts`.
+//! `pkfk::tests::dimension_insert_fixes_up_waiting_facts`. The last test
+//! holds the generic multiway dataflow to the same flat-work standard on
+//! an acyclic chain, with `DataflowStats::work` as its counter.
 
 mod common;
 
@@ -363,5 +365,70 @@ fn insert_only_rebuilds_amortize_to_constant_work() {
         pins,
         (5, 14_240, 68_413),
         "(rebuilds, rebuild work, output) at ×16"
+    );
+}
+
+/// The 4-atom chain `Σ R(a,b)·S(b,c)·T(c,d)·U(d,e)` with fan-out 1 — an
+/// α-acyclic query, not q-hierarchical — maintained by the generic
+/// multiway dataflow under single-tuple inserts and deletes at both ends.
+/// Every seed plan binds next a variable that shares an atom with the
+/// binding so far, so each step is keyed by it and an update costs O(1)
+/// probes: the work per update (`DataflowStats::work`, one unit per probe
+/// and per output delta) is flat. Binding in the global variable order
+/// instead makes a seed from `U` enumerate all N values of `b` first —
+/// work linear in N.
+#[test]
+fn multiway_chain_updates_at_both_ends_are_constant() {
+    use ivm_dataflow::DataflowEngine;
+    let [a, b, c, d, e] = ivm_data::vars(["s4c_A", "s4c_B", "s4c_C", "s4c_D", "s4c_E"]);
+    let rels = [sym("s4c_R"), sym("s4c_S"), sym("s4c_T"), sym("s4c_U")];
+    let q = ivm_query::Query::new(
+        "s4c_chain",
+        [],
+        vec![
+            ivm_query::Atom::new(rels[0], [a, b]),
+            ivm_query::Atom::new(rels[1], [b, c]),
+            ivm_query::Atom::new(rels[2], [c, d]),
+            ivm_query::Atom::new(rels[3], [d, e]),
+        ],
+    );
+    let mut per_update = [0.0; 3];
+    let mut pins = (0, 0, 0);
+    for (i, &k) in SIZES.iter().enumerate() {
+        let n = 1_000 * k as i64;
+        let mut db: Database<i64> = Database::new();
+        for (rel, atom) in rels.iter().zip(&q.atoms) {
+            db.create(*rel, atom.schema.clone());
+            for v in 0..n {
+                db.apply(&Update::insert(*rel, tup![v, v]));
+            }
+        }
+        let mut eng = DataflowEngine::<i64>::new(q.clone(), &db, lift_one).unwrap();
+        assert_eq!(eng.output_relation().get(&ivm_data::Tuple::empty()), n);
+        let before = eng.stats();
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut updates = 0u64;
+        for j in 0..32 {
+            let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let ends = [
+                Update::insert(rels[0], tup![n + j, x]),
+                Update::insert(rels[3], tup![y, n + j]),
+            ];
+            let undo = ends.clone().map(|u| Update::delete(u.relation, u.tuple));
+            for u in ends.iter().chain(&undo) {
+                eng.apply(u).unwrap();
+                updates += 1;
+            }
+        }
+        assert_eq!(eng.output_relation().get(&ivm_data::Tuple::empty()), n);
+        let s = eng.stats().since(&before);
+        per_update[i] = s.work() as f64 / updates as f64;
+        pins = (updates, s.multiway_probes, s.output_delta_tuples);
+    }
+    assert_flat("multiway chain work per update", per_update);
+    assert_eq!(
+        pins,
+        (128, 1_280, 128),
+        "(updates, probes, output deltas) at ×16: 11 units per update"
     );
 }

@@ -7,7 +7,7 @@
 //! Shapes cover the whole selection table: the cyclic self-join triangle
 //! (→ WCOJ multiway), the 3-relation triangle (→ heavy-light IVMε
 //! partitioned maintenance), the cyclic 4-cycle, the
-//! acyclic star and path (→ left-deep dataflow), the paper's Fig 3 query
+//! acyclic star and path (→ the same multiway dataflow), the paper's Fig 3 query
 //! and the 5-relation Retailer join (→ eager-fact view trees), and the
 //! triangle-detection CQAP (→ fractured CQAP engine, checked through both
 //! full enumeration and constant-delay probes).
@@ -89,10 +89,10 @@ proptest! {
 
     /// Acyclic full star with the center variable *bound* (all the leaf
     /// variables free, so q-hierarchy fails on the bound-dominating root)
-    /// → left-deep dataflow. Note the free set differs from the harness
+    /// → multiway dataflow. Note the free set differs from the harness
     /// star in `tests/common`, which frees everything.
     #[test]
-    fn selects_leftdeep_for_star(ops in wide_ops(), chunk in 1usize..9) {
+    fn selects_multiway_for_star(ops in wide_ops(), chunk in 1usize..9) {
         let [x, y, z, w] = ivm_data::vars(["ss_SX", "ss_SY", "ss_SZ", "ss_SW"]);
         let q = Query::new(
             "ss_bstar",
@@ -103,15 +103,15 @@ proptest! {
                 ivm_query::Atom::new(sym("ss_ST"), [x, w]),
             ],
         );
-        check_auto_selection(&q, EngineKind::DataflowLeftDeep, &ops, chunk)?;
+        check_auto_selection(&q, EngineKind::DataflowMultiway, &ops, chunk)?;
     }
 
-    /// The acyclic 3-path → left-deep dataflow.
+    /// The acyclic 3-path → multiway dataflow.
     #[test]
-    fn selects_leftdeep_for_path3(ops in wide_ops(), chunk in 1usize..9) {
+    fn selects_multiway_for_path3(ops in wide_ops(), chunk in 1usize..9) {
         check_auto_selection(
             &examples::path3_query(),
-            EngineKind::DataflowLeftDeep,
+            EngineKind::DataflowMultiway,
             &ops,
             chunk,
         )?;
@@ -186,12 +186,12 @@ fn selection_table_is_exactly_as_documented() {
         ),
         (
             examples::path3_query(),
-            EngineKind::DataflowLeftDeep,
+            EngineKind::DataflowMultiway,
             QueryClass::Acyclic,
         ),
         (
             examples::ex51_query(),
-            EngineKind::DataflowLeftDeep,
+            EngineKind::DataflowMultiway,
             QueryClass::Acyclic,
         ),
         // The intractable CQAP falls back to the class of its hypergraph.
@@ -228,8 +228,8 @@ fn selection_table_is_exactly_as_documented() {
     );
 }
 
-/// Every engine kind — eager-fact, CQAP, both dataflow plans, and the
-/// fleet — ingests the *same batch slice* through the one
+/// Every engine kind — eager-fact, CQAP, dataflow, and the fleet —
+/// ingests the *same batch slice* through the one
 /// trait-level `apply_batch` and agrees on the output. (The CQAP engine
 /// runs its own query shape; the rest share Fig 3.)
 #[test]
@@ -250,7 +250,6 @@ fn one_apply_batch_surface_across_all_engines() {
         .collect();
     let kinds = [
         EngineKind::EagerFact,
-        EngineKind::DataflowLeftDeep,
         EngineKind::DataflowMultiway,
         EngineKind::Sharded,
     ];
@@ -365,22 +364,11 @@ fn arity_mismatch_is_refused_before_the_journal_on_every_generic_backend() {
 /// refused the same way.
 #[test]
 fn oversized_query_is_refused_not_panicking() {
-    use ivm::dataflow::JoinStrategy;
     use ivm_core::EngineError;
     let q = oversized_cycle("big_");
     let db = Database::new();
-    for strategy in [JoinStrategy::Auto, JoinStrategy::Multiway] {
-        let built = ivm::DataflowEngine::<i64>::new_with_strategy(
-            q.clone(),
-            &db,
-            ivm_data::ops::lift_one,
-            strategy,
-        );
-        assert!(
-            matches!(built, Err(EngineError::NotSupported(ref m)) if m.contains("64")),
-            "{strategy:?}"
-        );
-    }
+    let built = ivm::DataflowEngine::<i64>::new(q.clone(), &db, ivm_data::ops::lift_one);
+    assert!(matches!(built, Err(EngineError::NotSupported(ref m)) if m.contains("64")));
     let fleet = ivm::shard::ShardedEngine::<i64>::new(q.clone(), &db, ivm_data::ops::lift_one, 2);
     assert!(matches!(fleet, Err(EngineError::NotSupported(ref m)) if m.contains("64")));
     let built = Session::<i64>::builder(q).build(&db);

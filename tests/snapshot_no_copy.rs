@@ -74,7 +74,7 @@ fn snapshot_allocates_encode_buffers_not_a_second_base() {
     let _ = std::fs::remove_dir_all(&dir);
     // The dataflow engine, so `apply_batch` reports the view's delta.
     let mut s = Session::<i64>::builder(q.clone())
-        .engine(EngineKind::DataflowLeftDeep)
+        .engine(EngineKind::DataflowMultiway)
         .durable(&dir)
         .build(&db)
         .unwrap();

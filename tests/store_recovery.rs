@@ -866,3 +866,54 @@ fn auto_snapshot_without_durable_is_refused() {
         .unwrap_err();
     assert!(err.to_string().contains("durable"), "{err}");
 }
+
+/// A snapshot written by a session that ran the since-retired left-deep
+/// dataflow plan carries strategy tag 1. It must still recover — onto the
+/// multiway dataflow, with the recorded view cross-checked — and keep
+/// maintaining the view the oracle computes.
+#[test]
+fn left_deep_tagged_snapshot_recovers_onto_the_multiway_dataflow() {
+    let q = ivm_query::examples::path3_query();
+    let mut base = mirror_db(&q);
+    let mut batch = Vec::new();
+    for i in 0..12i64 {
+        for (k, atom) in q.atoms.iter().enumerate() {
+            batch.push(Update::insert(atom.name, tup![i % 4 + k as i64, i % 3]));
+        }
+    }
+    base.apply_batch(&batch);
+    let mut cards: Vec<(ivm_data::Sym, u64)> =
+        base.iter().map(|(s, r)| (*s, r.len() as u64)).collect();
+    cards.sort_by_key(|(s, _)| s.name());
+    let view = oracle_db(&q, &base);
+    assert!(!view.is_empty());
+    let dir = scratch("tag1");
+    let mut store = ivm_store::Store::create(&dir).unwrap();
+    store
+        .snapshot(&ivm_store::SnapshotDoc {
+            epoch: 1,
+            query_name: q.name.name(),
+            strategy_tag: 1,
+            cards,
+            degrees: Vec::new(),
+            base: base.clone(),
+            view,
+        })
+        .unwrap();
+    drop(store);
+
+    let mut s = Session::<i64>::builder(q.clone())
+        .recover(&dir, &Database::new())
+        .unwrap();
+    assert_eq!(s.engine_kind(), EngineKind::DataflowMultiway);
+    assert!(s.explain().recovered.is_some());
+    outputs_match(&s.output(), &oracle_db(&q, &base), "recovered").unwrap();
+    let more = [
+        Update::insert(q.atoms[0].name, tup![9i64, 1i64]),
+        Update::delete(q.atoms[2].name, tup![2i64, 0i64]),
+    ];
+    s.apply_batch(&more).unwrap();
+    base.apply_batch(&more);
+    outputs_match(&s.output(), &oracle_db(&q, &base), "after recovery").unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
