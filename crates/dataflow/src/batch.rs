@@ -132,7 +132,7 @@ impl<R: Semiring> DeltaBatch<R> {
 
     /// Insert an already-consolidated non-zero entry (keys coming from an
     /// existing batch are distinct, so no re-summing is needed).
-    fn insert_consolidated(&mut self, rel: Sym, t: Tuple, r: R) {
+    pub(crate) fn insert_consolidated(&mut self, rel: Sym, t: Tuple, r: R) {
         debug_assert!(!r.is_zero(), "consolidated entries are non-zero");
         self.deltas.entry(rel).or_default().insert(t, r);
     }

@@ -15,25 +15,26 @@
 //! * [`DeltaBatch`] — consolidates a batch of single-tuple updates
 //!   per `(relation, tuple)`; sound because ring payloads make batch
 //!   effects order-independent (Sec. 2 of the paper);
-//! * [`Dataflow`] — the runtime: the query's base relations feeding one
-//!   worst-case-optimal [`multiway`] join (attribute-at-a-time
+//! * [`multiway`] — the one join operator: attribute-at-a-time
 //!   intersection search over shared hash-trie indexes, deltas seeded from
 //!   the changed tuples, aggregated onto the free variables inside the
-//!   search), driven by [`Dataflow::apply_batch`]. It serves every query,
-//!   acyclic or cyclic, and materializes no binary intermediate;
+//!   search. It serves every query, acyclic or cyclic, and materializes
+//!   no binary intermediate;
 //! * [`cost`] — the deterministic cost-based variable order, derived from
 //!   relation cardinalities with stable tie-breaking, plus the coarse
 //!   plan-cost proxy the replan policy ranks orders with;
+//! * [`DataflowEngine`] — lowers a query onto the join, owns the join's
+//!   state, the output view and the [`DataflowStats`], and drives each
+//!   batch through [`apply_batch`](ivm_core::Maintainer::apply_batch). It
+//!   is an `ivm_core::Maintainer`, so the runtime slots into the existing
+//!   equivalence tests, benches, and examples;
 //! * [`adapt`] — adaptive replanning: [`LearnedCardinalities`] (live
 //!   per-relation counts from the stream) and [`ReplanPolicy`] (when a
 //!   re-lowering through
 //!   [`DataflowEngine::replan_with_cards`](engine::DataflowEngine::replan_with_cards)
 //!   pays for itself: first data after a blind build, or a predicted cost
 //!   ratio with hysteresis — and when skew calls for the heavy-light
-//!   family instead);
-//! * [`planner::lower`] + [`DataflowEngine`] — lower a query onto the
-//!   join, wrapped as an `ivm_core::Maintainer`, so the runtime slots into
-//!   the existing equivalence tests, benches, and examples.
+//!   family instead).
 //!
 //! # Quickstart
 //!
@@ -69,9 +70,7 @@ pub mod batch;
 pub mod cost;
 mod dict;
 pub mod engine;
-pub mod graph;
 pub mod multiway;
-pub mod planner;
 
 pub use adapt::{
     DegreeSketch, EngineFamily, FamilyDecision, LearnedCardinalities, ReplanDecision, ReplanPolicy,
@@ -79,7 +78,5 @@ pub use adapt::{
 };
 pub use batch::DeltaBatch;
 pub use cost::Cardinalities;
-pub use engine::DataflowEngine;
-pub use graph::{Dataflow, DataflowStats};
+pub use engine::{check_updatable, DataflowEngine, DataflowStats};
 pub use multiway::StoreHub;
-pub use planner::lower;

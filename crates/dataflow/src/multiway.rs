@@ -104,7 +104,7 @@
 
 use crate::batch::DeltaBatch;
 use crate::dict::{Dict, Id};
-use crate::graph::DataflowStats;
+use crate::engine::DataflowStats;
 use ivm_data::ops::{Lift, LiftedProjection};
 use ivm_data::{FxHashMap, Relation, Schema, Sym, Tuple, Value};
 use ivm_ring::Semiring;
@@ -697,7 +697,7 @@ impl<R: Semiring> StoreHub<R> {
     }
 }
 
-/// State of the multiway join node of a [`Dataflow`](crate::Dataflow).
+/// State of the multiway join of a [`DataflowEngine`](crate::DataflowEngine).
 pub struct MultiwayState<R> {
     atoms: Vec<AtomSpec>,
     /// The base relation each input reads, by input slot: one per

@@ -601,13 +601,13 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
     /// the database the original session was built over (the common
     /// streaming case passes the same empty database).
     ///
-    /// Failures — a corrupt snapshot, a mismatched query, a rebuilt view
-    /// that disagrees with the recorded one — surface as
-    /// [`EngineError::Store`]; with a registry attached they also bump
-    /// `ivm.store.recovery_failures` and write a flight-recorder dump, so
-    /// the post-mortem survives the process that could not start. A torn
-    /// journal *tail* is not a failure: replay stops at the last valid
-    /// record and the note lands in `explain()`.
+    /// Failures — a corrupt snapshot, a mismatched query, a base or a
+    /// rebuilt view that disagrees with what the snapshot recorded —
+    /// surface as [`EngineError::Store`]; with a registry attached they
+    /// also bump `ivm.store.recovery_failures` and write a flight-recorder
+    /// dump, so the post-mortem survives the process that could not
+    /// start. A torn journal *tail* is not a failure: replay stops at the
+    /// last valid record and the note lands in `explain()`.
     pub fn recover(
         mut self,
         path: impl Into<PathBuf>,
@@ -635,6 +635,23 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
                     path.display(),
                     s.query_name,
                     self.query.name.name()
+                )));
+            }
+            // The recorded sizes, recounted from the base, catch a base
+            // that lost tuples which never reach the view — the view
+            // cross-check below cannot see those.
+            let counted = relation_sizes(&s.base);
+            let cards = &s.cards;
+            let differs = |e: &&(Sym, u64)| !counted.contains(e) || !cards.contains(e);
+            if let Some((rel, _)) = counted.iter().chain(cards).find(differs) {
+                let size = |list: &[(Sym, u64)]| {
+                    list.iter().find(|(r, _)| r == rel).map_or(0, |&(_, n)| n)
+                };
+                return Err(fail(format!(
+                    "snapshot base holds {} tuples of {}, its recorded size is {}",
+                    size(&counted),
+                    rel.name(),
+                    size(cards)
                 )));
             }
         }
@@ -1001,8 +1018,10 @@ impl<R: Semiring> Session<R> {
         self.explain.engine
     }
 
-    /// One line naming the engine; for dataflow-backed sessions the
-    /// lowered operator plan, for fleets the shard routing plan.
+    /// One line naming the engine and the plan it runs: the join and its
+    /// variable order for a dataflow, the partition for heavy-light, the
+    /// routing plan and the shards' variable order for a fleet. Replan
+    /// events record it before and after the change.
     pub fn describe(&self) -> String {
         match &self.backend {
             Backend::Dataflow(e) => e.plan(),
@@ -1333,7 +1352,7 @@ impl<R: Semiring> Session<R> {
                         cards,
                     )?),
                 };
-                let from = plan_label(&self.backend);
+                let from = self.describe();
                 let event = (from, ReplanTrigger::FamilyShift, reason, window_tps);
                 return self.install_backend(Some(fresh), Some(event));
             }
@@ -1360,7 +1379,7 @@ impl<R: Semiring> Session<R> {
             reason,
         } = decision;
 
-        let from = plan_label(&self.backend);
+        let from = self.describe();
         match &mut self.backend {
             Backend::Dataflow(e) => e.replan_with_cards(&base.db, cards)?,
             Backend::Sharded(e) => e.replan_with_cards(&base.db, &cards)?,
@@ -1394,10 +1413,11 @@ impl<R: Semiring> Session<R> {
             if let Some(o) = &self.obs {
                 o.replans.inc();
             }
+            let to = self.describe();
             self.explain.replans.push(ReplanEvent {
                 batch_index: self.adaptive.as_ref().map_or(0, |st| st.batch_index),
                 from,
-                to: plan_label(&self.backend),
+                to,
                 trigger,
                 reason,
                 before_tps,
@@ -1439,9 +1459,7 @@ impl<R: Semiring + Persist> Session<R> {
         let (Some(d), Some(base)) = (self.durable.as_mut(), self.base.as_mut()) else {
             unreachable!("checked above, and a durable session keeps a base");
         };
-        let mut cards: Vec<(Sym, u64)> =
-            base.db.iter().map(|(s, r)| (*s, r.len() as u64)).collect();
-        cards.sort_by_key(|(s, _)| s.name());
+        let cards = relation_sizes(&base.db);
         // Per-key degrees, for recovery to cross-check: counted fresh (one
         // scan), never taken from the live counts, so a snapshot's bytes
         // do not depend on whether a policy was armed.
@@ -1479,16 +1497,12 @@ impl<R: Semiring + Persist> Session<R> {
     }
 }
 
-/// A short human-readable label of the plan a backend runs, for replan
-/// events: the join and its variable order for a dataflow, the
-/// partition for heavy-light, the fleet size for a fleet.
-fn plan_label<R: Semiring>(backend: &Backend<R>) -> String {
-    match backend {
-        Backend::Dataflow(e) => e.plan(),
-        Backend::Sharded(e) => format!("sharded fleet x{}", e.shards()),
-        Backend::HeavyLight(e) => e.plan(),
-        other => other.kind().to_string(),
-    }
+/// Every relation of `db` with its tuple count, by relation name: the
+/// snapshot's `cards`, which recovery recounts from the snapshot base.
+fn relation_sizes<R: Semiring>(db: &Database<R>) -> Vec<(Sym, u64)> {
+    let mut sizes: Vec<(Sym, u64)> = db.iter().map(|(s, r)| (*s, r.len() as u64)).collect();
+    sizes.sort_by_key(|(s, _)| s.name());
+    sizes
 }
 
 /// The `sublinear:` line of `explain()` — the ε/θ partition parameters
@@ -1995,6 +2009,11 @@ mod tests {
             "sharded blind build must replan: {}",
             s.explain()
         );
+        // The events name the fleet's variable order before and after.
+        for ev in &s.explain().replans {
+            assert_ne!(ev.from, ev.to, "{}", s.explain());
+            assert!(ev.from.contains("order [") && ev.to.contains("order ["));
+        }
         let expect = ivm_data::ops::eval_join_aggregate(
             &[db.relation(rn), db.relation(sn)],
             &q.free,

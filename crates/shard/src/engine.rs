@@ -2,8 +2,9 @@
 //!
 //! Construction plans the shard key ([`ShardPlanner`]), splits the initial
 //! database with the [`Router`], and spawns one worker thread per shard,
-//! each owning a fully independent [`DataflowEngine`] (same planner as
-//! the single-threaded engine, untouched). Updates then flow in two modes:
+//! each owning a fully independent [`DataflowEngine`] (the single-threaded
+//! engine, untouched, every shard lowered from the same global
+//! cardinalities). Updates then flow in two modes:
 //!
 //! * **Synchronous** — [`ShardedEngine::apply_batch`] routes a batch,
 //!   waits for every shard's output delta, ⊎-merges them, folds the merge
@@ -27,7 +28,9 @@ use crate::worker::{self, Job, Report, TraceCtx, WorkerHandle};
 use ivm_core::{EngineError, Maintainer};
 use ivm_data::ops::Lift;
 use ivm_data::{Database, FxHashMap, FxHashSet, Relation, Schema, Sym, Tuple, Update};
-use ivm_dataflow::{Cardinalities, DataflowEngine, DataflowStats, DeltaBatch};
+use ivm_dataflow::{
+    check_updatable, cost, Cardinalities, DataflowEngine, DataflowStats, DeltaBatch,
+};
 use ivm_obs::{Counter, FlightRecorder, Gauge, Histogram, LabelId, MetricsRegistry, Tracer};
 use ivm_query::Query;
 use ivm_ring::Semiring;
@@ -147,10 +150,9 @@ pub struct ShardedEngine<R: Semiring> {
     shard_stats: Vec<DataflowStats>,
     shard_busy: Vec<Duration>,
     output: Relation<R>,
-    dynamics: FxHashSet<Sym>,
-    statics: FxHashSet<Sym>,
-    /// The cardinality snapshot the current fleet plan was ordered by
-    /// (global counts; replans broadcast one snapshot to every shard).
+    /// The cardinality snapshot every shard's variable order was derived
+    /// from: the global counts at construction, and the one snapshot each
+    /// replan broadcasts to every shard.
     lowered_cards: Cardinalities,
     /// Set once a shard reports a failure (engine error or worker panic):
     /// the fleet's state is no longer trustworthy, so every subsequent
@@ -193,7 +195,11 @@ impl<R: Semiring> ShardedEngine<R> {
         let mut shard_stats = Vec::with_capacity(shards);
         let mut output = Relation::new(query.free.clone());
         for (shard, shard_db) in shard_dbs.into_iter().enumerate() {
-            let engine = DataflowEngine::new(query.clone(), &shard_db, lift)?;
+            // Every shard runs the order the global counts derive — the
+            // one `lowered_cards` reports and replans compare against —
+            // not one derived from its own slice sizes.
+            let engine =
+                DataflowEngine::new_with_cards(query.clone(), &shard_db, lift, cards.clone())?;
             // The preprocessing pass already materialized this shard's
             // slice of the initial view and counted its replay; ⊎-merge
             // the view and snapshot the counters before the engine moves
@@ -204,17 +210,6 @@ impl<R: Semiring> ShardedEngine<R> {
             shard_stats.push(engine.stats());
             workers.push(worker::spawn(shard, engine, results_tx.clone()));
         }
-
-        let mut dynamics: FxHashSet<Sym> = FxHashSet::default();
-        let mut statics: FxHashSet<Sym> = FxHashSet::default();
-        for atom in &query.atoms {
-            if atom.dynamic {
-                dynamics.insert(atom.name);
-            } else {
-                statics.insert(atom.name);
-            }
-        }
-        statics.retain(|s| !dynamics.contains(s));
 
         Ok(ShardedEngine {
             query,
@@ -227,8 +222,6 @@ impl<R: Semiring> ShardedEngine<R> {
             shard_stats,
             shard_busy: vec![Duration::ZERO; shards],
             output,
-            dynamics,
-            statics,
             lowered_cards: cards,
             poisoned: None,
             obs: None,
@@ -243,9 +236,9 @@ impl<R: Semiring> ShardedEngine<R> {
     ///   latency histogram, and `router.*` consolidation/partition
     ///   timings;
     /// * worker side — each shard's dataflow attaches under
-    ///   `{prefix}.shard{i}.dataflow.*` (per-operator apply time and
-    ///   tuple counts), via a broadcast `Job::Observe` that FIFO
-    ///   ordering lands between batches.
+    ///   `{prefix}.shard{i}.dataflow.*` (the join's apply time and the
+    ///   engine's counter mirrors), via a broadcast `Job::Observe` that
+    ///   FIFO ordering lands between batches.
     ///
     /// Counter mirrors are *stored* cumulative values (report-driven),
     /// so they survive replans the same way [`Self::stats`] does.
@@ -323,9 +316,15 @@ impl<R: Semiring> ShardedEngine<R> {
         self.router.plan()
     }
 
-    /// One line describing the fleet: shard count + routing plan.
+    /// One line describing the fleet: shard count, routing plan, and the
+    /// variable order every shard's join runs.
     pub fn describe(&self) -> String {
-        format!("{} shard(s); {}", self.shards(), self.plan().describe())
+        format!(
+            "{} shard(s); {}; order {:?}",
+            self.shards(),
+            self.plan().describe(),
+            cost::variable_order(&self.query, &self.lowered_cards)
+        )
     }
 
     /// The cardinality snapshot the current fleet plan was ordered by.
@@ -343,7 +342,7 @@ impl<R: Semiring> ShardedEngine<R> {
     /// way), everything enqueued after runs on the fresh plan. All shards
     /// receive the same global cardinalities, so
     /// the fleet re-lowers consistently even where per-shard slice sizes
-    /// would order differently. Carried counters survive exactly as in
+    /// would order differently. Counters survive exactly as in
     /// `DataflowEngine::replan_with_cards`; only the shard *routing* plan
     /// is fixed at construction and deliberately not revisited (re-keying
     /// would reshuffle every index across the fleet).
@@ -360,24 +359,12 @@ impl<R: Semiring> ShardedEngine<R> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let shards = self.workers.len();
-        let trace_ctx =
-            self.obs
-                .as_ref()
-                .and_then(|o| o.tracer.current_ctx())
-                .map(|(parent, epoch)| TraceCtx {
-                    parent,
-                    epoch,
-                    enqueued: Instant::now(),
-                });
         for (shard, shard_db) in shard_dbs.into_iter().enumerate() {
             self.workers[shard].send(Job::Replan {
                 seq,
                 cards: cards.clone(),
                 db: shard_db,
-                ctx: trace_ctx.map(|c| TraceCtx {
-                    enqueued: Instant::now(),
-                    ..c
-                }),
+                ctx: self.trace_ctx(),
             })?;
             if let Some(obs) = &self.obs {
                 obs.per_shard[shard].queue_depth.inc();
@@ -413,7 +400,8 @@ impl<R: Semiring> ShardedEngine<R> {
     /// synchronous [`Self::apply_batch`]).
     pub fn enqueue_batch(&mut self, batch: &[Update<R>]) -> Result<u64, EngineError> {
         self.check_poisoned()?;
-        self.validate(batch)?;
+        // Rejected centrally, before anything is routed.
+        check_updatable(&self.query, batch.iter().map(|u| u.relation))?;
         // Absorb any reports that already arrived, keeping `in_flight`
         // small during long enqueue-only streaks. (Before the new seq is
         // allocated, so this cannot complete the batch being enqueued.)
@@ -448,17 +436,6 @@ impl<R: Semiring> ShardedEngine<R> {
             obs.broadcast_copies.store(rs.broadcast_copies);
             obs.batches_enqueued.inc();
         }
-        // The ambient epoch root (if any) rides along to the workers:
-        // each job's queue-wait and apply spans join this epoch's tree.
-        let trace_ctx =
-            self.obs
-                .as_ref()
-                .and_then(|o| o.tracer.current_ctx())
-                .map(|(parent, epoch)| TraceCtx {
-                    parent,
-                    epoch,
-                    enqueued: Instant::now(),
-                });
         let mut sent = 0usize;
         for (shard, part) in parts.into_iter().enumerate() {
             if part.is_empty() {
@@ -467,10 +444,7 @@ impl<R: Semiring> ShardedEngine<R> {
             self.workers[shard].send(Job::Batch {
                 seq,
                 delta: part,
-                ctx: trace_ctx.map(|c| TraceCtx {
-                    enqueued: Instant::now(),
-                    ..c
-                }),
+                ctx: self.trace_ctx(),
             })?;
             if let Some(obs) = &self.obs {
                 obs.per_shard[shard].queue_depth.inc();
@@ -529,18 +503,15 @@ impl<R: Semiring> ShardedEngine<R> {
         self.sharded_stats().merged()
     }
 
-    /// Reject updates to static or unknown relations, exactly like the
-    /// single-threaded engine — centrally, before anything is routed.
-    fn validate(&self, batch: &[Update<R>]) -> Result<(), EngineError> {
-        for u in batch {
-            if self.statics.contains(&u.relation) {
-                return Err(EngineError::StaticRelation(u.relation));
-            }
-            if !self.dynamics.contains(&u.relation) {
-                return Err(EngineError::UnknownRelation(u.relation));
-            }
-        }
-        Ok(())
+    /// The ambient epoch root (if any), handed to a worker with each job
+    /// so its queue-wait and apply spans join this epoch's tree.
+    fn trace_ctx(&self) -> Option<TraceCtx> {
+        let (parent, epoch) = self.obs.as_ref()?.tracer.current_ctx()?;
+        Some(TraceCtx {
+            parent,
+            epoch,
+            enqueued: Instant::now(),
+        })
     }
 
     /// Absorb every report that is already waiting, without blocking.
@@ -1134,8 +1105,61 @@ mod tests {
         assert!(eng.observe(&reg, "t.poison").is_err());
     }
 
+    /// A fleet runs the variable order its `lowered_cards` derive. On a
+    /// 4-cycle whose relation sizes order differently per shard slice
+    /// than globally, a freshly built fleet and the same fleet replanned
+    /// to its own `lowered_cards` must do identical work on one stream.
     #[test]
-    fn fleet_replan_preserves_state_and_carried_stats() {
+    fn fresh_fleet_runs_the_order_it_reports() {
+        let [a, b, c, d] = vars(["sh4_A", "sh4_B", "sh4_C", "sh4_D"]);
+        let rels = [sym("sh4_R"), sym("sh4_S"), sym("sh4_T"), sym("sh4_U")];
+        let schemas = [[a, b], [b, c], [c, d], [d, a]];
+        let q = Query::new(
+            "sh4_cycle",
+            [],
+            (0..4).map(|i| Atom::new(rels[i], schemas[i])).collect(),
+        );
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as i64 % 200
+        };
+        let mut db: Database<i64> = Database::new();
+        for (i, n) in [600, 4000, 500, 4000].into_iter().enumerate() {
+            db.create(rels[i], Schema::from(schemas[i]));
+            while db.relation(rels[i]).len() < n {
+                db.apply(&Update::insert(rels[i], tup![next(), next()]));
+            }
+        }
+        let stream: Vec<Update<i64>> = (0..800)
+            .map(|i| Update::insert(rels[i % 4], tup![next(), next()]))
+            .collect();
+
+        let mut fresh = ShardedEngine::<i64>::new(q.clone(), &db, lift_one, 2).unwrap();
+        let mut replanned = ShardedEngine::<i64>::new(q, &db, lift_one, 2).unwrap();
+        assert_eq!(fresh.shards(), 2);
+        let own = replanned.lowered_cards().clone();
+        replanned.replan_with_cards(&db, &own).unwrap();
+        assert_eq!(fresh.describe(), replanned.describe());
+        let (f0, r0) = (fresh.stats(), replanned.stats());
+        for batch in stream.chunks(16) {
+            fresh.apply_batch(batch).unwrap();
+            replanned.apply_batch(batch).unwrap();
+        }
+        let (f, r) = (fresh.stats().since(&f0), replanned.stats().since(&r0));
+        assert!(f.multiway_probes > 0);
+        assert_eq!(f.multiway_probes, r.multiway_probes);
+        assert_eq!(f.multiway_seeds, r.multiway_seeds);
+        assert_eq!(
+            fresh.output_relation().get(&Tuple::empty()),
+            replanned.output_relation().get(&Tuple::empty())
+        );
+    }
+
+    #[test]
+    fn fleet_replan_preserves_state_and_stats() {
         let q = star2();
         let (rn, sn) = (q.atoms[0].name, q.atoms[1].name);
         let mut db: Database<i64> = Database::new();
@@ -1167,7 +1191,7 @@ mod tests {
         eng.replan_with_cards(&db, &cards).unwrap();
         assert_eq!(eng.lowered_cards().get(sn), 1);
 
-        // State reproduced, history carried (monotone counters).
+        // State reproduced, history kept (monotone counters).
         let mut view_after: Vec<_> = eng
             .output_relation()
             .iter()

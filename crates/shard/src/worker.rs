@@ -12,7 +12,7 @@
 use ivm_core::EngineError;
 use ivm_data::{Database, Relation};
 use ivm_dataflow::{Cardinalities, DataflowEngine, DataflowStats, DeltaBatch};
-use ivm_obs::{LabelId, Tracer};
+use ivm_obs::{LabelId, Span, Tracer};
 use ivm_ring::Semiring;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
@@ -70,7 +70,7 @@ pub(crate) enum Job<R> {
         /// Epoch-trace handoff (replans are traced like batches).
         ctx: Option<TraceCtx>,
     },
-    /// Attach a metrics registry to this shard's engine: per-operator
+    /// Attach a metrics registry to this shard's engine: the join's
     /// apply time and counter mirrors appear under `{prefix}.*`. Not
     /// reported — it is instantaneous and the facade need not await it
     /// (FIFO ordering already sequences it against batches).
@@ -142,6 +142,23 @@ struct WorkerTrace {
     queue_wait: LabelId,
     apply: LabelId,
     replan: LabelId,
+}
+
+impl WorkerTrace {
+    /// Join the enqueuing epoch's trace: the gap since enqueue is this
+    /// shard's queue wait, and the returned `label` span (ambient while
+    /// the job runs, so the engine's spans nest under it) covers the
+    /// work — even on panic, via the span's Drop.
+    fn enter(&self, label: LabelId, c: TraceCtx) -> Span {
+        self.tracer.record_at(
+            self.queue_wait,
+            Some(c.parent),
+            c.epoch,
+            c.enqueued,
+            c.enqueued.elapsed(),
+        );
+        self.tracer.enter_at(label, c.parent, c.epoch)
+    }
 }
 
 /// Time one closure on the thread CPU clock, falling back to wall time.
@@ -222,21 +239,7 @@ pub(crate) fn spawn<R: Semiring>(
                         continue;
                     }
                     Job::Batch { seq, delta, ctx } => {
-                        // Join the enqueuing epoch's trace: the gap since
-                        // enqueue is this shard's queue wait, and the
-                        // apply span (ambient while the engine runs, so
-                        // per-operator spans nest under it) covers the
-                        // work — even on panic, via the span's Drop.
-                        let span = trace.as_ref().zip(ctx).map(|(tr, c)| {
-                            tr.tracer.record_at(
-                                tr.queue_wait,
-                                Some(c.parent),
-                                c.epoch,
-                                c.enqueued,
-                                c.enqueued.elapsed(),
-                            );
-                            tr.tracer.enter_at(tr.apply, c.parent, c.epoch)
-                        });
+                        let span = trace.as_ref().zip(ctx).map(|(tr, c)| tr.enter(tr.apply, c));
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                             timed(|| engine.apply_delta_batch(&delta))
                         }));
@@ -252,16 +255,10 @@ pub(crate) fn spawn<R: Semiring>(
                         // A replan "delta" is empty by construction: the
                         // replay reproduces the shard's exact state.
                         let free = engine.output_relation().schema().clone();
-                        let span = trace.as_ref().zip(ctx).map(|(tr, c)| {
-                            tr.tracer.record_at(
-                                tr.queue_wait,
-                                Some(c.parent),
-                                c.epoch,
-                                c.enqueued,
-                                c.enqueued.elapsed(),
-                            );
-                            tr.tracer.enter_at(tr.replan, c.parent, c.epoch)
-                        });
+                        let span = trace
+                            .as_ref()
+                            .zip(ctx)
+                            .map(|(tr, c)| tr.enter(tr.replan, c));
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                             timed(|| {
                                 engine

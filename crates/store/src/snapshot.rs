@@ -48,7 +48,9 @@ pub struct SnapshotDoc<R: Semiring> {
     /// reads 1 — written for a since-retired left-deep dataflow plan — as
     /// the dataflow family too.
     pub strategy_tag: u8,
-    /// The learned per-relation cardinalities at snapshot time.
+    /// Every relation of `base` with its tuple count, sorted by relation
+    /// name. Recovery recounts them from `base` and refuses a snapshot
+    /// whose base disagrees.
     pub cards: Vec<(Sym, u64)>,
     /// The per-key first-column degree sketch of every binary relation,
     /// `(relation, [(key, degree)])` sorted by relation and key — the

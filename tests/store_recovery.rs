@@ -867,6 +867,49 @@ fn auto_snapshot_without_durable_is_refused() {
     assert!(err.to_string().contains("durable"), "{err}");
 }
 
+/// A path3 base with 12 tuples per relation, `extra` applied on top.
+fn path3_base(q: &Query, extra: &[Update<i64>]) -> Database<i64> {
+    let mut base = mirror_db(q);
+    let mut batch = extra.to_vec();
+    for i in 0..12i64 {
+        for (k, atom) in q.atoms.iter().enumerate() {
+            batch.push(Update::insert(atom.name, tup![i % 4 + k as i64, i % 3]));
+        }
+    }
+    base.apply_batch(&batch);
+    base
+}
+
+/// Write a hand-made snapshot of `base` for `q` into a fresh store:
+/// the recorded sizes are `sized_from`'s and the view is `q` over it.
+fn write_snapshot(
+    tag: &str,
+    q: &Query,
+    strategy_tag: u8,
+    sized_from: &Database<i64>,
+    base: Database<i64>,
+) -> PathBuf {
+    let mut cards: Vec<(ivm_data::Sym, u64)> = sized_from
+        .iter()
+        .map(|(s, r)| (*s, r.len() as u64))
+        .collect();
+    cards.sort_by_key(|(s, _)| s.name());
+    let dir = scratch(tag);
+    let mut store = ivm_store::Store::create(&dir).unwrap();
+    store
+        .snapshot(&ivm_store::SnapshotDoc {
+            epoch: 1,
+            query_name: q.name.name(),
+            strategy_tag,
+            cards,
+            degrees: Vec::new(),
+            view: oracle_db(q, sized_from),
+            base,
+        })
+        .unwrap();
+    dir
+}
+
 /// A snapshot written by a session that ran the since-retired left-deep
 /// dataflow plan carries strategy tag 1. It must still recover — onto the
 /// multiway dataflow, with the recorded view cross-checked — and keep
@@ -874,33 +917,9 @@ fn auto_snapshot_without_durable_is_refused() {
 #[test]
 fn left_deep_tagged_snapshot_recovers_onto_the_multiway_dataflow() {
     let q = ivm_query::examples::path3_query();
-    let mut base = mirror_db(&q);
-    let mut batch = Vec::new();
-    for i in 0..12i64 {
-        for (k, atom) in q.atoms.iter().enumerate() {
-            batch.push(Update::insert(atom.name, tup![i % 4 + k as i64, i % 3]));
-        }
-    }
-    base.apply_batch(&batch);
-    let mut cards: Vec<(ivm_data::Sym, u64)> =
-        base.iter().map(|(s, r)| (*s, r.len() as u64)).collect();
-    cards.sort_by_key(|(s, _)| s.name());
-    let view = oracle_db(&q, &base);
-    assert!(!view.is_empty());
-    let dir = scratch("tag1");
-    let mut store = ivm_store::Store::create(&dir).unwrap();
-    store
-        .snapshot(&ivm_store::SnapshotDoc {
-            epoch: 1,
-            query_name: q.name.name(),
-            strategy_tag: 1,
-            cards,
-            degrees: Vec::new(),
-            base: base.clone(),
-            view,
-        })
-        .unwrap();
-    drop(store);
+    let mut base = path3_base(&q, &[]);
+    assert!(!oracle_db(&q, &base).is_empty());
+    let dir = write_snapshot("tag1", &q, 1, &base, base.clone());
 
     let mut s = Session::<i64>::builder(q.clone())
         .recover(&dir, &Database::new())
@@ -915,5 +934,37 @@ fn left_deep_tagged_snapshot_recovers_onto_the_multiway_dataflow() {
     s.apply_batch(&more).unwrap();
     base.apply_batch(&more);
     outputs_match(&s.output(), &oracle_db(&q, &base), "after recovery").unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The snapshot's recorded relation sizes are checked against its base.
+/// A base that lost a dangling tuple — one that joins nothing, so the
+/// recorded view still agrees — must be refused, naming the relation, and
+/// counted as a recovery failure.
+#[test]
+fn recovery_refuses_a_snapshot_base_that_disagrees_with_its_sizes() {
+    let q = ivm_query::examples::path3_query();
+    // A tuple of the last relation whose join value no other tuple has.
+    let dangling = Update::insert(q.atoms[2].name, tup![999i64, 999i64]);
+    let recorded = path3_base(&q, std::slice::from_ref(&dangling));
+    let lost = path3_base(&q, &[]);
+    outputs_match(
+        &oracle_db(&q, &lost),
+        &oracle_db(&q, &recorded),
+        "same view",
+    )
+    .unwrap();
+    let dir = write_snapshot("cards", &q, 2, &recorded, lost);
+
+    let reg = MetricsRegistry::new();
+    let err = Session::<i64>::builder(q.clone())
+        .observe(&reg)
+        .recover(&dir, &Database::new())
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(matches!(err, ivm_core::EngineError::Store(_)), "{msg}");
+    let name = dangling.relation.to_string();
+    assert!(msg.contains(&name), "must name the relation: {msg}");
+    assert_eq!(reg.snapshot().counter("ivm.store.recovery_failures"), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
