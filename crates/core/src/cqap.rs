@@ -433,6 +433,16 @@ mod tests {
         assert_eq!(out.get(&tup![11i64]), 1);
         // B=2 is not in T: no outputs.
         assert_eq!(eng.access_output(&tup![2i64]).unwrap().len(), 0);
+        // A value no relation holds, and the string twin of one that T
+        // holds: no outputs, and no component's dictionary grows.
+        let live = |eng: &CqapEngine<i64>| -> Vec<usize> {
+            eng.components.iter().map(|c| c.dict().live()).collect()
+        };
+        let before = live(&eng);
+        for b in [tup![7i64], tup!["1"]] {
+            assert_eq!(eng.access_output(&b).unwrap().len(), 0, "B = {b:?}");
+        }
+        assert_eq!(live(&eng), before);
     }
 
     /// Intractable CQAPs are rejected.

@@ -27,10 +27,33 @@
 //! the enumeration plans are compiled against the slots: per step the
 //! node, its variable's slot, its view key's slots, the sibling probes and
 //! whether each child is *bound* (no free variable below it; atom leaves
-//! are bound). An update writes its tuple into one reused slot row, every
-//! lookup borrows a key gathered into one reused buffer (cloned into a
-//! [`Tuple`] only when a group is created), and enumeration binds the free
-//! variables straight into one reused output row.
+//! are bound).
+//!
+//! The tree holds no [`Value`]: it owns a dictionary ([`Dict`], the one
+//! the dataflow multiway join uses too) that maps each value to a dense
+//! `u32` id, and every map is keyed by ids. A leaf is keyed by its stored
+//! tuple and a grouped view by its `dep(X)` key, both [`IdMap`]s: a key
+//! of up to two ids is packed into a `u64` table slot, one of three or
+//! four into a `u128`, so a probe is one multiply and one bucket, and a
+//! new key allocates nothing. A group's entries and a mixed node's factors
+//! are keyed by the one id of `x`, and a group's only entry sits inline in
+//! the group's slot; an FD fetch index is keyed by its determinant's ids.
+//! An update encodes its tuple's columns once into one reused slot row of
+//! ids (fetches fill their slots in ids too), and every lookup packs its
+//! key straight from that row. Values are decoded only where they leave
+//! the tree: a lift `g_X(x)`, and enumeration, which binds ids loop by
+//! loop and decodes each bound id once, at its bind, into one reused
+//! output row.
+//!
+//! Every stored key occurrence — a leaf tuple, a group key, an entry, a
+//! factor group's key and its entries, a fetch-index key and its values —
+//! holds one reference per id it contains, taken when it appears and given
+//! back when it goes. Leaves alone would not do: with float payloads a
+//! group entry can keep a non-zero residue after its leaf tuples have
+//! left. The tree sweeps the dictionary at the end of every update and
+//! preprocessing, so an id no key holds is freed and reused, and a stream
+//! over ever-fresh values keeps the dictionary at its live distinct-value
+//! count.
 //!
 //! Per entry of a free node, enumeration needs only its *factor*: `Π` over
 //! the bound children — the payload itself when every child is bound, `1`
@@ -66,20 +89,20 @@
 //! the enumeration paths alike. The paper's Sec. 4 bounds are statements
 //! about this count — constant per update, and constant between two
 //! consecutive output tuples (the enumeration *delay*) — so tests assert
-//! them on it instead of on the clock.
+//! them on it instead of on the clock. A dictionary encode or decode is
+//! not a unit: it is not a probe of the tree's maps, and an update encodes
+//! at most one value per stored column, an enumeration decodes one per
+//! bind, so the bounds hold for it too.
 
 use crate::bindings::Bindings;
 use crate::error::EngineError;
+use ivm_data::ids::{gather, Dict, Id, IdMap};
 use ivm_data::ops::Lift;
-use ivm_data::{
-    Database, FxHashMap, GroupedIndex, Presence, Relation, Schema, Sym, Tuple, Update, Value,
-};
+use ivm_data::{Database, FxHashMap, Presence, Relation, Schema, Sym, Tuple, Update, Value};
 use ivm_query::varorder::Node;
 use ivm_query::{Query, VarOrder};
 use ivm_ring::Semiring;
-use std::borrow::Borrow;
 use std::cell::Cell;
-use std::hash::Hash;
 
 /// One group of a grouped view: the `X`-values compatible with a `dep(X)`
 /// key, plus their lifted total.
@@ -87,15 +110,103 @@ struct VGroup<R> {
     /// `Σ_x g_X(x) · entries[x]` (or `Σ_x entries[x]` for free `X`).
     total: R,
     /// Per-`X`-value payload `Π_children interface`.
-    entries: FxHashMap<Value, R>,
+    entries: Entries<R>,
 }
 
-/// The grouped view of one variable node.
+/// The grouped view of one variable node, keyed by the ids of `dep(X)`.
 struct View<R> {
-    groups: FxHashMap<Tuple, VGroup<R>>,
+    groups: IdMap<VGroup<R>>,
     /// Mixed nodes only: per group, per-`X`-value `Π_bound children
     /// interface`, on exactly the keys of `groups` and their entries.
-    factors: FxHashMap<Tuple, FxHashMap<Value, R>>,
+    factors: IdMap<Entries<R>>,
+}
+
+/// A group's entries, or its stored factors, by the id of `x`. A group
+/// of a fine-grained view mostly holds one entry: it sits inline in the
+/// group's table slot, so reading it follows no second pointer and
+/// creating it allocates nothing. Emptied, it is an empty (unallocated)
+/// map.
+#[derive(Debug)]
+enum Entries<R> {
+    One(Id, R),
+    Many(FxHashMap<Id, R>),
+}
+
+impl<R: Semiring> Entries<R> {
+    fn len(&self) -> usize {
+        match self {
+            Entries::One(..) => 1,
+            Entries::Many(m) => m.len(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn get(&self, x: Id) -> Option<&R> {
+        match self {
+            Entries::One(y, r) => (*y == x).then_some(r),
+            Entries::Many(m) => m.get(&x),
+        }
+    }
+
+    fn get_mut(&mut self, x: Id) -> Option<&mut R> {
+        match self {
+            Entries::One(y, r) => (*y == x).then_some(r),
+            Entries::Many(m) => m.get_mut(&x),
+        }
+    }
+
+    /// Call `f` on every entry.
+    fn for_each(&self, mut f: impl FnMut(Id, &R)) {
+        match self {
+            Entries::One(x, r) => f(*x, r),
+            Entries::Many(m) => m.iter().for_each(|(&x, r)| f(x, r)),
+        }
+    }
+
+    /// Add the entry `x ↦ r`; `x` has none. A second entry spills the
+    /// inline one into a map.
+    fn insert(&mut self, x: Id, r: R) {
+        *self = match std::mem::replace(self, Entries::Many(FxHashMap::default())) {
+            Entries::Many(m) if m.is_empty() => Entries::One(x, r),
+            Entries::Many(mut m) => {
+                m.insert(x, r);
+                Entries::Many(m)
+            }
+            Entries::One(y, q) => Entries::Many([(y, q), (x, r)].into_iter().collect()),
+        };
+    }
+
+    /// Drop the entry of `x`; whether it had one.
+    fn remove(&mut self, x: Id) -> bool {
+        match self {
+            Entries::One(y, _) if *y == x => {
+                *self = Entries::Many(FxHashMap::default());
+                true
+            }
+            Entries::One(..) => false,
+            Entries::Many(m) => m.remove(&x).is_some(),
+        }
+    }
+
+    /// `self[x] += delta`, pruning a cancelled entry and counting `x` in or
+    /// out of `dict` as its entry appears or vanishes: what happened.
+    fn add(&mut self, x: Id, delta: &R, dict: &mut Dict) -> Presence {
+        let Some(p) = self.get_mut(x) else {
+            self.insert(x, delta.clone());
+            dict.retain(x);
+            return Presence::Appeared;
+        };
+        p.add_assign(delta);
+        if !p.is_zero() {
+            return Presence::Unchanged;
+        }
+        self.remove(x);
+        dict.release(x);
+        Presence::Vanished
+    }
 }
 
 /// An FD *fetcher* (Sec. 4.4): completes update bindings with the value of
@@ -113,13 +224,20 @@ pub struct Fetcher {
 }
 
 /// A compiled fetcher: the slot it fills from its determinant's slots,
-/// and the fetched column's position in its index's residual tuples.
+/// and where the determinant and the fetched column sit in the provider's
+/// stored tuples.
 struct Fetch {
     slot: usize,
     lhs: Box<[usize]>,
     provider: usize,
-    residual_pos: usize,
+    lhs_pos: Box<[usize]>,
+    var_pos: usize,
 }
+
+/// A fetcher's index over its provider's stored tuples: per determinant
+/// key, the ids the fetched variable takes, each with the number of stored
+/// tuples supporting it (one, when the FD holds).
+type FetchIndex = IdMap<Vec<(Id, u32)>>;
 
 /// A compiled interface lookup: an atom's stored payload (`leaf`) or a
 /// variable node's group total, keyed by slots.
@@ -192,10 +310,12 @@ struct Path {
 pub struct ViewTree<R> {
     query: Query,
     vo: VarOrder,
+    /// The dictionary every key of the tree is encoded in.
+    dict: Dict,
     /// Grouped views, indexed by node id (atom leaves keep an empty one).
     views: Vec<View<R>>,
     /// Leaf storage, per atom index, over `storage_schema`.
-    leaves: Vec<FxHashMap<Tuple, R>>,
+    leaves: Vec<IdMap<R>>,
     /// Schema of the stored tuples per atom (the original schema for FD
     /// engines; the atom schema otherwise).
     storage_schema: Vec<Schema>,
@@ -205,14 +325,16 @@ pub struct ViewTree<R> {
     lift: Lift<R>,
     /// FD fetchers and their provider indexes.
     fetches: Vec<Fetch>,
-    fetch_indexes: Vec<GroupedIndex<R>>,
+    fetch_indexes: Vec<FetchIndex>,
     /// Per atom: the compiled update path.
     paths: Vec<Path>,
     /// The full enumeration.
     plan: Plan,
-    /// Scratch reused by every update: the slot row and a gathered key.
-    row: Vec<Value>,
-    key: Vec<Value>,
+    /// Scratch reused by every update: the slot row, the encoded stored
+    /// tuple and a gathered key.
+    row: Vec<Id>,
+    tuple: Vec<Id>,
+    key: Vec<Id>,
     /// Units of work so far (see the module docs). A `Cell`, not an
     /// atomic: enumeration takes `&self`, and a locked add per visited
     /// entry would tax the enumeration loop.
@@ -288,11 +410,13 @@ impl<R: Semiring> ViewTree<R> {
         };
         let (mut fetches, mut fetch_indexes) = (Vec::new(), Vec::new());
         for f in &fetchers {
+            // The provider stores the determinant and, beside it, the
+            // fetched variable.
             let schema = storage_schema
                 .get(f.provider)
-                .filter(|s| f.lhs.subset_of(s));
-            let residual = schema.and_then(|s| s.difference(&f.lhs).position(f.var));
-            let (Some(schema), Some(residual_pos)) = (schema, residual) else {
+                .filter(|s| f.lhs.subset_of(s) && f.lhs.position(f.var).is_none());
+            let var_pos = schema.and_then(|s| s.position(f.var));
+            let (Some(schema), Some(var_pos)) = (schema, var_pos) else {
                 return Err(EngineError::NotSupported(format!(
                     "atom #{} does not provide the fetcher {:?} → {}",
                     f.provider, f.lhs, f.var
@@ -303,26 +427,38 @@ impl<R: Semiring> ViewTree<R> {
                 slot,
                 lhs,
                 provider: f.provider,
-                residual_pos,
+                lhs_pos: schema.positions_of(&f.lhs).into(),
+                var_pos,
             });
-            fetch_indexes.push(GroupedIndex::new(schema.clone(), f.lhs.clone()));
+            fetch_indexes.push(IdMap::new(f.lhs.arity()));
         }
         let paths = (0..query.atoms.len())
             .map(|i| c.path(i, &fetches))
             .collect::<Result<_, _>>()?;
         let mut plan = Plan::default();
         c.roots(None, &mut plan);
+        // A view is keyed by its node's dependency set (an atom leaf's
+        // empty one is never used).
+        let dep_arity = |n: &Node| match n {
+            Node::Var { dep, .. } => dep.arity(),
+            Node::Atom { .. } => 0,
+        };
         Ok(ViewTree {
+            dict: Dict::default(),
             views: vo
                 .nodes
                 .iter()
-                .map(|_| View {
-                    groups: FxHashMap::default(),
-                    factors: FxHashMap::default(),
+                .map(|n| View {
+                    groups: IdMap::new(dep_arity(n)),
+                    factors: IdMap::new(dep_arity(n)),
                 })
                 .collect(),
-            leaves: vec![FxHashMap::default(); storage_schema.len()],
-            row: vec![Value::Int(0); slots.len()],
+            leaves: storage_schema
+                .iter()
+                .map(|s| IdMap::new(s.arity()))
+                .collect(),
+            row: vec![0; slots.len()],
+            tuple: Vec::new(),
             key: Vec::new(),
             work: Cell::new(0),
             query,
@@ -363,6 +499,12 @@ impl<R: Semiring> ViewTree<R> {
             .sum()
     }
 
+    /// The dictionary the tree's keys are encoded in.
+    #[cfg(test)]
+    pub(crate) fn dict(&self) -> &Dict {
+        &self.dict
+    }
+
     /// Load an initial database: static relations first (their propagation
     /// stops at the static-region boundary), then dynamic ones. O(|D|) for
     /// constant-update trees. A relation whose schema is not the stored one
@@ -389,6 +531,7 @@ impl<R: Semiring> ViewTree<R> {
                 self.apply_internal(i, t, r);
             }
         }
+        self.dict.sweep();
         Ok(())
     }
 
@@ -418,10 +561,12 @@ impl<R: Semiring> ViewTree<R> {
     pub fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
         let atom = self.dynamic_atom(upd)?;
         self.apply_internal(atom, &upd.tuple, &upd.payload);
+        self.dict.sweep();
         Ok(())
     }
 
     /// Shared update path (also used for static tuples at preprocessing).
+    /// The ids it releases are freed by the caller's sweep.
     fn apply_internal(&mut self, atom: usize, tuple: &Tuple, payload: &R) {
         if payload.is_zero() {
             return;
@@ -429,26 +574,29 @@ impl<R: Semiring> ViewTree<R> {
         // 1. Leaf storage and the fetch indexes on this relation. `cur` is
         //    the interface value, after the update, of the node the walk
         //    arrives from.
-        let work = &self.work;
-        let (mut cur, _) = add_at(&mut self.leaves[atom], tuple, payload);
+        let (dict, work) = (&mut self.dict, &self.work);
+        let ids = dict.encode_all(tuple.values(), &mut self.tuple);
+        let (mut cur, presence) = add_at(&mut self.leaves[atom], ids, payload);
+        track(dict, presence, ids);
         tick(work, 1);
         for (f, idx) in self.fetches.iter().zip(&mut self.fetch_indexes) {
             if f.provider == atom {
-                idx.apply(tuple, payload);
+                support(idx, f, ids, presence, dict, &mut self.key);
                 tick(work, 1);
             }
         }
 
         // 2. Slots from the stored tuple, completed through fetchers.
         let (path, row, key) = (&self.paths[atom], &mut self.row, &mut self.key);
-        for (&s, v) in path.cols.iter().zip(tuple.values()) {
-            row[s].clone_from(v);
+        for (&s, &id) in path.cols.iter().zip(ids) {
+            row[s] = id;
         }
         let filled = complete(
             &self.fetches,
             &self.fetch_indexes,
             row,
             mask(&path.cols),
+            key,
             work,
         );
 
@@ -475,9 +623,9 @@ impl<R: Semiring> ViewTree<R> {
             if edelta.is_zero() {
                 break;
             }
-            let x = &row[step.slot];
+            let x = row[step.slot];
             let total_delta = if step.lift {
-                edelta.times(&(self.lift)(step.var, x))
+                edelta.times(&(self.lift)(step.var, dict.value(x)))
             } else {
                 edelta.clone()
             };
@@ -492,19 +640,22 @@ impl<R: Semiring> ViewTree<R> {
             tick(work, 2);
             let (presence, now) = match view.groups.get_mut(k) {
                 None => {
+                    track(dict, Presence::Appeared, k);
+                    dict.retain(x);
                     let group = VGroup {
                         total: total_delta.clone(),
-                        entries: [(x.clone(), edelta)].into_iter().collect(),
+                        entries: Entries::One(x, edelta),
                     };
-                    view.groups.insert(k.iter().cloned().collect(), group);
+                    view.groups.insert(k, group);
                     (Presence::Appeared, total_delta.clone())
                 }
                 Some(group) => {
                     group.total.add_assign(&total_delta);
-                    let (_, presence) = add_at(&mut group.entries, x, &edelta);
+                    let presence = group.entries.add(x, &edelta, dict);
                     let now = group.total.clone();
                     if group.entries.is_empty() {
                         view.groups.remove(k);
+                        track(dict, Presence::Vanished, k);
                     }
                     (presence, now)
                 }
@@ -514,20 +665,26 @@ impl<R: Semiring> ViewTree<R> {
                 tick(work, 2);
                 match (presence, view.factors.get_mut(k)) {
                     (Presence::Appeared, Some(m)) => {
-                        m.insert(x.clone(), created(&cur));
+                        // A factor goes with its entry, so `x` is new here.
+                        m.insert(x, created(&cur));
+                        dict.retain(x);
                     }
                     (Presence::Appeared, None) => {
-                        let m = [(x.clone(), created(&cur))].into_iter().collect();
-                        view.factors.insert(k.iter().cloned().collect(), m);
+                        track(dict, Presence::Appeared, k);
+                        dict.retain(x);
+                        view.factors.insert(k, Entries::One(x, created(&cur)));
                     }
                     (Presence::Vanished, Some(m)) => {
-                        m.remove(x);
+                        if m.remove(x) {
+                            dict.release(x);
+                        }
                         if m.is_empty() {
                             view.factors.remove(k);
+                            track(dict, Presence::Vanished, k);
                         }
                     }
                     (Presence::Unchanged, Some(m)) if step.from_bound => {
-                        add_at(m, x, &fdelta);
+                        m.add(x, &fdelta, dict);
                     }
                     _ => {}
                 }
@@ -547,24 +704,33 @@ impl<R: Semiring> ViewTree<R> {
     }
 
     /// Enumerate with some free variables pre-bound (CQAP access requests,
-    /// Sec. 4.3): only outputs agreeing with `prebound` are produced.
+    /// Sec. 4.3): only outputs agreeing with `prebound` are produced. A
+    /// pre-bound value the tree does not hold is looked up, not encoded:
+    /// its loop finds no entry, and the dictionary does not change.
     pub fn for_each_output_bound(&self, prebound: &Bindings, f: &mut dyn FnMut(&Tuple, &R)) {
         let free = self.query.free.vars();
-        let fixed: Vec<Option<Value>> = free.iter().map(|&v| prebound.get(v).cloned()).collect();
+        let fixed: Vec<Option<Option<Id>>> = free
+            .iter()
+            .map(|&v| prebound.get(v).map(|x| self.dict.lookup(x)))
+            .collect();
         self.enumerate(&fixed, f);
     }
 
-    fn enumerate(&self, fixed: &[Option<Value>], f: &mut dyn FnMut(&Tuple, &R)) {
-        let mut row = Tuple::new((0..self.query.free.arity()).map(|_| Value::Int(0)));
-        let mut key = Vec::new();
-        let acc = self.times_probes(&self.plan.scalars, row.values(), &mut key, R::one());
+    fn enumerate(&self, fixed: &[Option<Option<Id>>], f: &mut dyn FnMut(&Tuple, &R)) {
+        let arity = self.query.free.arity();
+        let mut cur = Cursor {
+            ids: vec![0; arity],
+            out: Tuple::new((0..arity).map(|_| Value::Int(0))),
+            key: Vec::new(),
+        };
+        let acc = self.times_probes(&self.plan.scalars, &cur.ids, &mut cur.key, R::one());
         if !acc.is_zero() {
-            self.descend(&self.plan.steps, &mut row, &mut key, fixed, &acc, f);
+            self.descend(&self.plan.steps, &mut cur, fixed, &acc, f);
         }
     }
 
     /// `acc ·` the interfaces `probes` read under `row` (zero on a miss).
-    fn times_probes(&self, probes: &[Probe], row: &[Value], key: &mut Vec<Value>, acc: R) -> R {
+    fn times_probes(&self, probes: &[Probe], row: &[Id], key: &mut Vec<Id>, acc: R) -> R {
         probes.iter().fold(acc, |acc, p| {
             lookup(&self.views, &self.leaves, p, row, key, &self.work)
                 .map_or_else(R::zero, |v| acc.times(v))
@@ -572,48 +738,53 @@ impl<R: Semiring> ViewTree<R> {
     }
 
     /// The one enumeration routine (full, prebound and delta): nested
-    /// loops over `steps`, each binding its slot of `row` to the entries
+    /// loops over `steps`, each binding its slot of `cur` to the entries
     /// of its group under the key earlier loops fixed — only the pinned
-    /// value where `fixed` has one — times the entry's factor.
+    /// id where `fixed` pins one (`Some(None)`: a value the tree does not
+    /// hold, so none) — times the entry's factor. A bind decodes its id
+    /// into the output row once, for every tuple below it.
     fn descend(
         &self,
         steps: &[EnumStep],
-        row: &mut Tuple,
-        key: &mut Vec<Value>,
-        fixed: &[Option<Value>],
+        cur: &mut Cursor,
+        fixed: &[Option<Option<Id>>],
         acc: &R,
         f: &mut dyn FnMut(&Tuple, &R),
     ) {
         let Some((step, rest)) = steps.split_first() else {
-            return f(row, acc);
+            return f(&cur.out, acc);
         };
-        let (view, k) = (&self.views[step.node], gather(row.values(), &step.key, key));
+        let view = &self.views[step.node];
         tick(&self.work, 1);
         let map = match step.factor {
-            Factor::Stored => view.factors.get(k),
-            _ => view.groups.get(k).map(|g| &g.entries),
+            Factor::Stored => view.factors.get_at(&cur.ids, &step.key, &mut cur.key),
+            _ => view
+                .groups
+                .get_at(&cur.ids, &step.key, &mut cur.key)
+                .map(|g| &g.entries),
         };
         let Some(map) = map else {
             return;
         };
-        let mut visit = |x: &Value, m: &R| {
-            row.values_mut()[step.slot].clone_from(x);
+        let mut visit = |x: Id, m: &R| {
+            cur.ids[step.slot] = x;
+            cur.out.values_mut()[step.slot].clone_from(self.dict.value(x));
             if step.factor == Factor::One {
-                return self.descend(rest, row, key, fixed, acc, f);
+                return self.descend(rest, cur, fixed, acc, f);
             }
             let m = acc.times(m);
             if !m.is_zero() {
-                self.descend(rest, row, key, fixed, &m, f);
+                self.descend(rest, cur, fixed, &m, f);
             }
         };
-        match fixed.get(step.slot).and_then(Option::as_ref) {
-            Some(x) => {
+        match fixed.get(step.slot) {
+            Some(&Some(pin)) => {
                 tick(&self.work, 1);
-                if let Some((x, m)) = map.get_key_value(x) {
+                if let Some((x, m)) = pin.and_then(|x| map.get(x).map(|m| (x, m))) {
                     visit(x, m);
                 }
             }
-            None => map.iter().for_each(|(x, m)| {
+            _ => map.for_each(|x, m| {
                 tick(&self.work, 1);
                 visit(x, m)
             }),
@@ -623,22 +794,25 @@ impl<R: Semiring> ViewTree<R> {
     /// Enumerate the *delta output* of a single-tuple update before it is
     /// applied: the set of output tuples whose payload changes, with their
     /// payload deltas. Used by the eager-list engine (Sec. 3.2 style) to
-    /// maintain a materialized output; costs O(|δQ|).
+    /// maintain a materialized output; costs O(|δQ|). The update's values
+    /// are encoded (an output tuple may carry them); the ids no key comes
+    /// to hold are freed by the sweep after the update is applied.
     pub fn delta_for_each(
-        &self,
+        &mut self,
         upd: &Update<R>,
         f: &mut dyn FnMut(&Tuple, &R),
     ) -> Result<(), EngineError> {
         let path = &self.paths[self.dynamic_atom(upd)?];
         let (mut row, mut key) = (self.row.clone(), Vec::new());
         for (&s, v) in path.cols.iter().zip(upd.tuple.values()) {
-            row[s].clone_from(v);
+            row[s] = self.dict.encode(v);
         }
         let filled = complete(
             &self.fetches,
             &self.fetch_indexes,
             &mut row,
             mask(&path.cols),
+            &mut key,
             &self.work,
         );
         if path.delta.needs & !filled != 0 {
@@ -647,18 +821,19 @@ impl<R: Semiring> ViewTree<R> {
         let scalar = upd.payload.clone();
         let mut acc = self.times_probes(&path.delta.scalars, &row, &mut key, scalar);
         for &(var, s) in &path.delta.lifts {
-            acc = acc.times(&(self.lift)(var, &row[s]));
+            acc = acc.times(&(self.lift)(var, self.dict.value(row[s])));
         }
         if !acc.is_zero() {
-            row.truncate(self.query.free.arity());
-            self.descend(
-                &path.delta.steps,
-                &mut Tuple::new(row),
-                &mut key,
-                &[],
-                &acc,
-                f,
-            );
+            // The free values the update fixes; the loops bind the rest.
+            let arity = self.query.free.arity();
+            let out = (0..arity).map(|s| match filled >> s & 1 {
+                1 => self.dict.value(row[s]).clone(),
+                _ => Value::Int(0),
+            });
+            let out = Tuple::new(out);
+            row.truncate(arity);
+            let mut cur = Cursor { ids: row, out, key };
+            self.descend(&path.delta.steps, &mut cur, &[], &acc, f);
         }
         Ok(())
     }
@@ -680,6 +855,15 @@ impl<R: Semiring> std::fmt::Debug for ViewTree<R> {
             .field("view_entries", &self.view_entries())
             .finish_non_exhaustive()
     }
+}
+
+/// The scratch of one enumeration: the ids bound to the free slots (loop
+/// keys are packed from them), the output row their values are decoded
+/// into, and the buffer a key of more than four ids is gathered in.
+struct Cursor {
+    ids: Vec<Id>,
+    out: Tuple,
+    key: Vec<Id>,
 }
 
 /// Plan-time compilation of update paths and enumerations onto slots.
@@ -852,23 +1036,11 @@ fn mask(slots: &[usize]) -> u64 {
     slots.iter().fold(0, |m, &s| m | 1 << s)
 }
 
-/// Gather `slots` of `row` into `key` (cleared first) and lend it out.
-fn gather<'k>(row: &[Value], slots: &[usize], key: &'k mut Vec<Value>) -> &'k [Value] {
-    key.clear();
-    key.extend(slots.iter().map(|&s| row[s].clone()));
-    key
-}
-
-/// `map[key] += delta`, pruning a cancelled entry and cloning `key` only
-/// when it is new: the entry's value after the update, and what happened.
-fn add_at<K, Q, R>(map: &mut FxHashMap<K, R>, key: &Q, delta: &R) -> (R, Presence)
-where
-    K: Borrow<Q> + Hash + Eq,
-    Q: ToOwned<Owned = K> + Hash + Eq + ?Sized,
-    R: Semiring,
-{
+/// `map[key] += delta`, pruning a cancelled entry: the entry's value
+/// after the update, and what happened.
+fn add_at<R: Semiring>(map: &mut IdMap<R>, key: &[Id], delta: &R) -> (R, Presence) {
     let Some(p) = map.get_mut(key) else {
-        map.insert(key.to_owned(), delta.clone());
+        map.insert(key, delta.clone());
         return (delta.clone(), Presence::Appeared);
     };
     p.add_assign(delta);
@@ -879,6 +1051,15 @@ where
     (R::zero(), Presence::Vanished)
 }
 
+/// Count a stored key's ids in or out of `dict` as it appears or vanishes.
+fn track(dict: &mut Dict, presence: Presence, ids: &[Id]) {
+    match presence {
+        Presence::Appeared => ids.iter().for_each(|&id| dict.retain(id)),
+        Presence::Vanished => ids.iter().for_each(|&id| dict.release(id)),
+        Presence::Unchanged => {}
+    }
+}
+
 /// Add `n` units to a work counter.
 fn tick(work: &Cell<u64>, n: u64) {
     work.set(work.get() + n);
@@ -887,29 +1068,81 @@ fn tick(work: &Cell<u64>, n: u64) {
 /// A child's interface under `row` (`None`: zero); one probe.
 fn lookup<'a, R>(
     views: &'a [View<R>],
-    leaves: &'a [FxHashMap<Tuple, R>],
+    leaves: &'a [IdMap<R>],
     probe: &Probe,
-    row: &[Value],
-    key: &mut Vec<Value>,
+    row: &[Id],
+    key: &mut Vec<Id>,
     work: &Cell<u64>,
 ) -> Option<&'a R> {
     tick(work, 1);
-    let key = gather(row, &probe.key, key);
     match probe.leaf {
-        Some(atom) => leaves[atom].get(key),
-        None => views[probe.node].groups.get(key).map(|g| &g.total),
+        Some(atom) => leaves[atom].get_at(row, &probe.key, key),
+        None => views[probe.node]
+            .groups
+            .get_at(row, &probe.key, key)
+            .map(|g| &g.total),
     }
 }
 
-/// Complete `row` with FD-implied values (Sec. 4.4): fetch the unique
-/// value paired with the filled determinant in the provider relation, to a
+/// Keep `idx` in step with its provider's stored tuples: the stored tuple
+/// `t` (ids) supports its `(determinant, fetched value)` row while it is
+/// present, and a row holds its ids while some tuple supports it.
+fn support(
+    idx: &mut FetchIndex,
+    f: &Fetch,
+    t: &[Id],
+    presence: Presence,
+    dict: &mut Dict,
+    buf: &mut Vec<Id>,
+) {
+    let (k, v) = (gather(t, &f.lhs_pos, buf), t[f.var_pos]);
+    match presence {
+        Presence::Appeared => match idx.get_mut(k) {
+            Some(vals) => match vals.iter_mut().find(|e| e.0 == v) {
+                Some(e) => {
+                    e.1 = e.1.checked_add(1).expect(
+                        "a support is bounded by 2^32 stored tuples sharing one fetched value",
+                    )
+                }
+                None => {
+                    vals.push((v, 1));
+                    dict.retain(v);
+                }
+            },
+            None => {
+                idx.insert(k, vec![(v, 1)]);
+                track(dict, Presence::Appeared, k);
+                dict.retain(v);
+            }
+        },
+        Presence::Vanished => {
+            const HELD: &str = "a stored provider tuple supports its row";
+            let vals = idx.get_mut(k).expect(HELD);
+            let i = vals.iter().position(|e| e.0 == v).expect(HELD);
+            vals[i].1 -= 1;
+            if vals[i].1 == 0 {
+                vals.swap_remove(i);
+                dict.release(v);
+                if vals.is_empty() {
+                    idx.remove(k);
+                    track(dict, Presence::Vanished, k);
+                }
+            }
+        }
+        Presence::Unchanged => {}
+    }
+}
+
+/// Complete `row` with FD-implied ids (Sec. 4.4): fetch the unique value
+/// paired with the filled determinant in the provider relation, to a
 /// fixpoint so FD chains (X→Y, Y→Z) resolve; one probe per fetch tried.
 /// Returns the filled slots.
-fn complete<R: Semiring>(
+fn complete(
     fetches: &[Fetch],
-    indexes: &[GroupedIndex<R>],
-    row: &mut [Value],
+    indexes: &[FetchIndex],
+    row: &mut [Id],
     mut filled: u64,
+    key: &mut Vec<Id>,
     work: &Cell<u64>,
 ) -> u64 {
     loop {
@@ -918,10 +1151,9 @@ fn complete<R: Semiring>(
             if filled & 1 << f.slot != 0 || mask(&f.lhs) & !filled != 0 {
                 continue;
             }
-            let key: Tuple = f.lhs.iter().map(|&s| row[s].clone()).collect();
             tick(work, 1);
-            if let Some((residual, _)) = idx.group(&key).and_then(|g| g.iter().next()) {
-                row[f.slot] = residual.at(f.residual_pos).clone();
+            if let Some(&(id, _)) = idx.get_at(row, &f.lhs, key).and_then(|v| v.first()) {
+                row[f.slot] = id;
                 filled |= 1 << f.slot;
             }
         }
@@ -935,7 +1167,7 @@ fn complete<R: Semiring>(
 mod tests {
     use super::*;
     use ivm_data::ops::{eval_join_aggregate, lift_one};
-    use ivm_data::{sym, tup, vars, Update};
+    use ivm_data::{sym, tup, vars, FxHashSet, Update};
     use ivm_query::Atom;
 
     fn fig3_setup() -> (Query, ViewTree<i64>) {
@@ -1153,11 +1385,94 @@ mod tests {
             tree.apply(&Update::insert(s, tup![y, 20i64])).unwrap();
         }
         let [yv] = vars(["f3_Y"]);
-        let mut pre = Bindings::new();
-        pre.set(yv, Value::from(1i64));
-        let mut seen = Vec::new();
-        tree.for_each_output_bound(&pre, &mut |t, _| seen.push(t.clone()));
-        assert_eq!(seen, vec![tup![1i64, 10i64, 20i64]]);
+        let bound = |y: Value| {
+            let mut pre = Bindings::new();
+            pre.set(yv, y);
+            let mut seen = Vec::new();
+            tree.for_each_output_bound(&pre, &mut |t, _| seen.push(t.clone()));
+            seen
+        };
+        assert_eq!(bound(Value::from(1i64)), vec![tup![1i64, 10i64, 20i64]]);
+        // A value no relation holds — an `Int` the tree never saw, or the
+        // string twin of one it holds — yields nothing and assigns no id.
+        let live = tree.dict().live();
+        for y in [Value::from(9i64), Value::str("1")] {
+            assert_eq!(bound(y.clone()), vec![], "Y = {y:?}");
+        }
+        assert_eq!(tree.dict().live(), live);
+    }
+
+    /// A group's entries move between inline, spilled and empty, and
+    /// count their ids in and out of the dictionary as they go.
+    #[test]
+    fn entries_spill_empty_and_refill() {
+        let mut dict = Dict::default();
+        let [a, b, c] = [1i64, 2, 3].map(|v| dict.encode(&Value::from(v)));
+        dict.retain(a);
+        let mut e = Entries::One(a, 5i64);
+        assert_eq!(e.add(b, &3, &mut dict), Presence::Appeared);
+        assert_eq!(e.add(b, &1, &mut dict), Presence::Unchanged);
+        assert_eq!(e.add(a, &-5, &mut dict), Presence::Vanished);
+        assert_eq!((e.len(), e.get(a), e.get(b)), (1, None, Some(&4)));
+        assert!(e.remove(b) && !e.remove(b) && e.is_empty());
+        dict.release(b);
+        e.insert(c, 7);
+        dict.retain(c);
+        assert!(matches!(e, Entries::One(x, 7) if x == c), "{e:?}");
+        assert_eq!(e.add(c, &-7, &mut dict), Presence::Vanished);
+        assert_eq!(e.add(a, &2, &mut dict), Presence::Appeared);
+        assert_eq!((e.len(), e.get(a)), (1, Some(&2)));
+        assert_eq!([a, b, c].map(|id| dict.refs(id)), [1, 0, 0]);
+    }
+
+    /// A sliding window over ever-fresh values: every batch inserts tuples
+    /// over three new values (ints and strings) and deletes the tuples of
+    /// `WINDOW` batches ago. The output stays the oracle's, the dictionary
+    /// holds exactly the ids stored keys hold, and freed ids are reused:
+    /// the id space stays at the window's values plus one batch's.
+    #[test]
+    fn sliding_window_reclaims_ids() {
+        const WINDOW: usize = 4;
+        let (q, mut tree) = fig3_setup();
+        let value = |i: usize| match i % 2 {
+            0 => Value::Int(i as i64),
+            _ => Value::str(format!("v{i}")),
+        };
+        let mut base: Vec<Relation<i64>> = q
+            .atoms
+            .iter()
+            .map(|a| Relation::new(a.schema.clone()))
+            .collect();
+        let mut inserted: Vec<Vec<Update<i64>>> = Vec::new();
+        for k in 0..10 * WINDOW {
+            let [y, x, z] = [0, 1, 2].map(|j| value(3 * k + j));
+            let fresh = vec![
+                Update::insert(q.atoms[0].name, Tuple::new([y.clone(), x])),
+                Update::insert(q.atoms[1].name, Tuple::new([y, z])),
+            ];
+            let expired = k.checked_sub(WINDOW).map_or(Vec::new(), |old| {
+                inserted[old].iter().map(Update::inverse).collect()
+            });
+            for u in fresh.iter().chain(&expired) {
+                tree.apply(u).unwrap();
+                let atom = tree.rel_atom[&u.relation];
+                base[atom].apply(u.tuple.clone(), &u.payload);
+            }
+            inserted.push(fresh);
+            let expect = eval_join_aggregate(&[&base[0], &base[1]], &q.free, lift_one);
+            same(&tree.output(), &expect, "output").unwrap();
+            check_ids(&tree).unwrap();
+            let resident: FxHashSet<&Value> = base
+                .iter()
+                .flat_map(|r| r.iter().flat_map(|(t, _)| t.values()))
+                .collect();
+            assert_eq!(tree.dict().live(), resident.len(), "batch {k}: live ids");
+            assert!(
+                tree.dict().capacity() <= 3 * (WINDOW + 1),
+                "batch {k}: {} ids assigned, freed ids are not reused",
+                tree.dict().capacity()
+            );
+        }
     }
 
     /// The documented caveat: with mixed-sign multiplicities at
@@ -1267,23 +1582,23 @@ mod tests {
                 return Err(format!("{var}: mixed {mixed}, {stored} factor groups"));
             }
             for (key, group) in view.groups.iter().filter(|_| mixed) {
+                let key = &*key;
                 let Some(factors) = view.factors.get(key) else {
                     return Err(format!("{var} {key:?}: no factors"));
                 };
                 if factors.len() != group.entries.len() {
                     return Err(format!("{var} {key:?}: {factors:?} vs {:?}", group.entries));
                 }
-                for (x, &factor) in factors {
-                    if !group.entries.contains_key(x) {
+                let mut all = Vec::new();
+                factors.for_each(|x, &factor| all.push((x, factor)));
+                for (x, factor) in all {
+                    if group.entries.get(x).is_none() {
                         return Err(format!("{var} {key:?}: factor for absent {x:?}"));
                     }
-                    let val = |v: Sym| match dep.position(v) {
-                        Some(i) => key.at(i).clone(),
-                        None => x.clone(),
-                    };
+                    let val = |v: Sym| dep.position(v).map_or(x, |i| key[i]);
                     let iface = |c: usize| match &tree.vo.nodes[c] {
                         Node::Atom { atom } => {
-                            let t: Tuple = tree.storage_schema[*atom]
+                            let t: Vec<Id> = tree.storage_schema[*atom]
                                 .vars()
                                 .iter()
                                 .map(|&v| val(v))
@@ -1291,7 +1606,7 @@ mod tests {
                             tree.leaves[*atom].get(&t).copied().unwrap_or(0)
                         }
                         Node::Var { dep, .. } => {
-                            let t: Tuple = dep.vars().iter().map(|&v| val(v)).collect();
+                            let t: Vec<Id> = dep.vars().iter().map(|&v| val(v)).collect();
                             tree.views[c].groups.get(&t).map_or(0, |g| g.total)
                         }
                     };
@@ -1303,6 +1618,44 @@ mod tests {
                     }
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// No dangling or leaked id: every id a stored key holds decodes to a
+    /// live value and is counted once per column holding it, and the
+    /// dictionary holds no other id.
+    fn check_ids(tree: &ViewTree<i64>) -> Result<(), String> {
+        let mut held: FxHashMap<Id, u32> = FxHashMap::default();
+        let mut hold = |ids: &[Id]| ids.iter().for_each(|&id| *held.entry(id).or_insert(0) += 1);
+        for leaf in &tree.leaves {
+            leaf.iter().for_each(|(t, _)| hold(&t));
+        }
+        for view in &tree.views {
+            for (k, g) in view.groups.iter() {
+                hold(&k);
+                g.entries.for_each(|x, _| hold(&[x]));
+            }
+            for (k, m) in view.factors.iter() {
+                hold(&k);
+                m.for_each(|x, _| hold(&[x]));
+            }
+        }
+        for idx in &tree.fetch_indexes {
+            for (k, vals) in idx.iter() {
+                hold(&k);
+                vals.iter().for_each(|&(v, _)| hold(&[v]));
+            }
+        }
+        let dict = &tree.dict;
+        for (&id, &n) in &held {
+            let (v, refs) = (dict.value(id), dict.refs(id));
+            if dict.lookup(v) != Some(id) || refs != n {
+                return Err(format!("id {id} ({v:?}): {refs} refs, held {n} times"));
+            }
+        }
+        if dict.live() != held.len() {
+            return Err(format!("{} live ids, {} held", dict.live(), held.len()));
         }
         Ok(())
     }
@@ -1323,15 +1676,29 @@ mod tests {
         tree: ViewTree<i64>,
         lift: Lift<i64>,
         base: Vec<Relation<i64>>,
-        make: fn(&Schema, usize, [u64; 4]) -> Tuple,
+        make: Maker,
         list: Option<EagerListEngine<i64>>,
     }
+
+    /// How a generated op becomes a tuple of an atom.
+    type Maker = fn(&Schema, usize, [u64; 4]) -> Tuple;
 
     /// A tuple over a domain of three values per column.
     fn small(schema: &Schema, _atom: usize, raw: [u64; 4]) -> Tuple {
         (0..schema.arity())
             .map(|i| Value::from((raw[i] % 3) as i64))
             .collect()
+    }
+
+    /// `small`, but the first column carries `Value::str("0")`..`"2"` for
+    /// half the raw values: an `Int(1)` and a `"1"` meet in one column,
+    /// and must neither join nor share an entry.
+    fn stringy(schema: &Schema, atom: usize, raw: [u64; 4]) -> Tuple {
+        let mut t = small(schema, atom, raw);
+        if let (Some(v), 3..) = (t.values_mut().first_mut(), raw[0] % 6) {
+            *v = Value::str((raw[0] % 3).to_string());
+        }
+        t
     }
 
     /// Ex 4.12 tuples that satisfy Σ = {X → Y, Y → Z} by construction.
@@ -1348,7 +1715,7 @@ mod tests {
         v.as_int().unwrap_or(0) + 1
     }
 
-    fn scenario(tree: ViewTree<i64>, lift: Lift<i64>, listed: bool) -> Scenario {
+    fn scenario(tree: ViewTree<i64>, lift: Lift<i64>, listed: bool, make: Maker) -> Scenario {
         let q = tree.query().clone();
         let list = listed.then(|| EagerListEngine::new(q.clone(), &Database::new(), lift).unwrap());
         let base = q
@@ -1360,16 +1727,18 @@ mod tests {
             tree,
             lift,
             base,
-            make: small,
+            make,
             list,
         }
     }
 
     /// fig3; retailer; ex414 (static `T` preloaded); an FD reduct; a mixed
     /// node over a lifted bound variable; a Boolean query; a disconnected
-    /// query with a bound root.
-    fn scenarios() -> Vec<(&'static str, Scenario)> {
-        let canonical = |q: Query, lift| scenario(ViewTree::new(q, lift).unwrap(), lift, true);
+    /// query with a bound root. Every scenario but the FD one (whose
+    /// tuples must satisfy its FDs) draws its tuples with `make`.
+    fn scenarios(make: Maker) -> Vec<(&'static str, Scenario)> {
+        let canonical =
+            |q: Query, lift| scenario(ViewTree::new(q, lift).unwrap(), lift, true, make);
         let [a, b, c, d, x, y] = vars(["vp_A", "vp_B", "vp_C", "vp_D", "vp_X", "vp_Y"]);
         let (r, s, t) = (sym("vp_R"), sym("vp_S"), sym("vp_T"));
         let lifted = Query::new(
@@ -1387,6 +1756,7 @@ mod tests {
             ViewTree::with_order(q414.clone(), vo, lift_one).unwrap(),
             lift_one,
             false,
+            make,
         );
         let static_t = Relation::from_rows(
             q414.atoms[2].schema.clone(),
@@ -1403,8 +1773,7 @@ mod tests {
 
         let (q412, sigma) = ivm_query::examples::ex412_query();
         let fd = crate::fd::FdEngine::new(q412, &sigma, &Database::new(), lift_one).unwrap();
-        let mut fd = scenario(fd.into_tree(), lift_one, false);
-        fd.make = fd_valid;
+        let fd = scenario(fd.into_tree(), lift_one, false, fd_valid);
 
         vec![
             (
@@ -1496,6 +1865,7 @@ mod tests {
             "before ⊎ delta",
         )?;
         check_factors(&sc.tree)?;
+        check_ids(&sc.tree)?;
         if !q.free.is_empty() {
             // Pin one free column to a value the output holds, if any.
             let col = pin.0 % q.free.arity();
@@ -1540,8 +1910,10 @@ mod tests {
                 0..60,
             ),
             pin in (0usize..8, 0u64..8),
+            strings in any::<bool>(),
         ) {
-            for (name, mut sc) in scenarios() {
+            let make = if strings { stringy } else { small };
+            for (name, mut sc) in scenarios(make) {
                 let outcome = run(&mut sc, &ops, pin);
                 prop_assert!(outcome.is_ok(), "{}: {}", name, outcome.unwrap_err());
             }

@@ -10,10 +10,24 @@
 //!
 //! Updates are ordinary tuples with ring payloads: inserts carry positive
 //! values, deletes negative ones, so batches commute (Sec. 2).
+//!
+//! The layers, bottom up:
+//!
+//! * [`Value`], [`Tuple`], [`Schema`] — domain values, keys and the
+//!   variables naming their columns;
+//! * [`ids`] — the value dictionary ([`Dict`]: [`Value`] ↔ dense `u32`
+//!   id, reference-counted, freed ids reused) and [`IdMap`], the hash
+//!   table keyed by id tuples packed into its slot. The dataflow multiway
+//!   join and the factorized view tree keep their state over ids;
+//! * [`Relation`], [`GroupedIndex`], [`Database`] — relations over rings
+//!   and their projection indexes;
+//! * [`Update`], [`consolidate`] and the batch operators of [`ops`];
+//!   [`codec`] persists relations for the journal and snapshots.
 
 pub mod codec;
 pub mod database;
 pub mod hash;
+pub mod ids;
 pub mod ops;
 pub mod relation;
 pub mod schema;
@@ -24,6 +38,7 @@ pub mod value;
 pub use codec::Persist;
 pub use database::Database;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use ids::{Dict, Id, IdMap};
 pub use relation::{GroupedIndex, Presence, Relation};
 pub use schema::{sym, vars, Schema, Sym};
 pub use tuple::Tuple;

@@ -3,9 +3,10 @@
 //! Engines that work over arbitrary schemas carry [`Value`]s. Two kinds of
 //! state hash integer ids instead: the heavy-light view plans are generic
 //! over the key, and the OuMv reduction runs the triangle plan at raw
-//! `u64` ids; the dataflow multiway join dictionary-encodes each value it
-//! receives to a dense `u32` id, decoding back to a `Value` only at a full
-//! join binding.
+//! `u64` ids; the dataflow multiway join and the factorized view tree
+//! dictionary-encode each value they receive to a dense `u32` id
+//! ([`crate::ids`]), decoding back to a `Value` only where it leaves them:
+//! a lift or an output tuple.
 
 use std::fmt;
 use std::sync::Arc;

@@ -68,7 +68,6 @@
 pub mod adapt;
 pub mod batch;
 pub mod cost;
-mod dict;
 pub mod engine;
 pub mod multiway;
 

@@ -15,8 +15,9 @@
 //!
 //! # Value ids
 //!
-//! The node's state holds no [`Value`]. A dictionary maps each value to a
-//! dense `u32` id, and a delta tuple is encoded once, when
+//! The node's state holds no [`Value`]. A dictionary
+//! ([`ivm_data::ids::Dict`], the one the view tree uses too) maps each
+//! value to a dense `u32` id, and a delta tuple is encoded once, when
 //! `MultiwayState::apply` — or, for a hub-shared store,
 //! [`StoreHub::advance_batch`] — receives it; stores, index keys,
 //! candidate sets and the search binding hold only ids. An id hashes with
@@ -40,11 +41,12 @@
 //! deletions retract candidates); a set is an id-sorted run of `(id,
 //! support)` pairs under binary search until it outgrows `FLAT_MAX`, a
 //! hash set after. A key — a tuple of the store, or an index key — of at
-//! most two ids is packed into the `u64` of its table slot: no heap hop,
-//! no allocation; a longer one is boxed. Every pattern a seed plan can
-//! probe is known when the node is built, so it gets its *slot* in the
-//! store then and each `Constraint` carries the slot: no batch looks a
-//! pattern up, let alone builds one. Because the slots live on the
+//! most two ids is packed into the `u64` of its table slot, one of three
+//! or four ids into a `u128` ([`IdMap`]): no heap hop, no allocation; a
+//! longer one is boxed. Every pattern a seed plan can probe is known when
+//! the node is built, so it gets its *slot* in the store then and each
+//! `Constraint` carries the slot: no batch looks a pattern up, let alone
+//! builds one. Because the slots live on the
 //! *store*, atoms over the same relation — the three occurrences of `E`
 //! in the self-join triangle — share physical indexes instead of keeping
 //! three copies, and an engine adopting a [`StoreHub`] store registers its
@@ -76,7 +78,7 @@
 //! ends the branch before the resident store is touched, and a term reading
 //! an *empty* old store is zero and skipped outright: a preload costs one
 //! term, not `2^k − 1`. Probe keys are packed from the id binding (past
-//! two columns, gathered into one kept buffer), so a batch allocates per
+//! four columns, gathered into one kept buffer), so a batch allocates per
 //! new index key and per distinct output key, never per seed, probe or
 //! join tuple. Old stores advance only after all terms, so the old/new
 //! discipline needs no sequencing and self-joins need no per-occurrence
@@ -103,12 +105,11 @@
 //! over terms.
 
 use crate::batch::DeltaBatch;
-use crate::dict::{Dict, Id};
 use crate::engine::DataflowStats;
+use ivm_data::ids::{gather, Dict, Id, IdMap};
 use ivm_data::ops::{Lift, LiftedProjection};
 use ivm_data::{FxHashMap, Relation, Schema, Sym, Tuple, Value};
 use ivm_ring::Semiring;
-use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Recover from a poisoned store or dictionary lock. A store changes
@@ -120,166 +121,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// coherent either way.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// `src` projected onto `pos`: a single column is borrowed in place,
-/// anything else is assembled in `buf`.
-fn gather<'a>(src: &'a [Id], pos: &[usize], buf: &'a mut Vec<Id>) -> &'a [Id] {
-    if let [p] = pos {
-        return std::slice::from_ref(&src[*p]);
-    }
-    buf.clear();
-    buf.extend(pos.iter().map(|&p| src[p]));
-    buf
-}
-
-/// Longest key packed into its table slot.
-const INLINE_IDS: usize = 2;
-
-/// Up to [`INLINE_IDS`] ids as one `u64`, the first in the high bits.
-fn pack(ids: impl Iterator<Item = Id>) -> u64 {
-    ids.fold(0, |k, id| k << 32 | u64::from(id))
-}
-
-/// Hashes a packed key. A single Fx multiply leaves the low bits — the
-/// ones the table picks a bucket with — depending on the key's low half
-/// alone, so every pair with the same second id would start its probe in
-/// one bucket; folding the product's high half in mixes both ids.
-#[derive(Default)]
-struct PackedHasher(u64);
-
-impl std::hash::Hasher for PackedHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("packed keys hash as one u64")
-    }
-
-    fn write_u64(&mut self, k: u64) {
-        let h = k.wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-        self.0 = h ^ h >> 32;
-    }
-}
-
-/// A hash table keyed by id tuples of one arity. Keys of up to
-/// [`INLINE_IDS`] ids are packed into the table slot; longer keys are
-/// boxed.
-enum IdMap<V> {
-    Inline {
-        arity: usize,
-        map: std::collections::HashMap<u64, V, BuildHasherDefault<PackedHasher>>,
-    },
-    Boxed(FxHashMap<Box<[Id]>, V>),
-}
-
-/// A key yielded by [`IdMap::iter`].
-enum Ids<'a> {
-    Inline([Id; INLINE_IDS], usize),
-    Boxed(&'a [Id]),
-}
-
-impl std::ops::Deref for Ids<'_> {
-    type Target = [Id];
-
-    fn deref(&self) -> &[Id] {
-        match self {
-            Ids::Inline(ids, n) => &ids[..*n],
-            Ids::Boxed(ids) => ids,
-        }
-    }
-}
-
-impl<V> IdMap<V> {
-    fn new(arity: usize) -> Self {
-        if arity <= INLINE_IDS {
-            IdMap::Inline {
-                arity,
-                map: Default::default(),
-            }
-        } else {
-            IdMap::Boxed(FxHashMap::default())
-        }
-    }
-
-    /// Empty this map, handing back its entries.
-    fn take(&mut self) -> Self {
-        let empty = match self {
-            IdMap::Inline { arity, .. } => IdMap::new(*arity),
-            IdMap::Boxed(_) => IdMap::Boxed(FxHashMap::default()),
-        };
-        std::mem::replace(self, empty)
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            IdMap::Inline { map, .. } => map.len(),
-            IdMap::Boxed(map) => map.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            IdMap::Inline { map, .. } => map.clear(),
-            IdMap::Boxed(map) => map.clear(),
-        }
-    }
-
-    fn shrink_to(&mut self, n: usize) {
-        match self {
-            IdMap::Inline { map, .. } => map.shrink_to(n),
-            IdMap::Boxed(map) => map.shrink_to(n),
-        }
-    }
-
-    /// The entry under `src` projected onto `pos`; `buf` assembles a
-    /// boxed key.
-    fn get_at(&self, src: &[Id], pos: &[usize], buf: &mut Vec<Id>) -> Option<&V> {
-        match self {
-            IdMap::Inline { map, .. } => map.get(&pack(pos.iter().map(|&p| src[p]))),
-            IdMap::Boxed(map) => map.get(gather(src, pos, buf)),
-        }
-    }
-
-    fn get_mut(&mut self, key: &[Id]) -> Option<&mut V> {
-        match self {
-            IdMap::Inline { map, .. } => map.get_mut(&pack(key.iter().copied())),
-            IdMap::Boxed(map) => map.get_mut(key),
-        }
-    }
-
-    fn insert(&mut self, key: &[Id], v: V) {
-        match self {
-            IdMap::Inline { map, .. } => map.insert(pack(key.iter().copied()), v),
-            IdMap::Boxed(map) => map.insert(key.into(), v),
-        };
-    }
-
-    fn remove(&mut self, key: &[Id]) {
-        match self {
-            IdMap::Inline { map, .. } => map.remove(&pack(key.iter().copied())),
-            IdMap::Boxed(map) => map.remove(key),
-        };
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (Ids<'_>, &V)> {
-        let (inline, boxed) = match self {
-            IdMap::Inline { arity, map } => (Some((*arity, map)), None),
-            IdMap::Boxed(map) => (None, Some(map)),
-        };
-        let inline = inline.into_iter().flat_map(|(n, map)| {
-            map.iter().map(move |(&k, v)| {
-                let mut ids = [0; INLINE_IDS];
-                for (i, id) in ids[..n].iter_mut().enumerate() {
-                    *id = (k >> (32 * (n - 1 - i))) as Id;
-                }
-                (Ids::Inline(ids, n), v)
-            })
-        });
-        let boxed = boxed.into_iter().flatten();
-        inline.chain(boxed.map(|(k, v)| (Ids::Boxed(k), v)))
-    }
 }
 
 /// Longest candidate set kept as a sorted run. Up to here an insert
@@ -1040,7 +881,7 @@ impl<R: Semiring> MultiwayState<R> {
                 continue;
             }
             let old = &mut guards[slot];
-            if !self.shared[slot] && old.tuples.len() == 0 {
+            if !self.shared[slot] && old.tuples.is_empty() {
                 // An empty owned store (a preload) adopts the delta store
                 // whole, with the same pattern slots: its tuples retain
                 // their ids and the tables swap, instead of every tuple
@@ -1086,7 +927,7 @@ impl<R> Drop for MultiwayState<R> {
 
 /// The search of one batch: what it reads, its scratch, where it emits.
 /// `binding` is the partial assignment over `var_order`, `key_buf` the one
-/// buffer probe keys of more than two columns are assembled in.
+/// buffer probe keys of more than four columns are assembled in.
 struct Search<'a, R> {
     atoms: &'a [AtomSpec],
     old: &'a [MutexGuard<'a, Store<R>>],
@@ -1137,7 +978,7 @@ impl<'a, R: Semiring> Search<'a, R> {
         // A factor read from an empty old store makes the term zero —
         // six of a triangle preload's seven terms, none in steady state.
         let reads_empty =
-            |j: usize| in_s >> j & 1 == 0 && self.old[atoms[j].input].tuples.len() == 0;
+            |j: usize| in_s >> j & 1 == 0 && self.old[atoms[j].input].tuples.is_empty();
         if (0..atoms.len()).any(reads_empty) {
             return;
         }
