@@ -1,10 +1,11 @@
 //! Dense value ids: the dictionary [`Value`] ↔ `u32` id, and the hash
 //! tables keyed by id tuples.
 //!
-//! Two engines keep their state over ids instead of values: the dataflow
-//! multiway join (its stores, index keys, candidate sets and search
-//! binding) and the factorized view tree (its leaves, grouped views,
-//! entries, stored factors and FD fetch indexes). Each encodes a tuple
+//! Three engines keep their state over ids instead of values: the
+//! dataflow multiway join (its stores, index keys, candidate sets and
+//! search binding), the factorized view tree (its leaves, grouped views,
+//! entries, stored factors and FD fetch indexes) and the heavy-light
+//! engine (its adjacency, heavy sets and views). Each encodes a tuple
 //! once, when it receives it; from then on an id hashes with one multiply
 //! and compares with one instruction, where a [`Value`] is a 24-byte
 //! tagged enum. Values are decoded only where they leave the engine: a

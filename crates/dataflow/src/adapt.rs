@@ -36,9 +36,17 @@ use ivm_ring::Semiring;
 /// A count, not a partner set: the base relation already knows which
 /// pairs are present, so its owner feeds each pair's [`Presence`]
 /// transition in and the sketch only adds or subtracts one.
+///
+/// Beside each key's degree the sketch counts the keys at each degree, so
+/// the maximum moves in O(1) per note: a key moves one degree at a time,
+/// so when the top degree loses its last key, that key now sits one lower.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DegreeSketch {
     degrees: FxHashMap<Value, u64>,
+    /// `keys_at[d]`: how many keys have degree `d ≥ 1`. Its last index is
+    /// the maximum degree (empty when no key has a partner), so the
+    /// vector is a function of `degrees` and equal sketches compare equal.
+    keys_at: Vec<usize>,
 }
 
 impl DegreeSketch {
@@ -46,16 +54,46 @@ impl DegreeSketch {
     /// from, the relation. Keys whose degree returns to zero are dropped.
     pub fn note(&mut self, x: &Value, change: Presence) {
         match change {
-            Presence::Appeared => *self.degrees.entry(x.clone()).or_default() += 1,
+            Presence::Appeared => {
+                let d = self.degrees.entry(x.clone()).or_default();
+                *d += 1;
+                let new = *d;
+                self.move_key(new - 1, new);
+            }
             Presence::Vanished => {
                 if let Some(d) = self.degrees.get_mut(x) {
+                    let old = *d;
                     *d -= 1;
                     if *d == 0 {
                         self.degrees.remove(x);
                     }
+                    self.move_key(old, old - 1);
                 }
             }
             Presence::Unchanged => {}
+        }
+    }
+
+    /// Move one key from degree `from` to degree `to` (either may be 0,
+    /// the absent key) in the per-degree counts.
+    fn move_key(&mut self, from: u64, to: u64) {
+        let (from, to) = (from as usize, to as usize);
+        if to >= self.keys_at.len() {
+            self.keys_at.resize(to + 1, 0);
+        }
+        if to > 0 {
+            self.keys_at[to] += 1;
+        }
+        if from > 0 {
+            self.keys_at[from] -= 1;
+        }
+        // The top degree emptied: the key moved one below it, or, at
+        // degree 1, left the sketch (and `keys_at[0]` is never counted).
+        if self.keys_at.last() == Some(&0) {
+            self.keys_at.pop();
+            if self.keys_at.len() == 1 {
+                self.keys_at.pop();
+            }
         }
     }
 
@@ -67,12 +105,16 @@ impl DegreeSketch {
     /// The largest degree of any key — the skew statistic the family
     /// policy compares against the N^ε sublinear bound.
     pub fn max_degree(&self) -> u64 {
-        self.degrees.values().copied().max().unwrap_or(0)
+        self.keys_at.len().saturating_sub(1) as u64
     }
 
     /// How many keys have degree ≥ `threshold` (the would-be heavy set).
     pub fn keys_at_least(&self, threshold: u64) -> usize {
-        self.degrees.values().filter(|&&d| d >= threshold).count()
+        if threshold == 0 {
+            return self.degrees.len();
+        }
+        let from = usize::try_from(threshold).unwrap_or(usize::MAX);
+        self.keys_at.get(from..).map_or(0, |at| at.iter().sum())
     }
 
     /// Per-key degrees sorted by key, for persistence: identical sketches
@@ -491,6 +533,43 @@ mod tests {
     use ivm_data::ops::lift_one;
     use ivm_data::{sym, tup, vars, Update};
     use ivm_query::Atom;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-degree counts answer `max_degree` and `keys_at_least`
+        /// as a scan of every key's degree would, after every note.
+        #[test]
+        fn degree_counts_match_a_scan(
+            notes in proptest::collection::vec((0i64..6, any::<bool>()), 0..160),
+        ) {
+            let mut sketch = DegreeSketch::default();
+            let mut degrees: FxHashMap<Value, u64> = FxHashMap::default();
+            for (key, appeared) in notes {
+                let x = Value::Int(key);
+                if appeared {
+                    sketch.note(&x, Presence::Appeared);
+                    *degrees.entry(x).or_default() += 1;
+                } else {
+                    sketch.note(&x, Presence::Vanished);
+                    if let Some(d) = degrees.get_mut(&x) {
+                        *d -= 1;
+                        if *d == 0 {
+                            degrees.remove(&x);
+                        }
+                    }
+                }
+                let max = degrees.values().copied().max().unwrap_or(0);
+                prop_assert_eq!(sketch.max_degree(), max);
+                for t in 0..=max + 1 {
+                    let scan = degrees.values().filter(|&&d| d >= t).count();
+                    prop_assert_eq!(sketch.keys_at_least(t), scan, "threshold {}", t);
+                }
+                prop_assert_eq!(sketch.keys_at_least(u64::MAX), 0);
+            }
+        }
+    }
 
     /// R(a,b)·S(b,c)·T(c,d) — acyclic, order-sensitive.
     fn chain() -> Query {

@@ -3,8 +3,12 @@
 //! One binary relation indexed both ways, with per-key degrees (distinct
 //! present partners) read in O(1) — the quantity the heavy-light
 //! partition thresholds on. Every heavy-light view plan stores its
-//! relations here, at `Value` keys behind the engine and at `u64` keys in
-//! the OuMv reduction and the scaling tests.
+//! relations here, at dictionary ids ([`ivm_data::Id`]) behind the engine
+//! and at `u64` keys in the OuMv reduction and the scaling tests.
+//!
+//! A plan that probes one column value against many partners looks its
+//! row ([`Adj::row_map`]) or column ([`Adj::col_map`]) up once and probes
+//! that map, rather than paying the two-level [`Adj::get`] per partner.
 
 use ivm_data::FxHashMap;
 use ivm_ring::Semiring;
@@ -71,6 +75,20 @@ impl<K: Clone + Eq + Hash, R: Semiring> Adj<K, R> {
             .and_then(|row| row.get(y))
             .cloned()
             .unwrap_or_else(R::zero)
+    }
+
+    /// The partners of `x` as a map `y ↦ rel(x, y)`, or `None` when `x`
+    /// has none.
+    #[inline]
+    pub fn row_map(&self, x: &K) -> Option<&FxHashMap<K, R>> {
+        self.fwd.get(x)
+    }
+
+    /// The reverse partners of `y` as a map `x ↦ rel(x, y)`, or `None`
+    /// when `y` has none.
+    #[inline]
+    pub fn col_map(&self, y: &K) -> Option<&FxHashMap<K, R>> {
+        self.bwd.get(y)
     }
 
     /// Distinct present partners of `x` in the first column.

@@ -4,7 +4,7 @@
 use crate::triangle::{HeavyLight, HlStats};
 use ivm_core::{EngineError, Maintainer};
 use ivm_data::ops::Lift;
-use ivm_data::{consolidate, Database, Relation, Sym, Tuple, Update, Value};
+use ivm_data::{consolidate, Database, Dict, FxHashMap, Id, Relation, Sym, Tuple, Update};
 use ivm_obs::{Counter, Gauge, MetricsRegistry};
 use ivm_query::Query;
 use ivm_ring::Semiring;
@@ -66,9 +66,17 @@ struct HlObs {
 }
 
 /// IVMε over generic tuples (Sec. 3.3): the [`HeavyLight`] core at
-/// `Value` keys and any *ring* payload, behind the [`Maintainer`] trait.
-/// This wrapper adds only the query's rotation, the lift of each
-/// relation's first column into its payloads, and the metrics.
+/// dictionary ids and any *ring* payload, behind the [`Maintainer`] trait.
+/// This wrapper adds only the query's rotation, the value dictionary, the
+/// lift of each relation's first column into its payloads, and the
+/// metrics.
+///
+/// Each update's two values are encoded once, when it arrives; from then
+/// on the adjacency, the partition and the views hold only ids. Every
+/// present pair and every view entry holds one reference to each of its
+/// two ids, and the dictionary frees the ids no one holds at the end of
+/// each [`Maintainer::apply`], [`Maintainer::apply_batch`] and the
+/// preload, so ever-fresh values do not grow it.
 ///
 /// Construction refuses payload types whose [`Semiring::try_neg`] is
 /// `None`: migrating a key across the partition boundary transfers its
@@ -82,7 +90,9 @@ pub struct HeavyLightEngine<R: Semiring> {
     /// and the column whose lifting is folded into `rels[i]`'s payloads.
     vars: [Sym; 3],
     lift: Lift<R>,
-    core: HeavyLight<Value, R>,
+    core: HeavyLight<Id, R>,
+    /// The values behind the core's ids.
+    dict: Dict,
     obs: Option<HlObs>,
 }
 
@@ -150,6 +160,7 @@ impl<R: Semiring> HeavyLightEngine<R> {
             vars,
             lift,
             core: HeavyLight::new(eps),
+            dict: Dict::default(),
             obs: None,
         };
         // Preprocess by replaying the initial contents through the
@@ -157,10 +168,10 @@ impl<R: Semiring> HeavyLightEngine<R> {
         // trigger keeps θ tracking the growing base as it loads.
         for (i, rel) in rels.into_iter().enumerate() {
             for (t, r) in db.get(rel).into_iter().flat_map(|r| r.iter()) {
-                let m = r.times(&lift(vars[i], t.at(0)));
-                eng.core.apply(i, t.at(0), t.at(1), &m);
+                eng.ingest(i, t, r);
             }
         }
+        eng.dict.sweep();
         Ok(eng)
     }
 
@@ -299,6 +310,42 @@ impl<R: Semiring> HeavyLightEngine<R> {
         self.core.check_views()
     }
 
+    /// Verify the dictionary against a recount of the ids the pairs and
+    /// view entries hold: every held id decodes to a live value, each
+    /// id's count equals its number of holding columns, and no other id
+    /// is live. For tests; O(N + views).
+    pub fn check_ids(&self) -> Result<(), String> {
+        let mut held: FxHashMap<Id, u32> = FxHashMap::default();
+        for i in 0..3 {
+            let pairs = self.core.relation(i).iter().map(|(x, y, _)| (x, y));
+            for (u, w) in pairs.chain(self.core.view_keys(i).map(|(u, w)| (u, w))) {
+                *held.entry(*u).or_default() += 1;
+                *held.entry(*w).or_default() += 1;
+            }
+        }
+        for (&id, &n) in &held {
+            if id as usize >= self.dict.capacity() {
+                return Err(format!("id {id} was never assigned"));
+            }
+            let refs = self.dict.refs(id);
+            if refs != n {
+                return Err(format!("id {id}: count {refs}, held by {n} columns"));
+            }
+            let v = self.dict.value(id);
+            if self.dict.lookup(v) != Some(id) {
+                return Err(format!("id {id} decodes to {v:?}, which has another id"));
+            }
+        }
+        if self.dict.live() != held.len() {
+            return Err(format!(
+                "{} live ids, {} held",
+                self.dict.live(),
+                held.len()
+            ));
+        }
+        Ok(())
+    }
+
     fn rot(&self, rel: Sym) -> Option<usize> {
         self.rels.iter().position(|&r| r == rel)
     }
@@ -320,12 +367,13 @@ impl<R: Semiring> HeavyLightEngine<R> {
         Ok(i)
     }
 
-    /// Lift and apply one validated update; returns its contribution to
-    /// the count.
-    fn ingest(&mut self, i: usize, upd: &Update<R>) -> R {
-        let (x, y) = (upd.tuple.at(0), upd.tuple.at(1));
-        let m = upd.payload.times(&(self.lift)(self.vars[i], x));
-        self.core.apply(i, x, y, &m)
+    /// Lift, encode and apply one validated `δrel[i](t) ↦ payload`;
+    /// returns its contribution to the count. The caller sweeps the
+    /// dictionary.
+    fn ingest(&mut self, i: usize, t: &Tuple, payload: &R) -> R {
+        let m = payload.times(&(self.lift)(self.vars[i], t.at(0)));
+        let (x, y) = (self.dict.encode(t.at(0)), self.dict.encode(t.at(1)));
+        self.core.apply_with(i, &x, &y, &m, &mut self.dict)
     }
 }
 
@@ -336,7 +384,8 @@ impl<R: Semiring> Maintainer<R> for HeavyLightEngine<R> {
 
     fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
         let i = self.validate(upd)?;
-        self.ingest(i, upd);
+        self.ingest(i, &upd.tuple, &upd.payload);
+        self.dict.sweep();
         self.publish();
         Ok(())
     }
@@ -352,8 +401,9 @@ impl<R: Semiring> Maintainer<R> for HeavyLightEngine<R> {
         let mut delta = R::zero();
         for upd in consolidate(batch) {
             let i = self.rot(upd.relation).expect("validated above");
-            delta.add_assign(&self.ingest(i, &upd));
+            delta.add_assign(&self.ingest(i, &upd.tuple, &upd.payload));
         }
+        self.dict.sweep();
         self.publish();
         let mut out = Relation::new(self.query.free.clone());
         if !delta.is_zero() {
@@ -374,7 +424,7 @@ impl<R: Semiring> Maintainer<R> for HeavyLightEngine<R> {
 mod tests {
     use super::*;
     use ivm_data::ops::lift_one;
-    use ivm_data::{sym, tup, FxHashMap};
+    use ivm_data::{sym, tup, FxHashMap, Value};
     use ivm_query::examples;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -501,6 +551,7 @@ mod tests {
                     assert_eq!(count(&mut eng), oracle(&log), "eps={eps} step={step}");
                     eng.check_partition().unwrap();
                     eng.check_views().unwrap();
+                    eng.check_ids().unwrap();
                 }
             }
         }
@@ -555,6 +606,7 @@ mod tests {
         assert_eq!(count(&mut eng), oracle(&log));
         eng.check_partition().unwrap();
         eng.check_views().unwrap();
+        eng.check_ids().unwrap();
     }
 
     #[test]
@@ -581,6 +633,63 @@ mod tests {
         assert!(eng.threshold() > 1);
         eng.check_partition().unwrap();
         eng.check_views().unwrap();
+    }
+
+    /// A window of `w` triangles slides over ever-fresh values: triangle
+    /// `n` is `R(hub, 2n)·S(2n, 2n+1)·T(2n+1, hub)` with a string hub that
+    /// changes every 150 triangles, so each hub turns heavy in `R` as its
+    /// triangles arrive and light again as they leave. After every batch
+    /// the count equals the oracle and the ids are accounted; at the end
+    /// the dictionary has reused the ids of the values that left.
+    fn slide_fresh_window<R: Semiring>(payload: fn(i64) -> R, read: fn(&R) -> i64) {
+        let w = 64;
+        let batch = 8;
+        let tri = |n: i64, m: i64| {
+            let hub = Value::str(format!("hub{}", n / 150));
+            let (b, c) = (Value::Int(2 * n), Value::Int(2 * n + 1));
+            [
+                ("tri_R", Tuple::new([hub.clone(), b.clone()])),
+                ("tri_S", Tuple::new([b, c.clone()])),
+                ("tri_T", Tuple::new([c, hub])),
+            ]
+            .map(|(rel, t)| (Update::with_payload(sym(rel), t.clone(), m), t))
+        };
+        let mut eng =
+            HeavyLightEngine::new(examples::triangle_count(), &Database::new(), lift_one::<R>)
+                .unwrap();
+        for start in (0..1200).step_by(batch) {
+            let end = start + batch as i64;
+            let mut ups = Vec::new();
+            for n in start..end {
+                let leaving = (n >= w).then(|| tri(n - w, -1)).into_iter().flatten();
+                for (u, t) in tri(n, 1).into_iter().chain(leaving) {
+                    ups.push(Update::with_payload(u.relation, t, payload(u.payload)));
+                }
+            }
+            eng.apply_batch(&ups).unwrap();
+            let window: Vec<_> = ((end - w).max(0)..end)
+                .flat_map(|n| tri(n, 1).map(|(u, _)| u))
+                .collect();
+            assert_eq!(read(eng.count()), oracle(&window), "batch at {start}");
+            eng.check_ids().unwrap();
+        }
+        eng.check_partition().unwrap();
+        eng.check_views().unwrap();
+        let s = eng.stats();
+        assert!(s.migrations >= 8 && s.rebalances > 0, "{s:?}");
+        assert_eq!(read(eng.count()), w);
+        // 2 408 distinct values passed through; about 2w are live.
+        assert!(
+            eng.dict.capacity() <= 2 * w as usize + 4 * batch,
+            "{}",
+            eng.dict.capacity()
+        );
+    }
+
+    #[test]
+    fn ever_fresh_string_and_int_values_reuse_freed_ids() {
+        slide_fresh_window::<i64>(|m| m, |c| *c);
+        slide_fresh_window::<ivm_ring::F64>(|m| ivm_ring::F64::new(m as f64), |c| c.0 as i64);
     }
 
     #[test]

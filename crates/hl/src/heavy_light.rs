@@ -11,26 +11,58 @@
 //! relations) and Ex 5.1's `Q(A) = Σ_B R(A,B)·S(B)` ([`crate::QhEps`], one).
 
 use crate::adjacency::Adj;
-use ivm_data::{FxHashMap, FxHashSet};
+use ivm_data::{Dict, FxHashMap, FxHashSet, Id, Presence};
 use ivm_ring::Semiring;
 use std::collections::hash_map::Entry;
 use std::fmt::Debug;
 use std::hash::Hash;
 
+/// Told when a stored key column starts or stops holding a key: a pair of
+/// a relation or an entry of a view, one call per column. Plain keys need
+/// no accounting (`()`); dictionary ids are reference-counted ([`Dict`]).
+pub(crate) trait KeyRefs<K> {
+    /// One more stored column holds `k`.
+    fn retain(&mut self, k: &K);
+    /// One stored column holding `k` less.
+    fn release(&mut self, k: &K);
+}
+
+impl<K> KeyRefs<K> for () {
+    #[inline]
+    fn retain(&mut self, _: &K) {}
+    #[inline]
+    fn release(&mut self, _: &K) {}
+}
+
+impl KeyRefs<Id> for Dict {
+    #[inline]
+    fn retain(&mut self, k: &Id) {
+        Dict::retain(self, *k);
+    }
+    #[inline]
+    fn release(&mut self, k: &Id) {
+        Dict::release(self, *k);
+    }
+}
+
 /// Add `d` to `map[key]`, dropping the entry when it cancels to zero.
-pub fn bump<Q: Eq + Hash, R: Semiring>(map: &mut FxHashMap<Q, R>, key: Q, d: R) {
+/// Returns what that did to the entry's presence.
+pub fn bump<Q: Eq + Hash, R: Semiring>(map: &mut FxHashMap<Q, R>, key: Q, d: R) -> Presence {
     if d.is_zero() {
-        return;
+        return Presence::Unchanged;
     }
     match map.entry(key) {
         Entry::Occupied(mut o) => {
             o.get_mut().add_assign(&d);
             if o.get().is_zero() {
                 o.remove();
+                return Presence::Vanished;
             }
+            Presence::Unchanged
         }
         Entry::Vacant(v) => {
             v.insert(d);
+            Presence::Appeared
         }
     }
 }
@@ -53,6 +85,9 @@ pub(crate) fn signed<R: Semiring>(d: R, neg: bool) -> R {
 #[derive(Clone, Debug)]
 pub struct Partition<K, const N: usize> {
     eps: f64,
+    /// Holds no reference of its own on a counted key ([`KeyRefs`]): a
+    /// heavy key has degree > θ ≥ 1 (the band, which [`Partition::check`]
+    /// verifies), so the rows of its relation hold it.
     heavy: [FxHashSet<K>; N],
     threshold: usize,
     /// Total size at the last rebalance — the 2× drift reference.

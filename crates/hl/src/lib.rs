@@ -6,7 +6,8 @@
 //! two-way [`Adj`] store: [`HeavyLight`] maintains the triangle count
 //! through its auxiliary `H⋈L` views, and [`QhEps`] maintains Ex 5.1's
 //! `Q(A) = Σ_B R(A,B)·S(B)` along Fig 7's update/delay trade-off.
-//! [`HeavyLightEngine`] puts the triangle plan at `Value` keys behind the
+//! [`HeavyLightEngine`] puts the triangle plan at dense value ids
+//! ([`ivm_data::Id`], through a dictionary it owns) behind the
 //! common [`ivm_core::Maintainer`] trait, so the session layer can
 //! auto-select it, `explain()` it, adaptively swap to or away from it
 //! mid-stream, and persist/recover it like every other backend.

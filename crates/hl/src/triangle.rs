@@ -4,11 +4,15 @@
 //!
 //! Relation `i` maps variable `i` to variable `i+1 (mod 3)`, so every
 //! formula below is written once for the rotated index `i`. The engine
-//! instantiates it at `Value` keys; `ivm_oumv`'s reduction at `u64`.
+//! instantiates it at dictionary ids ([`ivm_data::Id`]), whose references
+//! it counts through `KeyRefs`; `ivm_oumv`'s reduction at `u64`.
+//!
+//! Every probe loop looks the probed row or column up once, before the
+//! loop, and then probes that one map per partner.
 
 use crate::adjacency::Adj;
-use crate::heavy_light::{bump, signed, Partition};
-use ivm_data::FxHashMap;
+use crate::heavy_light::{bump, signed, KeyRefs, Partition};
+use ivm_data::{FxHashMap, Presence};
 use ivm_ring::Semiring;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -45,7 +49,9 @@ pub struct HlStats {
 pub struct HeavyLight<K, R> {
     part: Partition<K, 3>,
     rel: [Adj<K, R>; 3],
-    /// `view[i][(u, w)] = Σ_v rel[i+1]_H(u,v) · rel[i+2]_L(v,w)`.
+    /// `view[i][(u, w)] = Σ_v rel[i+1]_H(u,v) · rel[i+2]_L(v,w)`. An
+    /// entry holds its two keys until it cancels: a payload without exact
+    /// cancellation (`F64`) can keep a residue after its pairs have left.
     view: [FxHashMap<(K, K), R>; 3],
     count: R,
     /// The plan's own counters; migrations and rebalances are the
@@ -104,6 +110,11 @@ impl<K: Clone + Eq + Hash, R: Semiring> HeavyLight<K, R> {
         self.view.iter().map(|v| v.len()).sum()
     }
 
+    /// The keys of `view[i]`.
+    pub(crate) fn view_keys(&self, i: usize) -> impl Iterator<Item = &(K, K)> {
+        self.view[i].keys()
+    }
+
     /// Present pairs across the three relations.
     pub(crate) fn base_pairs(&self) -> usize {
         self.rel.iter().map(|r| r.len()).sum()
@@ -112,21 +123,48 @@ impl<K: Clone + Eq + Hash, R: Semiring> HeavyLight<K, R> {
     /// Apply `δrel[i](x, y) ↦ m` and return its contribution to the count
     /// (already multiplied by `m`). A zero `m` is a no-op.
     pub fn apply(&mut self, i: usize, x: &K, y: &K, m: &R) -> R {
+        self.apply_with(i, x, y, m, &mut ())
+    }
+
+    /// [`apply`](Self::apply), reporting to `refs` every key a pair or a
+    /// view entry starts or stops holding.
+    pub(crate) fn apply_with(
+        &mut self,
+        i: usize,
+        x: &K,
+        y: &K,
+        m: &R,
+        refs: &mut impl KeyRefs<K>,
+    ) -> R {
         if m.is_zero() {
             return R::zero();
         }
         self.stats.updates += 1;
         let contrib = m.times(&self.count_delta(i, x, y));
         self.count.add_assign(&contrib);
-        self.maintain_views(i, x, y, m);
+        self.maintain_views(i, x, y, m, refs);
+        let pairs = self.rel[i].len();
         let new_deg = self.rel[i].apply(x, y, m);
+        match self.rel[i].len().cmp(&pairs) {
+            std::cmp::Ordering::Greater => hold(refs, x, y, Presence::Appeared),
+            std::cmp::Ordering::Less => hold(refs, x, y, Presence::Vanished),
+            std::cmp::Ordering::Equal => {}
+        }
         if let Some(to_heavy) = self.part.crossed(i, x, new_deg) {
-            self.migrate(i, x, to_heavy);
+            self.migrate(i, x, to_heavy, refs);
         }
         let n = self.base_pairs();
         if self.part.rebalance_if_drifted(n, self.rel.each_ref()) {
             for i in 0..3 {
                 let (view, work) = self.recompute_view(i);
+                // Retain the new keys before releasing the old ones, so a
+                // key in both never reaches zero.
+                for (u, w) in view.keys() {
+                    hold(refs, u, w, Presence::Appeared);
+                }
+                for (u, w) in self.view[i].keys() {
+                    hold(refs, u, w, Presence::Vanished);
+                }
                 self.view[i] = view;
                 self.stats.work += work;
             }
@@ -142,25 +180,26 @@ impl<K: Clone + Eq + Hash, R: Semiring> HeavyLight<K, R> {
         let (j, k) = ((i + 1) % 3, (i + 2) % 3);
         let mut d = R::zero();
         let mut work = 1u64;
+        // `rel[k](v, x)` for every probed `v`; stored payloads are never
+        // zero, so an absent entry is the only zero.
+        let col_x = self.rel[k].col_map(x);
         if !self.part.is_heavy(j, y) {
             for (v, m1) in self.rel[j].row(y) {
                 work += 1;
-                let m2 = self.rel[k].get(v, x);
-                if !m2.is_zero() {
-                    d.add_assign(&m1.times(&m2));
+                if let Some(m2) = probe(col_x, v) {
+                    d.add_assign(&m1.times(m2));
                 }
             }
             self.stats.light_scans += 1;
         } else {
+            let row_y = self.rel[j].row_map(y);
             for v in self.part.heavy(k) {
                 work += 1;
-                let m1 = self.rel[j].get(y, v);
-                if m1.is_zero() {
+                let Some(m1) = probe(row_y, v) else {
                     continue;
-                }
-                let m2 = self.rel[k].get(v, x);
-                if !m2.is_zero() {
-                    d.add_assign(&m1.times(&m2));
+                };
+                if let Some(m2) = probe(col_x, v) {
+                    d.add_assign(&m1.times(m2));
                 }
             }
             work += 1;
@@ -176,22 +215,23 @@ impl<K: Clone + Eq + Hash, R: Semiring> HeavyLight<K, R> {
     /// Maintain the views that mention `rel[i]` under `δrel[i](x,y,m)`:
     /// `rel[i]` is the H-part of `view[i+2]` (at u = x) and the L-part of
     /// `view[i+1]` (at v = x).
-    fn maintain_views(&mut self, i: usize, x: &K, y: &K, m: &R) {
+    fn maintain_views(&mut self, i: usize, x: &K, y: &K, m: &R, refs: &mut impl KeyRefs<K>) {
         let (j, k) = ((i + 1) % 3, (i + 2) % 3);
         if self.part.is_heavy(i, x) {
             if !self.part.is_heavy(j, y) {
-                self.stats.work += self.rel[j].deg_fwd(y) as u64 + 1;
-                for (w, mj) in self.rel[j].row(y) {
-                    bump(&mut self.view[k], (x.clone(), w.clone()), m.times(mj));
+                let row_y = self.rel[j].row_map(y);
+                self.stats.work += row_y.map_or(0, |r| r.len()) as u64 + 1;
+                for (w, mj) in row_y.into_iter().flatten() {
+                    bump_view(&mut self.view[k], x, w, m.times(mj), refs);
                 }
             }
         } else {
             let heavy_k = self.part.heavy(k);
             self.stats.work += heavy_k.len() as u64 + 1;
+            let col_x = self.rel[k].col_map(x);
             for u in heavy_k {
-                let mk = self.rel[k].get(u, x);
-                if !mk.is_zero() {
-                    bump(&mut self.view[j], (u.clone(), y.clone()), mk.times(m));
+                if let Some(mk) = probe(col_x, u) {
+                    bump_view(&mut self.view[j], u, y, mk.times(m), refs);
                 }
             }
         }
@@ -200,30 +240,31 @@ impl<K: Clone + Eq + Hash, R: Semiring> HeavyLight<K, R> {
     /// Transfer `x`'s contributions after it crossed the band of
     /// partition `i`: between `view[i+2]` (where it is an H-part key) and
     /// `view[i+1]` (where it is an L-part key).
-    fn migrate(&mut self, i: usize, x: &K, to_heavy: bool) {
+    fn migrate(&mut self, i: usize, x: &K, to_heavy: bool, refs: &mut impl KeyRefs<K>) {
         let (j, k) = ((i + 1) % 3, (i + 2) % 3);
         // H-part of view[k]: Σ_{v light in rel[j]} rel[i](x,v)·rel[j](v,w).
         for (v, m1) in self.rel[i].row(x) {
             if !self.part.is_heavy(j, v) {
-                self.stats.work += self.rel[j].deg_fwd(v) as u64 + 1;
-                for (w, m2) in self.rel[j].row(v) {
+                let row_v = self.rel[j].row_map(v);
+                self.stats.work += row_v.map_or(0, |r| r.len()) as u64 + 1;
+                for (w, m2) in row_v.into_iter().flatten() {
                     let d = signed(m1.times(m2), !to_heavy);
-                    bump(&mut self.view[k], (x.clone(), w.clone()), d);
+                    bump_view(&mut self.view[k], x, w, d, refs);
                 }
             }
         }
         // L-part of view[j]: Σ_{u heavy in rel[k]} rel[k](u,x)·rel[i](x,w)
         // — entering the heavy part removes these terms (and vice versa).
         let row_len = self.rel[i].deg_fwd(x) as u64;
+        let col_x = self.rel[k].col_map(x);
         for u in self.part.heavy(k) {
-            let mk = self.rel[k].get(u, x);
-            if mk.is_zero() {
+            let Some(mk) = probe(col_x, u) else {
                 continue;
-            }
+            };
             self.stats.work += row_len + 1;
             for (w, m1) in self.rel[i].row(x) {
                 let d = signed(mk.times(m1), to_heavy);
-                bump(&mut self.view[j], (u.clone(), w.clone()), d);
+                bump_view(&mut self.view[j], u, w, d, refs);
             }
         }
     }
@@ -246,6 +287,43 @@ impl<K: Clone + Eq + Hash, R: Semiring> HeavyLight<K, R> {
         }
         (view, work)
     }
+}
+
+/// The payload `map` holds at `key`, when both exist.
+#[inline]
+fn probe<'a, K: Eq + Hash, R>(map: Option<&'a FxHashMap<K, R>>, key: &K) -> Option<&'a R> {
+    map.and_then(|m| m.get(key))
+}
+
+/// Report the two keys `u` and `w` of a pair or view entry to `refs` when
+/// the entry appeared or vanished.
+#[inline]
+fn hold<K>(refs: &mut impl KeyRefs<K>, u: &K, w: &K, change: Presence) {
+    match change {
+        Presence::Appeared => {
+            refs.retain(u);
+            refs.retain(w);
+        }
+        Presence::Vanished => {
+            refs.release(u);
+            refs.release(w);
+        }
+        Presence::Unchanged => {}
+    }
+}
+
+/// [`bump`] the view entry `(u, w)`, reporting its keys to `refs` when it
+/// appears or cancels.
+#[inline]
+fn bump_view<K: Clone + Eq + Hash, R: Semiring>(
+    view: &mut FxHashMap<(K, K), R>,
+    u: &K,
+    w: &K,
+    d: R,
+    refs: &mut impl KeyRefs<K>,
+) {
+    let change = bump(view, (u.clone(), w.clone()), d);
+    hold(refs, u, w, change);
 }
 
 impl<K: Clone + Eq + Hash + Debug, R: Semiring> HeavyLight<K, R> {

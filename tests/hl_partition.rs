@@ -1,7 +1,7 @@
 //! Heavy-light (IVMε) partition-invariant harness for the generic
 //! engine behind `EngineKind::HeavyLight`.
 //!
-//! Three properties, checked after *every* batch of generated
+//! Five properties, checked after *every* batch of generated
 //! mixed-sign streams:
 //!
 //! 1. **Partition invariants** — the hysteresis band holds: every heavy
@@ -13,11 +13,14 @@
 //!    rebalances and per-key migrations never leave a stale entry.
 //! 3. **Output equivalence** — the maintained count equals the
 //!    from-scratch join-aggregate oracle over a mirrored base.
-//! 4. **One algorithm at two key types** — a [`HeavyLight<u64, i64>`]
-//!    twin fed the consolidated batches in the order the engine applies
-//!    them reports the same count, counters (work, migrations,
-//!    rebalances, …) and heavy-key counts, and passes the same partition
-//!    and view checks.
+//! 4. **One algorithm at two key types** — the engine runs the core at
+//!    dictionary ids; a [`HeavyLight<u64, i64>`] twin fed the
+//!    consolidated batches in the order the engine applies them reports
+//!    the same count, counters (work, migrations, rebalances, …) and
+//!    heavy-key counts, and passes the same partition and view checks.
+//! 5. **Id accounting** — every id the engine's pairs and view entries
+//!    hold is live and counted once per holding column, and no other id
+//!    is live ([`HeavyLightEngine::check_ids`]).
 //!
 //! The whole grid of ε values is exercised (ε = 0 makes nearly every
 //! key heavy, ε = 1 nearly every key light — the two degenerate
@@ -60,13 +63,16 @@ fn assert_invariants(
     if let Err(e) = eng.check_views() {
         return Err(TestCaseError::fail(format!("{ctx}: views: {e}")));
     }
+    if let Err(e) = eng.check_ids() {
+        return Err(TestCaseError::fail(format!("{ctx}: ids: {e}")));
+    }
     let expect = oracle_db(eng.query(), mirror);
     let q = eng.query().clone();
     outputs_match(&eng.output(), &expect, &format!("{ctx} ({:?})", q.name))
 }
 
 /// Drive one generated stream through an engine at `eps` and through its
-/// raw-`u64` twin, checking all four properties at every batch boundary.
+/// raw-`u64` twin, checking all five properties at every batch boundary.
 fn check_stream(eps: f64, ops: &[EdgeOp], chunk: usize) -> Result<(), TestCaseError> {
     let q = triangle3("hp_");
     // The engine's rotation order is the atom order R(a,b), S(b,c), T(c,a).
@@ -90,7 +96,7 @@ fn check_stream(eps: f64, ops: &[EdgeOp], chunk: usize) -> Result<(), TestCaseEr
         prop_assert_eq!(
             (*eng.count(), eng.stats()),
             (*twin.count(), twin.stats()),
-            "{ctx}: Value engine vs u64 twin (count, counters)"
+            "{ctx}: id engine vs u64 twin (count, counters)"
         );
         prop_assert_eq!(eng.heavy_counts(), twin.heavy_counts(), "{ctx}: heavy keys");
         if let Err(e) = twin.check_partition().and_then(|()| twin.check_views()) {
@@ -195,6 +201,7 @@ fn hub_growth_and_collapse_forces_migrations_and_rebalances() {
         eng.check_partition()
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         eng.check_views().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        eng.check_ids().unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let expect = oracle_db(&q, mirror);
         let got = eng.output();
         assert_eq!(got.len(), expect.len(), "{ctx}: sizes");
