@@ -10,6 +10,7 @@
 //! non-q-hierarchical acyclic queries, so this engine rejects deletes.
 
 use crate::bindings::Bindings;
+use crate::engine::check_updates;
 use crate::error::EngineError;
 use ivm_data::{FxHashSet, GroupedIndex, Relation, Tuple, Update};
 use ivm_query::Query;
@@ -288,15 +289,13 @@ impl<R: Semiring> InsertOnlyEngine<R> {
         })
     }
 
-    /// Apply an insert (deletes are rejected: Sec. 4.6's asymmetry).
+    /// Apply an insert (deletes are rejected: Sec. 4.6's asymmetry) that
+    /// passes the ingestion rule ([`check_updates`]).
     pub fn insert(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        let i = self
-            .query
-            .atoms
-            .iter()
-            .position(|a| a.name == upd.relation)
-            .ok_or(EngineError::UnknownRelation(upd.relation))?;
-        self.relations[i].apply(upd.tuple.clone(), &upd.payload);
+        check_updates(&self.query.atoms, [(upd.relation, &upd.tuple)])?;
+        let i = self.query.atoms.iter().position(|a| a.name == upd.relation);
+        self.relations[i.expect("a checked update names an atom")]
+            .apply(upd.tuple.clone(), &upd.payload);
         self.inserts += 1;
         self.factorized = None; // invalidate; rebuilt on demand
         Ok(())

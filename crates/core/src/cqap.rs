@@ -14,7 +14,7 @@
 //! a constant number.
 
 use crate::bindings::Bindings;
-use crate::engine::Maintainer;
+use crate::engine::{check_batch, consolidated, Maintainer};
 use crate::error::EngineError;
 use crate::viewtree::ViewTree;
 use ivm_data::ops::Lift;
@@ -333,30 +333,29 @@ impl<R: Semiring> Maintainer<R> for CqapEngine<R> {
         &self.query
     }
 
-    /// Apply a single-tuple update to a base relation; it fans out to
-    /// every atom occurrence (a constant number), each in O(1).
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        let routes = self
-            .routes
-            .get(&upd.relation)
-            .ok_or(EngineError::UnknownRelation(upd.relation))?;
-        for route in routes {
-            // Repeated-variable occurrences only match diagonal tuples.
-            if route
-                .eq_checks
-                .iter()
-                .any(|&(i, j)| upd.tuple.at(i) != upd.tuple.at(j))
-            {
-                continue;
+    /// Each update of a base relation fans out to every atom occurrence
+    /// (a constant number), each in O(1).
+    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
+        check_batch(&self.query, batch)?;
+        for upd in consolidated(batch).iter() {
+            for route in &self.routes[&upd.relation] {
+                // Repeated-variable occurrences only match diagonal tuples.
+                if route
+                    .eq_checks
+                    .iter()
+                    .any(|&(i, j)| upd.tuple.at(i) != upd.tuple.at(j))
+                {
+                    continue;
+                }
+                let t = upd.tuple.project(&route.keep);
+                self.components[route.component].apply_checked(&Update::with_payload(
+                    route.leaf_name,
+                    t,
+                    upd.payload.clone(),
+                ));
             }
-            let t = upd.tuple.project(&route.keep);
-            self.components[route.component].apply(&Update::with_payload(
-                route.leaf_name,
-                t,
-                upd.payload.clone(),
-            ))?;
         }
-        Ok(())
+        Ok(Relation::new(self.query.free.clone()))
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {

@@ -12,7 +12,7 @@
 //! | [`LazyFactEngine`] | lazy-fact | F-IVM/delta hybrid |
 //! | [`LazyListEngine`] | lazy-list | delta queries (re-evaluation) |
 
-use crate::engine::Maintainer;
+use crate::engine::{check_batch, consolidated, Maintainer};
 use crate::error::EngineError;
 use crate::viewtree::ViewTree;
 use ivm_data::ops::{eval_join_aggregate, Lift};
@@ -58,8 +58,12 @@ impl<R: Semiring> Maintainer<R> for EagerFactEngine<R> {
         self.tree.query()
     }
 
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        self.tree.apply(upd)
+    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
+        check_batch(self.tree.query(), batch)?;
+        for upd in consolidated(batch).iter() {
+            self.tree.apply_checked(upd);
+        }
+        Ok(Relation::new(self.tree.query().free.clone()))
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {
@@ -95,28 +99,19 @@ impl<R: Semiring> Maintainer<R> for EagerListEngine<R> {
         self.tree.query()
     }
 
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        // Delta-enumerate against the pre-update state, then maintain.
-        let output = &mut self.output;
-        self.tree.delta_for_each(upd, &mut |t, d| {
-            output.apply(t.clone(), d);
-        })?;
-        self.tree.apply(upd)
-    }
-
-    /// The update path already delta-enumerates to maintain the
-    /// materialized output, so the batch's exact output delta is free:
-    /// accumulate the per-update deltas (linearity makes their ⊎-sum the
-    /// batch delta) instead of the default's empty placeholder.
+    /// The update path delta-enumerates against the pre-update state to
+    /// maintain the materialized output, so the batch's exact output
+    /// delta is free: the ⊎-sum of the per-update deltas (linearity).
     fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
+        check_batch(self.tree.query(), batch)?;
         let mut delta = Relation::new(self.tree.query().free.clone());
-        for upd in ivm_data::consolidate(batch) {
+        for upd in consolidated(batch).iter() {
             let output = &mut self.output;
-            self.tree.delta_for_each(&upd, &mut |t, d| {
+            self.tree.delta_for_each(upd, &mut |t, d| {
                 output.apply(t.clone(), d);
                 delta.apply(t.clone(), d);
-            })?;
-            self.tree.apply(&upd)?;
+            });
+            self.tree.apply_checked(upd);
         }
         Ok(delta)
     }
@@ -153,11 +148,10 @@ impl<R: Semiring> LazyFactEngine<R> {
     }
 
     /// Drain the queue through the view tree.
-    pub fn refresh(&mut self) -> Result<(), EngineError> {
+    pub fn refresh(&mut self) {
         for upd in std::mem::take(&mut self.pending) {
-            self.tree.apply(&upd)?;
+            self.tree.apply_checked(&upd);
         }
-        Ok(())
     }
 }
 
@@ -166,16 +160,16 @@ impl<R: Semiring> Maintainer<R> for LazyFactEngine<R> {
         self.tree.query()
     }
 
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        // Validate the target eagerly — unknown, static or mis-sized — so
-        // errors surface here and `refresh` only ever sees valid updates.
-        self.tree.dynamic_atom(upd)?;
-        self.pending.push(upd.clone());
-        Ok(())
+    /// Checks the batch when it is queued, so `refresh` only ever sees
+    /// accepted updates.
+    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
+        check_batch(self.tree.query(), batch)?;
+        self.pending.extend(consolidated(batch).iter().cloned());
+        Ok(Relation::new(self.tree.query().free.clone()))
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {
-        self.refresh().expect("queued updates must be valid");
+        self.refresh();
         self.tree.for_each_output(f)
     }
 }
@@ -224,17 +218,12 @@ impl<R: Semiring> Maintainer<R> for LazyListEngine<R> {
         &self.query
     }
 
-    /// An update to a static relation is refused, as the view-tree
-    /// engines refuse it.
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        match self.query.atoms.iter().find(|a| a.name == upd.relation) {
-            None => Err(EngineError::UnknownRelation(upd.relation)),
-            Some(a) if !a.dynamic => Err(EngineError::StaticRelation(upd.relation)),
-            Some(_) => {
-                self.db.apply(upd);
-                Ok(())
-            }
+    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
+        check_batch(&self.query, batch)?;
+        for upd in consolidated(batch).iter() {
+            self.db.apply(upd);
         }
+        Ok(Relation::new(self.query.free.clone()))
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {
@@ -420,26 +409,6 @@ mod tests {
             "{err}"
         );
         assert!(LazyFactEngine::new(q, &db, lift_one).is_err());
-    }
-
-    /// Unknown relations are rejected by every engine.
-    #[test]
-    fn unknown_relation_rejected() {
-        let q = fig3();
-        let db: Database<i64> = Database::new();
-        let bad: Update<i64> = Update::insert(sym("f3_nope"), tup![1i64]);
-        assert!(EagerFactEngine::new(q.clone(), &db, lift_one)
-            .unwrap()
-            .apply(&bad)
-            .is_err());
-        assert!(LazyFactEngine::new(q.clone(), &db, lift_one)
-            .unwrap()
-            .apply(&bad)
-            .is_err());
-        assert!(LazyListEngine::new(q, &db, lift_one)
-            .unwrap()
-            .apply(&bad)
-            .is_err());
     }
 
     /// All four specialized engines ingest whole batches through the one

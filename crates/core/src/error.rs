@@ -17,6 +17,15 @@ pub enum EngineError {
     UnknownRelation(Sym),
     /// The relation is declared static (Sec. 4.5) and cannot be updated.
     StaticRelation(Sym),
+    /// An update carries a tuple whose arity is not its relation's.
+    ArityMismatch {
+        /// The updated relation.
+        relation: Sym,
+        /// The arity the query declares for it.
+        declared: usize,
+        /// The arity of the tuple the update carries.
+        got: usize,
+    },
     /// View trees require globally unique relation names (self-join-free).
     DuplicateRelation(Sym),
     /// A single-tuple update on this atom would not propagate in constant
@@ -43,6 +52,15 @@ impl fmt::Display for EngineError {
             EngineError::VarOrder(e) => write!(f, "invalid variable order: {e}"),
             EngineError::UnknownRelation(r) => write!(f, "unknown relation {r}"),
             EngineError::StaticRelation(r) => write!(f, "relation {r} is static"),
+            EngineError::ArityMismatch {
+                relation,
+                declared,
+                got,
+            } => write!(
+                f,
+                "update to {relation} carries a tuple of arity {got}, but the \
+                 relation is declared with arity {declared}"
+            ),
             EngineError::DuplicateRelation(r) => {
                 write!(f, "relation {r} occurs in several atoms (self-join)")
             }

@@ -14,11 +14,11 @@
 //! contribution upward — the same amortization as the PK–FK case of
 //! Ex 4.13.
 
-use crate::engine::Maintainer;
+use crate::engine::{check_batch, consolidated, Maintainer};
 use crate::error::EngineError;
 use crate::viewtree::{Fetcher, ViewTree};
 use ivm_data::ops::Lift;
-use ivm_data::{Database, Schema, Tuple, Update};
+use ivm_data::{Database, Relation, Schema, Tuple, Update};
 use ivm_query::fd::{sigma_reduct, Fd};
 use ivm_query::hierarchy::is_q_hierarchical;
 use ivm_query::{Query, VarOrder};
@@ -122,8 +122,12 @@ impl<R: Semiring> Maintainer<R> for FdEngine<R> {
         self.tree.query()
     }
 
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        self.tree.apply(upd)
+    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
+        check_batch(self.tree.query(), batch)?;
+        for upd in consolidated(batch).iter() {
+            self.tree.apply_checked(upd);
+        }
+        Ok(Relation::new(self.tree.query().free.clone()))
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {

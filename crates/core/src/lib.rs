@@ -32,7 +32,7 @@ pub mod fd;
 pub mod pkfk;
 pub mod viewtree;
 
-pub use engine::Maintainer;
+pub use engine::{check_updates, Maintainer};
 pub use engines::{EagerFactEngine, EagerListEngine, LazyFactEngine, LazyListEngine};
 pub use error::EngineError;
 pub use viewtree::{Fetcher, ViewTree};

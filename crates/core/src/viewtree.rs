@@ -95,6 +95,7 @@
 //! bind, so the bounds hold for it too.
 
 use crate::bindings::Bindings;
+use crate::engine::check_updates;
 use crate::error::EngineError;
 use ivm_data::ids::{gather, Dict, Id, IdMap};
 use ivm_data::ops::Lift;
@@ -535,34 +536,20 @@ impl<R: Semiring> ViewTree<R> {
         Ok(())
     }
 
-    /// The atom an update targets: a dynamic relation of the tree, with a
-    /// tuple of the stored arity.
-    pub(crate) fn dynamic_atom(&self, upd: &Update<R>) -> Result<usize, EngineError> {
-        let &atom = self
-            .rel_atom
-            .get(&upd.relation)
-            .ok_or(EngineError::UnknownRelation(upd.relation))?;
-        if !self.query.atoms[atom].dynamic {
-            return Err(EngineError::StaticRelation(upd.relation));
-        }
-        let (got, arity) = (upd.tuple.arity(), self.storage_schema[atom].arity());
-        if got != arity {
-            return Err(EngineError::NotSupported(format!(
-                "update to {} carries a tuple of arity {got}, but the relation \
-                 is stored with arity {arity}",
-                upd.relation
-            )));
-        }
-        Ok(atom)
+    /// Apply a single-tuple update that passes the ingestion rule
+    /// ([`check_updates`]). O(1) for constant-update trees.
+    pub fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
+        check_updates(&self.query.atoms, [(upd.relation, &upd.tuple)])?;
+        self.apply_checked(upd);
+        Ok(())
     }
 
-    /// Apply a single-tuple update to a dynamic relation. O(1) for
-    /// constant-update trees.
-    pub fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        let atom = self.dynamic_atom(upd)?;
+    /// [`Self::apply`] for an update its caller has checked — the
+    /// engines check each batch once, up front.
+    pub(crate) fn apply_checked(&mut self, upd: &Update<R>) {
+        let atom = self.rel_atom[&upd.relation];
         self.apply_internal(atom, &upd.tuple, &upd.payload);
         self.dict.sweep();
-        Ok(())
     }
 
     /// Shared update path (also used for static tuples at preprocessing).
@@ -796,13 +783,10 @@ impl<R: Semiring> ViewTree<R> {
     /// payload deltas. Used by the eager-list engine (Sec. 3.2 style) to
     /// maintain a materialized output; costs O(|δQ|). The update's values
     /// are encoded (an output tuple may carry them); the ids no key comes
-    /// to hold are freed by the sweep after the update is applied.
-    pub fn delta_for_each(
-        &mut self,
-        upd: &Update<R>,
-        f: &mut dyn FnMut(&Tuple, &R),
-    ) -> Result<(), EngineError> {
-        let path = &self.paths[self.dynamic_atom(upd)?];
+    /// to hold are freed by the sweep after the update is applied. The
+    /// caller has checked the update, as for [`Self::apply_checked`].
+    pub(crate) fn delta_for_each(&mut self, upd: &Update<R>, f: &mut dyn FnMut(&Tuple, &R)) {
+        let path = &self.paths[self.rel_atom[&upd.relation]];
         let (mut row, mut key) = (self.row.clone(), Vec::new());
         for (&s, v) in path.cols.iter().zip(upd.tuple.values()) {
             row[s] = self.dict.encode(v);
@@ -816,7 +800,7 @@ impl<R: Semiring> ViewTree<R> {
             &self.work,
         );
         if path.delta.needs & !filled != 0 {
-            return Ok(()); // a fetch miss: the update changes no output yet
+            return; // a fetch miss: the update changes no output yet
         }
         let scalar = upd.payload.clone();
         let mut acc = self.times_probes(&path.delta.scalars, &row, &mut key, scalar);
@@ -835,7 +819,6 @@ impl<R: Semiring> ViewTree<R> {
             let mut cur = Cursor { ids: row, out, key };
             self.descend(&path.delta.steps, &mut cur, &[], &acc, f);
         }
-        Ok(())
     }
 
     /// Materialize the current output (test/oracle helper; O(|output|)).
@@ -1343,8 +1326,7 @@ mod tests {
         let mut delta = Relation::<i64>::new(q.free.clone());
         tree.delta_for_each(&upd, &mut |t, m| {
             delta.apply(t.clone(), m);
-        })
-        .unwrap();
+        });
         tree.apply(&upd).unwrap();
         let after = tree.output();
 
@@ -1542,9 +1524,8 @@ mod tests {
         let short = Update::insert(sym("f3_R"), tup![1i64]);
         assert!(matches!(
             tree.apply(&short),
-            Err(EngineError::NotSupported(_))
+            Err(EngineError::ArityMismatch { .. })
         ));
-        assert!(tree.delta_for_each(&short, &mut |_, _| {}).is_err());
     }
 
     // -----------------------------------------------------------------
@@ -1849,11 +1830,9 @@ mod tests {
         let before = sc.tree.output();
         let mut delta = Relation::new(q.free.clone());
         for u in batch {
-            sc.tree
-                .delta_for_each(u, &mut |t, m| {
-                    delta.apply(t.clone(), m);
-                })
-                .map_err(|e| e.to_string())?;
+            sc.tree.delta_for_each(u, &mut |t, m| {
+                delta.apply(t.clone(), m);
+            });
             sc.tree.apply(u).map_err(|e| e.to_string())?;
         }
         let base: Vec<&Relation<i64>> = sc.base.iter().collect();

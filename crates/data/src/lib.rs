@@ -42,7 +42,5 @@ pub use ids::{Dict, Id, IdMap};
 pub use relation::{GroupedIndex, Presence, Relation};
 pub use schema::{sym, vars, Schema, Sym};
 pub use tuple::Tuple;
-pub use update::{
-    consolidate, consolidated_len, partition_updates, shard_of, shard_of_column, Batch, Update,
-};
+pub use update::{consolidate, shard_of, shard_of_column, Batch, Update};
 pub use value::Value;

@@ -7,7 +7,7 @@
 
 use crate::hash::FxHashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An interned symbol: a variable or relation name.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,13 +65,17 @@ impl fmt::Display for Sym {
 }
 
 /// An ordered schema: a tuple of variables, also usable as a set.
+///
+/// Immutable once built, so its variables are shared: a clone — every
+/// relation, and every output delta an engine returns, owns one — costs
+/// a reference count, not an allocation.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct Schema(Vec<Sym>);
+pub struct Schema(Arc<[Sym]>);
 
 impl Schema {
-    /// The empty schema.
+    /// The empty schema (no allocation).
     pub fn empty() -> Self {
-        Schema(Vec::new())
+        Schema::default()
     }
 
     /// Build from variables; panics on duplicates (schemas are sets).
@@ -83,7 +87,16 @@ impl Schema {
                 "duplicate variable {a} in schema {v:?}"
             );
         }
-        Schema(v)
+        Schema::from_vec(v)
+    }
+
+    /// Wrap distinct variables.
+    fn from_vec(v: Vec<Sym>) -> Self {
+        if v.is_empty() {
+            Schema::empty()
+        } else {
+            Schema(v.into())
+        }
     }
 
     /// Number of variables.
@@ -129,7 +142,7 @@ impl Schema {
 
     /// Set intersection, ordered as in `self`.
     pub fn intersect(&self, other: &Schema) -> Schema {
-        Schema(
+        Schema::from_vec(
             self.0
                 .iter()
                 .copied()
@@ -140,18 +153,18 @@ impl Schema {
 
     /// Set union: `self`'s variables followed by `other`'s new ones.
     pub fn union(&self, other: &Schema) -> Schema {
-        let mut out = self.0.clone();
+        let mut out = self.0.to_vec();
         for &v in other.vars() {
             if !out.contains(&v) {
                 out.push(v);
             }
         }
-        Schema(out)
+        Schema::from_vec(out)
     }
 
     /// Set difference, ordered as in `self`.
     pub fn difference(&self, other: &Schema) -> Schema {
-        Schema(
+        Schema::from_vec(
             self.0
                 .iter()
                 .copied()

@@ -63,9 +63,12 @@ impl<R: Ring> Update<R> {
 /// An ordered sequence of single-tuple updates.
 pub type Batch<R> = Vec<Update<R>>;
 
-/// Sum payloads per `(relation, tuple)` key, dropping keys that cancel to
-/// zero. Shared kernel of [`consolidate`] and [`consolidated_len`].
-fn consolidate_map<R: Semiring>(batch: &[Update<R>]) -> crate::hash::FxHashMap<(Sym, &Tuple), R> {
+/// Consolidate a batch: sum the payloads of updates hitting the same
+/// `(relation, tuple)` pair and drop entries that cancel to zero. Sound for
+/// any ring/semiring payload because batch effects are order-independent
+/// (Sec. 2); the result is equivalent to the input batch but touches each
+/// distinct key once. Output order is unspecified.
+pub fn consolidate<R: Semiring>(batch: &[Update<R>]) -> Batch<R> {
     let mut acc: crate::hash::FxHashMap<(Sym, &Tuple), R> = crate::hash::FxHashMap::default();
     for u in batch {
         match acc.entry((u.relation, &u.tuple)) {
@@ -82,30 +85,13 @@ fn consolidate_map<R: Semiring>(batch: &[Update<R>]) -> crate::hash::FxHashMap<(
             }
         }
     }
-    acc
-}
-
-/// Consolidate a batch: sum the payloads of updates hitting the same
-/// `(relation, tuple)` pair and drop entries that cancel to zero. Sound for
-/// any ring/semiring payload because batch effects are order-independent
-/// (Sec. 2); the result is equivalent to the input batch but touches each
-/// distinct key once. Output order is unspecified.
-pub fn consolidate<R: Semiring>(batch: &[Update<R>]) -> Batch<R> {
-    consolidate_map(batch)
-        .into_iter()
+    acc.into_iter()
         .map(|((rel, t), payload)| Update {
             relation: rel,
             tuple: t.clone(),
             payload,
         })
         .collect()
-}
-
-/// Number of distinct `(relation, tuple)` keys a consolidated batch would
-/// retain — the propagation cost of the batch after consolidation, without
-/// materializing the consolidated updates.
-pub fn consolidated_len<R: Semiring>(batch: &[Update<R>]) -> usize {
-    consolidate_map(batch).len()
 }
 
 /// Deterministic shard assignment for one value: `FxHash(v) mod parts`.
@@ -123,37 +109,6 @@ pub fn shard_of(v: &crate::value::Value, parts: usize) -> usize {
 /// [`shard_of`]`(t[column], parts)`.
 pub fn shard_of_column(t: &Tuple, column: usize, parts: usize) -> usize {
     shard_of(t.at(column), parts)
-}
-
-/// Hash-partition a batch into `parts` sub-batches.
-///
-/// `route` decides each update's destination: `Some(p)` sends it to
-/// sub-batch `p mod parts`, `None` *broadcasts* it — a clone goes into
-/// every sub-batch (how a sharded engine replicates relations that do not
-/// contain the shard key). Update order within each sub-batch follows the
-/// input order, so per-part streams replay faithfully.
-///
-/// Sound for ring payloads because a batch's effect is the ⊎-sum of the
-/// effects of any partition of it (Sec. 2): delta rules are linear, so the
-/// sub-batches' output deltas merge back by ring addition.
-pub fn partition_updates<R: Clone>(
-    batch: &[Update<R>],
-    parts: usize,
-    mut route: impl FnMut(&Update<R>) -> Option<usize>,
-) -> Vec<Batch<R>> {
-    assert!(parts > 0, "cannot partition into zero parts");
-    let mut out: Vec<Batch<R>> = (0..parts).map(|_| Vec::new()).collect();
-    for u in batch {
-        match route(u) {
-            Some(p) => out[p % parts].push(u.clone()),
-            None => {
-                for part in &mut out {
-                    part.push(u.clone());
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -194,7 +149,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         let u = c.pop().unwrap();
         assert_eq!((u.relation, u.payload), (r, 5));
-        assert_eq!(consolidated_len(&batch), 1);
     }
 
     #[test]
@@ -224,54 +178,6 @@ mod tests {
             hit[shard_of(&Value::from(i), parts)] = true;
         }
         assert!(hit.iter().all(|&h| h), "64 values must reach all 4 shards");
-    }
-
-    #[test]
-    fn partition_routes_and_broadcasts() {
-        let (r, s) = (sym("upd_pR"), sym("upd_pS"));
-        let batch: Batch<i64> = vec![
-            Update::with_payload(r, tup![0i64], 1),
-            Update::with_payload(r, tup![1i64], 2),
-            Update::with_payload(s, tup![9i64], 3), // broadcast
-            Update::with_payload(r, tup![2i64], 4),
-        ];
-        // Route r by its value mod 2, broadcast s.
-        let parts = partition_updates(&batch, 2, |u| {
-            if u.relation == r {
-                Some(u.tuple.at(0).as_int().unwrap() as usize % 2)
-            } else {
-                None
-            }
-        });
-        assert_eq!(parts.len(), 2);
-        // Part 0: r(0), s(9), r(2); part 1: r(1), s(9).
-        assert_eq!(parts[0].len(), 3);
-        assert_eq!(parts[1].len(), 2);
-        assert!(parts.iter().all(|p| p.iter().any(|u| u.relation == s)));
-        // Nothing lost, broadcast counted once per part.
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, 3 + 2);
-        // Per-part order follows input order.
-        assert_eq!(parts[0][0].tuple, tup![0i64]);
-        assert_eq!(parts[0][1].tuple, tup![9i64]);
-        assert_eq!(parts[0][2].tuple, tup![2i64]);
-    }
-
-    #[test]
-    fn partition_merges_back_to_original_effect() {
-        // ⊎ of the parts' consolidations equals the whole batch's.
-        let r = sym("upd_mR");
-        let batch: Batch<i64> = (0..20i64)
-            .map(|i| Update::with_payload(r, tup![i % 5], if i % 3 == 0 { -1 } else { 1 }))
-            .collect();
-        let parts = partition_updates(&batch, 3, |u| Some(shard_of_column(&u.tuple, 0, 3)));
-        let mut merged: Batch<i64> = parts.concat();
-        merged = consolidate(&merged);
-        let mut expect = consolidate(&batch);
-        let key = |u: &Update<i64>| (u.relation, u.tuple.clone());
-        merged.sort_by_key(key);
-        expect.sort_by_key(key);
-        assert_eq!(merged, expect);
     }
 
     #[test]

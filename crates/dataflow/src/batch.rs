@@ -74,6 +74,14 @@ impl<R: Semiring> DeltaBatch<R> {
         self.deltas.keys().copied()
     }
 
+    /// Every `(relation, tuple)` entry, for the ingestion rule
+    /// (`ivm_core::check_updates`).
+    pub fn keys(&self) -> impl Iterator<Item = (Sym, &Tuple)> + '_ {
+        self.deltas
+            .iter()
+            .flat_map(|(&rel, m)| m.keys().map(move |t| (rel, t)))
+    }
+
     /// Total number of distinct `(relation, tuple)` entries.
     pub fn len(&self) -> usize {
         self.deltas.values().map(|m| m.len()).sum()

@@ -32,7 +32,7 @@
 use crate::batch::DeltaBatch;
 use crate::cost::{self, Cardinalities};
 use crate::multiway::{MultiwayState, StoreHub};
-use ivm_core::{EngineError, Maintainer};
+use ivm_core::{check_updates, EngineError, Maintainer};
 use ivm_data::ops::Lift;
 use ivm_data::{Database, Relation, Schema, Sym, Tuple, Update};
 use ivm_obs::{Counter, Histogram, LabelId, MetricsRegistry, Tracer};
@@ -139,28 +139,6 @@ impl DataflowStats {
     }
 }
 
-/// Reject an update to a relation `query` does not read
-/// ([`EngineError::UnknownRelation`]) or reads only in static atoms
-/// ([`EngineError::StaticRelation`], Sec. 4.5); a relation that is dynamic
-/// in any atom stays updatable. The dataflow engine and the sharded fleet
-/// both validate each batch here, once, before anything propagates, so
-/// rejection is atomic.
-pub fn check_updatable(
-    query: &Query,
-    relations: impl IntoIterator<Item = Sym>,
-) -> Result<(), EngineError> {
-    for rel in relations {
-        if !query.atoms.iter().any(|a| a.name == rel && a.dynamic) {
-            return Err(if query.atoms.iter().any(|a| a.name == rel) {
-                EngineError::StaticRelation(rel)
-            } else {
-                EngineError::UnknownRelation(rel)
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Registry handles, present while a registry is attached. The counters
 /// mirror [`DataflowStats`], pushed as increments at each batch boundary;
 /// the join's apply time and span are recorded inline.
@@ -211,7 +189,7 @@ impl EngineObs {
 /// demands q-hierarchical queries, this engine accepts anything
 /// `ivm_query::Query` can express and trades the constant-time guarantees
 /// for O(|δQ|)-style per-batch work. Updates to static atoms (Sec. 4.5)
-/// are rejected at [`apply`](Maintainer::apply) time.
+/// are refused by the ingestion rule, as every engine refuses them.
 pub struct DataflowEngine<R> {
     query: Query,
     lift: Lift<R>,
@@ -353,10 +331,11 @@ impl<R: Semiring> DataflowEngine<R> {
     /// Apply an already consolidated batch without re-consolidating — the
     /// sharded runtime routes consolidated sub-batches, so flattening them
     /// back to updates just to re-hash every entry would be pure waste.
-    /// Same validation as [`Maintainer::apply_batch`]; the consolidated
-    /// entries count as the updates received at this boundary.
+    /// The entries pass the same ingestion rule as
+    /// [`Maintainer::apply_batch`]'s updates and count as the updates
+    /// received at this boundary.
     pub fn apply_delta_batch(&mut self, batch: &DeltaBatch<R>) -> Result<Relation<R>, EngineError> {
-        check_updatable(&self.query, batch.relations())?;
+        check_updates(&self.query.atoms, batch.keys())?;
         self.stats.updates_in += batch.len() as u64;
         Ok(self.propagate(batch))
     }
@@ -451,19 +430,16 @@ impl<R: Semiring> Maintainer<R> for DataflowEngine<R> {
         &self.query
     }
 
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        self.apply_batch(std::slice::from_ref(upd)).map(|_| ())
-    }
-
     /// One consolidated delta propagation through the multiway join; the
     /// returned relation is the batch's exact output delta. Same final
     /// state as applying each update individually (ring
     /// order-independence), at a fraction of the work when the batch has
-    /// locality. The whole batch is validated before anything propagates,
-    /// so rejection is atomic. This *is* the engine's native ingestion
-    /// path — the trait method, not a shadowing inherent duplicate.
+    /// locality.
     fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        check_updatable(&self.query, batch.iter().map(|u| u.relation))?;
+        check_updates(
+            &self.query.atoms,
+            batch.iter().map(|u| (u.relation, &u.tuple)),
+        )?;
         self.stats.updates_in += batch.len() as u64;
         Ok(self.propagate(&DeltaBatch::from_updates(batch)))
     }

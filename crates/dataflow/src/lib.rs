@@ -77,5 +77,5 @@ pub use adapt::{
 };
 pub use batch::DeltaBatch;
 pub use cost::Cardinalities;
-pub use engine::{check_updatable, DataflowEngine, DataflowStats};
+pub use engine::{DataflowEngine, DataflowStats};
 pub use multiway::StoreHub;

@@ -2,7 +2,7 @@
 //! tuples and semiring payloads, behind the common [`Maintainer`] trait.
 
 use crate::triangle::{HeavyLight, HlStats};
-use ivm_core::{EngineError, Maintainer};
+use ivm_core::{check_updates, EngineError, Maintainer};
 use ivm_data::ops::Lift;
 use ivm_data::{consolidate, Database, Dict, FxHashMap, Id, Relation, Sym, Tuple, Update};
 use ivm_obs::{Counter, Gauge, MetricsRegistry};
@@ -75,8 +75,8 @@ struct HlObs {
 /// on the adjacency, the partition and the views hold only ids. Every
 /// present pair and every view entry holds one reference to each of its
 /// two ids, and the dictionary frees the ids no one holds at the end of
-/// each [`Maintainer::apply`], [`Maintainer::apply_batch`] and the
-/// preload, so ever-fresh values do not grow it.
+/// each [`Maintainer::apply_batch`] and the preload, so ever-fresh values
+/// do not grow it.
 ///
 /// Construction refuses payload types whose [`Semiring::try_neg`] is
 /// `None`: migrating a key across the partition boundary transfers its
@@ -350,24 +350,7 @@ impl<R: Semiring> HeavyLightEngine<R> {
         self.rels.iter().position(|&r| r == rel)
     }
 
-    /// Shared validation: the update must target one of the three
-    /// rotation relations with a binary tuple.
-    fn validate(&self, upd: &Update<R>) -> Result<usize, EngineError> {
-        let i = self
-            .rot(upd.relation)
-            .ok_or(EngineError::UnknownRelation(upd.relation))?;
-        if upd.tuple.arity() != 2 {
-            return Err(EngineError::NotSupported(format!(
-                "heavy-light relations are binary; got an arity-{} tuple \
-                 for {}",
-                upd.tuple.arity(),
-                upd.relation
-            )));
-        }
-        Ok(i)
-    }
-
-    /// Lift, encode and apply one validated `δrel[i](t) ↦ payload`;
+    /// Lift, encode and apply one checked `δrel[i](t) ↦ payload`;
     /// returns its contribution to the count. The caller sweeps the
     /// dictionary.
     fn ingest(&mut self, i: usize, t: &Tuple, payload: &R) -> R {
@@ -382,25 +365,16 @@ impl<R: Semiring> Maintainer<R> for HeavyLightEngine<R> {
         &self.query
     }
 
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        let i = self.validate(upd)?;
-        self.ingest(i, &upd.tuple, &upd.payload);
-        self.dict.sweep();
-        self.publish();
-        Ok(())
-    }
-
-    /// Native batch path: consolidate, apply, and return the exact
-    /// output delta (the count's change) this batch propagated. The
-    /// whole batch is validated up front, so rejection is atomic —
-    /// matching the dataflow engines' failure granularity.
+    /// Native batch path: check, consolidate, apply, and return the
+    /// exact output delta (the count's change) this batch propagated.
     fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        for upd in batch {
-            self.validate(upd)?;
-        }
+        check_updates(
+            &self.query.atoms,
+            batch.iter().map(|u| (u.relation, &u.tuple)),
+        )?;
         let mut delta = R::zero();
         for upd in consolidate(batch) {
-            let i = self.rot(upd.relation).expect("validated above");
+            let i = self.rot(upd.relation).expect("checked above");
             delta.add_assign(&self.ingest(i, &upd.tuple, &upd.payload));
         }
         self.dict.sweep();

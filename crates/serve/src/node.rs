@@ -2,14 +2,14 @@
 //! delivery taps.
 
 use crate::canon::canonical_key;
-use ivm_core::{EngineError, Maintainer};
+use ivm_core::{check_updates, EngineError, Maintainer};
 use ivm_data::{Database, FxHashMap, FxHashSet, Relation, Sym, Update};
 use ivm_dataflow::{DeltaBatch, StoreHub};
 use ivm_obs::{
     Counter, FlightRecorder, Gauge, Histogram, LabelId, MetricsRegistry, MetricsServer, Namespace,
     Tracer,
 };
-use ivm_query::Query;
+use ivm_query::{Atom, Query};
 use ivm_ring::Semiring;
 use ivm_session::Session;
 use std::collections::BTreeMap;
@@ -198,6 +198,10 @@ pub struct ServeNode<R: Semiring> {
     /// The single authoritative base state; relations are created on
     /// first mention by a subscriber's query and persist thereafter.
     base: Database<R>,
+    /// The atoms the queries of every group ever built declared, one per
+    /// relation and dynamic flag: what the ingestion rule checks a batch
+    /// against. Like the base, it outlives the groups.
+    declared: Vec<Atom>,
     /// Shared multiway trie stores across member engines.
     hub: StoreHub<R>,
     /// Deduped engines, iterated in creation order (delivery order).
@@ -220,6 +224,7 @@ impl<R: Semiring> ServeNode<R> {
     pub fn new() -> Self {
         ServeNode {
             base: Database::new(),
+            declared: Vec::new(),
             hub: StoreHub::new(),
             groups: BTreeMap::new(),
             key_map: FxHashMap::default(),
@@ -389,6 +394,10 @@ impl<R: Semiring> ServeNode<R> {
             if self.base.get(atom.name).is_none() {
                 self.base.create(atom.name, atom.schema.clone());
             }
+            let same = |a: &Atom| a.name == atom.name && a.dynamic == atom.dynamic;
+            if !self.declared.iter().any(same) {
+                self.declared.push(atom.clone());
+            }
         }
         if let Some(o) = &self.obs {
             o.store_dedup_hits.add(session.shared_store_hits() as u64);
@@ -446,25 +455,13 @@ impl<R: Semiring> ServeNode<R> {
     /// batch is routed to the groups in one pass, each group's delta is
     /// built once, and every tap gets a handle to it.
     ///
-    /// Rejection is atomic: every update must target a relation some
-    /// subscriber's query has declared, with a tuple of that relation's
-    /// arity, or the whole batch is refused before anything advances —
-    /// [`EngineError::UnknownRelation`] for the former,
-    /// [`EngineError::NotSupported`] naming the mismatch for the latter.
+    /// Rejection is atomic: the batch must pass the ingestion rule
+    /// ([`check_updates`]) over the atoms subscribers' queries have
+    /// declared — a retired group's relations stay declared, as they stay
+    /// in the base — or the whole batch is refused before anything
+    /// advances.
     pub fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
-        for u in batch {
-            let Some(rel) = self.base.get(u.relation) else {
-                return Err(EngineError::UnknownRelation(u.relation));
-            };
-            let (got, declared) = (u.tuple.arity(), rel.schema().arity());
-            if got != declared {
-                return Err(EngineError::NotSupported(format!(
-                    "update to {} carries a tuple of arity {got}, but the relation \
-                     is declared with arity {declared}",
-                    u.relation
-                )));
-            }
-        }
+        check_updates(&self.declared, batch.iter().map(|u| (u.relation, &u.tuple)))?;
         let t0 = self.obs.as_ref().map(|_| Instant::now());
         // The epoch's root span: every stage below — group propagation,
         // per-subscriber notify, the hub advance — attaches under it, so

@@ -148,8 +148,9 @@ pub struct Explain {
     /// session built fresh.
     pub recovered: Option<String>,
     /// Live heavy-light partition state (\u{3b5}, threshold \u{3b8}, heavy keys
-    /// per relation, view entries), refreshed on every ingest while the
-    /// heavy-light engine is the backend. `None` otherwise.
+    /// per relation, view entries), read from the engine when
+    /// [`crate::Session::explain`] is called while the heavy-light engine
+    /// is the backend. `None` otherwise.
     pub heavy_light: Option<String>,
 }
 

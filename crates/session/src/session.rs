@@ -4,7 +4,7 @@ use crate::classify::classify;
 use crate::explain::{cost_profile, Explain, ReplanEvent};
 use crate::select::{select, EngineKind, Selection};
 use ivm_core::cqap::CqapEngine;
-use ivm_core::{EagerFactEngine, EngineError, Maintainer};
+use ivm_core::{check_updates, EagerFactEngine, EngineError, Maintainer};
 use ivm_data::ops::{lift_one, Lift};
 use ivm_data::{Database, FxHashSet, Persist, Relation, Sym, Tuple, Update};
 use ivm_dataflow::{
@@ -411,10 +411,14 @@ impl<R: Semiring> SessionBuilder<R> {
                             policy,
                             query: self.query.clone(),
                             lift: self.lift,
-                            // Cross-family re-selection needs both the
-                            // query shape (a triangle-class cycle) and a
-                            // payload the heavy-light views can subtract.
-                            hl_eligible: cls.hl_eligible && R::one().try_neg().is_some(),
+                            // Cross-family re-selection needs the query
+                            // shape (a triangle-class cycle), a payload
+                            // the heavy-light views can subtract, and a
+                            // single engine to swap (a fleet's workers
+                            // own theirs).
+                            hl_eligible: cls.hl_eligible
+                                && R::one().try_neg().is_some()
+                                && backend.kind() != EngineKind::Sharded,
                             batch_index: 0,
                             batches_since_replan: 0,
                             window_started: built_at,
@@ -485,7 +489,7 @@ impl<R: Semiring> SessionBuilder<R> {
             recovered: None,
             heavy_light: None,
         };
-        let mut session = Session {
+        Ok(Session {
             backend,
             explain,
             base,
@@ -494,9 +498,7 @@ impl<R: Semiring> SessionBuilder<R> {
             metrics_server,
             shared_store_hits,
             durable,
-        };
-        session.refresh_hl_note();
-        Ok(session)
+        })
     }
 
     fn build_backend(
@@ -735,9 +737,9 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
         }
         // Replay the tail through the ordinary maintenance path, minus
         // the journaling — recovery is just another update stream. A
-        // batch the backend rejected pre-kill fails identically on replay
-        // (validation is deterministic) and is skipped, exactly as the
-        // live path did.
+        // journal written before every refusal happened ahead of it can
+        // hold a batch the ingestion rule refuses; the backend refuses it
+        // again here, and it is skipped.
         let replayed_epochs = tail.len() as u64;
         let mut replayed_updates = 0u64;
         for (_, batch) in &tail {
@@ -830,10 +832,11 @@ struct AdaptiveState<R: Semiring> {
     /// The builder's payload lifting, kept so a cross-family replan can
     /// rebuild the new backend from the base mid-stream.
     lift: Lift<R>,
-    /// Whether the query (a triangle-class cycle) *and* the payload (a
-    /// ring — the heavy-light views subtract) admit the heavy-light
-    /// family; gates [`ReplanPolicy::decide_family`] entirely, and the
-    /// base's degree counting with it.
+    /// Whether a family shift can run: the query (a triangle-class
+    /// cycle) *and* the payload (a ring — the heavy-light views subtract)
+    /// admit the heavy-light family, and the backend is a single engine.
+    /// Gates [`ReplanPolicy::decide_family`] entirely, and the base's
+    /// degree counting with it.
     hl_eligible: bool,
     /// Accepted ingestion calls since the session was built — single
     /// updates count as one-update batches (the index recorded in replan
@@ -859,9 +862,8 @@ struct AdaptiveState<R: Semiring> {
 /// session's [`SessionBase`].
 struct DurableState<R: Semiring> {
     store: Store,
-    /// The last journaled epoch — one per ingestion call that reached the
-    /// journal (see [`Session::journal_ingest`] for which rejected batches
-    /// still do).
+    /// The last journaled epoch — one per ingestion call that passed the
+    /// ingestion rule and reached the journal.
     epoch: u64,
     append: JournalAppend<R>,
     /// `(journal-bytes threshold, monomorphized snapshot hook)` — when
@@ -1008,9 +1010,13 @@ impl<R: Semiring> Session<R> {
         SessionBuilder::new(query)
     }
 
-    /// The selection report: class, engine, reason, predicted costs.
-    pub fn explain(&self) -> &Explain {
-        &self.explain
+    /// The selection report: class, engine, reason, predicted costs, and
+    /// for a heavy-light backend the live partition, read now.
+    pub fn explain(&self) -> Explain {
+        Explain {
+            heavy_light: hl_note(&self.backend),
+            ..self.explain.clone()
+        }
     }
 
     /// The engine kind actually running.
@@ -1179,23 +1185,25 @@ impl<R: Semiring> Session<R> {
         }
     }
 
-    /// The one ingestion body behind [`Maintainer::apply`],
-    /// [`Maintainer::apply_batch`] and [`Session::enqueue_batch`], which
-    /// differ only in the backend call `run` makes. The journal's fsync
-    /// runs while the backend maintains the batch; whatever the backend
-    /// and the bookkeeping after it say, the call waits for the fsync
-    /// before returning, so nothing is acknowledged ahead of its journal.
+    /// The one ingestion body behind [`Maintainer::apply_batch`] and
+    /// [`Session::enqueue_batch`], which differ only in the backend call
+    /// `run` makes. The batch passes the ingestion rule before the
+    /// journal sees it, so a refused batch consumes no epoch. The
+    /// journal's fsync runs while the backend maintains the batch;
+    /// whatever the backend and the bookkeeping after it say, the call
+    /// waits for the fsync before returning, so nothing is acknowledged
+    /// ahead of its journal.
     fn ingest<T>(
         &mut self,
         batch: &[Update<R>],
         run: impl FnOnce(&mut Backend<R>) -> Result<T, EngineError>,
     ) -> Result<T, EngineError> {
         let started = self.obs_begin();
-        self.check_arity(batch)?;
+        let atoms = &self.backend.maintainer_ref().query().atoms;
+        check_updates(atoms, batch.iter().map(|u| (u.relation, &u.tuple)))?;
         self.journal_ingest(batch)?;
         let applied = run(&mut self.backend).and_then(|out| {
             self.after_ingest(batch)?;
-            self.refresh_hl_note();
             Ok(out)
         });
         self.journal_wait()?;
@@ -1205,39 +1213,13 @@ impl<R: Semiring> Session<R> {
         Ok(out)
     }
 
-    /// Refuse the whole batch — before the journal, so no epoch is
-    /// consumed — when a tuple does not have its relation's declared
-    /// arity. The generic engines check only that the relation is known
-    /// and dynamic and [`Relation::apply`] only `debug_assert`s arity, so
-    /// a release build would otherwise journal, store and join the tuple.
-    /// Unknown relations are left for the backend to name.
-    fn check_arity(&self, batch: &[Update<R>]) -> Result<(), EngineError> {
-        let atoms = &self.backend.maintainer_ref().query().atoms;
-        for u in batch {
-            let Some(atom) = atoms.iter().find(|a| a.name == u.relation) else {
-                continue;
-            };
-            let (got, declared) = (u.tuple.arity(), atom.schema.arity());
-            if got != declared {
-                return Err(EngineError::NotSupported(format!(
-                    "update to {} carries a tuple of arity {got}, but the relation \
-                     is declared with arity {declared}",
-                    u.relation
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Write-ahead journaling for one ingestion call: append the batch
     /// under a fresh epoch, write it, and start its fsync on the
     /// journal's committer thread; [`Session::journal_wait`] makes it
     /// durable before the delta is returned, so an acknowledged epoch can
-    /// never be lost to a crash. A batch [`Session::check_arity`] refuses
-    /// never gets here; one the backend then rejects anyway (unknown or
-    /// static relation) keeps its epoch — replay hits the same
-    /// deterministic rejection and skips it, so epoch numbering is
-    /// identical across lives. A no-op for in-memory sessions.
+    /// never be lost to a crash. A batch the ingestion rule refuses never
+    /// gets here, so it consumes no epoch. A no-op for in-memory
+    /// sessions.
     fn journal_ingest(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
@@ -1254,14 +1236,6 @@ impl<R: Semiring> Session<R> {
             Some(d) => d.store.finish_commit().map_err(store_error),
             None => Ok(()),
         }
-    }
-
-    /// Keep [`Explain::heavy_light`] describing the live partition — the
-    /// ε threshold and heavy/light part sizes move with the data, so the
-    /// note is refreshed after every ingestion call (and cleared when a
-    /// family shift leaves the heavy-light engine).
-    fn refresh_hl_note(&mut self) {
-        self.explain.heavy_light = hl_note(&self.backend);
     }
 
     /// Consolidate the journal when it has outgrown the
@@ -1408,7 +1382,6 @@ impl<R: Semiring> Session<R> {
         let kind = self.backend.kind();
         self.explain.engine = kind;
         self.explain.cost = cost_profile(kind);
-        self.refresh_hl_note();
         if let Some((from, trigger, reason, before_tps)) = event {
             if let Some(o) = &self.obs {
                 o.replans.inc();
@@ -1530,12 +1503,6 @@ impl<R: Semiring> Maintainer<R> for Session<R> {
         self.backend.maintainer_ref().query()
     }
 
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        self.ingest(std::slice::from_ref(upd), |backend| {
-            backend.maintainer().apply(upd)
-        })
-    }
-
     /// Delegates to the backend's native batch path — the session never
     /// re-implements ingestion, it only routes to the one trait surface
     /// (plus the journaling, base and policy bookkeeping around it).
@@ -1622,7 +1589,8 @@ mod tests {
             .build(&Database::new())
             .unwrap();
         assert_eq!(s.engine_kind(), EngineKind::DataflowMultiway);
-        let fb = s.explain().fallback.as_deref().unwrap();
+        let explain = s.explain();
+        let fb = explain.fallback.as_deref().unwrap();
         assert!(fb.contains("ring"), "{fb}");
     }
 
@@ -2192,8 +2160,8 @@ mod tests {
             }
         }
         assert_eq!(s.engine_kind(), EngineKind::HeavyLight, "{}", s.explain());
-        let shift = s
-            .explain()
+        let explain = s.explain();
+        let shift = explain
             .replans
             .iter()
             .find(|ev| ev.trigger == ReplanTrigger::FamilyShift)
@@ -2236,8 +2204,8 @@ mod tests {
             s.explain()
         );
         assert!(s.explain().heavy_light.is_none());
-        let shifts: Vec<_> = s
-            .explain()
+        let explain = s.explain();
+        let shifts: Vec<_> = explain
             .replans
             .iter()
             .filter(|ev| ev.trigger == ReplanTrigger::FamilyShift)
@@ -2255,6 +2223,38 @@ mod tests {
             oracle.output().get(&Tuple::empty())
         );
         assert_eq!(s.output().get(&Tuple::empty()), 0);
+    }
+
+    /// Per-key degrees feed only a family shift, which a fleet cannot
+    /// make: a 2-shard adaptive triangle session counts sizes but seeds
+    /// and keeps no degree counts, where a single-engine one does.
+    #[test]
+    fn an_adaptive_fleet_counts_no_degrees() {
+        let (q, rn, sn, tn) = tri3("afd_");
+        let batch = [
+            Update::<i64>::insert(rn, tup![0i64, 1i64]),
+            Update::insert(sn, tup![1i64, 2i64]),
+            Update::insert(tn, tup![2i64, 0i64]),
+        ];
+        let fleet = Session::<i64>::builder(q.clone()).shards(2);
+        let single = Session::<i64>::builder(q).engine(EngineKind::DataflowMultiway);
+        for (builder, tracked) in [(fleet, false), (single, true)] {
+            let mut s = builder
+                .adaptive(ReplanPolicy::default())
+                .build(&Database::new())
+                .unwrap();
+            s.apply_batch(&batch).unwrap();
+            let kind = s.engine_kind();
+            let learned = &s
+                .base
+                .as_ref()
+                .expect("an armed policy keeps a base")
+                .learned;
+            assert_eq!(learned.get(rn), 1, "{kind:?}");
+            for rel in [rn, sn, tn] {
+                assert_eq!(learned.degree_sketch(rel).is_some(), tracked, "{kind:?}");
+            }
+        }
     }
 
     /// Sharded fleets cannot swap families (workers own their engines):

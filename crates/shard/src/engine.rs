@@ -25,12 +25,10 @@ use crate::planner::{ShardPlan, ShardPlanner};
 use crate::router::Router;
 use crate::stats::ShardedStats;
 use crate::worker::{self, Job, Report, TraceCtx, WorkerHandle};
-use ivm_core::{EngineError, Maintainer};
+use ivm_core::{check_updates, EngineError, Maintainer};
 use ivm_data::ops::Lift;
 use ivm_data::{Database, FxHashMap, FxHashSet, Relation, Schema, Sym, Tuple, Update};
-use ivm_dataflow::{
-    check_updatable, cost, Cardinalities, DataflowEngine, DataflowStats, DeltaBatch,
-};
+use ivm_dataflow::{cost, Cardinalities, DataflowEngine, DataflowStats, DeltaBatch};
 use ivm_obs::{Counter, FlightRecorder, Gauge, Histogram, LabelId, MetricsRegistry, Tracer};
 use ivm_query::Query;
 use ivm_ring::Semiring;
@@ -60,11 +58,6 @@ struct ShardObs {
     /// Wall time since attach not spent busy — the shard's idle/skew
     /// indicator, refreshed at every settled report.
     idle_ns: Gauge,
-    /// Cumulative per-shard dataflow counters (stored from reports).
-    batches: Counter,
-    updates_in: Counter,
-    deltas_in: Counter,
-    output_delta_tuples: Counter,
 }
 
 /// Facade-side registry handles of the whole fleet.
@@ -83,8 +76,9 @@ struct FleetObs {
     routed: Counter,
     broadcast_copies: Counter,
     batches_enqueued: Counter,
-    /// Fleet-merged cumulative counters (always Σ of the per-shard
-    /// stored values, refreshed together at each settle).
+    /// Fleet-merged cumulative counters (Σ of the per-shard report
+    /// values, refreshed together at each settle). Each shard's own
+    /// series are its engine's mirrors, `shard{i}.dataflow.*`.
     updates_in: Counter,
     batches: Counter,
     deltas_in: Counter,
@@ -101,25 +95,15 @@ struct FleetObs {
 }
 
 impl FleetObs {
-    /// Store one shard's cumulative report values and refresh the
+    /// Refresh one shard's queue and busy series from its report, and the
     /// fleet-merged series from the facade's per-shard snapshots.
-    fn on_report(
-        &self,
-        shard: usize,
-        stats: &DataflowStats,
-        busy: Duration,
-        merged: &DataflowStats,
-    ) {
+    fn on_report(&self, shard: usize, busy: Duration, merged: &DataflowStats) {
         let s = &self.per_shard[shard];
         s.queue_depth.dec();
         s.busy_ns.store(busy.as_nanos() as u64);
         let spent = busy.saturating_sub(self.busy_base[shard]);
         s.idle_ns
             .set(self.attached.elapsed().saturating_sub(spent).as_nanos() as i64);
-        s.batches.store(stats.batches);
-        s.updates_in.store(stats.updates_in);
-        s.deltas_in.store(stats.deltas_in);
-        s.output_delta_tuples.store(stats.output_delta_tuples);
         self.batches.store(merged.batches);
         self.updates_in.store(merged.updates_in);
         self.deltas_in.store(merged.deltas_in);
@@ -231,17 +215,19 @@ impl<R: Semiring> ShardedEngine<R> {
     /// Attach a metrics registry to the whole fleet under `{prefix}.*`:
     ///
     /// * facade side — per-shard `shard{i}.queue_depth` /
-    ///   `shard{i}.busy_ns` / `shard{i}.idle_ns` and counter mirrors,
-    ///   fleet-merged counters, the `settle_ns` enqueue-to-settle
+    ///   `shard{i}.busy_ns` / `shard{i}.idle_ns`, the fleet-merged
+    ///   counters, the `settle_ns` enqueue-to-settle
     ///   latency histogram, and `router.*` consolidation/partition
     ///   timings;
     /// * worker side — each shard's dataflow attaches under
     ///   `{prefix}.shard{i}.dataflow.*` (the join's apply time and the
-    ///   engine's counter mirrors), via a broadcast `Job::Observe` that
-    ///   FIFO ordering lands between batches.
+    ///   engine's counter mirrors, counting from the attach), via a
+    ///   broadcast `Job::Observe` that FIFO ordering lands between
+    ///   batches.
     ///
-    /// Counter mirrors are *stored* cumulative values (report-driven),
-    /// so they survive replans the same way [`Self::stats`] does.
+    /// The fleet-merged counters are *stored* cumulative values
+    /// (report-driven), so they survive replans the same way
+    /// [`Self::stats`] does.
     pub fn observe(&mut self, registry: &MetricsRegistry, prefix: &str) -> Result<(), EngineError> {
         self.check_poisoned()?;
         let per_shard = (0..self.workers.len())
@@ -251,20 +237,10 @@ impl<R: Semiring> ShardedEngine<R> {
                     queue_depth: registry.gauge(&format!("{base}.queue_depth")),
                     busy_ns: registry.counter(&format!("{base}.busy_ns")),
                     idle_ns: registry.gauge(&format!("{base}.idle_ns")),
-                    batches: registry.counter(&format!("{base}.batches")),
-                    updates_in: registry.counter(&format!("{base}.updates_in")),
-                    deltas_in: registry.counter(&format!("{base}.deltas_in")),
-                    output_delta_tuples: registry.counter(&format!("{base}.output_delta_tuples")),
                 };
-                // Seed from the facade's current snapshots so the series
-                // start truthful (preprocessing included) even before the
-                // first report arrives.
+                // Seed from the facade's current snapshot so the series
+                // starts truthful even before the first report arrives.
                 s.busy_ns.store(self.shard_busy[i].as_nanos() as u64);
-                s.batches.store(self.shard_stats[i].batches);
-                s.updates_in.store(self.shard_stats[i].updates_in);
-                s.deltas_in.store(self.shard_stats[i].deltas_in);
-                s.output_delta_tuples
-                    .store(self.shard_stats[i].output_delta_tuples);
                 s
             })
             .collect();
@@ -400,8 +376,12 @@ impl<R: Semiring> ShardedEngine<R> {
     /// synchronous [`Self::apply_batch`]).
     pub fn enqueue_batch(&mut self, batch: &[Update<R>]) -> Result<u64, EngineError> {
         self.check_poisoned()?;
-        // Rejected centrally, before anything is routed.
-        check_updatable(&self.query, batch.iter().map(|u| u.relation))?;
+        // Refused here, before anything is routed; the workers apply
+        // what this check accepted.
+        check_updates(
+            &self.query.atoms,
+            batch.iter().map(|u| (u.relation, &u.tuple)),
+        )?;
         // Absorb any reports that already arrived, keeping `in_flight`
         // small during long enqueue-only streaks. (Before the new seq is
         // allocated, so this cannot complete the batch being enqueued.)
@@ -580,7 +560,7 @@ impl<R: Semiring> ShardedEngine<R> {
                 .shard_stats
                 .iter()
                 .fold(DataflowStats::default(), |acc, s| acc.merged(s));
-            obs.on_report(report.shard, &report.stats, report.busy, &merged);
+            obs.on_report(report.shard, report.busy, &merged);
         }
         let delta = match report.delta {
             Ok(d) => d,
@@ -626,10 +606,6 @@ impl<R: Semiring> ShardedEngine<R> {
 impl<R: Semiring> Maintainer<R> for ShardedEngine<R> {
     fn query(&self) -> &Query {
         &self.query
-    }
-
-    fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        self.apply_batch(std::slice::from_ref(upd)).map(|_| ())
     }
 
     /// Apply a batch synchronously: enqueue, wait for all shard deltas of
@@ -960,7 +936,7 @@ mod tests {
         let merged = st.merged();
         assert_eq!(snap.counter("t.fleet.updates_in"), merged.updates_in);
         let per_shard_sum: u64 = (0..4)
-            .map(|i| snap.counter(&format!("t.fleet.shard{i}.updates_in")))
+            .map(|i| snap.counter(&format!("t.fleet.shard{i}.dataflow.updates_in")))
             .sum();
         assert_eq!(per_shard_sum, merged.updates_in);
         for i in 0..4 {

@@ -372,7 +372,8 @@ fn malformed_tuple_refuses_the_whole_batch_and_touches_nothing() {
         ];
         let err = node.apply_batch(&batch).unwrap_err();
         assert!(
-            matches!(&err, ivm_core::EngineError::NotSupported(m) if m.contains("arity")),
+            matches!(&err, ivm_core::EngineError::ArityMismatch { relation, declared: 2, .. }
+                if *relation == r4),
             "{err}"
         );
         assert_eq!(node.epoch(), 1, "a refused batch is not an epoch");

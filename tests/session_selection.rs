@@ -288,11 +288,10 @@ fn one_apply_batch_surface_across_all_engines() {
 }
 
 /// A bare `Session` refuses an arity-mismatched tuple — in release builds
-/// too, where `Relation::apply`'s `debug_assert` is compiled out and the
-/// generic engines only check that the relation is known. The refusal is
-/// atomic and happens before the journal: same error as `ServeNode`, no
-/// epoch consumed, nothing journaled, base and view untouched — on all
-/// three ingestion entry points.
+/// too, where `Relation::apply`'s `debug_assert` is compiled out. The
+/// refusal is atomic and happens before the journal: same error as
+/// `ServeNode`, no epoch consumed, nothing journaled, base and view
+/// untouched — on all three ingestion entry points.
 #[test]
 fn arity_mismatch_is_refused_before_the_journal_on_every_generic_backend() {
     let q = common::triangle3("sam_");
@@ -332,7 +331,10 @@ fn arity_mismatch_is_refused_before_the_journal_on_every_generic_backend() {
         for r in refused {
             let err = r.expect_err("a malformed tuple must be refused");
             assert!(
-                matches!(&err, ivm_core::EngineError::NotSupported(m) if m.contains("arity")),
+                matches!(
+                    &err,
+                    ivm_core::EngineError::ArityMismatch { declared: 2, .. }
+                ),
                 "{kind:?}: {err}"
             );
         }

@@ -741,7 +741,8 @@ fn auto_snapshot_bounds_the_journal_and_recovery_replays_nothing() {
     let m = registry.snapshot();
     assert_eq!(m.counter("ivm.store.replayed_epochs"), 0);
     assert_eq!(second.journal_epoch(), Some(5));
-    let note = second.explain().recovered.as_deref().unwrap();
+    let explain = second.explain();
+    let note = explain.recovered.as_deref().unwrap();
     assert!(note.contains("snapshot epoch 5"), "{note}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -812,13 +813,16 @@ fn every_acknowledged_batch_is_durable_when_the_call_returns() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A batch the *backend* rejects (an unknown relation) still consumes its
-/// journaled epoch; replaying it is idempotent — recovery skips it exactly
-/// as the live session did, in every life.
+/// A batch the ingestion rule refuses (here an unknown relation) consumes
+/// no epoch: it is refused before the journal. A journal written before
+/// every kind of refusal happened there can still hold one — appended
+/// here by hand — and recovery skips it, in every life, exactly as the
+/// live path refused it.
 #[test]
-fn a_backend_rejected_batch_keeps_its_epoch_and_replays_idempotently() {
+fn a_refused_batch_consumes_no_epoch_and_a_journaled_one_is_skipped_on_replay() {
     let q = triangle("srrej_");
-    let e = sym("srrej_E");
+    let (e, nope) = (sym("srrej_E"), sym("srrej_Nope"));
+    let refused = [Update::<i64>::insert(nope, tup![1i64, 2i64])];
     let empty = mirror_db(&q);
     let dir = scratch("rejected");
     let mut live = Session::<i64>::builder(q.clone())
@@ -831,22 +835,35 @@ fn a_backend_rejected_batch_keeps_its_epoch_and_replays_idempotently() {
             .collect()
     };
     live.apply_batch(&ring(3)).unwrap();
-    assert!(live
-        .apply_batch(&[Update::insert(sym("srrej_Nope"), tup![1i64, 2i64])])
-        .is_err());
     assert_eq!(
-        live.journal_epoch(),
-        Some(2),
-        "the rejected batch kept epoch 2"
+        live.apply_batch(&refused).unwrap_err(),
+        ivm_core::EngineError::UnknownRelation(nope)
     );
+    assert_eq!(live.journal_epoch(), Some(1), "no epoch consumed");
     live.apply_batch(&ring(4)).unwrap();
-    live.apply_batch(&[Update::delete(e, tup![0i64, 1i64])])
-        .unwrap();
-    let (view, epoch) = (live.output(), live.journal_epoch());
-    assert_eq!(epoch, Some(4));
     drop(live);
 
-    for life in 2..=3 {
+    // Epoch 3: a refused batch, as an older journal could hold one.
+    let mut store = ivm_store::Store::recover::<i64>(&dir).unwrap().store;
+    store.append(3, &refused).unwrap();
+    store.commit().unwrap();
+    drop(store);
+    let mut back = Session::<i64>::builder(q.clone())
+        .recover(&dir, &empty)
+        .unwrap();
+    assert_eq!(back.journal_epoch(), Some(3));
+    back.apply_batch(&[Update::delete(e, tup![0i64, 1i64])])
+        .unwrap();
+    let (view, epoch) = (back.output(), back.journal_epoch());
+    assert_eq!(epoch, Some(4));
+    let mut mirror = empty.clone();
+    mirror.apply_batch(&ring(3));
+    mirror.apply_batch(&ring(4));
+    mirror.apply_batch(&[Update::delete(e, tup![0i64, 1i64])]);
+    outputs_match(&view, &oracle_db(&q, &mirror), "after the skipped epoch").unwrap();
+    drop(back);
+
+    for life in 3..=4 {
         let mut recovered = Session::<i64>::builder(q.clone())
             .recover(&dir, &empty)
             .unwrap();
