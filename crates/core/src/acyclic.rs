@@ -10,7 +10,7 @@
 //! non-q-hierarchical acyclic queries, so this engine rejects deletes.
 
 use crate::bindings::Bindings;
-use crate::engine::check_updates;
+use crate::checked::CheckedBatch;
 use crate::error::EngineError;
 use ivm_data::{FxHashSet, GroupedIndex, Relation, Tuple, Update};
 use ivm_query::Query;
@@ -290,9 +290,9 @@ impl<R: Semiring> InsertOnlyEngine<R> {
     }
 
     /// Apply an insert (deletes are rejected: Sec. 4.6's asymmetry) that
-    /// passes the ingestion rule ([`check_updates`]).
+    /// passes the ingestion rule ([`CheckedBatch::new`]).
     pub fn insert(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        check_updates(&self.query.atoms, [(upd.relation, &upd.tuple)])?;
+        CheckedBatch::new(&self.query.atoms, std::slice::from_ref(upd))?;
         let i = self.query.atoms.iter().position(|a| a.name == upd.relation);
         self.relations[i.expect("a checked update names an atom")]
             .apply(upd.tuple.clone(), &upd.payload);

@@ -14,11 +14,12 @@
 //! a constant number.
 
 use crate::bindings::Bindings;
-use crate::engine::{check_batch, consolidated, Maintainer};
+use crate::checked::CheckedBatch;
+use crate::engine::Maintainer;
 use crate::error::EngineError;
 use crate::viewtree::ViewTree;
 use ivm_data::ops::Lift;
-use ivm_data::{sym, FxHashMap, Relation, Schema, Sym, Tuple, Update};
+use ivm_data::{sym, FxHashMap, Relation, Schema, Sym, Tuple};
 use ivm_query::cqap::{fracture, is_tractable_cqap, Fracture};
 use ivm_query::{Atom, Query};
 use ivm_ring::Semiring;
@@ -335,24 +336,19 @@ impl<R: Semiring> Maintainer<R> for CqapEngine<R> {
 
     /// Each update of a base relation fans out to every atom occurrence
     /// (a constant number), each in O(1).
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        check_batch(&self.query, batch)?;
-        for upd in consolidated(batch).iter() {
-            for route in &self.routes[&upd.relation] {
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
+        for (rel, tuple, payload) in batch.entries() {
+            for route in &self.routes[&rel] {
                 // Repeated-variable occurrences only match diagonal tuples.
                 if route
                     .eq_checks
                     .iter()
-                    .any(|&(i, j)| upd.tuple.at(i) != upd.tuple.at(j))
+                    .any(|&(i, j)| tuple.at(i) != tuple.at(j))
                 {
                     continue;
                 }
-                let t = upd.tuple.project(&route.keep);
-                self.components[route.component].apply_checked(&Update::with_payload(
-                    route.leaf_name,
-                    t,
-                    upd.payload.clone(),
-                ));
+                let t = tuple.project(&route.keep);
+                self.components[route.component].apply_checked((route.leaf_name, &t, payload));
             }
         }
         Ok(Relation::new(self.query.free.clone()))
@@ -375,7 +371,7 @@ impl<R: ivm_ring::Semiring> std::fmt::Debug for CqapEngine<R> {
 mod tests {
     use super::*;
     use ivm_data::ops::lift_one;
-    use ivm_data::tup;
+    use ivm_data::{tup, Update};
 
     /// Ex 4.6: triangle detection — given (a,b,c), is there a triangle?
     #[test]

@@ -1,12 +1,11 @@
 //! The common maintenance interface (Fig 1 of the paper): preprocess,
-//! update, enumerate — and the one rule every batch must pass to be
-//! accepted.
+//! update, enumerate.
 
+use crate::checked::CheckedBatch;
 use crate::error::EngineError;
-use ivm_data::{consolidate, Relation, Sym, Tuple, Update};
-use ivm_query::{Atom, Query};
+use ivm_data::{Relation, Tuple, Update};
+use ivm_query::Query;
 use ivm_ring::Semiring;
-use std::borrow::Cow;
 
 /// A maintenance engine for one query.
 ///
@@ -15,25 +14,29 @@ use std::borrow::Cow;
 /// [`Maintainer::for_each_output`] exposes enumeration (the callback is
 /// invoked once per output tuple; delay is the gap between invocations).
 ///
-/// The trait is **batch-first**: [`Maintainer::apply_batch`] is the one
-/// ingestion method an engine implements — specialized view-tree
-/// engines, the generic dataflow engine, the sharded fleet and the
-/// session all accept the same `&[Update<R>]` slice, so callers never
-/// branch on the engine kind. [`Maintainer::apply`] is provided: a
-/// one-update batch.
+/// The trait is **batch-first**, and a batch is checked once.
+/// [`Maintainer::apply_checked`] is the one ingestion method an engine
+/// implements: it takes a [`CheckedBatch`], the ingestion rule's only
+/// output. [`Maintainer::apply_batch`] is provided — it checks the raw
+/// batch against [`Maintainer::query`]'s atoms, then calls it — and so is
+/// [`Maintainer::apply`], a one-update batch. Every engine, the sharded
+/// fleet and the session accept the same `&[Update<R>]` slice.
 ///
-/// **The ingestion rule.** Every `apply_batch` first passes its batch to
-/// [`check_updates`], once, before it touches any state: each update
-/// must name a relation of the query, dynamic in at least one of its
-/// atoms (an update to a static relation is refused, Sec. 4.5), with a
-/// tuple of that atom's arity. A batch that breaks the rule anywhere is
-/// refused whole — [`EngineError::UnknownRelation`],
-/// [`EngineError::StaticRelation`] or [`EngineError::ArityMismatch`] —
-/// and the engine serves the next batch as if the refused one had never
-/// arrived. The same function guards `ShardedEngine::enqueue_batch`
-/// (before anything is routed), `Session`'s ingestion (before the
-/// journal) and `ServeNode::apply_batch` (over the atoms its
-/// subscriptions have declared).
+/// **The ingestion rule** ([`CheckedBatch::new`]): each update must name a
+/// relation of the query, dynamic in at least one of its atoms (Sec. 4.5),
+/// with a tuple of that atom's arity. A batch that breaks the rule
+/// anywhere is refused whole — [`EngineError::UnknownRelation`],
+/// [`EngineError::StaticRelation`] or [`EngineError::ArityMismatch`] — and
+/// the engine serves the next batch as if the refused one never arrived.
+///
+/// **Where the rule and the consolidation run**: once per batch, at the
+/// door. `Session` (before the journal, which appends the caller's batch
+/// as it came), `ShardedEngine::enqueue_batch` and `ServeNode::apply_batch`
+/// (over the atoms its subscriptions declared) each build one token; the
+/// provided `apply_batch` does for a direct caller. The first layer that
+/// asks for the entries — the fleet's router, or the engine — consolidates
+/// them, once: the fleet's workers take checked parts, a serve group the
+/// token restricted to its dynamic relations, and nothing re-checks.
 ///
 /// `for_each_output` takes `&mut self` because lazy engines refresh their
 /// state on an enumeration request.
@@ -46,11 +49,20 @@ pub trait Maintainer<R: Semiring> {
         self.apply_batch(std::slice::from_ref(upd)).map(|_| ())
     }
 
-    /// Check the batch against the ingestion rule (see the trait docs),
-    /// apply it, and return the **output delta this call propagated**.
+    /// Check the batch against the ingestion rule over this engine's
+    /// atoms, then [`Maintainer::apply_checked`] it.
+    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
+        let checked = CheckedBatch::new(&self.query().atoms, batch)?;
+        self.apply_checked(&checked)
+    }
+
+    /// Apply a checked batch and return the **output delta this call
+    /// propagated**. The batch must have been checked against atoms that
+    /// agree with this engine's query on every relation it names (see
+    /// [`CheckedBatch`]); nothing here checks it again.
     ///
-    /// The batch is consolidated per `(relation, tuple)` — sound because
-    /// ring payloads make batch effects order-independent (Sec. 2) — so
+    /// The engine applies the batch's consolidated entries
+    /// ([`CheckedBatch::entries`] or [`CheckedBatch::delta`]), so
     /// mutually cancelling updates cost nothing. The final state always
     /// equals applying the updates one at a time.
     ///
@@ -66,9 +78,9 @@ pub trait Maintainer<R: Semiring> {
     ///
     /// `ShardedEngine` poisons itself when a shard fails: the fleet's
     /// partitioned state is no longer trustworthy, so every subsequent
-    /// `apply_batch`/`drain` fails fast with the original error rather
-    /// than hanging on worker reports that will never arrive.
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError>;
+    /// call and `drain` fails fast with the original error rather than
+    /// hanging on worker reports that will never arrive.
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError>;
 
     /// Enumerate the current output, one `(tuple, payload)` per call.
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R));
@@ -81,57 +93,5 @@ pub trait Maintainer<R: Semiring> {
             out.apply(t.clone(), r);
         });
         out
-    }
-}
-
-/// The ingestion rule, over `(relation, tuple)` pairs so that it checks a
-/// raw `&[Update]` and a consolidated `DeltaBatch` alike: every pair must
-/// name a relation some atom of `atoms` reads
-/// ([`EngineError::UnknownRelation`]), dynamic in at least one of those
-/// atoms ([`EngineError::StaticRelation`], Sec. 4.5), with a tuple of that
-/// atom's arity ([`EngineError::ArityMismatch`]). The first pair that
-/// breaks it is reported. Scans the atoms per pair and allocates nothing.
-pub fn check_updates<'q, 'u>(
-    atoms: impl IntoIterator<Item = &'q Atom> + Clone,
-    updates: impl IntoIterator<Item = (Sym, &'u Tuple)>,
-) -> Result<(), EngineError> {
-    for (relation, tuple) in updates {
-        let mut named = atoms
-            .clone()
-            .into_iter()
-            .filter(|a| a.name == relation)
-            .peekable();
-        if named.peek().is_none() {
-            return Err(EngineError::UnknownRelation(relation));
-        }
-        let atom = named
-            .find(|a| a.dynamic)
-            .ok_or(EngineError::StaticRelation(relation))?;
-        let (declared, got) = (atom.schema.arity(), tuple.arity());
-        if declared != got {
-            return Err(EngineError::ArityMismatch {
-                relation,
-                declared,
-                got,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// [`check_updates`] over a batch of updates, against `query`'s atoms.
-pub(crate) fn check_batch<R>(query: &Query, batch: &[Update<R>]) -> Result<(), EngineError> {
-    check_updates(&query.atoms, batch.iter().map(|u| (u.relation, &u.tuple)))
-}
-
-/// `batch` consolidated (see [`consolidate`]). A batch of at most one
-/// update is consolidated already and is lent as it is, so the provided
-/// [`Maintainer::apply`] allocates nothing here.
-pub(crate) fn consolidated<R: Semiring>(batch: &[Update<R>]) -> Cow<'_, [Update<R>]> {
-    match batch {
-        [] => Cow::Borrowed(batch),
-        [upd] if upd.payload.is_zero() => Cow::Borrowed(&[]),
-        [_] => Cow::Borrowed(batch),
-        _ => Cow::Owned(consolidate(batch)),
     }
 }

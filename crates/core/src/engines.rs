@@ -12,7 +12,8 @@
 //! | [`LazyFactEngine`] | lazy-fact | F-IVM/delta hybrid |
 //! | [`LazyListEngine`] | lazy-list | delta queries (re-evaluation) |
 
-use crate::engine::{check_batch, consolidated, Maintainer};
+use crate::checked::CheckedBatch;
+use crate::engine::Maintainer;
 use crate::error::EngineError;
 use crate::viewtree::ViewTree;
 use ivm_data::ops::{eval_join_aggregate, Lift};
@@ -58,11 +59,8 @@ impl<R: Semiring> Maintainer<R> for EagerFactEngine<R> {
         self.tree.query()
     }
 
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        check_batch(self.tree.query(), batch)?;
-        for upd in consolidated(batch).iter() {
-            self.tree.apply_checked(upd);
-        }
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
+        batch.entries().for_each(|e| self.tree.apply_checked(e));
         Ok(Relation::new(self.tree.query().free.clone()))
     }
 
@@ -102,16 +100,15 @@ impl<R: Semiring> Maintainer<R> for EagerListEngine<R> {
     /// The update path delta-enumerates against the pre-update state to
     /// maintain the materialized output, so the batch's exact output
     /// delta is free: the ⊎-sum of the per-update deltas (linearity).
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        check_batch(self.tree.query(), batch)?;
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
         let mut delta = Relation::new(self.tree.query().free.clone());
-        for upd in consolidated(batch).iter() {
+        for entry in batch.entries() {
             let output = &mut self.output;
-            self.tree.delta_for_each(upd, &mut |t, d| {
+            self.tree.delta_for_each(entry, &mut |t, d| {
                 output.apply(t.clone(), d);
                 delta.apply(t.clone(), d);
             });
-            self.tree.apply_checked(upd);
+            self.tree.apply_checked(entry);
         }
         Ok(delta)
     }
@@ -150,7 +147,7 @@ impl<R: Semiring> LazyFactEngine<R> {
     /// Drain the queue through the view tree.
     pub fn refresh(&mut self) {
         for upd in std::mem::take(&mut self.pending) {
-            self.tree.apply_checked(&upd);
+            self.tree.apply_checked(upd.entry());
         }
     }
 }
@@ -160,11 +157,12 @@ impl<R: Semiring> Maintainer<R> for LazyFactEngine<R> {
         self.tree.query()
     }
 
-    /// Checks the batch when it is queued, so `refresh` only ever sees
+    /// Queues the checked batch's entries, so `refresh` only ever sees
     /// accepted updates.
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        check_batch(self.tree.query(), batch)?;
-        self.pending.extend(consolidated(batch).iter().cloned());
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
+        let queued = batch.entries();
+        self.pending
+            .extend(queued.map(|(rel, t, r)| Update::with_payload(rel, t.clone(), r.clone())));
         Ok(Relation::new(self.tree.query().free.clone()))
     }
 
@@ -218,10 +216,12 @@ impl<R: Semiring> Maintainer<R> for LazyListEngine<R> {
         &self.query
     }
 
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        check_batch(&self.query, batch)?;
-        for upd in consolidated(batch).iter() {
-            self.db.apply(upd);
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
+        for (rel, t, r) in batch.entries() {
+            self.db
+                .get_mut(rel)
+                .expect("a checked relation")
+                .apply(t.clone(), r);
         }
         Ok(Relation::new(self.query.free.clone()))
     }

@@ -14,11 +14,12 @@
 //! contribution upward — the same amortization as the PK–FK case of
 //! Ex 4.13.
 
-use crate::engine::{check_batch, consolidated, Maintainer};
+use crate::checked::CheckedBatch;
+use crate::engine::Maintainer;
 use crate::error::EngineError;
 use crate::viewtree::{Fetcher, ViewTree};
 use ivm_data::ops::Lift;
-use ivm_data::{Database, Relation, Schema, Tuple, Update};
+use ivm_data::{Database, Relation, Schema, Tuple};
 use ivm_query::fd::{sigma_reduct, Fd};
 use ivm_query::hierarchy::is_q_hierarchical;
 use ivm_query::{Query, VarOrder};
@@ -122,11 +123,8 @@ impl<R: Semiring> Maintainer<R> for FdEngine<R> {
         self.tree.query()
     }
 
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        check_batch(self.tree.query(), batch)?;
-        for upd in consolidated(batch).iter() {
-            self.tree.apply_checked(upd);
-        }
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
+        batch.entries().for_each(|e| self.tree.apply_checked(e));
         Ok(Relation::new(self.tree.query().free.clone()))
     }
 
@@ -145,7 +143,7 @@ impl<R: ivm_ring::Semiring> std::fmt::Debug for FdEngine<R> {
 mod tests {
     use super::*;
     use ivm_data::ops::{eval_join_aggregate, lift_one};
-    use ivm_data::{sym, tup, Relation};
+    use ivm_data::{sym, tup, Relation, Update};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

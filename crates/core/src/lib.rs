@@ -24,6 +24,7 @@
 pub mod acyclic;
 pub mod bindings;
 pub mod cascade;
+pub mod checked;
 pub mod cqap;
 pub mod engine;
 pub mod engines;
@@ -32,7 +33,8 @@ pub mod fd;
 pub mod pkfk;
 pub mod viewtree;
 
-pub use engine::{check_updates, Maintainer};
+pub use checked::CheckedBatch;
+pub use engine::Maintainer;
 pub use engines::{EagerFactEngine, EagerListEngine, LazyFactEngine, LazyListEngine};
 pub use error::EngineError;
 pub use viewtree::{Fetcher, ViewTree};

@@ -95,11 +95,11 @@
 //! bind, so the bounds hold for it too.
 
 use crate::bindings::Bindings;
-use crate::engine::check_updates;
+use crate::checked::CheckedBatch;
 use crate::error::EngineError;
 use ivm_data::ids::{gather, Dict, Id, IdMap};
 use ivm_data::ops::Lift;
-use ivm_data::{Database, FxHashMap, Presence, Relation, Schema, Sym, Tuple, Update, Value};
+use ivm_data::{Database, Entry, FxHashMap, Presence, Relation, Schema, Sym, Tuple, Update, Value};
 use ivm_query::varorder::Node;
 use ivm_query::{Query, VarOrder};
 use ivm_ring::Semiring;
@@ -537,18 +537,18 @@ impl<R: Semiring> ViewTree<R> {
     }
 
     /// Apply a single-tuple update that passes the ingestion rule
-    /// ([`check_updates`]). O(1) for constant-update trees.
+    /// ([`CheckedBatch::new`]). O(1) for constant-update trees.
     pub fn apply(&mut self, upd: &Update<R>) -> Result<(), EngineError> {
-        check_updates(&self.query.atoms, [(upd.relation, &upd.tuple)])?;
-        self.apply_checked(upd);
+        CheckedBatch::new(&self.query.atoms, std::slice::from_ref(upd))?;
+        self.apply_checked(upd.entry());
         Ok(())
     }
 
-    /// [`Self::apply`] for an update its caller has checked — the
-    /// engines check each batch once, up front.
-    pub(crate) fn apply_checked(&mut self, upd: &Update<R>) {
-        let atom = self.rel_atom[&upd.relation];
-        self.apply_internal(atom, &upd.tuple, &upd.payload);
+    /// [`Self::apply`] for an entry of a checked batch — the engines
+    /// check each batch once, at the door.
+    pub(crate) fn apply_checked(&mut self, (relation, tuple, payload): Entry<'_, R>) {
+        let atom = self.rel_atom[&relation];
+        self.apply_internal(atom, tuple, payload);
         self.dict.sweep();
     }
 
@@ -785,10 +785,11 @@ impl<R: Semiring> ViewTree<R> {
     /// are encoded (an output tuple may carry them); the ids no key comes
     /// to hold are freed by the sweep after the update is applied. The
     /// caller has checked the update, as for [`Self::apply_checked`].
-    pub(crate) fn delta_for_each(&mut self, upd: &Update<R>, f: &mut dyn FnMut(&Tuple, &R)) {
-        let path = &self.paths[self.rel_atom[&upd.relation]];
+    pub(crate) fn delta_for_each(&mut self, entry: Entry<'_, R>, f: &mut dyn FnMut(&Tuple, &R)) {
+        let (relation, tuple, payload) = entry;
+        let path = &self.paths[self.rel_atom[&relation]];
         let (mut row, mut key) = (self.row.clone(), Vec::new());
-        for (&s, v) in path.cols.iter().zip(upd.tuple.values()) {
+        for (&s, v) in path.cols.iter().zip(tuple.values()) {
             row[s] = self.dict.encode(v);
         }
         let filled = complete(
@@ -802,7 +803,7 @@ impl<R: Semiring> ViewTree<R> {
         if path.delta.needs & !filled != 0 {
             return; // a fetch miss: the update changes no output yet
         }
-        let scalar = upd.payload.clone();
+        let scalar = payload.clone();
         let mut acc = self.times_probes(&path.delta.scalars, &row, &mut key, scalar);
         for &(var, s) in &path.delta.lifts {
             acc = acc.times(&(self.lift)(var, self.dict.value(row[s])));
@@ -1324,7 +1325,7 @@ mod tests {
         let before = tree.output();
         let upd = Update::insert(r, tup![1i64, 11i64]);
         let mut delta = Relation::<i64>::new(q.free.clone());
-        tree.delta_for_each(&upd, &mut |t, m| {
+        tree.delta_for_each(upd.entry(), &mut |t, m| {
             delta.apply(t.clone(), m);
         });
         tree.apply(&upd).unwrap();
@@ -1830,7 +1831,7 @@ mod tests {
         let before = sc.tree.output();
         let mut delta = Relation::new(q.free.clone());
         for u in batch {
-            sc.tree.delta_for_each(u, &mut |t, m| {
+            sc.tree.delta_for_each(u.entry(), &mut |t, m| {
                 delta.apply(t.clone(), m);
             });
             sc.tree.apply(u).map_err(|e| e.to_string())?;

@@ -21,9 +21,11 @@
 //!   join and the factorized view tree keep their state over ids;
 //! * [`Relation`], [`GroupedIndex`], [`Database`] — relations over rings
 //!   and their projection indexes;
-//! * [`Update`], [`consolidate`] and the batch operators of [`ops`];
+//! * [`Update`], [`DeltaBatch`] (the one consolidation: a batch summed
+//!   per `(relation, tuple)`) and the batch operators of [`ops`];
 //!   [`codec`] persists relations for the journal and snapshots.
 
+pub mod batch;
 pub mod codec;
 pub mod database;
 pub mod hash;
@@ -35,6 +37,7 @@ pub mod tuple;
 pub mod update;
 pub mod value;
 
+pub use batch::DeltaBatch;
 pub use codec::Persist;
 pub use database::Database;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
@@ -42,5 +45,5 @@ pub use ids::{Dict, Id, IdMap};
 pub use relation::{GroupedIndex, Presence, Relation};
 pub use schema::{sym, vars, Schema, Sym};
 pub use tuple::Tuple;
-pub use update::{consolidate, shard_of, shard_of_column, Batch, Update};
+pub use update::{consolidate, shard_of, shard_of_column, Batch, Entry, Update};
 pub use value::Value;

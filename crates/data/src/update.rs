@@ -60,38 +60,23 @@ impl<R: Ring> Update<R> {
     }
 }
 
+/// One update's `(relation, tuple, payload)`, as batches hand entries out.
+pub type Entry<'a, R> = (Sym, &'a Tuple, &'a R);
+
+impl<R> Update<R> {
+    /// This update as an [`Entry`].
+    pub fn entry(&self) -> Entry<'_, R> {
+        (self.relation, &self.tuple, &self.payload)
+    }
+}
+
 /// An ordered sequence of single-tuple updates.
 pub type Batch<R> = Vec<Update<R>>;
 
-/// Consolidate a batch: sum the payloads of updates hitting the same
-/// `(relation, tuple)` pair and drop entries that cancel to zero. Sound for
-/// any ring/semiring payload because batch effects are order-independent
-/// (Sec. 2); the result is equivalent to the input batch but touches each
-/// distinct key once. Output order is unspecified.
+/// A batch consolidated by [`DeltaBatch`](crate::DeltaBatch) and
+/// flattened back to updates (order unspecified).
 pub fn consolidate<R: Semiring>(batch: &[Update<R>]) -> Batch<R> {
-    let mut acc: crate::hash::FxHashMap<(Sym, &Tuple), R> = crate::hash::FxHashMap::default();
-    for u in batch {
-        match acc.entry((u.relation, &u.tuple)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().add_assign(&u.payload);
-                if e.get().is_zero() {
-                    e.remove();
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                if !u.payload.is_zero() {
-                    e.insert(u.payload.clone());
-                }
-            }
-        }
-    }
-    acc.into_iter()
-        .map(|((rel, t), payload)| Update {
-            relation: rel,
-            tuple: t.clone(),
-            payload,
-        })
-        .collect()
+    crate::DeltaBatch::from_updates(batch).to_updates()
 }
 
 /// Deterministic shard assignment for one value: `FxHash(v) mod parts`.

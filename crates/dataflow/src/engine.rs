@@ -5,7 +5,7 @@
 //! [`multiway`](crate::multiway) join: one input per *distinct* relation
 //! (self-join occurrences share its store and indexes) and a cost-based
 //! variable order from [`cost::variable_order`]. Each batch is
-//! consolidated (see [`DeltaBatch`]) and handed to the join, which expands
+//! consolidated (see [`DeltaBatch`](ivm_data::DeltaBatch)) and handed to the join, which expands
 //! the delta of the join symmetrically over the changed atoms,
 //!
 //! ```text
@@ -29,12 +29,11 @@
 //! guarantee, but O(|δQ| + index-probe) work per batch for every
 //! conjunctive query with aggregates.
 
-use crate::batch::DeltaBatch;
 use crate::cost::{self, Cardinalities};
 use crate::multiway::{MultiwayState, StoreHub};
-use ivm_core::{check_updates, EngineError, Maintainer};
+use ivm_core::{CheckedBatch, EngineError, Maintainer};
 use ivm_data::ops::Lift;
-use ivm_data::{Database, Relation, Schema, Sym, Tuple, Update};
+use ivm_data::{Database, Entry, Relation, Schema, Sym, Tuple};
 use ivm_obs::{Counter, Histogram, LabelId, MetricsRegistry, Tracer};
 use ivm_query::Query;
 use ivm_ring::Semiring;
@@ -229,9 +228,7 @@ impl<R: Semiring> DataflowEngine<R> {
         lift: Lift<R>,
         cards: Cardinalities,
     ) -> Result<Self, EngineError> {
-        query
-            .check_atom_limit()
-            .map_err(EngineError::NotSupported)?;
+        query.check_atoms().map_err(EngineError::NotSupported)?;
         let atoms: Vec<(Sym, Schema)> = query
             .atoms
             .iter()
@@ -239,17 +236,6 @@ impl<R: Semiring> DataflowEngine<R> {
             .collect();
         let var_order = cost::variable_order(&query, &cards);
         let join = MultiwayState::new(&atoms, var_order.clone(), query.free.clone(), lift);
-        // The base goes straight into one batch: a relation's tuples are
-        // distinct and non-zero, so they are already consolidated.
-        let mut preload = DeltaBatch::new();
-        for (i, &(rel, _)) in atoms.iter().enumerate() {
-            if atoms[..i].iter().any(|&(r, _)| r == rel) {
-                continue;
-            }
-            for (t, r) in db.get(rel).into_iter().flat_map(|tuples| tuples.iter()) {
-                preload.insert_consolidated(rel, t.clone(), r.clone());
-            }
-        }
         let mut engine = DataflowEngine {
             output: Relation::new(query.free.clone()),
             query,
@@ -260,8 +246,18 @@ impl<R: Semiring> DataflowEngine<R> {
             stats: DataflowStats::default(),
             obs: None,
         };
-        engine.stats.updates_in += preload.len() as u64;
-        engine.propagate(&preload);
+        // The base goes straight into one batch, relation by relation: a
+        // relation's tuples are distinct and non-zero, so they are already
+        // consolidated.
+        let rels = atoms
+            .iter()
+            .enumerate()
+            .filter(|&(i, &(rel, _))| !atoms[..i].iter().any(|&(r, _)| r == rel))
+            .filter_map(|(_, &(rel, _))| Some((rel, db.get(rel)?)));
+        let len = rels.clone().map(|(_, tuples)| tuples.len()).sum();
+        let preload = rels.flat_map(|(rel, tuples)| tuples.iter().map(move |(t, r)| (rel, t, r)));
+        engine.stats.updates_in += len as u64;
+        engine.propagate(preload, len);
         Ok(engine)
     }
 
@@ -328,29 +324,21 @@ impl<R: Semiring> DataflowEngine<R> {
         &self.lowered_cards
     }
 
-    /// Apply an already consolidated batch without re-consolidating — the
-    /// sharded runtime routes consolidated sub-batches, so flattening them
-    /// back to updates just to re-hash every entry would be pure waste.
-    /// The entries pass the same ingestion rule as
-    /// [`Maintainer::apply_batch`]'s updates and count as the updates
-    /// received at this boundary.
-    pub fn apply_delta_batch(&mut self, batch: &DeltaBatch<R>) -> Result<Relation<R>, EngineError> {
-        check_updates(&self.query.atoms, batch.keys())?;
-        self.stats.updates_in += batch.len() as u64;
-        Ok(self.propagate(batch))
-    }
-
-    /// Propagate a validated, consolidated batch through the join, fold
-    /// the join's output delta into the view, and return it.
-    fn propagate(&mut self, batch: &DeltaBatch<R>) -> Relation<R> {
+    /// Propagate a checked, consolidated batch (`len` entries) through the
+    /// join, fold the join's output delta into the view, and return it.
+    fn propagate<'b>(
+        &mut self,
+        batch: impl Iterator<Item = Entry<'b, R>>,
+        len: usize,
+    ) -> Relation<R> {
         self.stats.batches += 1;
-        if batch.is_empty() {
+        if len == 0 {
             if let Some(obs) = &mut self.obs {
                 obs.sync(&self.stats);
             }
             return Relation::new(self.output.schema().clone());
         }
-        self.stats.deltas_in += batch.len() as u64;
+        self.stats.deltas_in += len as u64;
         // Under an ambient epoch root (session/serve ingest), the whole
         // batch gets a span and the join becomes its child; standalone use
         // (no root) traces nothing.
@@ -359,7 +347,7 @@ impl<R: Semiring> DataflowEngine<R> {
             .as_ref()
             .and_then(|o| o.tracer.child_span(o.batch_label));
         let t_batch = self.obs.as_ref().map(|_| Instant::now());
-        let delta = self.join.apply(batch, &mut self.stats);
+        let delta = self.join.apply(batch, len, &mut self.stats);
         if let (Some(o), Some(t0), Some(_)) = (&self.obs, t_batch, &delta) {
             // A batch the join does not read skips the clock read.
             let now = Instant::now();
@@ -430,18 +418,12 @@ impl<R: Semiring> Maintainer<R> for DataflowEngine<R> {
         &self.query
     }
 
-    /// One consolidated delta propagation through the multiway join; the
-    /// returned relation is the batch's exact output delta. Same final
-    /// state as applying each update individually (ring
-    /// order-independence), at a fraction of the work when the batch has
-    /// locality.
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        check_updates(
-            &self.query.atoms,
-            batch.iter().map(|u| (u.relation, &u.tuple)),
-        )?;
+    /// One consolidated delta propagation through the multiway join, which
+    /// returns the batch's exact output delta.
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
         self.stats.updates_in += batch.len() as u64;
-        Ok(self.propagate(&DeltaBatch::from_updates(batch)))
+        let delta = batch.delta();
+        Ok(self.propagate(delta.iter(), delta.len()))
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {
@@ -464,7 +446,7 @@ impl<R: Semiring> std::fmt::Debug for DataflowEngine<R> {
 mod tests {
     use super::*;
     use ivm_data::ops::{eval_join_aggregate, lift_one};
-    use ivm_data::{sym, tup, vars};
+    use ivm_data::{sym, tup, vars, Update};
     use ivm_query::Atom;
 
     /// The engine over an empty database: its plan is the blind order.
@@ -621,29 +603,27 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_batch_skips_reconsolidation_but_validates() {
+    fn a_checked_part_applies_without_reconsolidation() {
         let q = ivm_query::examples::fig3_query();
         let (rn, sn) = (sym("f3_R"), sym("f3_S"));
         let mut via_updates = blind(q.clone());
-        let mut via_delta = blind(q);
+        let mut via_part = blind(q.clone());
         let ups: Vec<Update<i64>> = vec![
             Update::insert(rn, tup![1i64, 10i64]),
             Update::insert(sn, tup![1i64, 20i64]),
             Update::insert(rn, tup![1i64, 10i64]),
         ];
         let d1 = via_updates.apply_batch(&ups).unwrap();
-        let d2 = via_delta
-            .apply_delta_batch(&DeltaBatch::from_updates(&ups))
-            .unwrap();
+        let checked = CheckedBatch::new(&q.atoms, &ups).unwrap();
+        let part = checked.split(1, |_, _| Some(0)).remove(0);
+        let d2 = via_part.apply_checked(&part).unwrap();
         assert_eq!(d1.len(), d2.len());
         for (t, p) in d1.iter() {
             assert_eq!(&d2.get(t), p, "at {t:?}");
         }
-        let bad = DeltaBatch::from_updates(&[Update::<i64>::insert(sym("f3_nope"), tup![1i64])]);
-        assert_eq!(
-            via_delta.apply_delta_batch(&bad).unwrap_err(),
-            EngineError::UnknownRelation(sym("f3_nope"))
-        );
+        // The part counts its two consolidated entries as its updates.
+        assert_eq!(via_updates.stats().updates_in, 3);
+        assert_eq!(via_part.stats().updates_in, 2);
     }
 
     /// The sharded engine moves whole engines (multiway tries included)

@@ -12,9 +12,9 @@
 //!
 //! The layers:
 //!
-//! * [`DeltaBatch`] — consolidates a batch of single-tuple updates
-//!   per `(relation, tuple)`; sound because ring payloads make batch
-//!   effects order-independent (Sec. 2 of the paper);
+//! * [`DeltaBatch`] (re-exported from `ivm-data`) — consolidates a batch
+//!   of single-tuple updates per `(relation, tuple)`; sound because ring
+//!   payloads make batch effects order-independent (Sec. 2 of the paper);
 //! * [`multiway`] — the one join operator: attribute-at-a-time
 //!   intersection search over shared hash-trie indexes, deltas seeded from
 //!   the changed tuples, aggregated onto the free variables inside the
@@ -66,7 +66,6 @@
 //! ```
 
 pub mod adapt;
-pub mod batch;
 pub mod cost;
 pub mod engine;
 pub mod multiway;
@@ -75,7 +74,7 @@ pub use adapt::{
     DegreeSketch, EngineFamily, FamilyDecision, LearnedCardinalities, ReplanDecision, ReplanPolicy,
     ReplanTrigger,
 };
-pub use batch::DeltaBatch;
 pub use cost::Cardinalities;
 pub use engine::{DataflowEngine, DataflowStats};
+pub use ivm_data::DeltaBatch;
 pub use multiway::StoreHub;

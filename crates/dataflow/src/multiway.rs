@@ -104,11 +104,10 @@
 //! listing search, because aggregation is linear and commutes with the sum
 //! over terms.
 
-use crate::batch::DeltaBatch;
 use crate::engine::DataflowStats;
 use ivm_data::ids::{gather, Dict, Id, IdMap};
 use ivm_data::ops::{Lift, LiftedProjection};
-use ivm_data::{FxHashMap, Relation, Schema, Sym, Tuple, Value};
+use ivm_data::{DeltaBatch, Entry, FxHashMap, Relation, Schema, Sym, Value};
 use ivm_ring::Semiring;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -315,20 +314,6 @@ impl<R: Semiring> Store<R> {
         }
     }
 
-    /// Fill this (empty) delta store with `delta`, encoded into `dict`
-    /// (through `buf`). Tables left over from a much larger batch — the
-    /// preload — are given back first: an oversized table makes every
-    /// later `clear` and seed scan O(capacity).
-    fn refill(&mut self, delta: &FxHashMap<Tuple, R>, dict: &mut Dict, buf: &mut Vec<Id>) {
-        self.tuples.shrink_to(2 * delta.len());
-        for idx in &mut self.indexes {
-            idx.map.shrink_to(2 * delta.len());
-        }
-        for (t, r) in delta {
-            self.apply(dict.encode_all(t.values(), buf), r, None);
-        }
-    }
-
     /// Re-encode every resident tuple from `from`'s ids into `to`'s,
     /// keeping the pattern slots.
     fn recode(&mut self, from: &Dict, to: &mut Dict) {
@@ -507,17 +492,14 @@ impl<R: Semiring> StoreHub<R> {
     /// Advance every shared store by the epoch's consolidated batch.
     /// Call exactly once per epoch, after all member engines have
     /// processed the batch.
-    pub fn advance_batch(&self, batch: &DeltaBatch<R>) {
+    pub fn advance_batch(&self, batch: &DeltaBatch<'_, R>) {
         let map = relock(&self.stores);
         let mut dict = relock(&self.dict);
         let mut ids = Vec::new();
-        for (rel, store) in map.iter() {
-            if let Some(delta) = batch.delta(*rel) {
-                let mut s = relock(store);
-                for (t, r) in delta.iter() {
-                    let t = dict.encode_all(t.values(), &mut ids);
-                    s.apply(t, r, Some(&mut dict));
-                }
+        for (rel, t, r) in batch.iter() {
+            if let Some(store) = map.get(&rel) {
+                let t = dict.encode_all(t.values(), &mut ids);
+                relock(store).apply(t, r, Some(&mut dict));
             }
         }
         dict.sweep();
@@ -817,19 +799,31 @@ impl<R: Semiring> MultiwayState<R> {
     /// (hub-shared slots are advanced by the hub coordinator — see
     /// [`StoreHub`]) and free the ids no resident tuple holds. Returns the
     /// output delta over the node's output schema, `None` when the batch
-    /// touches none of the node's relations.
-    pub(crate) fn apply(
+    /// touches none of the node's relations. `batch` yields at most `len`.
+    pub(crate) fn apply<'b>(
         &mut self,
-        batch: &DeltaBatch<R>,
+        batch: impl IntoIterator<Item = Entry<'b, R>>,
+        len: usize,
         stats: &mut DataflowStats,
     ) -> Option<Relation<R>> {
         let mut dict = relock(&self.dict);
-        // Inputs whose relation changed this batch, as a mask over inputs
-        // (there are no more inputs than atoms).
+        // One pass over the batch fills the delta stores. Inputs whose
+        // relation changed this batch, as a mask over inputs (there are
+        // no more inputs than atoms).
         let mut inputs_changed = 0u64;
-        for (slot, store) in self.delta.iter_mut().enumerate() {
-            if let Some(d) = batch.delta(self.relations[slot]) {
-                store.refill(d, &mut dict, &mut self.key_buf);
+        // A preload-sized delta table would make every `clear` and seed
+        // scan slow, so each shrinks to this batch first.
+        for store in &mut self.delta {
+            store.tuples.shrink_to(2 * len);
+            store
+                .indexes
+                .iter_mut()
+                .for_each(|i| i.map.shrink_to(2 * len));
+        }
+        for (rel, t, r) in batch {
+            if let Some(slot) = self.relations.iter().position(|&x| x == rel) {
+                let ids = dict.encode_all(t.values(), &mut self.key_buf);
+                self.delta[slot].apply(ids, r, None);
                 inputs_changed |= 1 << slot;
             }
         }
@@ -1073,6 +1067,16 @@ mod tests {
     use ivm_data::{sym, tup, vars, FxHashSet, Tuple, Update};
     use ivm_query::{examples, Query};
 
+    impl MultiwayState<i64> {
+        fn apply_batch(
+            &mut self,
+            batch: &DeltaBatch<'_, i64>,
+            stats: &mut DataflowStats,
+        ) -> Option<Relation<i64>> {
+            self.apply(batch.iter(), batch.len(), stats)
+        }
+    }
+
     /// Triangle over one edge relation `e`: E(a,b), E(b,c), E(c,a),
     /// listing every rotation.
     fn triangle_state(e: Sym) -> (MultiwayState<i64>, Schema) {
@@ -1100,15 +1104,19 @@ mod tests {
     }
 
     /// A consolidated batch of `(relation, tuple, multiplicity)` rows.
-    fn batch_of(rows: impl IntoIterator<Item = (Sym, Tuple, i64)>) -> DeltaBatch<i64> {
+    fn batch_of(rows: impl IntoIterator<Item = (Sym, Tuple, i64)>) -> DeltaBatch<'static, i64> {
+        let updates: Vec<_> = rows
+            .into_iter()
+            .map(|(rel, t, m)| Update::with_payload(rel, t, m))
+            .collect();
         let mut batch = DeltaBatch::new();
-        for (rel, t, m) in rows {
-            batch.push(&Update::with_payload(rel, t, m));
+        for (rel, t, m) in DeltaBatch::from_updates(&updates).iter() {
+            batch.insert_consolidated(rel, t.clone(), *m);
         }
         batch
     }
 
-    fn edge_batch(e: Sym, edges: &[(i64, i64, i64)]) -> DeltaBatch<i64> {
+    fn edge_batch(e: Sym, edges: &[(i64, i64, i64)]) -> DeltaBatch<'static, i64> {
         batch_of(edges.iter().map(|&(a, b, m)| (e, tup![a, b], m)))
     }
 
@@ -1118,16 +1126,16 @@ mod tests {
         let mut st = triangle_count_state(e);
         let mut stats = DataflowStats::default();
         let d = edge_batch(e, &[(1, 2, 1), (2, 3, 1), (3, 1, 1), (1, 9, 1)]);
-        let out = st.apply(&d, &mut stats).unwrap();
+        let out = st.apply_batch(&d, &mut stats).unwrap();
         // One directed triangle, counted once per rotation of (a,b,c).
         assert_eq!(out.total(), 3);
         // Deleting a non-triangle edge changes nothing.
         let d = edge_batch(e, &[(1, 9, -1)]);
-        let out = st.apply(&d, &mut stats).unwrap();
+        let out = st.apply_batch(&d, &mut stats).unwrap();
         assert_eq!(out.total(), 0);
         // Deleting a triangle edge retracts all three rotations.
         let d = edge_batch(e, &[(2, 3, -1)]);
-        let out = st.apply(&d, &mut stats).unwrap();
+        let out = st.apply_batch(&d, &mut stats).unwrap();
         assert_eq!(out.total(), -3);
         assert_eq!(st.stored_tuples(), 2);
     }
@@ -1138,7 +1146,7 @@ mod tests {
         let (mut st, _) = triangle_state(e);
         let mut stats = DataflowStats::default();
         let d = edge_batch(e, &[(1, 2, 1), (2, 3, 1), (3, 1, 1)]);
-        st.apply(&d, &mut stats).unwrap();
+        st.apply_batch(&d, &mut stats).unwrap();
         // Three occurrences, but the seed plans only ever probe E keyed by
         // its first or its second column — two shared patterns, one store.
         assert_eq!(st.index_counts(), vec![2]);
@@ -1173,7 +1181,7 @@ mod tests {
                 rels[i].apply(tup![x, y], &m);
             }
             let d = batch_of(batch.iter().map(|&(i, x, y, m)| (names[i], tup![x, y], m)));
-            if let Some(out) = st.apply(&d, &mut stats) {
+            if let Some(out) = st.apply_batch(&d, &mut stats) {
                 for (t, r) in out.iter() {
                     maintained.apply(t.clone(), r);
                 }
@@ -1239,7 +1247,7 @@ mod tests {
                 rels[*i].apply(t.clone(), m);
             }
             let d = batch_of(batch.into_iter().map(|(i, t, m)| (names[i], t, m)));
-            if let Some(delta) = st.apply(&d, &mut stats) {
+            if let Some(delta) = st.apply_batch(&d, &mut stats) {
                 for (t, r) in delta.iter() {
                     maintained.apply(t.clone(), r);
                 }
@@ -1309,9 +1317,11 @@ mod tests {
                 }
             }
             let batch = batch_of(d.iter().map(|(t, m)| (e_sym, t.clone(), *m)));
-            let got = st.apply(&batch, &mut DataflowStats::default()).unwrap();
+            let got = st
+                .apply_batch(&batch, &mut DataflowStats::default())
+                .unwrap();
             if hub {
-                let other = peer.apply(&batch, &mut DataflowStats::default());
+                let other = peer.apply_batch(&batch, &mut DataflowStats::default());
                 let other = other.unwrap();
                 assert_eq!(got.len(), other.len(), "members disagree");
                 for (t, r) in got.iter() {
@@ -1394,7 +1404,7 @@ mod tests {
                 rels[*i].apply(t.clone(), &m);
             }
             let d = batch_of(rows.iter().map(|(i, t)| (names[*i], t.clone(), m)));
-            if let Some(delta) = st.apply(&d, &mut stats) {
+            if let Some(delta) = st.apply_batch(&d, &mut stats) {
                 for (t, r) in delta.iter() {
                     maintained.apply(t.clone(), r);
                 }
@@ -1518,8 +1528,8 @@ mod tests {
         ];
         for edges in batches {
             let d = edge_batch(e_sym, &edges);
-            let o1 = st1.apply(&d, &mut stats).unwrap();
-            let o2 = st2.apply(&d, &mut stats).unwrap();
+            let o1 = st1.apply_batch(&d, &mut stats).unwrap();
+            let o2 = st2.apply_batch(&d, &mut stats).unwrap();
             assert_eq!(o1.len(), o2.len());
             for (t, r) in o1.iter() {
                 assert_eq!(&o2.get(t), r, "members disagree at {t:?}");
@@ -1545,7 +1555,7 @@ mod tests {
         let mut stats = DataflowStats::default();
         assert_eq!(st.share_stores(&hub), 0, "first join donates");
         let d = edge_batch(e_sym, &[(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1)]);
-        assert_eq!(st.apply(&d, &mut stats).unwrap().total(), 3);
+        assert_eq!(st.apply_batch(&d, &mut stats).unwrap().total(), 3);
         hub.advance_batch(&d);
         let live = relock(&st.dict).live();
         // The second call gets the node's own store back from the hub.
@@ -1554,7 +1564,7 @@ mod tests {
         assert_eq!(relock(&st.dict).live(), live);
         // A second triangle, 1 → 2 → 4 → 1, closes over a resident edge.
         let d = edge_batch(e_sym, &[(2, 4, 1), (4, 1, 1)]);
-        assert_eq!(st.apply(&d, &mut stats).unwrap().total(), 3);
+        assert_eq!(st.apply_batch(&d, &mut stats).unwrap().total(), 3);
     }
 
     /// A fixed 40-update stream over 7 nodes: 16 inserts, then six batches
@@ -1576,7 +1586,7 @@ mod tests {
             }
         }
         let first: Vec<(i64, i64, i64)> = edges[..16].iter().map(|&(a, b)| (a, b, 1)).collect();
-        st.apply(&edge_batch(e, &first), &mut stats).unwrap();
+        st.apply_batch(&edge_batch(e, &first), &mut stats).unwrap();
         let after_first = stats;
         let mut total = 0;
         for k in 0..6 {
@@ -1586,7 +1596,7 @@ mod tests {
                 .collect();
             batch.push((edges[k].0, edges[k].1, -1));
             total += st
-                .apply(&edge_batch(e, &batch), &mut stats)
+                .apply_batch(&edge_batch(e, &batch), &mut stats)
                 .unwrap()
                 .total();
         }
@@ -1644,9 +1654,9 @@ mod tests {
                 assert!(m1.stores[0].is_poisoned());
             }
             let d = edge_batch(e_sym, edges);
-            let expect = alone.apply(&d, &mut stats).unwrap();
+            let expect = alone.apply_batch(&d, &mut stats).unwrap();
             for member in [&mut m1, &mut m2] {
-                let got = member.apply(&d, &mut stats).unwrap();
+                let got = member.apply_batch(&d, &mut stats).unwrap();
                 assert_eq!(got.len(), expect.len(), "batch {i}");
                 for (t, r) in expect.iter() {
                     assert_eq!(&got.get(t), r, "batch {i} at {t:?}");
@@ -1662,10 +1672,10 @@ mod tests {
         let e = sym("mw_emptyE");
         let (mut st, _) = triangle_state(e);
         let mut stats = DataflowStats::default();
-        assert!(st.apply(&DeltaBatch::new(), &mut stats).is_none());
+        assert!(st.apply_batch(&DeltaBatch::new(), &mut stats).is_none());
         // A batch touching only relations the node does not read, too.
         let other = edge_batch(sym("mw_otherE"), &[(1, 2, 1)]);
-        assert!(st.apply(&other, &mut stats).is_none());
+        assert!(st.apply_batch(&other, &mut stats).is_none());
         assert_eq!(stats.multiway_seeds, 0);
     }
 
@@ -1679,7 +1689,9 @@ mod tests {
         let atoms = vec![(r, vo.clone()), (r, vo.clone())];
         let mut st: MultiwayState<i64> = MultiwayState::new(&atoms, vo.clone(), vo, lift_one);
         let mut stats = DataflowStats::default();
-        let out = st.apply(&edge_batch(r, &[(1, 2, 3)]), &mut stats).unwrap();
+        let out = st
+            .apply_batch(&edge_batch(r, &[(1, 2, 3)]), &mut stats)
+            .unwrap();
         // (R+δ)² − R² with R = 0: payload 9.
         assert_eq!(out.get(&tup![1i64, 2i64]), 9);
     }

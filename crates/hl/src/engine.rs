@@ -2,9 +2,9 @@
 //! tuples and semiring payloads, behind the common [`Maintainer`] trait.
 
 use crate::triangle::{HeavyLight, HlStats};
-use ivm_core::{check_updates, EngineError, Maintainer};
+use ivm_core::{CheckedBatch, EngineError, Maintainer};
 use ivm_data::ops::Lift;
-use ivm_data::{consolidate, Database, Dict, FxHashMap, Id, Relation, Sym, Tuple, Update};
+use ivm_data::{Database, Dict, FxHashMap, Id, Relation, Sym, Tuple};
 use ivm_obs::{Counter, Gauge, MetricsRegistry};
 use ivm_query::Query;
 use ivm_ring::Semiring;
@@ -365,17 +365,13 @@ impl<R: Semiring> Maintainer<R> for HeavyLightEngine<R> {
         &self.query
     }
 
-    /// Native batch path: check, consolidate, apply, and return the
+    /// Native batch path: apply the consolidated entries and return the
     /// exact output delta (the count's change) this batch propagated.
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        check_updates(
-            &self.query.atoms,
-            batch.iter().map(|u| (u.relation, &u.tuple)),
-        )?;
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
         let mut delta = R::zero();
-        for upd in consolidate(batch) {
-            let i = self.rot(upd.relation).expect("checked above");
-            delta.add_assign(&self.ingest(i, &upd.tuple, &upd.payload));
+        for (rel, t, payload) in batch.entries() {
+            let i = self.rot(rel).expect("a checked relation");
+            delta.add_assign(&self.ingest(i, t, payload));
         }
         self.dict.sweep();
         self.publish();
@@ -398,7 +394,7 @@ impl<R: Semiring> Maintainer<R> for HeavyLightEngine<R> {
 mod tests {
     use super::*;
     use ivm_data::ops::lift_one;
-    use ivm_data::{sym, tup, FxHashMap, Value};
+    use ivm_data::{sym, tup, FxHashMap, Update, Value};
     use ivm_query::examples;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -156,18 +156,33 @@ impl Query {
     pub const MAX_ATOMS: usize = 64;
 
     /// Refuse a query with more than [`Self::MAX_ATOMS`] atom occurrences,
-    /// saying why — engine constructors return this as an error rather
-    /// than overflow a mask.
-    pub fn check_atom_limit(&self) -> Result<(), String> {
-        if self.atoms.len() <= Self::MAX_ATOMS {
-            return Ok(());
+    /// or one that names a relation at two arities, saying why — engine
+    /// constructors return this as an error rather than overflow a mask
+    /// or store one relation under two schemas.
+    pub fn check_atoms(&self) -> Result<(), String> {
+        if self.atoms.len() > Self::MAX_ATOMS {
+            return Err(format!(
+                "{} has {} atom occurrences; at most {} are supported",
+                self.name,
+                self.atoms.len(),
+                Self::MAX_ATOMS
+            ));
         }
-        Err(format!(
-            "{} has {} atom occurrences; at most {} are supported",
-            self.name,
-            self.atoms.len(),
-            Self::MAX_ATOMS
-        ))
+        for (i, a) in self.atoms.iter().enumerate() {
+            let clash = self.atoms[..i]
+                .iter()
+                .find(|b| b.name == a.name && b.schema.arity() != a.schema.arity());
+            if let Some(b) = clash {
+                return Err(format!(
+                    "{} names relation {} at arity {} and at arity {}",
+                    self.name,
+                    a.name,
+                    b.schema.arity(),
+                    a.schema.arity()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// `atoms(X)`: the indices of atoms whose schema contains `X`, as a

@@ -26,8 +26,15 @@
 //!   `ViewDelta` is an immutable handle (`Arc`) to it, so delivering,
 //!   cloning or forwarding one is O(1), receipt is a refcount drop, and
 //!   an epoch costs O(|batch| + Σ_groups |delta| + subscribers) — the
-//!   batch is routed to the groups in one pass, and a group it does not
+//!   batch is checked and consolidated once, each group gets the checked
+//!   batch restricted to its dynamic relations, and a group it does not
 //!   touch still delivers its (empty) delta.
+//! - **One arity per relation per node** — the shared base outlives its
+//!   groups, so a relation keeps the arity it was first declared with:
+//!   [`ServeNode::subscribe`] refuses a query that names it at another
+//!   arity ([`ivm_core::EngineError::ArityMismatch`]) and leaves the node
+//!   unchanged. That is what lets a group take its share of a checked
+//!   batch without checking it again.
 //!
 //! # Delivery and ordering guarantees
 //!

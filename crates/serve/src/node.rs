@@ -2,7 +2,7 @@
 //! delivery taps.
 
 use crate::canon::canonical_key;
-use ivm_core::{check_updates, EngineError, Maintainer};
+use ivm_core::{CheckedBatch, EngineError, Maintainer};
 use ivm_data::{Database, FxHashMap, FxHashSet, Relation, Sym, Update};
 use ivm_dataflow::{DeltaBatch, StoreHub};
 use ivm_obs::{
@@ -50,10 +50,10 @@ impl<R: Semiring> ViewDelta<R> {
     /// The delta repackaged as a one-relation [`DeltaBatch`] changeset,
     /// keyed by the view name — convenient for piping a subscription
     /// into downstream batch consumers.
-    pub fn changes(&self) -> DeltaBatch<R> {
+    pub fn changes(&self) -> DeltaBatch<'static, R> {
         let mut b = DeltaBatch::new();
         for (t, r) in self.delta.iter() {
-            b.push(&Update::with_payload(self.view, t.clone(), r.clone()));
+            b.insert_consolidated(self.view, t.clone(), r.clone());
         }
         b
     }
@@ -116,8 +116,8 @@ struct Group<R: Semiring> {
     session: Session<R>,
     /// The view name deliveries carry (first-registered query's name).
     view: Sym,
-    /// Dynamic relations the engine consumes — which parts of the
-    /// routed batch it is fed.
+    /// Dynamic relations the engine consumes — the part of each checked
+    /// batch it is fed.
     rels: FxHashSet<Sym>,
     taps: Vec<Tap<R>>,
 }
@@ -296,7 +296,9 @@ impl<R: Semiring> ServeNode<R> {
 
     /// Subscribe with a channel: deliveries buffer in the returned
     /// [`Subscription`] until drained. Dropping the subscription evicts
-    /// the subscriber at its next delivery.
+    /// the subscriber at its next delivery. A query that names a relation
+    /// at another arity than the node's base holds is refused, and the
+    /// node is left unchanged (every `subscribe*` call).
     pub fn subscribe(&mut self, query: Query) -> Result<Subscription<R>, EngineError> {
         let (tx, rx) = mpsc::channel();
         let (id, queue_depth) = self.add_tap(query, Sink::Channel(tx))?;
@@ -376,6 +378,21 @@ impl<R: Semiring> ServeNode<R> {
             }
             return Ok(gid);
         }
+        // One arity per relation per node: the base outlives its groups,
+        // so a relation keeps the arity it was first declared with, and a
+        // group's share of a checked batch needs no second check.
+        for atom in &query.atoms {
+            if let Some(rel) = self.base.get(atom.name) {
+                let (declared, got) = (rel.schema().arity(), atom.schema.arity());
+                if declared != got {
+                    return Err(EngineError::ArityMismatch {
+                        relation: atom.name,
+                        declared,
+                        got,
+                    });
+                }
+            }
+        }
         let view = query.name;
         let rels: FxHashSet<Sym> = query
             .atoms
@@ -452,16 +469,16 @@ impl<R: Semiring> ServeNode<R> {
     /// half of the [`StoreHub`] protocol).
     ///
     /// The cost is O(|batch| + Σ_groups |delta| + subscribers): the
-    /// batch is routed to the groups in one pass, each group's delta is
-    /// built once, and every tap gets a handle to it.
+    /// batch is checked and consolidated once, each group's share and
+    /// delta are built once, and every tap gets a handle to the delta.
     ///
     /// Rejection is atomic: the batch must pass the ingestion rule
-    /// ([`check_updates`]) over the atoms subscribers' queries have
+    /// ([`CheckedBatch::new`]) over the atoms subscribers' queries have
     /// declared — a retired group's relations stay declared, as they stay
     /// in the base — or the whole batch is refused before anything
     /// advances.
     pub fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
-        check_updates(&self.declared, batch.iter().map(|u| (u.relation, &u.tuple)))?;
+        let checked = CheckedBatch::new(&self.declared, batch)?;
         let t0 = self.obs.as_ref().map(|_| Instant::now());
         // The epoch's root span: every stage below — group propagation,
         // per-subscriber notify, the hub advance — attaches under it, so
@@ -470,40 +487,20 @@ impl<R: Semiring> ServeNode<R> {
             .obs
             .as_ref()
             .map(|o| o.tracer.enter(o.root_label, self.epoch));
-        // Route the batch once: its positions split by relation (each
-        // group below picks its relations' parts), and the consolidated
-        // changeset the hub advances by.
-        let mut by_rel: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
-        let mut hub_delta = DeltaBatch::new();
-        for (i, u) in batch.iter().enumerate() {
-            by_rel.entry(u.relation).or_default().push(i);
-            hub_delta.push(u);
-        }
         self.base.apply_batch(batch);
         let epoch = self.epoch;
         let mut evicted: Vec<SubId> = Vec::new();
         for group in self.groups.values_mut() {
-            // The group's share of the batch, in batch order — exactly
-            // what an independent session over this view would ingest.
-            // A group the batch does not touch gets an empty slice and
-            // still delivers its one (empty) delta.
-            let mut picks: Vec<usize> = group
-                .rels
-                .iter()
-                .filter_map(|r| by_rel.get(r))
-                .flatten()
-                .copied()
-                .collect();
-            picks.sort_unstable();
-            let sub_batch: Vec<Update<R>> = picks.into_iter().map(|i| batch[i].clone()).collect();
             let apply_span = self
                 .obs
                 .as_ref()
                 .and_then(|o| o.tracer.child_span(o.group_label));
-            // Restricted to the query's own dynamic relations, this
-            // cannot be rejected; a propagation error would still
-            // surface here.
-            let delta = group.session.apply_batch(&sub_batch)?;
+            // The group's share of the consolidated batch, checked against
+            // atoms that agree with its query's. A group the batch does
+            // not touch gets an empty part and still delivers its one
+            // (empty) delta. A propagation error would still surface here.
+            let part = checked.restrict(&group.rels);
+            let delta = group.session.apply_checked(&part)?;
             drop(apply_span);
             // Wrapped once; every tap below shares this allocation.
             let vd = ViewDelta {
@@ -563,7 +560,7 @@ impl<R: Semiring> ServeNode<R> {
             .obs
             .as_ref()
             .and_then(|o| o.tracer.child_span(o.advance_label));
-        self.hub.advance_batch(&hub_delta);
+        self.hub.advance_batch(checked.delta());
         drop(advance_span);
         self.epoch += 1;
         if let (Some(o), Some(t0)) = (&self.obs, t0) {

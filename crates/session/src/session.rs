@@ -4,7 +4,7 @@ use crate::classify::classify;
 use crate::explain::{cost_profile, Explain, ReplanEvent};
 use crate::select::{select, EngineKind, Selection};
 use ivm_core::cqap::CqapEngine;
-use ivm_core::{check_updates, EagerFactEngine, EngineError, Maintainer};
+use ivm_core::{CheckedBatch, EagerFactEngine, EngineError, Maintainer};
 use ivm_data::ops::{lift_one, Lift};
 use ivm_data::{Database, FxHashSet, Persist, Relation, Sym, Tuple, Update};
 use ivm_dataflow::{
@@ -283,7 +283,7 @@ impl<R: Semiring> SessionBuilder<R> {
         }
         // Classification holds an atom set per variable in a `u64` mask.
         self.query
-            .check_atom_limit()
+            .check_atoms()
             .map_err(EngineError::NotSupported)?;
         let cls = classify(&self.query);
         let mut selection = match self.forced {
@@ -743,8 +743,11 @@ impl<R: Semiring + Persist> SessionBuilder<R> {
         let replayed_epochs = tail.len() as u64;
         let mut replayed_updates = 0u64;
         for (_, batch) in &tail {
-            if session.backend.maintainer().apply_batch(batch).is_ok() {
-                session.after_ingest(batch)?;
+            let Ok(checked) = CheckedBatch::new(&session.query().atoms, batch) else {
+                continue;
+            };
+            if session.backend.maintainer().apply_checked(&checked).is_ok() {
+                session.after_ingest(&checked)?;
                 replayed_updates += batch.len() as u64;
             }
         }
@@ -810,15 +813,6 @@ impl<R: Semiring> SessionBase<R> {
             learned.rebuild_degrees(&db, query);
         }
         SessionBase { db, learned }
-    }
-
-    /// Apply a batch the backend accepted (so `db` holds every relation
-    /// it names).
-    fn apply_batch(&mut self, batch: &[Update<R>]) {
-        for upd in batch {
-            let change = self.db.apply(upd);
-            self.learned.observe(upd.relation, &upd.tuple, change);
-        }
     }
 }
 
@@ -1047,9 +1041,10 @@ impl<R: Semiring> Session<R> {
     /// synchronously and discards the delta, so the calling code stays
     /// engine-agnostic.
     pub fn enqueue_batch(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
-        self.ingest(batch, |backend| match backend {
-            Backend::Sharded(e) => e.enqueue_batch(batch).map(|_| ()),
-            other => other.maintainer().apply_batch(batch).map(|_| ()),
+        let batch = CheckedBatch::new(&self.query().atoms, batch)?;
+        self.ingest(&batch, |backend| match backend {
+            Backend::Sharded(e) => e.enqueue_checked(&batch).map(|_| ()),
+            other => other.maintainer().apply_checked(&batch).map(|_| ()),
         })
     }
 
@@ -1185,22 +1180,20 @@ impl<R: Semiring> Session<R> {
         }
     }
 
-    /// The one ingestion body behind [`Maintainer::apply_batch`] and
+    /// The one ingestion body behind [`Maintainer::apply_checked`] and
     /// [`Session::enqueue_batch`], which differ only in the backend call
-    /// `run` makes. The batch passes the ingestion rule before the
-    /// journal sees it, so a refused batch consumes no epoch. The
-    /// journal's fsync runs while the backend maintains the batch;
-    /// whatever the backend and the bookkeeping after it say, the call
-    /// waits for the fsync before returning, so nothing is acknowledged
-    /// ahead of its journal.
+    /// `run` makes. The batch passed the ingestion rule before it got
+    /// here, so a refused batch consumes no epoch; the backend and the
+    /// base take the same checked batch. The journal's fsync runs while
+    /// the backend maintains the batch; whatever the backend and the
+    /// bookkeeping after it say, the call waits for the fsync before
+    /// returning, so nothing is acknowledged ahead of its journal.
     fn ingest<T>(
         &mut self,
-        batch: &[Update<R>],
+        batch: &CheckedBatch<'_, R>,
         run: impl FnOnce(&mut Backend<R>) -> Result<T, EngineError>,
     ) -> Result<T, EngineError> {
         let started = self.obs_begin();
-        let atoms = &self.backend.maintainer_ref().query().atoms;
-        check_updates(atoms, batch.iter().map(|u| (u.relation, &u.tuple)))?;
         self.journal_ingest(batch)?;
         let applied = run(&mut self.backend).and_then(|out| {
             self.after_ingest(batch)?;
@@ -1220,11 +1213,11 @@ impl<R: Semiring> Session<R> {
     /// never be lost to a crash. A batch the ingestion rule refuses never
     /// gets here, so it consumes no epoch. A no-op for in-memory
     /// sessions.
-    fn journal_ingest(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
+    fn journal_ingest(&mut self, batch: &CheckedBatch<'_, R>) -> Result<(), EngineError> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
-        (d.append)(&mut d.store, d.epoch + 1, batch).map_err(store_error)?;
+        (d.append)(&mut d.store, d.epoch + 1, &batch.updates()).map_err(store_error)?;
         d.epoch += 1;
         d.store.start_commit().map_err(store_error)
     }
@@ -1259,9 +1252,12 @@ impl<R: Semiring> Session<R> {
     /// it (counting sizes and degrees as it goes), then an armed policy is
     /// consulted — re-lowering the plan, or swapping the engine family,
     /// and recording the event in `explain()` when it fires.
-    fn after_ingest(&mut self, batch: &[Update<R>]) -> Result<(), EngineError> {
+    fn after_ingest(&mut self, batch: &CheckedBatch<'_, R>) -> Result<(), EngineError> {
         if let Some(base) = self.base.as_mut() {
-            base.apply_batch(batch);
+            for upd in batch.updates().iter() {
+                let change = base.db.apply(upd);
+                base.learned.observe(upd.relation, &upd.tuple, change);
+            }
         }
         let (Some(st), Some(base)) = (self.adaptive.as_mut(), self.base.as_ref()) else {
             return Ok(());
@@ -1506,8 +1502,8 @@ impl<R: Semiring> Maintainer<R> for Session<R> {
     /// Delegates to the backend's native batch path — the session never
     /// re-implements ingestion, it only routes to the one trait surface
     /// (plus the journaling, base and policy bookkeeping around it).
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        self.ingest(batch, |backend| backend.maintainer().apply_batch(batch))
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
+        self.ingest(batch, |backend| backend.maintainer().apply_checked(batch))
     }
 
     fn for_each_output(&mut self, f: &mut dyn FnMut(&Tuple, &R)) {

@@ -25,10 +25,10 @@ use crate::planner::{ShardPlan, ShardPlanner};
 use crate::router::Router;
 use crate::stats::ShardedStats;
 use crate::worker::{self, Job, Report, TraceCtx, WorkerHandle};
-use ivm_core::{check_updates, EngineError, Maintainer};
+use ivm_core::{CheckedBatch, EngineError, Maintainer};
 use ivm_data::ops::Lift;
 use ivm_data::{Database, FxHashMap, FxHashSet, Relation, Schema, Sym, Tuple, Update};
-use ivm_dataflow::{cost, Cardinalities, DataflowEngine, DataflowStats, DeltaBatch};
+use ivm_dataflow::{cost, Cardinalities, DataflowEngine, DataflowStats};
 use ivm_obs::{Counter, FlightRecorder, Gauge, Histogram, LabelId, MetricsRegistry, Tracer};
 use ivm_query::Query;
 use ivm_ring::Semiring;
@@ -69,7 +69,7 @@ struct FleetObs {
     busy_base: Vec<Duration>,
     /// Enqueue-to-settle latency of stream batches.
     settle_ns: Histogram,
-    /// Router-side time consolidating raw updates into a [`DeltaBatch`].
+    /// Router-side time consolidating a checked batch.
     router_consolidate_ns: Counter,
     /// Router-side time hash-partitioning a consolidated batch.
     router_partition_ns: Counter,
@@ -373,15 +373,15 @@ impl<R: Semiring> ShardedEngine<R> {
     ///
     /// The maintained view and [`Self::stats`] reflect an enqueued batch
     /// only after it has been settled by [`Self::drain`] (or by a later
-    /// synchronous [`Self::apply_batch`]).
+    /// synchronous [`Self::apply_batch`]). The batch passes the ingestion
+    /// rule here, before anything is routed.
     pub fn enqueue_batch(&mut self, batch: &[Update<R>]) -> Result<u64, EngineError> {
+        self.enqueue_checked(&CheckedBatch::new(&self.query.atoms, batch)?)
+    }
+
+    /// [`Self::enqueue_batch`] for a checked batch, whose parts the workers apply.
+    pub fn enqueue_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<u64, EngineError> {
         self.check_poisoned()?;
-        // Refused here, before anything is routed; the workers apply
-        // what this check accepted.
-        check_updates(
-            &self.query.atoms,
-            batch.iter().map(|u| (u.relation, &u.tuple)),
-        )?;
         // Absorb any reports that already arrived, keeping `in_flight`
         // small during long enqueue-only streaks. (Before the new seq is
         // allocated, so this cannot complete the batch being enqueued.)
@@ -390,9 +390,10 @@ impl<R: Semiring> ShardedEngine<R> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let t0 = self.obs.as_ref().map(|_| Instant::now());
-        let consolidated = DeltaBatch::from_updates(batch);
+        // The batch's one consolidation, unless a layer above asked first.
+        batch.delta();
         let t1 = self.obs.as_ref().map(|_| Instant::now());
-        let parts = self.router.split(&consolidated);
+        let parts = self.router.split(batch);
         if let (Some(obs), Some(t0), Some(t1)) = (&self.obs, t0, t1) {
             obs.router_consolidate_ns
                 .add(t1.duration_since(t0).as_nanos() as u64);
@@ -618,8 +619,8 @@ impl<R: Semiring> Maintainer<R> for ShardedEngine<R> {
     /// Per the trait contract's poisoning clause: once any shard fails,
     /// this method (and `drain`) fails fast with the original error on
     /// every subsequent call.
-    fn apply_batch(&mut self, batch: &[Update<R>]) -> Result<Relation<R>, EngineError> {
-        let seq = self.enqueue_batch(batch)?;
+    fn apply_checked(&mut self, batch: &CheckedBatch<'_, R>) -> Result<Relation<R>, EngineError> {
+        let seq = self.enqueue_checked(batch)?;
         self.wait_for(seq)
     }
 
@@ -875,18 +876,15 @@ mod tests {
 
     #[test]
     fn shard_failure_poisons_instead_of_hanging() {
-        // Force a worker-side failure by bypassing central validation:
-        // a delta for a relation the shard engines do not know.
+        // Force a worker-side failure through the test-only worker fault.
         let q = star2();
         let mut eng = ShardedEngine::<i64>::new(q, &Database::new(), lift_one, 2).unwrap();
-        let rogue =
-            DeltaBatch::from_updates(&[Update::<i64>::insert(sym("she_rogue"), tup![1i64, 1i64])]);
         eng.workers[0]
-            .send(crate::worker::Job::Batch {
-                seq: 0,
-                delta: rogue,
-                ctx: None,
-            })
+            .send(crate::worker::Job::Fail(
+                0,
+                EngineError::UnknownRelation(sym("she_rogue")),
+                None,
+            ))
             .unwrap();
         eng.next_seq = 1;
         eng.in_flight.insert(
@@ -984,16 +982,12 @@ mod tests {
             epoch: 7,
             enqueued: Instant::now(),
         };
-        let rogue = DeltaBatch::from_updates(&[Update::<i64>::insert(
-            sym("she_rogue_fr"),
-            tup![1i64, 1i64],
-        )]);
         eng.workers[0]
-            .send(crate::worker::Job::Batch {
-                seq: 0,
-                delta: rogue,
-                ctx: Some(ctx),
-            })
+            .send(crate::worker::Job::Fail(
+                0,
+                EngineError::UnknownRelation(sym("she_rogue_fr")),
+                Some(ctx),
+            ))
             .unwrap();
         eng.next_seq = 1;
         eng.in_flight.insert(
@@ -1046,14 +1040,12 @@ mod tests {
         let mut eng = ShardedEngine::<i64>::new(q, &Database::new(), lift_one, 2).unwrap();
         let reg = MetricsRegistry::new();
         eng.observe(&reg, "t.poison").unwrap();
-        let rogue =
-            DeltaBatch::from_updates(&[Update::<i64>::insert(sym("she_rogue2"), tup![1i64, 1i64])]);
         eng.workers[0]
-            .send(crate::worker::Job::Batch {
-                seq: 0,
-                delta: rogue,
-                ctx: None,
-            })
+            .send(crate::worker::Job::Fail(
+                0,
+                EngineError::UnknownRelation(sym("she_rogue2")),
+                None,
+            ))
             .unwrap();
         if let Some(obs) = &eng.obs {
             obs.per_shard[0].queue_depth.inc();

@@ -6,13 +6,14 @@
 //! the same shard across runs and machines), broadcast relations fan out
 //! to every shard, and the degenerate plan sends everything to shard 0.
 //!
-//! Routing happens on *consolidated* batches ([`DeltaBatch`]): updates
-//! whose net effect cancels disappear before anything is cloned or
-//! shipped across a channel.
+//! Routing happens on *consolidated* batches (a [`CheckedBatch`]'s
+//! delta): updates whose net effect cancels disappear before anything is
+//! cloned or shipped across a channel, and each shard's part stays
+//! checked, so no worker checks it again.
 
 use crate::planner::{RelationRoute, ShardPlan};
+use ivm_core::CheckedBatch;
 use ivm_data::{shard_of_column, Tuple};
-use ivm_dataflow::DeltaBatch;
 use ivm_ring::Semiring;
 
 /// Counters of the routing layer, complementing the per-shard
@@ -75,13 +76,16 @@ impl Router {
         route_entry(&self.plan, self.shards, relation, tuple)
     }
 
-    /// Split a consolidated batch into one sub-batch per shard.
-    pub fn split<R: Semiring>(&mut self, batch: &DeltaBatch<R>) -> Vec<DeltaBatch<R>> {
+    /// Split a checked batch into one checked part per shard.
+    pub fn split<R: Semiring>(
+        &mut self,
+        batch: &CheckedBatch<'_, R>,
+    ) -> Vec<CheckedBatch<'static, R>> {
         self.stats.batches += 1;
         let stats = &mut self.stats;
         let shards = self.shards;
         let plan = &self.plan;
-        batch.partition_by(shards, |rel, t| {
+        batch.split(shards, |rel, t| {
             stats.entries += 1;
             let dest = route_entry(plan, shards, rel, t);
             match dest {
@@ -126,6 +130,11 @@ mod tests {
         (Router::new(plan, shards), names)
     }
 
+    /// `ups`, checked against `q`.
+    fn checked<'a>(q: &ivm_query::Query, ups: &'a [Update<i64>]) -> CheckedBatch<'a, i64> {
+        CheckedBatch::new(&q.atoms, ups).unwrap()
+    }
+
     #[test]
     fn partitioned_entries_go_to_one_shard_broadcast_to_all() {
         let (mut router, [r, s, t]) = triangle_router(4);
@@ -134,16 +143,17 @@ mod tests {
             Update::insert(s, tup![2i64, 3i64]), // broadcast under the a-plan
             Update::insert(t, tup![3i64, 1i64]),
         ];
-        let parts = router.split(&DeltaBatch::from_updates(&ups));
+        let parts = router.split(&checked(&ivm_query::examples::triangle_count(), &ups));
         assert_eq!(parts.len(), 4);
+        let holds = |i: usize, rel| parts[i].delta().iter().any(|e| e.0 == rel);
         // R(1,2) on exactly one shard; S(2,3) on all four.
-        let holding_r: Vec<usize> = (0..4).filter(|&i| parts[i].delta(r).is_some()).collect();
+        let holding_r: Vec<usize> = (0..4).filter(|&i| holds(i, r)).collect();
         assert_eq!(holding_r.len(), 1);
-        assert!((0..4).all(|i| parts[i].delta(s).is_some()));
+        assert!((0..4).all(|i| holds(i, s)));
         // R shards by a (col 0), T by a (col 1): the tuples above share
         // a = 1, so R(1,2) and T(3,1) land on the same shard — the
         // invariant that keeps each derivation on one shard.
-        let holding_t: Vec<usize> = (0..4).filter(|&i| parts[i].delta(t).is_some()).collect();
+        let holding_t: Vec<usize> = (0..4).filter(|&i| holds(i, t)).collect();
         assert_eq!(holding_r, holding_t);
 
         let st = router.stats();
@@ -184,7 +194,7 @@ mod tests {
         let ups: Vec<Update<i64>> = (0..8i64)
             .map(|i| Update::insert(e, tup![i, i + 1]))
             .collect();
-        let parts = router.split(&DeltaBatch::from_updates(&ups));
+        let parts = router.split(&checked(&q, &ups));
         assert_eq!(parts[0].len(), 8);
         assert!(parts[1..].iter().all(|p| p.is_empty()));
     }

@@ -9,9 +9,9 @@
 //! never block on reporting, so enqueue-side backpressure cannot deadlock
 //! against result delivery.
 
-use ivm_core::EngineError;
+use ivm_core::{CheckedBatch, EngineError, Maintainer};
 use ivm_data::{Database, Relation};
-use ivm_dataflow::{Cardinalities, DataflowEngine, DataflowStats, DeltaBatch};
+use ivm_dataflow::{Cardinalities, DataflowEngine, DataflowStats};
 use ivm_obs::{LabelId, Span, Tracer};
 use ivm_ring::Semiring;
 use std::panic::AssertUnwindSafe;
@@ -40,14 +40,14 @@ pub(crate) struct TraceCtx {
 }
 
 /// One unit of work for a shard.
-pub(crate) enum Job<R> {
+pub(crate) enum Job<R: Semiring> {
     /// Apply the sub-batch of sequence number `seq`.
     Batch {
         /// Engine-wide batch sequence number.
         seq: u64,
-        /// This shard's routed slice of the batch, already consolidated
-        /// by the router (applied without re-consolidation).
-        delta: DeltaBatch<R>,
+        /// This shard's routed part of the batch, checked at the door and
+        /// consolidated by the router (applied as it stands).
+        delta: CheckedBatch<'static, R>,
         /// Epoch-trace handoff, present when the enqueue happened under
         /// an observed epoch root.
         ctx: Option<TraceCtx>,
@@ -70,6 +70,9 @@ pub(crate) enum Job<R> {
         /// Epoch-trace handoff (replans are traced like batches).
         ctx: Option<TraceCtx>,
     },
+    /// A test-only fault: report batch `seq` as failed with this error.
+    #[cfg(test)]
+    Fail(u64, EngineError, Option<TraceCtx>),
     /// Attach a metrics registry to this shard's engine: the join's
     /// apply time and counter mirrors appear under `{prefix}.*`. Not
     /// reported — it is instantaneous and the facade need not await it
@@ -180,12 +183,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 }
 
 /// Handle to a spawned worker: its job queue and join handle.
-pub(crate) struct WorkerHandle<R> {
+pub(crate) struct WorkerHandle<R: Semiring> {
     jobs: Option<SyncSender<Job<R>>>,
     thread: Option<JoinHandle<()>>,
 }
 
-impl<R> WorkerHandle<R> {
+impl<R: Semiring> WorkerHandle<R> {
     /// Send a job, blocking when the shard's queue is full (bounded
     /// pipelining). Errors only if the worker died.
     pub fn send(&self, job: Job<R>) -> Result<(), EngineError> {
@@ -197,7 +200,7 @@ impl<R> WorkerHandle<R> {
     }
 }
 
-impl<R> Drop for WorkerHandle<R> {
+impl<R: Semiring> Drop for WorkerHandle<R> {
     fn drop(&mut self) {
         // Closing the queue is the shutdown signal; then join so worker
         // state (and any panic) is settled before the engine vanishes.
@@ -241,10 +244,15 @@ pub(crate) fn spawn<R: Semiring>(
                     Job::Batch { seq, delta, ctx } => {
                         let span = trace.as_ref().zip(ctx).map(|(tr, c)| tr.enter(tr.apply, c));
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            timed(|| engine.apply_delta_batch(&delta))
+                            timed(|| engine.apply_checked(&delta))
                         }));
                         drop(span);
                         (seq, outcome)
+                    }
+                    #[cfg(test)]
+                    Job::Fail(seq, error, ctx) => {
+                        drop(trace.as_ref().zip(ctx).map(|(tr, c)| tr.enter(tr.apply, c)));
+                        (seq, Ok((Err(error), Duration::ZERO)))
                     }
                     Job::Replan {
                         seq,
@@ -317,16 +325,25 @@ mod tests {
         )
     }
 
+    /// `updates` as the one routed part of a checked batch.
+    fn part(engine: &DataflowEngine<i64>, updates: &[Update<i64>]) -> CheckedBatch<'static, i64> {
+        let checked = CheckedBatch::new(&engine.query().atoms, updates).unwrap();
+        checked.split(1, |_, _| Some(0)).remove(0)
+    }
+
     #[test]
     fn worker_processes_jobs_in_order_and_reports_deltas() {
         let (engine, r) = tiny_engine();
+        let parts: Vec<_> = (0..5i64)
+            .map(|seq| part(&engine, &[Update::insert(r, tup![seq, 0i64])]))
+            .collect();
         let (tx, rx) = std::sync::mpsc::channel();
         let handle = spawn(3, engine, tx);
-        for seq in 0..5u64 {
+        for (seq, delta) in (0..5u64).zip(parts) {
             handle
                 .send(Job::Batch {
                     seq,
-                    delta: DeltaBatch::from_updates(&[Update::insert(r, tup![seq as i64, 0i64])]),
+                    delta,
                     ctx: None,
                 })
                 .unwrap();
@@ -345,17 +362,15 @@ mod tests {
     #[test]
     fn worker_reports_errors_instead_of_dying() {
         let (engine, r) = tiny_engine();
+        let next = part(&engine, &[Update::insert(r, tup![7i64, 7i64])]);
         let (tx, rx) = std::sync::mpsc::channel();
         let handle = spawn(0, engine, tx);
         handle
-            .send(Job::Batch {
-                seq: 0,
-                delta: DeltaBatch::from_updates(&[Update::<i64>::insert(
-                    sym("wrk_unknown"),
-                    tup![1i64],
-                )]),
-                ctx: None,
-            })
+            .send(Job::Fail(
+                0,
+                EngineError::UnknownRelation(sym("wrk_unknown")),
+                None,
+            ))
             .unwrap();
         let rep = rx.recv().unwrap();
         assert!(matches!(rep.delta, Err(EngineError::UnknownRelation(_))));
@@ -363,7 +378,7 @@ mod tests {
         handle
             .send(Job::Batch {
                 seq: 1,
-                delta: DeltaBatch::from_updates(&[Update::insert(r, tup![7i64, 7i64])]),
+                delta: next,
                 ctx: None,
             })
             .unwrap();
@@ -375,17 +390,22 @@ mod tests {
     #[test]
     fn busy_time_accumulates() {
         let (engine, r) = tiny_engine();
+        let parts: Vec<_> = (0..3i64)
+            .map(|seq| {
+                let updates: Vec<Update<i64>> = (0..256)
+                    .map(|i| Update::insert(r, tup![i as i64, seq]))
+                    .collect();
+                part(&engine, &updates)
+            })
+            .collect();
         let (tx, rx) = std::sync::mpsc::channel();
         let handle = spawn(0, engine, tx);
         let mut last = Duration::ZERO;
-        for seq in 0..3u64 {
-            let updates: Vec<Update<i64>> = (0..256)
-                .map(|i| Update::insert(r, tup![i as i64, seq as i64]))
-                .collect();
+        for (seq, delta) in (0..3u64).zip(parts) {
             handle
                 .send(Job::Batch {
                     seq,
-                    delta: DeltaBatch::from_updates(&updates),
+                    delta,
                     ctx: None,
                 })
                 .unwrap();

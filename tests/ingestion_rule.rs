@@ -248,3 +248,133 @@ fn every_entry_point_refuses_a_bad_batch_whole() {
         outputs_match(&got, &oracle_db(&dynamic, &base), "ServeNode next").unwrap();
     }
 }
+
+/// One relation has one arity. A query that names `E` at two arities is
+/// refused before any engine is built; a serve node keeps the arity its
+/// base first declared, so a subscription that disagrees is refused and
+/// the node serves on unchanged.
+#[test]
+fn a_relation_at_two_arities_is_refused_before_anything_is_built() {
+    let [a, b, c] = vars(["ar_A", "ar_B", "ar_C"]);
+    let e = sym("ar_E");
+    let pairs = Query::new("ar_pairs", [a, b], vec![Atom::new(e, [a, b])]);
+    let triples = Query::new("ar_triples", [a, b, c], vec![Atom::new(e, [a, b, c])]);
+    let both = Query::new(
+        "ar_both",
+        [],
+        vec![Atom::new(e, [a, b]), Atom::new(e, [a, b, c])],
+    );
+    let not_supported = |r: Result<(), EngineError>| matches!(r, Err(EngineError::NotSupported(_)));
+    let empty = Database::new();
+    assert!(not_supported(
+        Session::<i64>::builder(both.clone())
+            .build(&empty)
+            .map(|_| ())
+    ));
+    assert!(not_supported(
+        DataflowEngine::<i64>::new(both.clone(), &empty, lift_one).map(|_| ())
+    ));
+    let mut node = ServeNode::<i64>::new();
+    assert!(not_supported(node.subscribe(both).map(|_| ())));
+
+    let mut sub = node.subscribe(pairs.clone()).unwrap();
+    let wider = EngineError::ArityMismatch {
+        relation: e,
+        declared: 2,
+        got: 3,
+    };
+    assert_eq!(node.subscribe(triples).map(|_| ()).unwrap_err(), wider);
+    assert_eq!((node.group_count(), node.subscriber_count()), (1, 1));
+    let wide = [Update::insert(e, tup![1i64, 2i64, 3i64])];
+    assert_eq!(node.apply_batch(&wide), Err(wider));
+    assert_eq!(node.epoch(), 0);
+    node.apply_batch(&[Update::insert(e, tup![1i64, 2i64])])
+        .unwrap();
+    assert_eq!(sub.drain_pending().len(), 1);
+    assert_eq!(node.view(sub.id()).unwrap().get(&tup![1i64, 2i64]), 1);
+}
+
+/// A serve node with three groups over a shared relation refuses a bad
+/// batch whole: every group's view, the node's resident tuples and its
+/// epoch stay as they were, and no subscriber hears anything. The next
+/// valid batch reaches every subscriber exactly once.
+#[test]
+fn a_refused_serve_batch_moves_no_group() {
+    let [a, b, c] = vars(["sa_A", "sa_B", "sa_C"]);
+    let (e, f) = (sym("sa_E"), sym("sa_F"));
+    let queries = [
+        Query::new("sa_edges", [a, b], vec![Atom::new(e, [a, b])]),
+        Query::new(
+            "sa_paths",
+            [a, c],
+            vec![Atom::new(e, [a, b]), Atom::new(e, [b, c])],
+        ),
+        Query::new(
+            "sa_marked",
+            [a, b],
+            vec![Atom::new(e, [a, b]), Atom::new(f, [b])],
+        ),
+    ];
+    let mut node = ServeNode::<i64>::new();
+    // Two subscribers on the first view: one group, two deliveries.
+    let mut subs: Vec<_> = queries
+        .iter()
+        .chain(&queries[..1])
+        .map(|q| node.subscribe(q.clone()).unwrap())
+        .collect();
+    assert_eq!(node.group_count(), 3);
+    let good = |k: i64| {
+        vec![
+            Update::insert(e, tup![k, k + 1]),
+            Update::insert(e, tup![k + 1, k + 2]),
+            Update::insert(f, tup![k + 1]),
+        ]
+    };
+    let nope = sym("sa_Nope");
+    let bad = [
+        (
+            Update::insert(e, tup![1i64]),
+            EngineError::ArityMismatch {
+                relation: e,
+                declared: 2,
+                got: 1,
+            },
+        ),
+        (
+            Update::insert(f, tup![1i64, 2i64]),
+            EngineError::ArityMismatch {
+                relation: f,
+                declared: 1,
+                got: 2,
+            },
+        ),
+        (
+            Update::insert(nope, tup![1i64]),
+            EngineError::UnknownRelation(nope),
+        ),
+    ];
+    let mut base = mirror_db(&queries[2]);
+    for (k, (bad, want)) in (0i64..).zip(bad) {
+        let views: Vec<_> = subs.iter().map(|s| node.view(s.id()).unwrap()).collect();
+        let (resident, epoch) = (node.resident_tuples(), node.epoch());
+        let mut batch = good(10 * k);
+        batch.insert(1, bad.clone());
+        assert_eq!(node.apply_batch(&batch), Err(want), "{bad:?}");
+        assert_eq!((node.resident_tuples(), node.epoch()), (resident, epoch));
+        for (sub, before) in subs.iter_mut().zip(&views) {
+            assert!(sub.try_next().is_none(), "a delivery for {bad:?}");
+            let after = node.view(sub.id()).unwrap();
+            outputs_match(&after, before, &format!("after {bad:?}")).unwrap();
+        }
+
+        let next = good(10 * k);
+        node.apply_batch(&next).unwrap();
+        base.apply_batch(&next);
+        for (sub, q) in subs.iter_mut().zip(queries.iter().chain(&queries[..1])) {
+            let epochs: Vec<u64> = sub.drain_pending().iter().map(|vd| vd.epoch).collect();
+            assert_eq!(epochs, [epoch], "{}", q.name);
+            let view = node.view(sub.id()).unwrap();
+            outputs_match(&view, &oracle_db(q, &base), &q.name.to_string()).unwrap();
+        }
+    }
+}

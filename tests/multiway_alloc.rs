@@ -72,8 +72,10 @@ fn allocations_per_batch_do_not_depend_on_density() {
     );
     // The operator that boxed every stored tuple and index key as a tuple
     // of `Value`s made 268 per round; 156 while each batch was first
-    // copied into one `Relation` per source node.
-    const PER_ROUND: u64 = 110;
+    // copied into one `Relation` per source node; 110 while a consolidated
+    // batch was a map of per-relation maps that cloned every update's
+    // tuple.
+    const PER_ROUND: u64 = 76;
     const { assert!(PER_ROUND < 156) };
     assert_eq!(sparse_allocs, PER_ROUND);
 }
@@ -120,8 +122,10 @@ fn aggregated_count_allocations_do_not_depend_on_join_size() {
         "a count's allocations per batch may not follow the number of join tuples"
     );
     // 18 per batch when stored tuples and index keys were boxed `Value`s,
-    // 15 while each batch was first copied into per-source relations.
-    const PER_BATCH: u64 = 10;
+    // 15 while each batch was first copied into per-source relations, 10
+    // while a consolidated batch was a map of per-relation maps that cloned
+    // every update's tuple.
+    const PER_BATCH: u64 = 8;
     const { assert!(PER_BATCH < 15) };
     assert_eq!(small, PER_BATCH);
 }
