@@ -26,7 +26,7 @@ fn main() {
     assert_eq!(session.engine_kind(), EngineKind::EagerFact);
 
     // One batch through the one trait-level surface; the returned delta
-    // contract is documented on `Maintainer::apply_batch`.
+    // contract is documented on `Maintainer::apply_checked`.
     session
         .apply_batch(&[
             Update::insert(r, tup![1i64, 10i64]),
